@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fillings import Filling
-from .growth import (GrowthTableau, grid_from_word, growth_tableau,
-                     label_diagram, border_tableau, reconstruct)
-from .partitions import contains, make_partition
+from .growth import (GrowthTableau, growth_tableau, label_diagram,
+                     border_tableau, reconstruct)
+from .partitions import conjugate, contains, make_partition
 from .shapes import FerrersShape, staircase
 
 EMPTY = ()
@@ -446,10 +446,5 @@ def conjugate_set_partition_enhanced(p: SetPartition) -> SetPartition:
 
 def conjugate_matching(m: Matching) -> Matching:
     t = matching_to_oscillating(m)
-    conj = GrowthTableau(t.word, tuple(make_partition(_conj(p)) for p in t.seq))
+    conj = GrowthTableau(t.word, tuple(conjugate(p) for p in t.seq))
     return oscillating_to_matching(conj)
-
-
-def _conj(p):
-    from .partitions import conjugate
-    return conjugate(p)

@@ -166,8 +166,7 @@ class CountTable:
 
 
 def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
-                max_n: int | None = None,
-                keep_filling: bool = False) -> CountTable:
+                max_n: int | None = None) -> CountTable:
     table = CountTable(str(shape), cls, spec_x, spec_y)
     for n, f in all_fillings(shape, cls, max_n):
         table.add(n, longest_chain(f, spec_x), longest_chain(f, spec_y))

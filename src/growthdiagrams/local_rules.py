@@ -20,15 +20,17 @@ recovers (rho, m) from (mu, nu, lam).  Five rule sets are provided:
 * ``dual-rsk-prime`` -- arbitrary entries, vertical strips both ways.
 
 The carry-based rules operate on one part index at a time, exactly as in
-their defining descriptions, rather than through bumping.
+their defining descriptions, rather than through bumping.  Each walks its
+corner labels in step, padded with zeros to a common length once the frame
+checks have passed.
 """
 
 from dataclasses import dataclass
 
 from .fillings import ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE
-from .partitions import (add_square_in_row, contains, diff_row,
+from .partitions import (add_square_in_row, checked_partition, diff_row,
                          differs_by_one_square, intersect, is_horizontal_strip,
-                         is_vertical_strip, make_partition, part, union)
+                         is_vertical_strip, union)
 
 VARIANTS = ("standard", "rsk", "dual-rsk", "rsk-prime", "dual-rsk-prime")
 
@@ -84,7 +86,12 @@ def backward_standard(mu, nu, lam):
         return mu, 1
     parts = list(mu)
     parts[k - 2] -= 1
-    return make_partition(parts), 0
+    return checked_partition(parts), 0
+
+
+def _padded(p, n):
+    """The parts of p followed by zeros, n in all (n >= len(p))."""
+    return p + (0,) * (n - len(p))
 
 
 def forward_rsk(rho, mu, nu, m):
@@ -95,17 +102,16 @@ def forward_rsk(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
     if not is_horizontal_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
+    # the carry left below the longer of mu and nu fills one more row
+    n = max(len(mu), len(nu)) + 1
     lam = []
     carry = m
-    i = 1
-    while True:
-        li = max(part(mu, i), part(nu, i)) + carry
-        if li == 0:
-            break
-        lam.append(li)
-        carry = min(part(mu, i), part(nu, i)) - part(rho, i)
-        i += 1
-    return make_partition(lam)
+    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+        if a < b:
+            a, b = b, a
+        lam.append(a + carry)
+        carry = b - r
+    return checked_partition(lam)
 
 
 def backward_rsk(mu, nu, lam):
@@ -113,12 +119,48 @@ def backward_rsk(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
     if not is_horizontal_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
-    rho = [0] * len(lam)
+    n = len(lam)
+    rho = []
     carry = 0
-    for i in range(len(lam), 0, -1):
-        rho[i - 1] = min(part(mu, i), part(nu, i)) - carry
-        carry = part(lam, i) - max(part(mu, i), part(nu, i))
-    return make_partition(rho), carry
+    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
+                       reversed(_padded(nu, n))):
+        if a < b:
+            a, b = b, a
+        rho.append(b - carry)
+        carry = c - a
+    rho.reverse()
+    return checked_partition(rho), carry
+
+
+def _forward_dual_carry(rho, mu, nu, m):
+    """lam for a checked dual-rsk frame (mu/rho horizontal, nu/rho vertical)."""
+    n = max(len(mu), len(nu)) + 1
+    lam = []
+    carry = m
+    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+        a += carry
+        if a < b:
+            a, b = b, a
+        lam.append(a)
+        carry = b - r
+    return checked_partition(lam)
+
+
+def _backward_dual_carry(mu, nu, lam):
+    """(rho, m) for a checked dual-rsk frame (lam/mu vertical, lam/nu
+    horizontal)."""
+    n = len(lam)
+    rho = []
+    carry = 0
+    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
+                       reversed(_padded(nu, n))):
+        b -= carry
+        if a < b:
+            a, b = b, a
+        rho.append(b)
+        carry = c - a
+    rho.reverse()
+    return checked_partition(rho), carry
 
 
 def forward_dual_rsk(rho, mu, nu, m):
@@ -129,17 +171,7 @@ def forward_dual_rsk(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
     if not is_vertical_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
-    lam = []
-    carry = m
-    i = 1
-    while True:
-        li = max(part(mu, i) + carry, part(nu, i))
-        if li == 0:
-            break
-        lam.append(li)
-        carry = min(part(mu, i) + carry, part(nu, i)) - part(rho, i)
-        i += 1
-    return make_partition(lam)
+    return _forward_dual_carry(rho, mu, nu, m)
 
 
 def backward_dual_rsk(mu, nu, lam):
@@ -147,21 +179,18 @@ def backward_dual_rsk(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
     if not is_horizontal_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
-    rho = [0] * len(lam)
-    carry = 0
-    for i in range(len(lam), 0, -1):
-        rho[i - 1] = min(part(mu, i), part(nu, i) - carry)
-        carry = part(lam, i) - max(part(mu, i), part(nu, i) - carry)
-    return make_partition(rho), carry
+    return _backward_dual_carry(mu, nu, lam)
 
 
 def forward_rsk_prime(rho, mu, nu, m):
     """Reflection of the dual rule in the diagonal: mu and nu swap roles."""
+    if m not in (0, 1):
+        raise ValueError(f"dual rules need a 0/1 entry, got {m}")
     if not is_vertical_strip(mu, rho):
         raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
     if not is_horizontal_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
-    return forward_dual_rsk(rho, nu, mu, m)
+    return _forward_dual_carry(rho, nu, mu, m)
 
 
 def backward_rsk_prime(mu, nu, lam):
@@ -169,7 +198,7 @@ def backward_rsk_prime(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
     if not is_vertical_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
-    return backward_dual_rsk(nu, mu, lam)
+    return _backward_dual_carry(nu, mu, lam)
 
 
 def forward_dual_rsk_prime(rho, mu, nu, m):
@@ -180,19 +209,19 @@ def forward_dual_rsk_prime(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
     if not is_vertical_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
+    n = max(len(mu), len(nu))
     lam = []
     carry = m
-    i = 1
-    while True:
-        equal = 1 if part(rho, i) == part(mu, i) == part(nu, i) else 0
-        used = min(equal, carry)
-        li = max(part(mu, i), part(nu, i)) + used
-        if li == 0:
-            break
-        lam.append(li)
-        carry = carry - used + min(part(mu, i), part(nu, i)) - part(rho, i)
-        i += 1
-    return make_partition(lam)
+    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+        used = 1 if carry and r == a == b else 0
+        if a < b:
+            a, b = b, a
+        lam.append(a + used)
+        carry += b - r - used
+    # below the longer of mu and nu all three corners are empty, so the
+    # carry (which can exceed m) comes out one square per row
+    lam.extend([1] * carry)
+    return checked_partition(lam)
 
 
 def backward_dual_rsk_prime(mu, nu, lam):
@@ -200,13 +229,18 @@ def backward_dual_rsk_prime(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
     if not is_vertical_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
-    rho = [0] * len(lam)
+    n = len(lam)
+    rho = []
     carry = 0
-    for i in range(len(lam), 0, -1):
-        equal = 1 if part(mu, i) == part(nu, i) == part(lam, i) else 0
-        rho[i - 1] = min(part(mu, i), part(nu, i)) - min(equal, carry)
-        carry = carry - min(equal, carry) + part(lam, i) - max(part(mu, i), part(nu, i))
-    return make_partition(rho), carry
+    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
+                       reversed(_padded(nu, n))):
+        used = 1 if carry and a == b == c else 0
+        if a < b:
+            a, b = b, a
+        rho.append(b - used)
+        carry += c - a - used
+    rho.reverse()
+    return checked_partition(rho), carry
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ length of the tuple yields 0.  Lattice operations (union, intersection,
 containment) are coordinatewise.
 """
 
-from itertools import count
+from operator import ge, sub
+
+_ZERO_ONE = frozenset((0, 1))
 
 
 def make_partition(parts) -> tuple[int, ...]:
@@ -14,12 +16,17 @@ def make_partition(parts) -> tuple[int, ...]:
     Trailing zeros are stripped.  Raises ValueError if the parts are not
     weakly decreasing or contain a negative entry.
     """
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    for a, b in zip(p, p[1:]):
-        if b > a:
-            raise ValueError(f"parts not weakly decreasing: {p}")
+    return checked_partition(tuple(map(int, parts)))
+
+
+def checked_partition(parts) -> tuple[int, ...]:
+    """``make_partition`` for a list or tuple whose parts are already ints."""
+    n = len(parts)
+    while n and parts[n - 1] == 0:
+        n -= 1
+    p = tuple(parts[:n])
+    if not all(map(ge, p, p[1:])):
+        raise ValueError(f"parts not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in {p}")
     return p
@@ -43,19 +50,19 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def union(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinatewise maximum."""
-    n = max(len(mu), len(nu))
-    return make_partition(max(part(mu, i), part(nu, i)) for i in range(1, n + 1))
+    if len(mu) < len(nu):
+        mu, nu = nu, mu
+    return checked_partition(tuple(map(max, mu, nu)) + mu[len(nu):])
 
 
 def intersect(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinatewise minimum."""
-    n = min(len(mu), len(nu))
-    return make_partition(min(part(mu, i), part(nu, i)) for i in range(1, n + 1))
+    return checked_partition(tuple(map(min, mu, nu)))
 
 
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """True if the diagram of ``inner`` fits inside ``outer``."""
-    return all(part(outer, i) >= part(inner, i) for i in range(1, len(inner) + 1))
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 def is_horizontal_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
@@ -63,18 +70,20 @@ def is_horizontal_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
     Equivalently: outer_i >= inner_i >= outer_{i+1} for all i.
     """
-    n = max(len(outer), len(inner))
-    for i in range(1, n + 1):
-        if not (part(outer, i) >= part(inner, i) >= part(outer, i + 1)):
-            return False
-    return True
+    return (len(inner) <= len(outer) <= len(inner) + 1
+            and all(map(ge, outer, inner)) and all(map(ge, inner, outer[1:])))
 
 
 def is_vertical_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """True if outer/inner is a vertical strip (at most one square per row)."""
-    n = max(len(outer), len(inner))
-    return all(part(outer, i) - part(inner, i) in (0, 1) for i in range(1, n + 1)) \
-        and contains(outer, inner)
+    """True if outer/inner is a vertical strip (at most one square per row).
+
+    Equivalently: outer_i - inner_i is 0 or 1 for all i.
+    """
+    k = len(inner)
+    # the rows of outer below inner are weakly decreasing, so they are all
+    # single squares when the first of them is
+    return (k <= len(outer) and _ZERO_ONE.issuperset(map(sub, outer, inner))
+            and (len(outer) == k or outer[k] == 1))
 
 
 def differs_by_one_square(bigger: tuple[int, ...], smaller: tuple[int, ...]) -> bool:
@@ -85,19 +94,19 @@ def add_square_in_row(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Add one square to the k-th row; the result must still be a partition."""
     parts = list(p) + [0] * (k - len(p))
     parts[k - 1] += 1
-    return make_partition(parts)
+    return checked_partition(parts)
 
 
 def diff_row(bigger: tuple[int, ...], smaller: tuple[int, ...]) -> int:
     """The unique row where two partitions differing by one square differ."""
-    for i in count(1):
-        a, b = part(bigger, i), part(smaller, i)
+    if bigger == smaller:
+        raise ValueError(f"{bigger} and {smaller} are equal")
+    if not differs_by_one_square(bigger, smaller):
+        raise ValueError(f"{bigger} and {smaller} do not differ by one square")
+    for i, (a, b) in enumerate(zip(bigger, smaller), 1):
         if a != b:
-            if a != b + 1 or not differs_by_one_square(bigger, smaller):
-                raise ValueError(f"{bigger} and {smaller} do not differ by one square")
             return i
-        if i > len(bigger) and i > len(smaller):
-            raise ValueError(f"{bigger} and {smaller} are equal")
+    return len(smaller) + 1
 
 
 def to_compact(p: tuple[int, ...]) -> str:
@@ -127,11 +136,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return make_partition(int(c) for c in text)
 
 
-def sort_key(p: tuple[int, ...]):
-    """Order partitions by size, then lexicographically."""
-    return (size(p), p)
-
-
 def partitions_of(n: int, max_part: int | None = None):
     """Yield all partitions of n in lexicographically decreasing order."""
     if n == 0:
@@ -141,9 +145,3 @@ def partitions_of(n: int, max_part: int | None = None):
     for first in range(top, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def partitions_up_to(n: int):
-    """All partitions of 0, 1, ..., n in size-then-lex order."""
-    for m in range(n + 1):
-        yield from sorted(partitions_of(m))

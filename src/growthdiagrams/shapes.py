@@ -9,7 +9,7 @@ from the top-left end to the bottom-right end: R moves one cell to the
 right, D moves one cell down.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .partitions import conjugate, make_partition
 
@@ -19,9 +19,12 @@ class FerrersShape:
     """Row lengths from the bottom up (weakly decreasing, positive)."""
 
     rows: tuple[int, ...]
+    # derived from rows once; equality, hashing and repr use rows alone
+    col_heights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", make_partition(self.rows))
+        object.__setattr__(self, "col_heights", conjugate(self.rows))
 
     @property
     def n_rows(self) -> int:
@@ -35,16 +38,11 @@ class FerrersShape:
     def n_cells(self) -> int:
         return sum(self.rows)
 
-    @property
-    def col_heights(self) -> tuple[int, ...]:
-        return conjugate(self.rows)
-
     def row_length(self, r: int) -> int:
         return self.rows[r - 1] if 1 <= r <= self.n_rows else 0
 
     def col_height(self, c: int) -> int:
-        heights = self.col_heights
-        return heights[c - 1] if 1 <= c <= len(heights) else 0
+        return self.col_heights[c - 1] if 1 <= c <= len(self.col_heights) else 0
 
     def __contains__(self, cell) -> bool:
         c, r = cell
@@ -52,8 +50,8 @@ class FerrersShape:
 
     def cells(self):
         """All cells in column-major order (col, then row, ascending)."""
-        return [(c, r) for c in range(1, self.n_cols + 1)
-                for r in range(1, self.col_height(c) + 1)]
+        return [(c, r) for c, height in enumerate(self.col_heights, 1)
+                for r in range(1, height + 1)]
 
     @property
     def word(self) -> str:
@@ -142,7 +140,7 @@ class StackPolyomino:
         return sum(self.col_heights)
 
     def col_height(self, c: int) -> int:
-        return self.col_heights[c - 1] if 1 <= c <= self.n_cols else 0
+        return self.col_heights[c - 1] if 1 <= c <= len(self.col_heights) else 0
 
     def __contains__(self, cell) -> bool:
         c, r = cell
