@@ -2,7 +2,7 @@
 
 Subcommands: map, inverse, demo, verify, count, greene, explore.
 Exit codes: 0 for success / PASS, 1 for FAIL or a counterexample,
-2 for usage errors.
+2 for usage errors, 3 for an instance over its budget (InstanceTooLarge).
 """
 
 import argparse
@@ -15,8 +15,8 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               setpartition_to_vacillating)
 from .enumeration import (CountTable, VERIFIERS, check_greene, count_table,
                           jonsson_check, problem2_evidence, verify_theorem)
-from .fillings import (Filling, chain_spec, filling_from_json,
-                       filling_to_json)
+from .fillings import (Filling, InstanceTooLarge, chain_spec,
+                       filling_from_json, filling_to_json)
 from .growth import (GrowthTableau, blow_up, growth_tableau, label_diagram,
                      reconstruct, tableau_from_json, tableau_to_json)
 from .insertion import (biword_from_filling, border_pair, dual_rsk_insert,
@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InstanceTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

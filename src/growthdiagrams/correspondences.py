@@ -15,7 +15,7 @@ from itertools import combinations
 from .fillings import Filling
 from .growth import (GrowthTableau, growth_tableau, label_diagram,
                      border_tableau, reconstruct)
-from .partitions import conjugate, contains, make_partition
+from .partitions import contains, make_partition
 from .shapes import FerrersShape, staircase
 
 EMPTY = ()
@@ -418,15 +418,12 @@ def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
       with the rsk-prime rules;
     * ``nes1-inverse`` / ``nes2-inverse``: the inverse directions.
     """
-    routes = {"standard": ("standard", "standard"),
-              "nes1": ("rsk", "dual-rsk-prime"),
-              "nes1-inverse": ("dual-rsk-prime", "rsk"),
-              "nes2": ("dual-rsk", "rsk-prime"),
-              "nes2-inverse": ("rsk-prime", "dual-rsk"),
-              }
-    fwd, bwd = routes[mode]
-    t = growth_tableau(f, fwd)
-    back, bottom, left = reconstruct(t.word, t.conjugate().seq, bwd)
+    forward = {"standard": "standard", "nes1": "rsk",
+               "nes1-inverse": "dual-rsk-prime", "nes2": "dual-rsk",
+               "nes2-inverse": "rsk-prime"}
+    t = growth_tableau(f, forward[mode])
+    # the conjugated tableau carries the backward variant
+    back, bottom, left = reconstruct(t.word, t.conjugate())
     if any(p != EMPTY for p in bottom + left):
         raise ValueError("conjugated tableau did not reconstruct cleanly")
     return back
@@ -445,6 +442,4 @@ def conjugate_set_partition_enhanced(p: SetPartition) -> SetPartition:
 
 
 def conjugate_matching(m: Matching) -> Matching:
-    t = matching_to_oscillating(m)
-    conj = GrowthTableau(t.word, tuple(conjugate(p) for p in t.seq))
-    return oscillating_to_matching(conj)
+    return oscillating_to_matching(matching_to_oscillating(m).conjugate())

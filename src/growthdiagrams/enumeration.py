@@ -25,7 +25,17 @@ DEFAULT_HARD_WALL = 10 ** 7
 
 
 def budget_limit() -> int:
-    return int(os.environ.get("GROWTH_BUDGET", DEFAULT_HARD_WALL))
+    """The most fillings one enumeration may generate (``GROWTH_BUDGET``)."""
+    text = os.environ.get("GROWTH_BUDGET")
+    if text is None:
+        return DEFAULT_HARD_WALL
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise ValueError(f"GROWTH_BUDGET must be a positive integer, got {text!r}")
+    return limit
 
 
 @dataclass
@@ -204,12 +214,12 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, mode, inverse_mode,
             t = longest_chain(f, specs[1])
             source.add(n, s, t)
             g = swap_chain_statistics(f, mode)
-            image.add(n, longest_chain(g, image_specs[0]),
-                      longest_chain(g, image_specs[1]))
+            u = longest_chain(g, image_specs[0])
+            v = longest_chain(g, image_specs[1])
+            image.add(n, u, v)
             if symmetric_only and transpose_filling(g) != g:
                 return False, (shape, f, "image not symmetric")
-            if (longest_chain(g, image_specs[0]) != t
-                    or longest_chain(g, image_specs[1]) != s):
+            if (u, v) != (t, s):
                 return False, (shape, f, "statistics not exchanged")
             back = swap_chain_statistics(g, inverse_mode)
             if back != f:
@@ -405,12 +415,7 @@ def problem2_evidence(shape, max_n: int | None = None) -> Report:
     This concerns an open question, so the outcome is reported as
     EVIDENCE either way, never asserted.
     """
-    ne_spec, se_spec = _ne_se_specs()
-    table = CountTable(str(shape), ZERO_ONE, ne_spec, se_spec)
-    top = shape.n_cells if max_n is None else max_n
-    for n in range(top + 1):
-        for f in generate_fillings(shape, ZERO_ONE, n):
-            table.add(n, longest_chain(f, ne_spec), longest_chain(f, se_spec))
+    table = count_table(shape, ZERO_ONE, *_ne_se_specs(), max_n)
     ok, witness = table.is_symmetric()
     details = ("all tables symmetric" if ok
                else f"asymmetry at (n,s,t)={witness}")

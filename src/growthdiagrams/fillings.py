@@ -18,7 +18,7 @@ right).
 import json
 from dataclasses import dataclass, field
 
-from .shapes import FerrersShape, shape_from_word
+from .shapes import rectangle_in_shape, shape_from_word
 
 ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
@@ -160,15 +160,6 @@ def _sorted_cells(cells, spec: ChainSpec):
     return sorted(cells, key=lambda cr: (cr[0], -cr[1]))
 
 
-def _box_in_shape(shape, cells) -> bool:
-    lo_c = min(c for c, _ in cells)
-    hi_c = max(c for c, _ in cells)
-    lo_r = min(r for _, r in cells)
-    hi_r = max(r for _, r in cells)
-    return all((c, r) in shape
-               for c in range(lo_c, hi_c + 1) for r in range(lo_r, hi_r + 1))
-
-
 def _chain_value(f: Filling, spec: ChainSpec, cells) -> int:
     if spec.length_mode == "entry-sum":
         return sum(f.entry(c, r) for c, r in cells)
@@ -185,9 +176,15 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     cells = _sorted_cells(f.entries, spec)
     best = 0
 
+    def fits(chain):
+        # a chain is monotone in both coordinates, so its two ends span
+        # its bounding box
+        (c0, r0), (c1, r1) = chain[0], chain[-1]
+        return rectangle_in_shape(f.shape, c0, min(r0, r1), c1, max(r0, r1))
+
     def extend(chain, start):
         nonlocal best
-        if chain and (not spec.require_rectangle or _box_in_shape(f.shape, chain)):
+        if chain and (not spec.require_rectangle or fits(chain)):
             best = max(best, _chain_value(f, spec, chain))
         for i in range(start, len(cells)):
             if not chain or spec.step_ok(chain[-1], cells[i]):

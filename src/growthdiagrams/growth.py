@@ -17,41 +17,20 @@ from dataclasses import dataclass, field
 
 from .fillings import Filling, filling_class, in_class
 from .local_rules import get_variant
-from .partitions import make_partition, differs_by_one_square
-from .shapes import FerrersShape, shape_from_word
+from .partitions import checked_partition, make_partition, differs_by_one_square
+from .shapes import FerrersShape, parse_word
 
 EMPTY = ()
 
 
-def grid_from_word(word: str):
-    """Row lengths (bottom-up, possibly with zero-length top rows) and the
-    total number of columns encoded by a reading word."""
-    lengths_top_down = []
-    x = 0
-    for step in word:
-        if step == "R":
-            x += 1
-        elif step == "D":
-            lengths_top_down.append(x)
-        else:
-            raise ValueError(f"bad step {step!r} in word {word!r}")
-    rows = tuple(reversed(lengths_top_down))
-    if any(a < b for a, b in zip(rows, rows[1:])):
-        raise ValueError(f"word {word!r} does not trace a Ferrers boundary")
-    return rows, x
-
-
 def trace_corners(word: str):
     """The corner points visited by the reading word, top-left to bottom-right."""
-    rows, _ = grid_from_word(word)
-    x, y = 0, len(rows)
-    pts = [(x, y)]
-    for step in word:
-        if step == "R":
-            x += 1
-        else:
-            y -= 1
-        pts.append((x, y))
+    rows, n_cols = parse_word(word)
+    pts, x = [], 0
+    for y in range(len(rows), -1, -1):
+        width = rows[y - 1] if y else n_cols
+        pts.extend((i, y) for i in range(x, width + 1))
+        x = width
     return pts
 
 
@@ -119,23 +98,10 @@ class GrowthDiagram:
             out.extend((x, y) for x in range(width + 1))
         return out
 
-    def cells(self, order: str = "column-major"):
-        rows = self.row_lens
-        if order == "column-major":
-            return [(c, r) for c in range(1, self.n_cols + 1)
-                    for r in range(1, len(rows) + 1) if rows[r - 1] >= c]
-        return [(c, r) for r in range(1, len(rows) + 1)
-                for c in range(1, rows[r - 1] + 1)]
-
-
-def _default_boundary(n):
-    return [EMPTY] * (n + 1)
-
 
 def label_diagram(filling: Filling, variant: str = "standard",
                   word: str | None = None,
-                  bottom=None, left=None,
-                  order: str = "column-major") -> GrowthDiagram:
+                  bottom=None, left=None) -> GrowthDiagram:
     """Propagate corner labels across a filled shape.
 
     ``bottom`` and ``left`` give the labels of the corners along the bottom
@@ -147,15 +113,16 @@ def label_diagram(filling: Filling, variant: str = "standard",
         raise ValueError(
             f"{variant} rules need a {v.filling_class} filling, got "
             f"{filling_class(filling)}")
+    shape = filling.shape
     if word is None:
-        word = filling.shape.word
-    rows, n_cols = grid_from_word(word)
-    if shape_from_word(word).rows != filling.shape.rows:
+        word = shape.word
+    rows, n_cols = parse_word(word)
+    if checked_partition(rows) != shape.rows:
         raise ValueError(
-            f"word {word!r} traces {shape_from_word(word)}, not {filling.shape}")
+            f"word {word!r} traces {FerrersShape(rows)}, not {shape}")
 
-    bottom = list(bottom) if bottom is not None else _default_boundary(n_cols)
-    left = list(left) if left is not None else _default_boundary(len(rows))
+    bottom = [EMPTY] * (n_cols + 1) if bottom is None else list(bottom)
+    left = [EMPTY] * (len(rows) + 1) if left is None else list(left)
     if len(bottom) != n_cols + 1 or len(left) != len(rows) + 1:
         raise ValueError("boundary label sequences have the wrong length")
     bottom = [make_partition(p) for p in bottom]
@@ -166,14 +133,13 @@ def label_diagram(filling: Filling, variant: str = "standard",
     if nontrivial and variant != "standard":
         raise ValueError("nontrivial boundary labels need the standard rules")
 
-    col_heights = [sum(1 for r in rows if r >= c) for c in range(1, n_cols + 1)]
     for x in range(1, n_cols + 1):
         prev, cur = bottom[x - 1], bottom[x]
         if not (prev == cur or differs_by_one_square(cur, prev)):
             raise ValueError(f"bottom labels at {x - 1},{x} differ by more "
                              "than one square")
         if prev != cur and any(filling.entry(x, r)
-                               for r in range(1, col_heights[x - 1] + 1)):
+                               for r in range(1, shape.col_height(x) + 1)):
             raise ValueError(f"bottom labels change under occupied column {x}")
     for y in range(1, len(rows) + 1):
         prev, cur = left[y - 1], left[y]
@@ -186,7 +152,9 @@ def label_diagram(filling: Filling, variant: str = "standard",
 
     labels = {(x, 0): bottom[x] for x in range(n_cols + 1)}
     labels.update({(0, y): left[y] for y in range(len(rows) + 1)})
-    for c, r in GrowthDiagram(word, rows, n_cols, variant, filling).cells(order):
+    # padding rows and columns hold no cells, so the shape's cells are
+    # exactly the cells of the padded grid
+    for c, r in shape.cells():
         labels[(c, r)] = v.forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
                                    labels[(c - 1, r)], filling.entry(c, r))
     return GrowthDiagram(word, rows, n_cols, variant, filling, labels)
@@ -207,22 +175,18 @@ def reconstruct(word: str, tableau, variant: str | None = None):
     if isinstance(tableau, GrowthTableau):
         if variant is None:
             variant = tableau.variant
-        seq = tableau.seq
-    else:
-        seq = tuple(make_partition(p) for p in tableau)
-    if variant is None:
-        variant = "standard"
-    t = GrowthTableau(word, seq, variant)
+        tableau = tableau.seq
+    t = GrowthTableau(word, tableau, variant or "standard")
     t.validate_steps()
-    v = get_variant(variant)
-    rows, n_cols = grid_from_word(word)
+    v = get_variant(t.variant)
+    rows, n_cols = parse_word(word)
+    shape = FerrersShape(rows)
 
     labels = dict(zip(trace_corners(word), t.seq))
     entries = {}
-    shape = FerrersShape(tuple(r for r in rows if r))
-    dummy = Filling(shape, {})
-    grid = GrowthDiagram(word, rows, n_cols, variant, dummy)
-    for c, r in reversed(grid.cells("row-major")):
+    # reversed column-major order: corner (c, r-1) comes from column c+1 and
+    # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r)
+    for c, r in reversed(shape.cells()):
         rho, m = v.backward(labels[(c, r - 1)], labels[(c - 1, r)],
                             labels[(c, r)])
         labels[(c - 1, r - 1)] = rho

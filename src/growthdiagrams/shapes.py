@@ -14,6 +14,12 @@ from dataclasses import dataclass, field
 from .partitions import conjugate, make_partition
 
 
+def _column_cells(col_heights):
+    """Cells of bottom-justified columns, column-major (col, then row, ascending)."""
+    return [(c, r) for c, height in enumerate(col_heights, 1)
+            for r in range(1, height + 1)]
+
+
 @dataclass(frozen=True)
 class FerrersShape:
     """Row lengths from the bottom up (weakly decreasing, positive)."""
@@ -50,8 +56,7 @@ class FerrersShape:
 
     def cells(self):
         """All cells in column-major order (col, then row, ascending)."""
-        return [(c, r) for c, height in enumerate(self.col_heights, 1)
-                for r in range(1, height + 1)]
+        return _column_cells(self.col_heights)
 
     @property
     def word(self) -> str:
@@ -73,11 +78,12 @@ class FerrersShape:
         return self.word or "(empty)"
 
 
-def shape_from_word(word: str) -> FerrersShape:
-    """Decode a D/R boundary word.
+def parse_word(word: str):
+    """Decode a D/R reading word into (rows, n_cols).
 
-    Zero-length rows (D steps before any R) and zero-height columns
-    (R steps after the last D) are normalized away.
+    ``rows`` gives the row lengths from the bottom up and keeps the
+    zero-length top rows of leading D steps; ``n_cols`` counts every R
+    step, trailing ones included.
     """
     lengths_top_down = []
     x = 0
@@ -88,10 +94,16 @@ def shape_from_word(word: str) -> FerrersShape:
             lengths_top_down.append(x)
         else:
             raise ValueError(f"boundary word may only contain D and R: {word!r}")
-    rows = [length for length in reversed(lengths_top_down) if length > 0]
-    if any(a < b for a, b in zip(rows, rows[1:])):
-        raise ValueError(f"word {word!r} does not trace a Ferrers boundary")
-    return FerrersShape(tuple(rows))
+    return tuple(reversed(lengths_top_down)), x
+
+
+def shape_from_word(word: str) -> FerrersShape:
+    """Decode a D/R boundary word.
+
+    Zero-length rows (D steps before any R) and zero-height columns
+    (R steps after the last D) are normalized away.
+    """
+    return FerrersShape(parse_word(word)[0])
 
 
 def shape_from_text(text: str) -> FerrersShape:
@@ -147,8 +159,7 @@ class StackPolyomino:
         return 1 <= c <= self.n_cols and 1 <= r <= self.col_heights[c - 1]
 
     def cells(self):
-        return [(c, r) for c in range(1, self.n_cols + 1)
-                for r in range(1, self.col_heights[c - 1] + 1)]
+        return _column_cells(self.col_heights)
 
     def sort_columns(self) -> FerrersShape:
         """Rearrange the columns into decreasing height order."""

@@ -117,3 +117,21 @@ def test_explore_is_evidence_only(capsys):
     assert code == 0
     assert "EVIDENCE" in out
     assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "T2", "--max-cells", "6"),
+    ("explore", "--shape", "3,3,2"),
+])
+def test_oversize_instance_exits_3(capsys, monkeypatch, argv):
+    monkeypatch.setenv("GROWTH_BUDGET", "5")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "error: more than 5 fillings generated\n"
+
+
+def test_bad_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GROWTH_BUDGET", "abc")
+    code, _, err = run(capsys, "verify", "--theorem", "T2", "--max-cells", "3")
+    assert code == 2
+    assert err == "error: GROWTH_BUDGET must be a positive integer, got 'abc'\n"

@@ -79,6 +79,20 @@ def test_budget_env_override(monkeypatch):
         list(all_fillings(FerrersShape((4, 4, 4)), "zero-one"))
 
 
+@pytest.mark.parametrize("text", ["abc", "0", "-3"])
+def test_budget_env_must_be_positive(monkeypatch, text):
+    monkeypatch.setenv("GROWTH_BUDGET", text)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        budget_limit()
+
+
+def test_problem2_evidence_respects_budget(monkeypatch):
+    # shape 3,3,2 has 256 zero-one fillings
+    monkeypatch.setenv("GROWTH_BUDGET", "100")
+    with pytest.raises(InstanceTooLarge):
+        problem2_evidence(FerrersShape((3, 3, 2)))
+
+
 def test_verify_t2_small():
     report = verify_t2(5)
     assert report.passed is True

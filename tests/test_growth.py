@@ -1,20 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthdiagrams.enumeration import all_fillings, all_shapes
-from growthdiagrams.fillings import Filling
+from growthdiagrams.fillings import ARBITRARY, PARTIAL_PERMUTATION, Filling
 from growthdiagrams.growth import (GrowthTableau, blow_up, border_tableau,
-                                   grid_from_word, growth_tableau,
+                                   growth_tableau,
                                    label_diagram, reconstruct, shrink_back,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.shapes import FerrersShape, shape_from_word
-
-
-def test_grid_from_word_keeps_padding():
-    rows, n_cols = grid_from_word("DRRDDR")
-    assert rows == (2, 2, 0)
-    assert n_cols == 3
 
 
 def test_trace_corners():
@@ -47,15 +43,6 @@ def test_single_cross_growth():
     f = Filling(FerrersShape((1,)), {(1, 1): 1})
     t = growth_tableau(f)
     assert t.seq == ((), (1,), ())
-
-
-def test_order_independence():
-    """Column-major and row-major sweeps label identically."""
-    shape = FerrersShape((3, 2, 2))
-    f = Filling(shape, {(1, 2): 1, (2, 3): 1, (3, 1): 1})
-    a = label_diagram(f, order="column-major")
-    b = label_diagram(f, order="row-major")
-    assert a.labels == b.labels
 
 
 def test_round_trip_with_boundary():
@@ -114,6 +101,43 @@ def test_padded_word_round_trip():
     assert len(t.seq) == 7
     f2, _, _ = reconstruct(word, t)
     assert f2 == f
+
+
+@st.composite
+def padded_fillings(draw, variant):
+    """A filling of at most 10 cells in the variant's class, entries <= 2,
+    and its shape's word with 0-3 leading D and 0-3 trailing R steps."""
+    shape = draw(st.sampled_from(all_shapes(10, min_cells=0)))
+    cls = get_variant(variant).filling_class
+    cells = shape.cells()
+    values = draw(st.lists(st.integers(0, 2 if cls == ARBITRARY else 1),
+                           min_size=len(cells), max_size=len(cells)))
+    entries = {cell: v for cell, v in zip(cells, values) if v}
+    if cls == PARTIAL_PERMUTATION:
+        # keep the first cross of every row and column
+        used_cols, used_rows = set(), set()
+        for c, r in list(entries):
+            if c in used_cols or r in used_rows:
+                del entries[(c, r)]
+            used_cols.add(c)
+            used_rows.add(r)
+    word = ("D" * draw(st.integers(0, 3)) + shape.word
+            + "R" * draw(st.integers(0, 3)))
+    return Filling(shape, entries), word
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_padded_word_round_trip_property(variant, data):
+    f, word = data.draw(padded_fillings(variant))
+    f2, bottom, left = reconstruct(word, growth_tableau(f, variant, word),
+                                   variant)
+    assert f2 == f
+    assert all(p == () for p in bottom + left)
+    padded = label_diagram(f, variant, word)
+    plain = label_diagram(f, variant)
+    assert all(padded.label(*xy) == plain.label(*xy) for xy in plain.corners())
 
 
 @pytest.mark.parametrize("variant",

@@ -1,6 +1,6 @@
 import pytest
 
-from growthdiagrams.shapes import (FerrersShape, StackPolyomino,
+from growthdiagrams.shapes import (FerrersShape, StackPolyomino, parse_word,
                                    rectangle_in_shape, shape_from_text,
                                    shape_from_word, stack_from_text, staircase)
 
@@ -14,6 +14,10 @@ def test_word_round_trip():
 def test_word_normalizes_padding():
     # leading D's (zero rows) and trailing R's (zero columns) disappear
     assert shape_from_word("DDRDRR") == FerrersShape((1,))
+
+
+def test_parse_word_keeps_padding():
+    assert parse_word("DRRDDR") == ((2, 2, 0), 3)
 
 
 def test_word_rejects_bad_characters():
