@@ -6,6 +6,7 @@ Exit codes: 0 for success / PASS, 1 for FAIL or a counterexample,
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -22,7 +23,7 @@ from .growth import (GrowthTableau, blow_up, growth_tableau, label_diagram,
 from .insertion import (biword_from_filling, border_pair, dual_rsk_insert,
                         dual_rsk_prime_insert, rsk_insert, rsk_prime_insert,
                         transpose_tableau)
-from .local_rules import VARIANTS
+from .local_rules import VARIANTS, get_variant
 from .partitions import parse_partition, to_compact
 from .shapes import FerrersShape, shape_from_text, stack_from_text
 
@@ -166,10 +167,10 @@ def _demo_pair(name, variant, insert, expected_p, expected_q):
     f = Filling(_RECT_SHAPE, _RECT_ONES)
     t = growth_tableau(f, variant, _RECT_WORD)
     p, q = border_pair(t.seq, 2)
-    ordering = "dec" if "prime" in variant else "weak"
-    pi, qi = insert(biword_from_filling(f, ordering))
+    v = get_variant(variant)
+    pi, qi = insert(biword_from_filling(f, "dec" if v.right == "V" else "weak"))
     # the column-insertion variants build (and report) the transposed pair
-    if variant in ("dual-rsk", "dual-rsk-prime"):
+    if v.down == "V":
         p, q = transpose_tableau(p), transpose_tableau(q)
     lines = [f"{name}: {variant} on the 2x4 rectangle",
              f"  border   {_seq_str(t.seq)}",
@@ -240,13 +241,22 @@ def cmd_demo(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.jonsson is not None:
+        target, params = "--jonsson", ()
+    else:
+        target = f"--theorem {args.theorem}"
+        params = inspect.signature(VERIFIERS[args.theorem]).parameters
+    kwargs = {}
+    for name in ("max_cells", "max_n"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in params:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {target}")
+        kwargs[name] = value
+    if args.jonsson is not None:
         report = jonsson_check(stack_from_text(args.jonsson), args.s)
     else:
-        kwargs = {}
-        if args.max_cells is not None:
-            kwargs["max_cells"] = args.max_cells
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
         report = verify_theorem(args.theorem, **kwargs)
     if args.format == "json":
         print(json.dumps({"name": report.name, "verdict": report.verdict,
@@ -381,7 +391,7 @@ def main(argv=None) -> int:
         parser.error("explore needs --stack or --shape")
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InstanceTooLarge as exc:

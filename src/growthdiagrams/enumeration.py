@@ -7,18 +7,21 @@ together with a pointwise bijection certificate where one exists.
 """
 
 import os
+import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .correspondences import (SetPartition, all_matchings, all_set_partitions,
-                              conjugate_matching, conjugate_set_partition,
+from .correspondences import (all_matchings, all_set_partitions,
+                              conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
                               enhanced_cross, enhanced_nest, min_max_blocks,
-                              nest)
+                              nest, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, InstanceTooLarge, chain_spec, greene_oracle,
                        longest_chain, transpose_filling)
-from .partitions import partitions_of
+from .growth import label_diagram
+from .local_rules import get_variant
+from .partitions import conjugate, part, partitions_of
 from .shapes import FerrersShape, StackPolyomino
 
 DEFAULT_HARD_WALL = 10 ** 7
@@ -134,14 +137,30 @@ def all_fillings(shape, cls: str, max_n: int | None = None):
             max_n = shape.n_cells
         else:
             raise ValueError("arbitrary fillings need an explicit entry-sum bound")
-    produced = 0
+    yield from _metered((n, f) for n in range(max_n + 1)
+                        for f in generate_fillings(shape, cls, n))
+
+
+def _metered(pairs):
+    """Pass (n, filling) pairs through, raising InstanceTooLarge once more
+    than ``budget_limit()`` fillings have been generated."""
     wall = budget_limit()
-    for n in range(max_n + 1):
-        for f in generate_fillings(shape, cls, n):
-            produced += 1
-            if produced > wall:
-                raise InstanceTooLarge(f"more than {wall} fillings generated")
-            yield n, f
+    for produced, pair in enumerate(pairs, 1):
+        if produced > wall:
+            raise InstanceTooLarge(f"more than {wall} fillings generated")
+        yield pair
+
+
+def _mirror_mismatch(source, image):
+    """The first (key, (s, t)) whose count in the table ``source[key]``
+    differs from the count of (t, s) in ``image[key]``; None if there is
+    none."""
+    for key, table in source.items():
+        other = image.get(key, {})
+        for (s, t), cnt in table.items():
+            if other.get((t, s), 0) != cnt:
+                return key, (s, t)
+    return None
 
 
 @dataclass
@@ -159,10 +178,10 @@ class CountTable:
     def is_symmetric(self):
         """Whether every per-n table equals its (s, t) transpose; returns
         (ok, witness)."""
-        for n, table in self.counts.items():
-            for (s, t), cnt in table.items():
-                if table.get((t, s), 0) != cnt:
-                    return False, (n, s, t)
+        bad = _mirror_mismatch(self.counts, self.counts)
+        if bad:
+            n, (s, t) = bad
+            return False, (n, s, t)
         return True, None
 
     def total(self, n):
@@ -203,7 +222,6 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, mode, inverse_mode,
     The bijection must carry statistics (s, t) on the source side to
     (t, s) on the image side and invert cleanly.
     """
-    from .correspondences import swap_chain_statistics
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
         image = CountTable(str(shape), cls, *image_specs)
@@ -224,12 +242,9 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, mode, inverse_mode,
             back = swap_chain_statistics(g, inverse_mode)
             if back != f:
                 return False, (shape, f, "map does not invert")
-        for n in source.counts:
-            src = source.counts.get(n, {})
-            img = image.counts.get(n, {})
-            for (s, t), cnt in src.items():
-                if img.get((t, s), 0) != cnt:
-                    return False, (shape, n, (s, t), "counts differ")
+        bad = _mirror_mismatch(source.counts, image.counts)
+        if bad:
+            return False, (shape, *bad, "counts differ")
     return True, None
 
 
@@ -278,21 +293,16 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
                           "nes1", "nes1-inverse", symmetric_only=True)
     ok2, w2 = True, None
     for shape in shapes:
-        lhs, rhs = {}, {}
+        lhs = CountTable(str(shape), ZERO_ONE, *NES2_SPECS)
+        rhs = CountTable(str(shape), ZERO_ONE, *NES2_IMAGE_SPECS)
         for n, f in all_fillings(shape, ZERO_ONE, max_sum):
             if transpose_filling(f) != f:
                 continue
-            a = (n, longest_chain(f, NES2_SPECS[0]),
-                 longest_chain(f, NES2_SPECS[1]))
-            b = (n, longest_chain(f, NES2_IMAGE_SPECS[0]),
-                 longest_chain(f, NES2_IMAGE_SPECS[1]))
-            lhs[a] = lhs.get(a, 0) + 1
-            rhs[b] = rhs.get(b, 0) + 1
-        for (n, s, t), v in lhs.items():
-            if rhs.get((n, t, s), 0) != v:
-                ok2, w2 = False, (shape, n, (s, t), "counts differ")
-                break
-        if not ok2:
+            lhs.add(n, *(longest_chain(f, spec) for spec in NES2_SPECS))
+            rhs.add(n, *(longest_chain(f, spec) for spec in NES2_IMAGE_SPECS))
+        bad = _mirror_mismatch(lhs.counts, rhs.counts)
+        if bad:
+            ok2, w2 = False, (shape, *bad, "counts differ")
             break
     return Report("T2asym", ok1 and ok2,
                   f"{len(shapes)} symmetric shapes", w1 or w2)
@@ -313,10 +323,10 @@ def _partition_tables(n, stats, conj, refined):
             return False, (p, "minima/maxima not preserved")
         if conj(q) != p:
             return False, (p, "conjugation is not an involution")
-    for key, table in counts.items():
-        for (s, t), cnt in table.items():
-            if table.get((t, s), 0) != cnt:
-                return False, (key, s, t, "counts differ")
+    bad = _mirror_mismatch(counts, counts)
+    if bad:
+        key, (s, t) = bad
+        return False, (key, s, t, "counts differ")
     return True, None
 
 
@@ -371,20 +381,34 @@ def verify_theorem(theorem_id: str, **kwargs) -> Report:
 # ---------------------------------------------------------------------------
 # stack polyominoes
 
-def _ne_se_specs():
-    return (chain_spec("ne", require_rectangle=True),
-            chain_spec("se", require_rectangle=True))
+NE_SE_SPECS = (chain_spec("ne", require_rectangle=True),
+               chain_spec("se", require_rectangle=True))
+
+
+def _densest_bounded_ne(shape, s: int):
+    """(n_max, count): the most 1's a 0-1 filling can carry while keeping
+    all rectangle-bounded ne-chains at length <= s, and how many fillings
+    with n_max 1's have a longest such chain of exactly s.
+
+    One metered pass from the fullest fillings down, ending at the first
+    filling below n_max.
+    """
+    n_max, count = None, 0
+    for n, f in _metered((n, f) for n in range(shape.n_cells, -1, -1)
+                         for f in generate_fillings(shape, ZERO_ONE, n)):
+        if n_max is not None and n < n_max:
+            break
+        ne = longest_chain(f, NE_SE_SPECS[0])
+        if ne <= s:
+            n_max = n
+            count += ne == s
+    return (0, 0) if n_max is None else (n_max, count)
 
 
 def max_ones_with_bounded_ne(shape, s: int) -> int:
     """The largest number of 1's a 0-1 filling can carry while keeping all
     rectangle-bounded ne-chains at length <= s."""
-    ne_spec = _ne_se_specs()[0]
-    for n in range(shape.n_cells, -1, -1):
-        for f in generate_fillings(shape, ZERO_ONE, n):
-            if longest_chain(f, ne_spec) <= s:
-                return n
-    return 0
+    return _densest_bounded_ne(shape, s)[0]
 
 
 def jonsson_check(poly: StackPolyomino, s: int) -> Report:
@@ -395,14 +419,8 @@ def jonsson_check(poly: StackPolyomino, s: int) -> Report:
     longest ne-chain exactly s must agree between the polyomino and the
     Ferrers shape obtained by sorting its columns by height.
     """
-    ne_spec = _ne_se_specs()[0]
-    sorted_shape = poly.sort_columns()
-    n1 = max_ones_with_bounded_ne(poly, s)
-    n2 = max_ones_with_bounded_ne(sorted_shape, s)
-    c1 = sum(1 for f in generate_fillings(poly, ZERO_ONE, n1)
-             if longest_chain(f, ne_spec) == s)
-    c2 = sum(1 for f in generate_fillings(sorted_shape, ZERO_ONE, n2)
-             if longest_chain(f, ne_spec) == s)
+    n1, c1 = _densest_bounded_ne(poly, s)
+    n2, c2 = _densest_bounded_ne(poly.sort_columns(), s)
     ok = n1 == n2 and c1 == c2
     return Report(f"jonsson[{poly};s={s}]", ok,
                   f"n_max={n1}/{n2}, counts {c1}/{c2}",
@@ -415,7 +433,7 @@ def problem2_evidence(shape, max_n: int | None = None) -> Report:
     This concerns an open question, so the outcome is reported as
     EVIDENCE either way, never asserted.
     """
-    table = count_table(shape, ZERO_ONE, *_ne_se_specs(), max_n)
+    table = count_table(shape, ZERO_ONE, *NE_SE_SPECS, max_n)
     ok, witness = table.is_symmetric()
     details = ("all tables symmetric" if ok
                else f"asymmetry at (n,s,t)={witness}")
@@ -441,8 +459,6 @@ GREENE_SPECS = {
 def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
     """Compare every corner label of the growth diagram with the chain
     statistics of the corresponding rectangular region of the filling."""
-    from .growth import label_diagram
-    from .partitions import conjugate, part
     spec_up, spec_down = GREENE_SPECS[variant]
     diagram = label_diagram(f, variant)
     for (x, y) in diagram.corners():
@@ -464,8 +480,6 @@ def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
 def random_fillings(variant: str, count: int, seed: int = 20060828,
                     max_cells: int = 9, max_entry: int = 3):
     """Deterministic pseudo-random fillings in the variant's class."""
-    import random
-    from .local_rules import get_variant
     rng = random.Random(seed)
     shapes = all_shapes(max_cells)
     cls = get_variant(variant).filling_class

@@ -95,8 +95,20 @@ def filling_to_json(f: Filling) -> str:
     })
 
 
+def int_lists(value, length=None) -> bool:
+    """True if value is a JSON list of lists of integers (each of the given
+    length, if one is given)."""
+    return isinstance(value, list) and all(
+        isinstance(item, list) and length in (None, len(item))
+        and all(type(x) is int for x in item) for item in value)
+
+
 def filling_from_json(text: str) -> Filling:
     data = json.loads(text)
+    if not (isinstance(data, dict) and isinstance(data.get("shape"), str)
+            and int_lists(data.get("entries"), 3)):
+        raise ValueError('a filling is a JSON object {"shape": "<D/R word>", '
+                         '"entries": [[col, row, value], ...]}')
     shape = shape_from_word(data["shape"])
     return Filling(shape, {(c, r): v for c, r, v in data["entries"]})
 

@@ -14,10 +14,12 @@ length 2n).
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .fillings import Filling, filling_class, in_class
+from .fillings import Filling, filling_class, in_class, int_lists
 from .local_rules import get_variant
-from .partitions import checked_partition, make_partition, differs_by_one_square
+from .partitions import (checked_partition, conjugate, differs_by_one_square,
+                         make_partition)
 from .shapes import FerrersShape, parse_word
 
 EMPTY = ()
@@ -43,6 +45,7 @@ class GrowthTableau:
     variant: str = "standard"
 
     def __post_init__(self):
+        parse_word(self.word)
         object.__setattr__(self, "seq", tuple(make_partition(p) for p in self.seq))
         if len(self.seq) != len(self.word) + 1:
             raise ValueError(
@@ -53,19 +56,14 @@ class GrowthTableau:
         v = get_variant(self.variant)
         for i, step in enumerate(self.word):
             prev, nxt = self.seq[i], self.seq[i + 1]
-            ok = v.right_step(prev, nxt) if step == "R" else v.down_step(prev, nxt)
-            if not ok:
+            if not v.step_ok(step, prev, nxt):
                 raise ValueError(
                     f"step {i + 1} ({step}) from {prev} to {nxt} is not a valid "
                     f"{self.variant} step")
 
     def conjugate(self) -> "GrowthTableau":
-        from .partitions import conjugate
-        conj_variant = {"standard": "standard",
-                        "rsk": "dual-rsk-prime", "dual-rsk-prime": "rsk",
-                        "dual-rsk": "rsk-prime", "rsk-prime": "dual-rsk"}
         return GrowthTableau(self.word, tuple(conjugate(p) for p in self.seq),
-                             conj_variant[self.variant])
+                             get_variant(self.variant).conjugate)
 
 
 def tableau_to_json(t: GrowthTableau) -> str:
@@ -75,6 +73,11 @@ def tableau_to_json(t: GrowthTableau) -> str:
 
 def tableau_from_json(text: str) -> GrowthTableau:
     data = json.loads(text)
+    if not (isinstance(data, dict) and isinstance(data.get("word"), str)
+            and int_lists(data.get("seq"))
+            and isinstance(data.get("variant", ""), str)):
+        raise ValueError('a growth tableau is a JSON object {"word": "<D/R '
+                         'word>", "seq": [[parts], ...], "variant": "<name>"}')
     return GrowthTableau(data["word"], tuple(tuple(p) for p in data["seq"]),
                          data.get("variant", "standard"))
 
@@ -207,97 +210,65 @@ def growth_tableau(filling: Filling, variant: str = "standard",
 # ---------------------------------------------------------------------------
 # blow-up and shrink-back
 
-# Within-line placement when an entry m is expanded into m crosses.  Each
-# original row (column) is refined into one line per cross it carries, at
-# least one.  'up' means the crosses of the line are arranged from
-# bottom/left to top/right, 'down' from top/left to bottom/right.
-_ARRANGE = {
-    "rsk": ("up", "up"),
-    "dual-rsk": ("down", "up"),          # rows down, columns up
-    "rsk-prime": ("up", "down"),
-    "dual-rsk-prime": ("down", "down"),
-}
+def _refine(lines, down):
+    """Split each coarse line into one refined line per token it holds
+    (at least one).
+
+    ``lines`` lists the tokens of each coarse line in order; ``down``
+    assigns them from the last refined line of their block to the first.
+    Returns the blocks (first refined line, number of refined lines),
+    1-based, and the refined line of each token.
+    """
+    blocks, fine, base = [], {}, 0
+    for tokens in lines:
+        n = max(1, len(tokens))
+        blocks.append((base + 1, n))
+        fine.update(zip(reversed(tokens) if down else tokens,
+                        range(base + 1, base + n + 1)))
+        base += n
+    return tuple(blocks), fine
 
 
 def blow_up(filling: Filling, variant: str):
     """Expand a filling into a partial permutation filling of a refined shape.
 
-    Returns (refined filling, row_blocks, col_blocks) where the blocks map
-    each original line to (first refined line, number of refined lines),
-    1-based.
+    An entry m becomes m crosses, each in a refined row and column of its
+    own.  Returns (refined filling, row_blocks, col_blocks) where the
+    blocks map each original line to (first refined line, number of
+    refined lines), 1-based.
     """
-    if variant not in _ARRANGE:
-        raise ValueError(f"blow-up is defined for the variants {sorted(_ARRANGE)}")
-    row_dir, col_dir = _ARRANGE[variant]
+    v = get_variant(variant)
+    if v.right == "1":
+        raise ValueError(f"blow-up needs a strip variant, not {variant!r}")
+    # a line whose step is a vertical strip takes its crosses top-left to
+    # bottom-right, any other line bottom-left to top-right; the crosses of
+    # one entry rise to the right only where neither step is a vertical strip
+    rows_down, cols_down = v.down == "V", v.right == "V"
     shape = filling.shape
+    rows = [[] for _ in range(shape.n_rows)]
+    cols = [[] for _ in range(shape.n_cols)]
+    for (c, r), m in sorted(filling.entries.items()):
+        tokens = [(c, r, j) for j in range(m)]
+        rows[r - 1] += tokens
+        cols[c - 1] += reversed(tokens) if rows_down and cols_down else tokens
+    row_blocks, fine_row = _refine(rows, rows_down)
+    col_blocks, fine_col = _refine(cols, cols_down)
 
-    # tokens: one per unit of each entry; within one entry the crosses are
-    # chained bottom/left -> top/right for the rsk-style rules and
-    # top/left -> bottom/right for the dual-rsk-prime rule
-    token_up = variant in ("rsk", "dual-rsk", "rsk-prime")
-
-    def row_tokens(r):
-        toks = []
-        for c in range(1, shape.row_length(r) + 1):
-            toks.extend((c, r, j) for j in range(filling.entry(c, r)))
-        return sorted(toks)  # left to right; within an entry by index
-
-    def col_tokens(c):
-        toks = []
-        for r in range(1, shape.col_height(c) + 1):
-            toks.extend((c, r, j) for j in range(filling.entry(c, r)))
-        # bottom to top; within an entry, index j goes up for rsk-style
-        # chains and down for the dual-rsk-prime chains
-        return sorted(toks, key=lambda t: (t[1], t[2] if token_up else -t[2]))
-
-    row_blocks, col_blocks = [], []
-    base = 0
-    for r in range(1, shape.n_rows + 1):
-        n = max(1, len(row_tokens(r)))
-        row_blocks.append((base + 1, n))
-        base += n
-    base = 0
-    for c in range(1, shape.n_cols + 1):
-        n = max(1, len(col_tokens(c)))
-        col_blocks.append((base + 1, n))
-        base += n
-
-    fine_row = {}
-    for r in range(1, shape.n_rows + 1):
-        toks = row_tokens(r)
-        first, n = row_blocks[r - 1]
-        ranks = range(n) if row_dir == "up" else range(n - 1, -1, -1)
-        for tok, rank in zip(toks, ranks):
-            fine_row[tok] = first + rank
-    fine_col = {}
-    for c in range(1, shape.n_cols + 1):
-        toks = col_tokens(c)
-        first, n = col_blocks[c - 1]
-        if col_dir == "down":
-            toks = list(reversed(toks))
-        for rank, tok in enumerate(toks):
-            fine_col[tok] = first + rank
-
+    col_ends = [0, *accumulate(n for _, n in col_blocks)]
     fine_rows = []
-    for r in range(1, shape.n_rows + 1):
-        width = sum(col_blocks[c - 1][1] for c in range(1, shape.row_length(r) + 1))
-        fine_rows.extend([width] * row_blocks[r - 1][1])
-    fine_shape = FerrersShape(tuple(fine_rows))
-    entries = {(fine_col[tok], fine_row[tok]): 1 for tok in fine_row}
-    return Filling(fine_shape, entries), tuple(row_blocks), tuple(col_blocks)
+    for length, (_, n) in zip(shape.rows, row_blocks):
+        fine_rows += [col_ends[length]] * n
+    entries = {(fine_col[tok], row): 1 for tok, row in fine_row.items()}
+    return (Filling(FerrersShape(tuple(fine_rows)), entries),
+            row_blocks, col_blocks)
 
 
 def shrink_back(fine_diagram: GrowthDiagram, row_blocks, col_blocks) -> dict:
     """Corner labels of the coarse diagram, read off a refined diagram at the
     crossings of the block boundaries."""
-    col_base = [0]
-    for _, n in col_blocks:
-        col_base.append(col_base[-1] + n)
-    row_base = [0]
-    for _, n in row_blocks:
-        row_base.append(row_base[-1] + n)
-    out = {}
-    for (x, y) in fine_diagram.labels:
-        if x in col_base and y in row_base:
-            out[(col_base.index(x), row_base.index(y))] = fine_diagram.labels[(x, y)]
-    return out
+    labels = fine_diagram.labels
+    col_base = [0, *accumulate(n for _, n in col_blocks)]
+    row_base = [0, *accumulate(n for _, n in row_blocks)]
+    return {(x, y): labels[(fx, fy)]
+            for y, fy in enumerate(row_base) for x, fx in enumerate(col_base)
+            if (fx, fy) in labels}

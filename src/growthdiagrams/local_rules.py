@@ -35,8 +35,13 @@ from .partitions import (add_square_in_row, checked_partition, diff_row,
 VARIANTS = ("standard", "rsk", "dual-rsk", "rsk-prime", "dual-rsk-prime")
 
 
+def _small_step(bigger, smaller):
+    """True if bigger is smaller or smaller plus one square."""
+    return bigger == smaller or differs_by_one_square(bigger, smaller)
+
+
 def _check_small_step(bigger, smaller, who):
-    if not (bigger == smaller or differs_by_one_square(bigger, smaller)):
+    if not _small_step(bigger, smaller):
         raise ValueError(f"{who}: {bigger} / {smaller} is not a step of <= 1 square")
 
 
@@ -243,46 +248,49 @@ def backward_dual_rsk_prime(mu, nu, lam):
     return checked_partition(rho), carry
 
 
+# border step tests by strip kind, each called as test(outer, inner)
+_STEP_TESTS = {"1": _small_step, "H": is_horizontal_strip,
+               "V": is_vertical_strip}
+
+
 @dataclass(frozen=True)
 class Variant:
-    """Bundle of local rules plus the step shapes they produce."""
+    """Bundle of local rules plus the step shapes they produce.
+
+    ``right`` and ``down`` give the kind of a border step: a right step
+    grows its label, a down step shrinks it, by at most one square
+    (``"1"``), a horizontal strip (``"H"``) or a vertical strip (``"V"``).
+    ``conjugate`` names the variant whose tableaux are the conjugates of
+    this variant's.
+    """
 
     name: str
     forward: object
     backward: object
     filling_class: str
-    # predicates for the border steps: right step grows prev -> nxt,
-    # down step shrinks prev -> nxt
-    right_step: object
-    down_step: object
+    right: str
+    down: str
+    conjugate: str
 
-
-def _small_growth(prev, nxt):
-    return prev == nxt or differs_by_one_square(nxt, prev)
+    def step_ok(self, step, prev, nxt) -> bool:
+        """Whether prev -> nxt is a valid border step ``"R"`` or ``"D"``."""
+        if step == "R":
+            return _STEP_TESTS[self.right](nxt, prev)
+        return _STEP_TESTS[self.down](prev, nxt)
 
 
 VARIANT_TABLE = {
-    "standard": Variant(
-        "standard", forward_standard, backward_standard, PARTIAL_PERMUTATION,
-        right_step=lambda prev, nxt: _small_growth(prev, nxt),
-        down_step=lambda prev, nxt: _small_growth(nxt, prev)),
-    "rsk": Variant(
-        "rsk", forward_rsk, backward_rsk, ARBITRARY,
-        right_step=lambda prev, nxt: is_horizontal_strip(nxt, prev),
-        down_step=lambda prev, nxt: is_horizontal_strip(prev, nxt)),
-    "dual-rsk": Variant(
-        "dual-rsk", forward_dual_rsk, backward_dual_rsk, ZERO_ONE,
-        right_step=lambda prev, nxt: is_horizontal_strip(nxt, prev),
-        down_step=lambda prev, nxt: is_vertical_strip(prev, nxt)),
-    "rsk-prime": Variant(
-        "rsk-prime", forward_rsk_prime, backward_rsk_prime, ZERO_ONE,
-        right_step=lambda prev, nxt: is_vertical_strip(nxt, prev),
-        down_step=lambda prev, nxt: is_horizontal_strip(prev, nxt)),
-    "dual-rsk-prime": Variant(
-        "dual-rsk-prime", forward_dual_rsk_prime, backward_dual_rsk_prime,
-        ARBITRARY,
-        right_step=lambda prev, nxt: is_vertical_strip(nxt, prev),
-        down_step=lambda prev, nxt: is_vertical_strip(prev, nxt)),
+    "standard": Variant("standard", forward_standard, backward_standard,
+                        PARTIAL_PERMUTATION, "1", "1", "standard"),
+    "rsk": Variant("rsk", forward_rsk, backward_rsk, ARBITRARY,
+                   "H", "H", "dual-rsk-prime"),
+    "dual-rsk": Variant("dual-rsk", forward_dual_rsk, backward_dual_rsk,
+                        ZERO_ONE, "H", "V", "rsk-prime"),
+    "rsk-prime": Variant("rsk-prime", forward_rsk_prime, backward_rsk_prime,
+                         ZERO_ONE, "V", "H", "dual-rsk"),
+    "dual-rsk-prime": Variant("dual-rsk-prime", forward_dual_rsk_prime,
+                              backward_dual_rsk_prime, ARBITRARY,
+                              "V", "V", "rsk"),
 }
 
 

@@ -122,6 +122,7 @@ def test_explore_is_evidence_only(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--theorem", "T2", "--max-cells", "6"),
     ("explore", "--shape", "3,3,2"),
+    ("verify", "--jonsson", "1,3,2", "--s", "1"),
 ])
 def test_oversize_instance_exits_3(capsys, monkeypatch, argv):
     monkeypatch.setenv("GROWTH_BUDGET", "5")
@@ -135,3 +136,26 @@ def test_bad_budget_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--theorem", "T2", "--max-cells", "3")
     assert code == 2
     assert err == "error: GROWTH_BUDGET must be a positive integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("map", "--filling", "{}"), "a filling is a JSON object"),
+    (("map", "--filling", "[1, 2]"), "a filling is a JSON object"),
+    (("map", "--filling", '{"shape": "RD", "entries": [[1, 1]]}'),
+     "a filling is a JSON object"),
+    (("inverse", "--word", "RD", "--tableau", '{"seq": []}'),
+     "a growth tableau is a JSON object"),
+    (("inverse", "--word", "RD", "--tableau", '{"word": "RD", "seq": "e1e"}'),
+     "a growth tableau is a JSON object"),
+    (("verify", "--theorem", "T2", "--max-n", "3"),
+     "--max-n does not apply to --theorem T2"),
+    (("verify", "--jonsson", "1,3,2", "--max-cells", "3"),
+     "--max-cells does not apply to --jonsson"),
+], ids=["filling-no-keys", "filling-not-object", "filling-short-entry",
+        "tableau-no-word", "tableau-seq-not-list", "max-n-for-T2",
+        "max-cells-for-jonsson"])
+def test_malformed_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -69,6 +69,8 @@ def test_count_table():
     ok, witness = t.is_symmetric()
     assert ok, witness
     rows = list(t.csv_rows())
+    t.add(1, 5, 0)
+    assert t.is_symmetric() == (False, (1, 5, 0))
     assert rows[0] == (str(shape), "partial-permutation", 0, 0, 0, 1)
 
 

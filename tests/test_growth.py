@@ -21,6 +21,8 @@ def test_trace_corners():
 def test_tableau_validation():
     with pytest.raises(ValueError):
         GrowthTableau("RD", ((), ()))
+    with pytest.raises(ValueError):
+        GrowthTableau("RX", ((), (1,), ()))
     t = GrowthTableau("RD", ((), (1,), ()))
     t.validate_steps()
     bad = GrowthTableau("RD", ((), (1, 1, 1), ()), "standard")
@@ -37,6 +39,16 @@ def test_conjugate_swaps_variant():
     t = GrowthTableau("RD", ((), (1,), ()), "rsk")
     assert t.conjugate().variant == "dual-rsk-prime"
     assert t.conjugate().conjugate() == t
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_variant_table_conjugates(name):
+    v = get_variant(name)
+    w = get_variant(v.conjugate)
+    flip = {"1": "1", "H": "V", "V": "H"}
+    assert w.conjugate == name
+    assert (w.right, w.down) == (flip[v.right], flip[v.down])
+    assert ("1" in (v.right, v.down)) == (name == "standard")
 
 
 def test_single_cross_growth():
@@ -154,10 +166,31 @@ def test_blow_up_equivalence_small(variant):
                 assert coarse[key] == lam, (variant, f, key)
 
 
-def test_blow_up_shapes():
-    f = Filling(FerrersShape((2, 2)), {(1, 1): 1, (1, 2): 2, (2, 1): 2})
-    fine, row_blocks, col_blocks = blow_up(f, "rsk")
-    assert fine.shape.rows == (5, 5, 5, 5, 5)
-    assert sorted(fine.entries) == [(1, 1), (2, 4), (3, 5), (4, 2), (5, 3)]
-    assert row_blocks == ((1, 3), (4, 2))
-    assert col_blocks == ((1, 3), (4, 2))
+_SQUARE = FerrersShape((2, 2))
+_ENTRIES_122 = {(1, 1): 1, (1, 2): 2, (2, 1): 2}
+_ALL_ONES = {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+
+
+# variant: (entries on the 2x2 square, crosses of the blown-up filling)
+_BLOW_UPS = {
+    "rsk": (_ENTRIES_122, [(1, 1), (2, 4), (3, 5), (4, 2), (5, 3)]),
+    "dual-rsk": (_ALL_ONES, [(1, 2), (2, 4), (3, 1), (4, 3)]),
+    "rsk-prime": (_ALL_ONES, [(1, 3), (2, 1), (3, 4), (4, 2)]),
+    "dual-rsk-prime": (_ENTRIES_122, [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]),
+}
+
+
+@pytest.mark.parametrize("variant", list(_BLOW_UPS))
+def test_blow_up_shapes(variant):
+    entries, crosses = _BLOW_UPS[variant]
+    fine, row_blocks, col_blocks = blow_up(Filling(_SQUARE, entries), variant)
+    side = len(crosses)
+    assert fine.shape.rows == (side,) * side
+    assert sorted(fine.entries) == crosses
+    blocks = ((1, 3), (4, 2)) if side == 5 else ((1, 2), (3, 2))
+    assert row_blocks == col_blocks == blocks
+
+
+def test_blow_up_needs_strip_variant():
+    with pytest.raises(ValueError):
+        blow_up(Filling(_SQUARE, {(1, 1): 1}), "standard")
