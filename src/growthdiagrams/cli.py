@@ -241,12 +241,12 @@ def cmd_demo(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.jonsson is not None:
-        target, params = "--jonsson", ()
+        target, params = "--jonsson", ("s",)
     else:
         target = f"--theorem {args.theorem}"
         params = inspect.signature(VERIFIERS[args.theorem]).parameters
     kwargs = {}
-    for name in ("max_cells", "max_n"):
+    for name in ("max_cells", "max_n", "s"):
         value = getattr(args, name)
         if value is None:
             continue
@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} does not apply to {target}")
         kwargs[name] = value
     if args.jonsson is not None:
-        report = jonsson_check(stack_from_text(args.jonsson), args.s)
+        report = jonsson_check(stack_from_text(args.jonsson), kwargs.get("s", 1))
     else:
         report = verify_theorem(args.theorem, **kwargs)
     if args.format == "json":
@@ -270,6 +270,8 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     shape = shape_from_text(args.shape)
     codes = args.chains.split(",")
+    if len(codes) != 2:
+        raise ValueError(f"--chains takes two codes, e.g. NE,SE, not {args.chains!r}")
     rect = args.rectangle
     spec_x = chain_spec(codes[0], require_rectangle=rect in ("x", "both"))
     spec_y = chain_spec(codes[1], require_rectangle=rect in ("y", "both"))
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=sorted(VERIFIERS))
     p.add_argument("--jonsson", metavar="HEIGHTS",
                    help="stack polyomino column heights, e.g. 1,3,2")
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int, help="chain bound for --jonsson (default 1)")
     p.add_argument("--max-cells", type=int)
     p.add_argument("--max-n", type=int)
     add_format(p)

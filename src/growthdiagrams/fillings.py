@@ -8,11 +8,12 @@ nested classes of fillings appear throughout:
 * ``zero-one``           -- entries 0/1,
 * ``partial-permutation``-- entries 0/1 with at most one 1 per row and column.
 
-Chains are described by a :class:`ChainSpec`.  The two-letter codes follow
-the compass convention: the first letter gives the vertical relation
-(N = weakly above, n = strictly above, S = weakly below, s = strictly
-below), the second the horizontal one (E = weakly right, e = strictly
-right).
+Chains are described by a :class:`ChainSpec`, keyed by its two-letter
+compass code.  The first letter gives the vertical relation (N = weakly
+above, n = strictly above, S = weakly below, s = strictly below), the
+second the horizontal one (E = weakly right, e = strictly right).
+:func:`longest_chain` finds the longest chain with one longest-path pass;
+the tests check it against an exhaustive search over all chains.
 """
 
 import json
@@ -116,66 +117,40 @@ def filling_from_json(text: str) -> Filling:
 # ---------------------------------------------------------------------------
 # chain specifications
 
-_VERTICAL = {"N": "weak-up", "n": "strict-up", "S": "weak-down", "s": "strict-down"}
-_HORIZONTAL = {"E": "weak-right", "e": "strict-right"}
-
-
 @dataclass(frozen=True)
 class ChainSpec:
-    vertical: str
-    horizontal: str
+    code: str                            # two-letter compass code, e.g. 'NE'
     length_mode: str = "count"           # count | entry-sum | entry-multiplicity
     require_rectangle: bool = False
 
     def __post_init__(self):
-        if self.vertical not in _VERTICAL.values():
-            raise ValueError(f"bad vertical relation {self.vertical!r}")
-        if self.horizontal not in _HORIZONTAL.values():
-            raise ValueError(f"bad horizontal relation {self.horizontal!r}")
+        if (len(self.code) != 2 or self.code[0] not in "NnSs"
+                or self.code[1] not in "Ee"):
+            raise ValueError(f"bad chain code {self.code!r}")
         if self.length_mode not in ("count", "entry-sum", "entry-multiplicity"):
             raise ValueError(f"bad length mode {self.length_mode!r}")
 
-    @property
-    def goes_up(self) -> bool:
-        return self.vertical in ("weak-up", "strict-up")
-
-    @property
-    def code(self) -> str:
-        v = {v: k for k, v in _VERTICAL.items()}[self.vertical]
-        h = {v: k for k, v in _HORIZONTAL.items()}[self.horizontal]
-        return v + h
-
     def step_ok(self, a, b) -> bool:
         """May cell b follow cell a in a chain?"""
-        ca, ra = a
-        cb, rb = b
-        if (ca, ra) == (cb, rb):
-            return False
-        vert = {"weak-up": rb >= ra, "strict-up": rb > ra,
-                "weak-down": rb <= ra, "strict-down": rb < ra}[self.vertical]
-        horiz = cb >= ca if self.horizontal == "weak-right" else cb > ca
-        return vert and horiz
+        (ca, ra), (cb, rb) = a, b
+        v, h = self.code
+        rise = rb - ra if v in "Nn" else ra - rb
+        return ((ca, ra) != (cb, rb)
+                and (rise > 0 if v in "ns" else rise >= 0)
+                and (cb > ca if h == "e" else cb >= ca))
 
 
 def chain_spec(code: str, length_mode: str = "count",
                require_rectangle: bool = False) -> ChainSpec:
     """Build a ChainSpec from a two-letter compass code like 'NE' or 'se'."""
-    if len(code) != 2 or code[0] not in _VERTICAL or code[1] not in _HORIZONTAL:
-        raise ValueError(f"bad chain code {code!r}")
-    return ChainSpec(_VERTICAL[code[0]], _HORIZONTAL[code[1]],
-                     length_mode, require_rectangle)
+    return ChainSpec(code, length_mode, require_rectangle)
 
 
 def _sorted_cells(cells, spec: ChainSpec):
-    if spec.goes_up:
+    """The cells in an order of which every chain is a subsequence."""
+    if spec.code[0] in "Nn":
         return sorted(cells)
     return sorted(cells, key=lambda cr: (cr[0], -cr[1]))
-
-
-def _chain_value(f: Filling, spec: ChainSpec, cells) -> int:
-    if spec.length_mode == "entry-sum":
-        return sum(f.entry(c, r) for c, r in cells)
-    return len(cells)
 
 
 def longest_chain(f: Filling, spec: ChainSpec) -> int:
@@ -184,33 +159,42 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     With ``require_rectangle`` the bounding rectangle of the chain must lie
     inside the shape.  For a single chain the multiset mode coincides with
     plain counting.
+
+    A chain's bounding box is spanned by its two ends, so one longest-path
+    pass decides it: for each cell, the longest chain to it from each
+    earlier start cell.  O(k^3) in the k nonzero cells.
     """
     cells = _sorted_cells(f.entries, spec)
+    entry_sum = spec.length_mode == "entry-sum"
     best = 0
-
-    def fits(chain):
-        # a chain is monotone in both coordinates, so its two ends span
-        # its bounding box
-        (c0, r0), (c1, r1) = chain[0], chain[-1]
-        return rectangle_in_shape(f.shape, c0, min(r0, r1), c1, max(r0, r1))
-
-    def extend(chain, start):
-        nonlocal best
-        if chain and (not spec.require_rectangle or fits(chain)):
-            best = max(best, _chain_value(f, spec, chain))
-        for i in range(start, len(cells)):
-            if not chain or spec.step_ok(chain[-1], cells[i]):
-                chain.append(cells[i])
-                extend(chain, i + 1)
-                chain.pop()
-
-    extend([], 0)
+    # from_start[j][s]: the longest chain from cells[s] to cells[j]
+    from_start = []
+    for j, cell in enumerate(cells):
+        weight = f.entries[cell] if entry_sum else 1
+        here = {j: weight}
+        for i in range(j):
+            if spec.step_ok(cells[i], cell):
+                for s, value in from_start[i].items():
+                    if value + weight > here.get(s, 0):
+                        here[s] = value + weight
+        from_start.append(here)
+        c1, r1 = cell
+        for s, value in here.items():
+            c0, r0 = cells[s]
+            if value > best and (not spec.require_rectangle or
+                                 rectangle_in_shape(f.shape, c0, min(r0, r1),
+                                                    c1, max(r0, r1))):
+                best = value
     return best
 
 
-def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None,
-                  max_cells: int = 16, max_entry_sum: int = 8,
-                  max_k: int = 3) -> int:
+# the exhaustive oracle refuses instances beyond these limits
+ORACLE_MAX_CELLS = 16
+ORACLE_MAX_ENTRY_SUM = 8
+ORACLE_MAX_K = 3
+
+
+def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None) -> int:
     """Maximal total length of a collection of k chains, by exhaustive search.
 
     The collection semantics depend on the length mode:
@@ -231,9 +215,10 @@ def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None,
     if corner is not None:
         x, y = corner
         region = [(c, r) for (c, r) in region if c <= x and r <= y]
-    if len(f.shape.cells()) > max_cells or f.entry_sum > max_entry_sum or k > max_k:
+    if (f.shape.n_cells > ORACLE_MAX_CELLS or f.entry_sum > ORACLE_MAX_ENTRY_SUM
+            or k > ORACLE_MAX_K):
         raise InstanceTooLarge(
-            f"oracle budget exceeded (cells={len(f.shape.cells())}, "
+            f"oracle budget exceeded (cells={f.shape.n_cells}, "
             f"sum={f.entry_sum}, k={k})")
     cells = _sorted_cells(region, spec)
 

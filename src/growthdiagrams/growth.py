@@ -102,6 +102,16 @@ class GrowthDiagram:
         return out
 
 
+def _checked_variant(filling: Filling, variant: str):
+    """The variant, once the filling is known to be in its class."""
+    v = get_variant(variant)
+    if not in_class(filling, v.filling_class):
+        raise ValueError(
+            f"{variant} rules need a {v.filling_class} filling, got "
+            f"{filling_class(filling)}")
+    return v
+
+
 def label_diagram(filling: Filling, variant: str = "standard",
                   word: str | None = None,
                   bottom=None, left=None) -> GrowthDiagram:
@@ -111,11 +121,7 @@ def label_diagram(filling: Filling, variant: str = "standard",
     and left sides (defaulting to empty partitions everywhere); nontrivial
     boundary labels are only supported for the standard rules.
     """
-    v = get_variant(variant)
-    if not in_class(filling, v.filling_class):
-        raise ValueError(
-            f"{variant} rules need a {v.filling_class} filling, got "
-            f"{filling_class(filling)}")
+    v = _checked_variant(filling, variant)
     shape = filling.shape
     if word is None:
         word = shape.word
@@ -237,7 +243,7 @@ def blow_up(filling: Filling, variant: str):
     blocks map each original line to (first refined line, number of
     refined lines), 1-based.
     """
-    v = get_variant(variant)
+    v = _checked_variant(filling, variant)
     if v.right == "1":
         raise ValueError(f"blow-up needs a strip variant, not {variant!r}")
     # a line whose step is a vertical strip takes its crosses top-left to

@@ -44,9 +44,6 @@ class FerrersShape:
     def n_cells(self) -> int:
         return sum(self.rows)
 
-    def row_length(self, r: int) -> int:
-        return self.rows[r - 1] if 1 <= r <= self.n_rows else 0
-
     def col_height(self, c: int) -> int:
         return self.col_heights[c - 1] if 1 <= c <= len(self.col_heights) else 0
 
@@ -175,7 +172,11 @@ def stack_from_text(text: str) -> StackPolyomino:
 
 
 def rectangle_in_shape(shape, lo_col: int, lo_row: int, hi_col: int, hi_row: int) -> bool:
-    """True if every cell of the axis-parallel rectangle lies in the shape."""
-    return all((c, r) in shape
-               for c in range(lo_col, hi_col + 1)
-               for r in range(lo_row, hi_row + 1))
+    """True if every cell of the axis-parallel rectangle (lo <= hi) lies in
+    the shape.
+
+    Ferrers shapes and stack polyominoes are both bottom-justified columns,
+    so the rectangle fits when every column it spans reaches ``hi_row``.
+    """
+    return lo_col >= 1 and lo_row >= 1 and all(
+        shape.col_height(c) >= hi_row for c in range(lo_col, hi_col + 1))

@@ -151,9 +151,16 @@ def test_bad_budget_exits_2(capsys, monkeypatch):
      "--max-n does not apply to --theorem T2"),
     (("verify", "--jonsson", "1,3,2", "--max-cells", "3"),
      "--max-cells does not apply to --jonsson"),
+    (("verify", "--theorem", "T4", "--s", "3"),
+     "--s does not apply to --theorem T4"),
+    (("count", "--shape", "2,2", "--chains", "NE"),
+     "--chains takes two codes"),
+    (("count", "--shape", "2,2", "--chains", "NE,SE,XX"),
+     "--chains takes two codes"),
 ], ids=["filling-no-keys", "filling-not-object", "filling-short-entry",
         "tableau-no-word", "tableau-seq-not-list", "max-n-for-T2",
-        "max-cells-for-jonsson"])
+        "max-cells-for-jonsson", "s-for-T4", "one-chain-code",
+        "three-chain-codes"])
 def test_malformed_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -64,9 +64,6 @@ def test_longest_chain_entry_sum():
 
 
 def test_rectangle_constraint():
-    # the two cells form an se-chain whose bounding box leaves the shape
-    f = make((2, 1), {(1, 1): 1})
-    g = Filling(FerrersShape((2, 1)), {(2, 1): 1, (1, 1): 1})
     spec = chain_spec("NE", require_rectangle=True)
     f2 = make((3, 1), {(1, 1): 1, (3, 1): 1})
     assert longest_chain(f2, chain_spec("NE")) == 2
@@ -74,8 +71,6 @@ def test_rectangle_constraint():
     f3 = make((2, 1), {(1, 1): 1})
     assert longest_chain(f3, spec) == 1
     se = chain_spec("se", require_rectangle=True)
-    f4 = make((2, 1), {(1, 2): 0})
-    diag = Filling(FerrersShape((2, 1)), {(1, 2): 1})
     # chain (1,2) -> (2,1) needs the full 2x2 box, which is not in the shape
     f5 = Filling(FerrersShape((2, 1)), {(1, 2): 1, (2, 1): 1})
     assert longest_chain(f5, chain_spec("se")) == 2
@@ -87,6 +82,11 @@ def test_chains_on_stack_polyomino():
     f = Filling(sp, {(1, 1): 1, (3, 1): 1})
     spec = chain_spec("ne", require_rectangle=True)
     assert longest_chain(f, spec) == 1
+    # the box of (1,1) -> (2,2) has its top-right corner in the shape but
+    # its top-left corner (1,2) outside
+    g = Filling(StackPolyomino((1, 2, 2)), {(1, 1): 1, (2, 2): 1})
+    assert longest_chain(g, chain_spec("ne")) == 2
+    assert longest_chain(g, spec) == 1
 
 
 def test_greene_oracle_matches_longest_chain_for_k1():

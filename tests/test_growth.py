@@ -194,3 +194,6 @@ def test_blow_up_shapes(variant):
 def test_blow_up_needs_strip_variant():
     with pytest.raises(ValueError):
         blow_up(Filling(_SQUARE, {(1, 1): 1}), "standard")
+    # an entry of 2 is outside the dual-rsk class, as for label_diagram
+    with pytest.raises(ValueError, match="dual-rsk rules need a zero-one"):
+        blow_up(Filling(FerrersShape((2,)), {(1, 1): 2}), "dual-rsk")
