@@ -9,7 +9,8 @@ together with a pointwise bijection certificate where one exists.
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .correspondences import (all_matchings, all_set_partitions,
                               conjugate_set_partition,
@@ -102,11 +103,8 @@ def generate_fillings(shape, cls: str, n: int):
         for chosen in combinations(cells, n):
             yield Filling(shape, {cell: 1 for cell in chosen})
     elif cls == PARTIAL_PERMUTATION:
-        for chosen in combinations(cells, n):
-            rows = [r for _, r in chosen]
-            cols = [c for c, _ in chosen]
-            if len(set(rows)) == n and len(set(cols)) == n:
-                yield Filling(shape, {cell: 1 for cell in chosen})
+        for chosen in _rook_placements(cells, n):
+            yield Filling(shape, {cell: 1 for cell in chosen})
     elif cls == ARBITRARY:
         def spread(i, left):
             if left == 0:
@@ -128,6 +126,33 @@ def generate_fillings(shape, cls: str, n: int):
         raise ValueError(f"unknown filling class {cls!r}")
 
 
+def _rook_placements(cells, n: int):
+    """The n-subsets of the column-major cell list with no two cells in a
+    row or a column, in the order of ``combinations(cells, n)``.
+
+    Column by column, each column is skipped or given one cell in a free
+    row, lowest row first; a column is tried only while enough columns are
+    left to place the rest.
+    """
+    columns = [list(group) for _, group in groupby(cells, key=itemgetter(0))]
+    chosen, used_rows = [], set()
+
+    def place(first):
+        if len(chosen) == n:
+            yield tuple(chosen)
+            return
+        for i in range(first, len(columns) - (n - len(chosen)) + 1):
+            for cell in columns[i]:
+                if cell[1] not in used_rows:
+                    chosen.append(cell)
+                    used_rows.add(cell[1])
+                    yield from place(i + 1)
+                    chosen.pop()
+                    used_rows.remove(cell[1])
+
+    return place(0)
+
+
 def all_fillings(shape, cls: str, max_n: int | None = None):
     """Fillings for every feasible n, with the hard generation wall applied."""
     if max_n is None:
@@ -137,8 +162,23 @@ def all_fillings(shape, cls: str, max_n: int | None = None):
             max_n = shape.n_cells
         else:
             raise ValueError("arbitrary fillings need an explicit entry-sum bound")
+    else:
+        _check_max_n(max_n)
     yield from _metered((n, f) for n in range(max_n + 1)
                         for f in generate_fillings(shape, cls, n))
+
+
+def _check_max_n(max_n: int):
+    """A negative bound would give an empty range, and an empty verdict."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be at least 0, got {max_n}")
+
+
+def _shapes_to_check(shapes):
+    """The verifier's shapes, of which there must be at least one."""
+    if not shapes:
+        raise ValueError("no shape to check: max_cells must be at least 1")
+    return shapes
 
 
 def _metered(pairs):
@@ -249,14 +289,16 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, mode, inverse_mode,
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
-    shapes = shapes if shapes is not None else all_shapes(max_cells)
+    shapes = _shapes_to_check(shapes if shapes is not None
+                              else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
                               T2_SPECS, T2_SPECS, "standard", "standard")
     return Report("T2", ok, f"{len(shapes)} shapes", witness)
 
 
 def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report:
-    shapes = shapes if shapes is not None else all_shapes(max_cells)
+    shapes = _shapes_to_check(shapes if shapes is not None
+                              else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ARBITRARY, max_sum,
                               NES1_SPECS, NES1_IMAGE_SPECS,
                               "nes1", "nes1-inverse")
@@ -265,7 +307,8 @@ def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report
 
 
 def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Report:
-    shapes = shapes if shapes is not None else all_shapes(max_cells)
+    shapes = _shapes_to_check(shapes if shapes is not None
+                              else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ZERO_ONE, max_ones,
                               NES2_SPECS, NES2_IMAGE_SPECS,
                               "nes2", "nes2-inverse")
@@ -274,7 +317,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 
 
 def verify_t2sym(max_cells: int = 9) -> Report:
-    shapes = symmetric_shapes(max_cells)
+    shapes = _shapes_to_check(symmetric_shapes(max_cells))
     ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
                               T2_SPECS, T2_SPECS, "standard", "standard",
                               symmetric_only=True)
@@ -287,7 +330,7 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # palindromic border sequences).  The second does not: its rule sets
     # are reflections of each other rather than self-reflective, so it is
     # checked by counting over the symmetric fillings directly.
-    shapes = symmetric_shapes(max_cells)
+    shapes = _shapes_to_check(symmetric_shapes(max_cells))
     ok1, w1 = _check_swap(shapes, ARBITRARY, max_sum,
                           NES1_SPECS, NES1_IMAGE_SPECS,
                           "nes1", "nes1-inverse", symmetric_only=True)
@@ -330,22 +373,23 @@ def _partition_tables(n, stats, conj, refined):
     return True, None
 
 
-def verify_t4(max_n: int = 5) -> Report:
+def _partition_verdict(name, max_n, stats, conj, refined, kind=""):
+    _check_max_n(max_n)
     for n in range(max_n + 1):
-        ok, witness = _partition_tables(
-            n, lambda p: (cross(p), nest(p)), conjugate_set_partition, False)
+        ok, witness = _partition_tables(n, stats, conj, refined)
         if not ok:
-            return Report("T4", False, f"n={n}", witness)
-    return Report("T4", True, f"set partitions up to n={max_n}")
+            return Report(name, False, f"n={n}", witness)
+    return Report(name, True, f"set partitions up to n={max_n}{kind}")
+
+
+def verify_t4(max_n: int = 5) -> Report:
+    return _partition_verdict("T4", max_n, lambda p: (cross(p), nest(p)),
+                              conjugate_set_partition, False)
 
 
 def verify_t5(max_n: int = 5) -> Report:
-    for n in range(max_n + 1):
-        ok, witness = _partition_tables(
-            n, lambda p: (cross(p), nest(p)), conjugate_set_partition, True)
-        if not ok:
-            return Report("T5", False, f"n={n}", witness)
-    return Report("T5", True, f"set partitions up to n={max_n}, refined")
+    return _partition_verdict("T5", max_n, lambda p: (cross(p), nest(p)),
+                              conjugate_set_partition, True, ", refined")
 
 
 def verify_t6(max_n: int = 4) -> Report:
@@ -354,13 +398,9 @@ def verify_t6(max_n: int = 4) -> Report:
     # preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
-    for n in range(max_n + 1):
-        ok, witness = _partition_tables(
-            n, lambda p: (enhanced_cross(p), enhanced_nest(p)),
-            conjugate_set_partition_enhanced, False)
-        if not ok:
-            return Report("T6", False, f"n={n}", witness)
-    return Report("T6", True, f"set partitions up to n={max_n}, enhanced")
+    return _partition_verdict(
+        "T6", max_n, lambda p: (enhanced_cross(p), enhanced_nest(p)),
+        conjugate_set_partition_enhanced, False, ", enhanced")
 
 
 VERIFIERS = {"T2": verify_t2, "T2a-NES1": verify_t2a_nes1,
@@ -419,6 +459,8 @@ def jonsson_check(poly: StackPolyomino, s: int) -> Report:
     longest ne-chain exactly s must agree between the polyomino and the
     Ferrers shape obtained by sorting its columns by height.
     """
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
     n1, c1 = _densest_bounded_ne(poly, s)
     n2, c2 = _densest_bounded_ne(poly.sort_columns(), s)
     ok = n1 == n2 and c1 == c2
@@ -459,6 +501,8 @@ GREENE_SPECS = {
 def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
     """Compare every corner label of the growth diagram with the chain
     statistics of the corresponding rectangular region of the filling."""
+    if not ks or min(ks) < 1:
+        raise ValueError(f"k must be at least 1, got ks={tuple(ks)}")
     spec_up, spec_down = GREENE_SPECS[variant]
     diagram = label_diagram(f, variant)
     for (x, y) in diagram.corners():

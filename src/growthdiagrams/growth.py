@@ -25,9 +25,39 @@ from .shapes import FerrersShape, parse_word
 EMPTY = ()
 
 
-def trace_corners(word: str):
-    """The corner points visited by the reading word, top-left to bottom-right."""
-    rows, n_cols = parse_word(word)
+# Frames repeat heavily on small diagrams, so label_diagram and reconstruct
+# look the local rules up in one memo there, keyed by (variant, direction,
+# frame).  It holds only results of calls that returned, so every distinct
+# frame goes once through the full checked rule, and it stops growing at
+# MEMO_MAX_ENTRIES.  Diagrams over MEMO_MAX_CELLS cells rarely repeat a frame
+# and bypass it.  The rules in local_rules.VARIANT_TABLE stay uncached.
+MEMO_MAX_CELLS = 64
+MEMO_MAX_ENTRIES = 4096
+_MEMO = {}
+
+
+def _rule(v, direction: str, n_cells: int):
+    """The variant's forward or backward rule, through the memo for a diagram
+    of at most MEMO_MAX_CELLS cells."""
+    rule = getattr(v, direction)
+    if n_cells > MEMO_MAX_CELLS:
+        return rule
+    variant = v.name
+
+    def memoised(*frame):
+        key = (variant, direction, frame)
+        out = _MEMO.get(key)
+        if out is None:
+            out = rule(*frame)
+            if len(_MEMO) < MEMO_MAX_ENTRIES:
+                _MEMO[key] = out
+        return out
+    return memoised
+
+
+def trace_corners(rows, n_cols: int):
+    """The corner points visited by the reading word that ``parse_word``
+    decodes into (rows, n_cols), top-left to bottom-right."""
     pts, x = [], 0
     for y in range(len(rows), -1, -1):
         width = rows[y - 1] if y else n_cols
@@ -62,8 +92,19 @@ class GrowthTableau:
                     f"{self.variant} step")
 
     def conjugate(self) -> "GrowthTableau":
-        return GrowthTableau(self.word, tuple(conjugate(p) for p in self.seq),
-                             get_variant(self.variant).conjugate)
+        return _trusted_tableau(self.word, tuple(map(conjugate, self.seq)),
+                                get_variant(self.variant).conjugate)
+
+
+def _trusted_tableau(word: str, seq: tuple, variant: str) -> GrowthTableau:
+    """A GrowthTableau of labels the growth layer computed itself, which are
+    partitions already and match the word; outside input goes through the
+    checking constructor instead."""
+    t = object.__new__(GrowthTableau)
+    object.__setattr__(t, "word", word)
+    object.__setattr__(t, "seq", seq)
+    object.__setattr__(t, "variant", variant)
+    return t
 
 
 def tableau_to_json(t: GrowthTableau) -> str:
@@ -124,12 +165,33 @@ def label_diagram(filling: Filling, variant: str = "standard",
     v = _checked_variant(filling, variant)
     shape = filling.shape
     if word is None:
-        word = shape.word
-    rows, n_cols = parse_word(word)
-    if checked_partition(rows) != shape.rows:
-        raise ValueError(
-            f"word {word!r} traces {FerrersShape(rows)}, not {shape}")
+        word, rows, n_cols = shape.word, shape.rows, shape.n_cols
+    else:
+        rows, n_cols = parse_word(word)
+        if checked_partition(rows) != shape.rows:
+            raise ValueError(
+                f"word {word!r} traces {FerrersShape(rows)}, not {shape}")
 
+    if bottom is None and left is None:
+        labels = dict.fromkeys(
+            [(x, 0) for x in range(n_cols + 1)]
+            + [(0, y) for y in range(1, len(rows) + 1)], EMPTY)
+    else:
+        labels = _boundary_labels(filling, variant, rows, n_cols, bottom, left)
+    forward = _rule(v, "forward", shape.n_cells)
+    entries = filling.entries
+    # padding rows and columns hold no cells, so the shape's cells are
+    # exactly the cells of the padded grid
+    for c, r in shape.cells():
+        labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
+                                 labels[(c - 1, r)], entries.get((c, r), 0))
+    return GrowthDiagram(word, rows, n_cols, variant, filling, labels)
+
+
+def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
+    """The checked labels of the bottom and left corners, given explicitly
+    (a missing side is all empty)."""
+    shape = filling.shape
     bottom = [EMPTY] * (n_cols + 1) if bottom is None else list(bottom)
     left = [EMPTY] * (len(rows) + 1) if left is None else list(left)
     if len(bottom) != n_cols + 1 or len(left) != len(rows) + 1:
@@ -161,43 +223,46 @@ def label_diagram(filling: Filling, variant: str = "standard",
 
     labels = {(x, 0): bottom[x] for x in range(n_cols + 1)}
     labels.update({(0, y): left[y] for y in range(len(rows) + 1)})
-    # padding rows and columns hold no cells, so the shape's cells are
-    # exactly the cells of the padded grid
-    for c, r in shape.cells():
-        labels[(c, r)] = v.forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
-                                   labels[(c - 1, r)], filling.entry(c, r))
-    return GrowthDiagram(word, rows, n_cols, variant, filling, labels)
+    return labels
 
 
 def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
-    """Read the labels along the right/up boundary, top-left to bottom-right."""
-    seq = tuple(diagram.labels[pt] for pt in trace_corners(diagram.word))
-    return GrowthTableau(diagram.word, seq, diagram.variant)
+    """Read the labels along the right/up boundary, top-left to bottom-right.
+
+    The labels are taken as ``label_diagram`` made them, without checking
+    them again."""
+    labels = diagram.labels
+    seq = tuple(labels[pt] for pt in trace_corners(diagram.row_lens, diagram.n_cols))
+    return _trusted_tableau(diagram.word, seq, diagram.variant)
 
 
 def reconstruct(word: str, tableau, variant: str | None = None):
     """Run the backward rules from a border tableau.
 
-    Returns (filling, bottom labels, left labels); the boundary labels are
-    what the backward pass leaves on the bottom and left sides.
+    ``tableau`` is a GrowthTableau (read with its own variant unless
+    ``variant`` is given) or a raw sequence of partitions.  Returns
+    (filling, bottom labels, left labels); the boundary labels are what the
+    backward pass leaves on the bottom and left sides.
     """
-    if isinstance(tableau, GrowthTableau):
-        if variant is None:
-            variant = tableau.variant
-        tableau = tableau.seq
-    t = GrowthTableau(word, tableau, variant or "standard")
+    if not isinstance(tableau, GrowthTableau):
+        t = GrowthTableau(word, tableau, variant or "standard")
+    elif word != tableau.word or variant not in (None, tableau.variant):
+        t = GrowthTableau(word, tableau.seq, variant or tableau.variant)
+    else:
+        t = tableau
     t.validate_steps()
     v = get_variant(t.variant)
     rows, n_cols = parse_word(word)
     shape = FerrersShape(rows)
 
-    labels = dict(zip(trace_corners(word), t.seq))
+    labels = dict(zip(trace_corners(rows, n_cols), t.seq))
+    backward = _rule(v, "backward", shape.n_cells)
     entries = {}
     # reversed column-major order: corner (c, r-1) comes from column c+1 and
     # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r)
     for c, r in reversed(shape.cells()):
-        rho, m = v.backward(labels[(c, r - 1)], labels[(c - 1, r)],
-                            labels[(c, r)])
+        rho, m = backward(labels[(c, r - 1)], labels[(c - 1, r)],
+                          labels[(c, r)])
         labels[(c - 1, r - 1)] = rho
         if m:
             entries[(c, r)] = m

@@ -157,10 +157,22 @@ def test_bad_budget_exits_2(capsys, monkeypatch):
      "--chains takes two codes"),
     (("count", "--shape", "2,2", "--chains", "NE,SE,XX"),
      "--chains takes two codes"),
+    (("verify", "--jonsson", "1,3,2", "--s", "-1"), "s must be at least 1"),
+    (("verify", "--jonsson", "1,3,2", "--s", "0"), "s must be at least 1"),
+    (("greene", "--shape", "3,2,1", "--cells", "1,3", "--k", "0"),
+     "k must be at least 1"),
+    (("count", "--shape", "2,2", "--max-n", "-1"), "max_n must be at least 0"),
+    (("explore", "--shape", "2,2", "--max-n", "-1"),
+     "max_n must be at least 0"),
+    (("verify", "--theorem", "T4", "--max-n", "-1"),
+     "max_n must be at least 0"),
+    (("verify", "--theorem", "T2", "--max-cells", "0"), "no shape to check"),
 ], ids=["filling-no-keys", "filling-not-object", "filling-short-entry",
         "tableau-no-word", "tableau-seq-not-list", "max-n-for-T2",
         "max-cells-for-jonsson", "s-for-T4", "one-chain-code",
-        "three-chain-codes"])
+        "three-chain-codes", "jonsson-negative-s", "jonsson-zero-s",
+        "greene-zero-k", "count-negative-max-n", "explore-negative-max-n",
+        "T4-negative-max-n", "T2-no-shapes"])
 def test_malformed_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

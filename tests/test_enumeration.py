@@ -1,5 +1,7 @@
 """Generators, count tables, verifiers and the counting oracles."""
 
+from itertools import combinations
+
 import pytest
 
 from growthdiagrams.enumeration import (Report, all_fillings, all_shapes,
@@ -11,8 +13,9 @@ from growthdiagrams.enumeration import (Report, all_fillings, all_shapes,
                                         max_ones_with_bounded_ne,
                                         problem2_evidence, random_fillings,
                                         stack_polyominoes, symmetric_shapes,
-                                        verify_t2, verify_t4, verify_t6,
-                                        verify_theorem)
+                                        verify_t2, verify_t2a_nes1,
+                                        verify_t2sym, verify_t4, verify_t5,
+                                        verify_t6, verify_theorem)
 from growthdiagrams.fillings import (Filling, InstanceTooLarge, chain_spec,
                                      greene_oracle)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
@@ -54,6 +57,59 @@ def test_generate_fillings_counts():
     assert len(list(generate_fillings(shape, "partial-permutation", 2))) == 2
     # weak compositions of 2 over 4 cells
     assert len(list(generate_fillings(shape, "arbitrary", 2))) == 10
+
+
+def partial_permutations_by_filter(shape, n):
+    """Reference: every n-subset of the column-major cells, in
+    ``combinations`` order, kept when no two share a row or a column."""
+    for chosen in combinations(shape.cells(), n):
+        rows = [r for _, r in chosen]
+        cols = [c for c, _ in chosen]
+        if len(set(rows)) == n and len(set(cols)) == n:
+            yield Filling(shape, {cell: 1 for cell in chosen})
+
+
+def test_partial_permutations_match_filter():
+    """The rook placement yields the filter's fillings in the filter's
+    order, on every shape of up to 8 cells and every n (one past the
+    largest, which yields none)."""
+    for shape in all_shapes(8):
+        for n in range(min(shape.n_rows, shape.n_cols) + 2):
+            got = [tuple(f.entries.items())
+                   for f in generate_fillings(shape, "partial-permutation", n)]
+            want = [tuple(f.entries.items())
+                    for f in partial_permutations_by_filter(shape, n)]
+            assert got == want, (shape, n)
+
+
+def test_partial_permutations_of_staircase_9():
+    # sum over k of the Stirling numbers S(9, 9 - k): the Bell number B(9)
+    total = sum(1 for n in range(9) for _ in
+                generate_fillings(staircase(9), "partial-permutation", n))
+    assert total == bell_number(9) == 21147
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(all_fillings(FerrersShape((2, 2)), "zero-one", -1)),
+     "max_n must be at least 0"),
+    (lambda: count_table(FerrersShape((2, 2)), "zero-one", chain_spec("ne"),
+                         chain_spec("se"), -1), "max_n must be at least 0"),
+    (lambda: verify_t4(-1), "max_n must be at least 0"),
+    (lambda: verify_t5(-2), "max_n must be at least 0"),
+    (lambda: verify_t6(-1), "max_n must be at least 0"),
+    (lambda: verify_t2(0), "no shape to check"),
+    (lambda: verify_t2(shapes=[]), "no shape to check"),
+    (lambda: verify_t2a_nes1(0), "no shape to check"),
+    (lambda: verify_t2sym(0), "no shape to check"),
+    (lambda: jonsson_check(StackPolyomino((1, 3, 2)), 0), "s must be at least 1"),
+    (lambda: jonsson_check(StackPolyomino((1, 3, 2)), -1), "s must be at least 1"),
+    (lambda: check_greene(Filling(FerrersShape((1,)), {}), "standard", ()),
+     "k must be at least 1"),
+], ids=["all-fillings", "count-table", "T4", "T5", "T6", "T2", "T2-shapes",
+        "NES1", "T2sym", "jonsson-s0", "jonsson-s-1", "greene-no-k"])
+def test_empty_ranges_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_all_fillings_iterates_by_size():

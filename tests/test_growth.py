@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthdiagrams import growth
 from growthdiagrams.enumeration import all_fillings, all_shapes
 from growthdiagrams.fillings import ARBITRARY, PARTIAL_PERMUTATION, Filling
 from growthdiagrams.growth import (GrowthTableau, blow_up, border_tableau,
@@ -10,11 +13,11 @@ from growthdiagrams.growth import (GrowthTableau, blow_up, border_tableau,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
-from growthdiagrams.shapes import FerrersShape, shape_from_word
+from growthdiagrams.shapes import FerrersShape, parse_word
 
 
 def test_trace_corners():
-    pts = trace_corners("RDD")
+    pts = trace_corners(*parse_word("RDD"))
     assert pts == [(0, 2), (1, 2), (1, 1), (1, 0)]
 
 
@@ -92,16 +95,113 @@ def test_wrong_class_rejected():
         label_diagram(f, "dual-rsk")
 
 
+def sweep_labels(f, variant):
+    """Corner labels from the variant's forward rule, called directly on
+    every cell, row by row."""
+    forward = get_variant(variant).forward
+    rows = f.shape.rows
+    labels = {(x, 0): () for x in range(f.shape.n_cols + 1)}
+    labels.update({(0, y): () for y in range(len(rows) + 1)})
+    for r, length in enumerate(rows, 1):
+        for c in range(1, length + 1):
+            labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
+                                     labels[(c - 1, r)], f.entry(c, r))
+    return labels
+
+
+def sweep_entries(f, labels, variant):
+    """The entries the backward rule recovers, called directly on the
+    labelled frame of every cell."""
+    backward = get_variant(variant).backward
+    out = {}
+    for c, r in f.shape.cells():
+        rho, m = backward(labels[(c, r - 1)], labels[(c - 1, r)], labels[(c, r)])
+        assert rho == labels[(c - 1, r - 1)]
+        if m:
+            out[(c, r)] = m
+    return out
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_round_trip_small_exhaustive(variant):
+def test_round_trip_small_exhaustive(variant, monkeypatch):
+    """Every filling of up to 6 cells: labelling and reconstruction, which
+    go through the rule memo at this size, agree with direct calls of the
+    rules, and the round trip is the identity."""
+    monkeypatch.setattr(growth, "_MEMO", {})
     cls = get_variant(variant).filling_class
     max_n = 3 if cls == "arbitrary" else None
     for shape in all_shapes(6):
         for _, f in all_fillings(shape, cls, max_n):
-            t = growth_tableau(f, variant)
+            d = label_diagram(f, variant)
+            assert d.labels == sweep_labels(f, variant)
+            t = border_tableau(d)
             f2, bottom, left = reconstruct(t.word, t, variant)
             assert f2 == f
+            assert f2.entries == sweep_entries(f, d.labels, variant)
             assert all(p == () for p in bottom + left)
+    assert growth._MEMO
+
+
+def test_memo_stores_no_exception(monkeypatch):
+    monkeypatch.setattr(growth, "_MEMO", {})
+    forward = growth._rule(get_variant("standard"), "forward", 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nu/rho"):
+            forward((), (1,), (2,), 0)
+    assert growth._MEMO == {}
+    assert forward((), (1,), (1,), 0) == (1, 1)
+    assert len(growth._MEMO) == 1
+
+
+def test_memo_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(growth, "_MEMO", {})
+    rng = random.Random(5)
+    shape = FerrersShape((8,) * 8)
+    assert shape.n_cells <= growth.MEMO_MAX_CELLS
+    frames = set()
+    while len(frames) <= growth.MEMO_MAX_ENTRIES:
+        f = Filling(shape, {cell: rng.randint(0, 3) for cell in shape.cells()})
+        d = label_diagram(f, "rsk")
+        assert d.labels == sweep_labels(f, "rsk")
+        frames.update((d.labels[(c - 1, r - 1)], d.labels[(c, r - 1)],
+                       d.labels[(c - 1, r)], f.entry(c, r))
+                      for c, r in shape.cells())
+    assert len(growth._MEMO) == growth.MEMO_MAX_ENTRIES
+
+
+def test_memo_skips_large_diagrams(monkeypatch):
+    monkeypatch.setattr(growth, "_MEMO", {})
+    shape = FerrersShape((13,) * 5)
+    assert shape.n_cells > growth.MEMO_MAX_CELLS
+    f = Filling(shape, {(1, 1): 2, (4, 3): 1, (13, 5): 1})
+    t = growth_tableau(f, "rsk")
+    assert reconstruct(t.word, t)[0] == f
+    assert growth._MEMO == {}
+
+
+def test_reconstruct_checks_outside_tableaux():
+    # a raw sequence is checked label by label
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        reconstruct("RD", [(), (1, 2), ()])
+    # a tableau read with another variant is checked for that variant's steps
+    t = growth_tableau(Filling(FerrersShape((2,)), {(1, 1): 1, (2, 1): 1}),
+                       "rsk")
+    assert t.seq == ((), (1,), (2,), ())
+    with pytest.raises(ValueError, match="not a valid standard step"):
+        reconstruct(t.word, t, "standard")
+    with pytest.raises(ValueError, match="not a valid dual-rsk step"):
+        reconstruct(t.word, t, "dual-rsk")
+    # and against another word
+    with pytest.raises(ValueError, match="need 5 partitions"):
+        reconstruct("RRDD", t)
+
+
+def test_explicit_empty_boundary_matches_default():
+    shape = FerrersShape((3, 2))
+    f = Filling(shape, {(2, 2): 1, (3, 1): 1})
+    explicit = label_diagram(f, bottom=[()] * 4, left=[()] * 3)
+    assert explicit.labels == label_diagram(f).labels
+    assert label_diagram(f, bottom=[()] * 4).labels == explicit.labels
 
 
 def test_padded_word_round_trip():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams.local_rules import VARIANTS, get_variant
+from growthdiagrams import local_rules
+from growthdiagrams.local_rules import VARIANT_TABLE, VARIANTS, get_variant
 from growthdiagrams.partitions import (conjugate, contains, is_horizontal_strip,
                                        is_vertical_strip, partitions_of)
 
@@ -288,6 +289,15 @@ def assert_backward_agrees(name, mu, nu, lam):
 
 
 SMALL = [p for n in range(7) for p in partitions_of(n)]
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_variant_table_holds_the_plain_rules(name):
+    """The growth layer memoises the rules outside VARIANT_TABLE, so the
+    comparisons in this file run the rules themselves, uncached."""
+    suffix = name.replace("-", "_")
+    assert VARIANT_TABLE[name].forward is getattr(local_rules, f"forward_{suffix}")
+    assert VARIANT_TABLE[name].backward is getattr(local_rules, f"backward_{suffix}")
 
 
 def test_strip_predicates_match_reference_exhaustively():
