@@ -182,7 +182,7 @@ def vacillating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPa
         n = (len(t.seq) - 1) // 2
     if not is_vacillating(t, n):
         raise ValueError("not a vacillating tableau")
-    filling, bottom, left = reconstruct(_staircase_word(n), t.seq, "standard")
+    filling, bottom, left = reconstruct(_staircase_word(n), t, "standard")
     if any(p != EMPTY for p in bottom + left):
         raise ValueError("backward pass left nonempty boundary labels")
     return filling_to_setpartition(filling, n)
@@ -311,7 +311,7 @@ def hesitating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPar
     rows = tuple(x for x in ((n - r) + (1 if (n + 1 - r) in extended else 0)
                              for r in range(1, n + 1)) if x)
     shape = FerrersShape(rows)
-    filling, bottom, left = reconstruct(_padded_word(shape, n), t.seq, "standard")
+    filling, bottom, left = reconstruct(_padded_word(shape, n), t, "standard")
     if any(p != EMPTY for p in bottom + left):
         raise ValueError("backward pass left nonempty boundary labels")
     pairs = []

@@ -19,7 +19,7 @@ the tests check it against an exhaustive search over all chains.
 import json
 from dataclasses import dataclass, field
 
-from .shapes import rectangle_in_shape, shape_from_word
+from .shapes import shape_from_word
 
 ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
@@ -122,6 +122,13 @@ class ChainSpec:
     code: str                            # two-letter compass code, e.g. 'NE'
     length_mode: str = "count"           # count | entry-sum | entry-multiplicity
     require_rectangle: bool = False
+    # the code's relations, derived once; equality, hashing and repr use the
+    # fields above.  A step from a to b rises by at least min_rise rows
+    # (upward for N/n, downward for S/s) and moves right by at least min_run
+    # columns.
+    upward: bool = field(init=False, repr=False, compare=False)
+    min_rise: int = field(init=False, repr=False, compare=False)
+    min_run: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (len(self.code) != 2 or self.code[0] not in "NnSs"
@@ -129,15 +136,17 @@ class ChainSpec:
             raise ValueError(f"bad chain code {self.code!r}")
         if self.length_mode not in ("count", "entry-sum", "entry-multiplicity"):
             raise ValueError(f"bad length mode {self.length_mode!r}")
+        v, h = self.code
+        object.__setattr__(self, "upward", v in "Nn")
+        object.__setattr__(self, "min_rise", int(v in "ns"))
+        object.__setattr__(self, "min_run", int(h == "e"))
 
     def step_ok(self, a, b) -> bool:
         """May cell b follow cell a in a chain?"""
         (ca, ra), (cb, rb) = a, b
-        v, h = self.code
-        rise = rb - ra if v in "Nn" else ra - rb
-        return ((ca, ra) != (cb, rb)
-                and (rise > 0 if v in "ns" else rise >= 0)
-                and (cb > ca if h == "e" else cb >= ca))
+        rise = rb - ra if self.upward else ra - rb
+        return ((ca, ra) != (cb, rb) and rise >= self.min_rise
+                and cb - ca >= self.min_run)
 
 
 def chain_spec(code: str, length_mode: str = "count",
@@ -148,7 +157,7 @@ def chain_spec(code: str, length_mode: str = "count",
 
 def _sorted_cells(cells, spec: ChainSpec):
     """The cells in an order of which every chain is a subsequence."""
-    if spec.code[0] in "Nn":
+    if spec.upward:
         return sorted(cells)
     return sorted(cells, key=lambda cr: (cr[0], -cr[1]))
 
@@ -166,25 +175,29 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     """
     cells = _sorted_cells(f.entries, spec)
     entry_sum = spec.length_mode == "entry-sum"
+    upward, min_rise, min_run = spec.upward, spec.min_rise, spec.min_run
+    # both shape kinds are bottom-justified columns, so a box fits when
+    # every column it spans reaches its top row
+    heights = f.shape.col_heights if spec.require_rectangle else None
     best = 0
     # from_start[j][s]: the longest chain from cells[s] to cells[j]
     from_start = []
-    for j, cell in enumerate(cells):
-        weight = f.entries[cell] if entry_sum else 1
+    for j, (c1, r1) in enumerate(cells):
+        weight = f.entries[(c1, r1)] if entry_sum else 1
         here = {j: weight}
-        for i in range(j):
-            if spec.step_ok(cells[i], cell):
-                for s, value in from_start[i].items():
+        # the earlier cells, which are all distinct from this one
+        for (c0, r0), ends in zip(cells, from_start):
+            if ((r1 - r0 if upward else r0 - r1) >= min_rise
+                    and c1 - c0 >= min_run):
+                for s, value in ends.items():
                     if value + weight > here.get(s, 0):
                         here[s] = value + weight
         from_start.append(here)
-        c1, r1 = cell
         for s, value in here.items():
-            c0, r0 = cells[s]
-            if value > best and (not spec.require_rectangle or
-                                 rectangle_in_shape(f.shape, c0, min(r0, r1),
-                                                    c1, max(r0, r1))):
-                best = value
+            if value > best:
+                c0, r0 = cells[s]
+                if heights is None or min(heights[c0 - 1:c1]) >= max(r0, r1):
+                    best = value
     return best
 
 

@@ -14,45 +14,53 @@ length 2n).
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
+from types import MappingProxyType
 
 from .fillings import Filling, filling_class, in_class, int_lists
 from .local_rules import get_variant
-from .partitions import (checked_partition, conjugate, differs_by_one_square,
-                         make_partition)
+from .partitions import conjugate, differs_by_one_square, make_partition
 from .shapes import FerrersShape, parse_word
 
 EMPTY = ()
 
 
-# Frames repeat heavily on small diagrams, so label_diagram and reconstruct
-# look the local rules up in one memo there, keyed by (variant, direction,
-# frame).  It holds only results of calls that returned, so every distinct
-# frame goes once through the full checked rule, and it stops growing at
-# MEMO_MAX_ENTRIES.  Diagrams over MEMO_MAX_CELLS cells rarely repeat a frame
-# and bypass it.  The rules in local_rules.VARIANT_TABLE stay uncached.
+# Small diagrams repeat themselves: few shapes, few frames, few labels.  So
+# for a reading word of at most MEMO_MAX_CELLS cells the growth layer keeps
+# in one memo, keyed by kind, the sweep plan of a decoded word ("sweep",
+# word), the local rules (variant, "forward"/"backward", *frame), the border
+# step checks (variant, "step", step, prev, nxt) and label conjugates
+# ("conjugate", p).  It holds only results of calls that returned, so every
+# distinct input goes once through the full checked code, and it stops
+# growing at MEMO_MAX_ENTRIES.  Larger diagrams rarely repeat a frame and
+# bypass it.
+# The rules in local_rules.VARIANT_TABLE stay uncached.
 MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
 _MEMO = {}
 
 
-def _rule(v, direction: str, n_cells: int):
-    """The variant's forward or backward rule, through the memo for a diagram
-    of at most MEMO_MAX_CELLS cells."""
-    rule = getattr(v, direction)
-    if n_cells > MEMO_MAX_CELLS:
-        return rule
-    variant = v.name
+def _memoised(fn, tag: tuple, small: bool):
+    """``fn`` through the memo under keys ``tag + args`` when ``small``."""
+    if not small:
+        return fn
 
-    def memoised(*frame):
-        key = (variant, direction, frame)
+    def call(*args):
+        key = tag + args
         out = _MEMO.get(key)
         if out is None:
-            out = rule(*frame)
+            out = fn(*args)
             if len(_MEMO) < MEMO_MAX_ENTRIES:
                 _MEMO[key] = out
         return out
-    return memoised
+    return call
+
+
+def _rule(v, direction: str, small: bool):
+    """The variant's forward or backward rule, through the memo for a small
+    diagram."""
+    return _memoised(getattr(v, direction), (v.name, direction), small)
 
 
 def trace_corners(rows, n_cols: int):
@@ -66,6 +74,63 @@ def trace_corners(rows, n_cols: int):
     return pts
 
 
+class _SweepPlan:
+    """Everything a sweep along one reading word needs that depends on the
+    word alone.  Only the decoded word is computed up front; the rest is
+    computed on first use and then kept with the plan.  The sweeps walk the
+    cells column by column from the shape's column heights: a list of the
+    cells would cost a tuple per cell in every stored plan."""
+
+    def __init__(self, word: str, rows, n_cols: int):
+        self.word, self.rows, self.n_cols = word, rows, n_cols
+        self.small = sum(rows) <= MEMO_MAX_CELLS
+
+    @cached_property
+    def shape(self) -> FerrersShape:
+        return FerrersShape(self.rows)
+
+    @cached_property
+    def corners(self):
+        """The border corners, top-left to bottom-right."""
+        return trace_corners(self.rows, self.n_cols)
+
+    @cached_property
+    def empty_boundary(self) -> dict:
+        """Empty labels on the bottom and left corners, to be copied."""
+        return dict.fromkeys(
+            [(x, 0) for x in range(self.n_cols + 1)]
+            + [(0, y) for y in range(1, len(self.rows) + 1)], EMPTY)
+
+
+def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
+    """The plan of a reading word, from the memo for a small one.  ``shape``
+    may be given when ``word`` is its own word, and is then used as is.
+
+    Only a plan decoded from the word is stored.  One made from a given
+    shape decodes nothing, so storing it would save little, and such shapes
+    (refined ones from ``blow_up``, say) often recur too rarely to pay for
+    their memory."""
+    key = ("sweep", word)
+    plan = _MEMO.get(key)
+    if plan is None and shape is not None:
+        plan = _SweepPlan(word, shape.rows, shape.n_cols)
+        plan.shape = shape
+    elif plan is None:
+        plan = _SweepPlan(word, *parse_word(word))
+        if plan.small and len(_MEMO) < MEMO_MAX_ENTRIES:
+            _MEMO[key] = plan
+    return plan
+
+
+def _trusted(cls, **values):
+    """An instance of a frozen dataclass made of values the growth layer
+    computed itself (labels are partitions already, and match the word);
+    outside input goes through the checking constructor instead."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 @dataclass(frozen=True)
 class GrowthTableau:
     """A sequence of partitions read along a boundary word."""
@@ -75,7 +140,7 @@ class GrowthTableau:
     variant: str = "standard"
 
     def __post_init__(self):
-        parse_word(self.word)
+        _sweep_plan(self.word)
         object.__setattr__(self, "seq", tuple(make_partition(p) for p in self.seq))
         if len(self.seq) != len(self.word) + 1:
             raise ValueError(
@@ -83,28 +148,27 @@ class GrowthTableau:
                 f"got {len(self.seq)}")
 
     def validate_steps(self):
-        v = get_variant(self.variant)
-        for i, step in enumerate(self.word):
-            prev, nxt = self.seq[i], self.seq[i + 1]
-            if not v.step_ok(step, prev, nxt):
-                raise ValueError(
-                    f"step {i + 1} ({step}) from {prev} to {nxt} is not a valid "
-                    f"{self.variant} step")
+        _check_steps(self, _sweep_plan(self.word))
 
     def conjugate(self) -> "GrowthTableau":
-        return _trusted_tableau(self.word, tuple(map(conjugate, self.seq)),
-                                get_variant(self.variant).conjugate)
+        conj = _memoised(conjugate, ("conjugate",),
+                         _sweep_plan(self.word).small)
+        return _trusted(GrowthTableau, word=self.word,
+                        seq=tuple(map(conj, self.seq)),
+                        variant=get_variant(self.variant).conjugate)
 
 
-def _trusted_tableau(word: str, seq: tuple, variant: str) -> GrowthTableau:
-    """A GrowthTableau of labels the growth layer computed itself, which are
-    partitions already and match the word; outside input goes through the
-    checking constructor instead."""
-    t = object.__new__(GrowthTableau)
-    object.__setattr__(t, "word", word)
-    object.__setattr__(t, "seq", seq)
-    object.__setattr__(t, "variant", variant)
-    return t
+def _check_steps(t: GrowthTableau, plan: _SweepPlan):
+    """Raise unless every border step of t is a step of its variant."""
+    v = get_variant(t.variant)
+    step_ok = _memoised(v.step_ok, (v.name, "step"), plan.small)
+    seq = t.seq
+    for i, step in enumerate(t.word):
+        prev, nxt = seq[i], seq[i + 1]
+        if not step_ok(step, prev, nxt):
+            raise ValueError(
+                f"step {i + 1} ({step}) from {prev} to {nxt} is not a valid "
+                f"{t.variant} step")
 
 
 def tableau_to_json(t: GrowthTableau) -> str:
@@ -123,14 +187,36 @@ def tableau_from_json(text: str) -> GrowthTableau:
                          data.get("variant", "standard"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowthDiagram:
+    """Corner labels of a labelled filling; ``labels`` is read-only.
+
+    The constructor checks every label and that ``row_lens`` and ``n_cols``
+    are what ``word`` traces; ``label_diagram`` builds its diagrams without
+    checking again.  ``labels`` is a view of a private dict, which the
+    growth layer reads directly: a lookup through the view costs more.
+    """
+
     word: str
     row_lens: tuple          # bottom-up, may include zero-length top rows
     n_cols: int
     variant: str
     filling: Filling
-    labels: dict = field(default_factory=dict)
+    labels: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        get_variant(self.variant)
+        plan = _sweep_plan(self.word)
+        if (tuple(self.row_lens), self.n_cols) != (plan.rows, plan.n_cols):
+            raise ValueError(
+                f"word {self.word!r} traces rows {plan.rows} and "
+                f"{plan.n_cols} columns, not {tuple(self.row_lens)} and "
+                f"{self.n_cols}")
+        labels = {xy: make_partition(p) for xy, p in self.labels.items()}
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "row_lens", plan.rows)
+        object.__setattr__(self, "labels", MappingProxyType(labels))
 
     def label(self, x: int, y: int):
         return self.labels[(x, y)]
@@ -165,27 +251,29 @@ def label_diagram(filling: Filling, variant: str = "standard",
     v = _checked_variant(filling, variant)
     shape = filling.shape
     if word is None:
-        word, rows, n_cols = shape.word, shape.rows, shape.n_cols
+        plan = _sweep_plan(shape.word, shape)
     else:
-        rows, n_cols = parse_word(word)
-        if checked_partition(rows) != shape.rows:
-            raise ValueError(
-                f"word {word!r} traces {FerrersShape(rows)}, not {shape}")
+        plan = _sweep_plan(word)
+        if plan.shape != shape:
+            raise ValueError(f"word {word!r} traces {plan.shape}, not {shape}")
 
     if bottom is None and left is None:
-        labels = dict.fromkeys(
-            [(x, 0) for x in range(n_cols + 1)]
-            + [(0, y) for y in range(1, len(rows) + 1)], EMPTY)
+        labels = plan.empty_boundary.copy()
     else:
-        labels = _boundary_labels(filling, variant, rows, n_cols, bottom, left)
-    forward = _rule(v, "forward", shape.n_cells)
+        labels = _boundary_labels(filling, variant, plan.rows, plan.n_cols,
+                                  bottom, left)
+    forward = _rule(v, "forward", plan.small)
     entries = filling.entries
-    # padding rows and columns hold no cells, so the shape's cells are
-    # exactly the cells of the padded grid
-    for c, r in shape.cells():
-        labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
-                                 labels[(c - 1, r)], entries.get((c, r), 0))
-    return GrowthDiagram(word, rows, n_cols, variant, filling, labels)
+    # column-major order; padding rows and columns hold no cells, so the
+    # shape's cells are exactly the cells of the padded grid
+    for c, height in enumerate(plan.shape.col_heights, 1):
+        for r in range(1, height + 1):
+            labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
+                                     labels[(c - 1, r)], entries.get((c, r), 0))
+    return _trusted(GrowthDiagram, word=plan.word, row_lens=plan.rows,
+                    n_cols=plan.n_cols, variant=variant, filling=filling,
+                    labels=MappingProxyType(labels), _labels=labels,
+                    _plan=plan)
 
 
 def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
@@ -229,11 +317,11 @@ def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
 def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
     """Read the labels along the right/up boundary, top-left to bottom-right.
 
-    The labels are taken as ``label_diagram`` made them, without checking
-    them again."""
-    labels = diagram.labels
-    seq = tuple(labels[pt] for pt in trace_corners(diagram.row_lens, diagram.n_cols))
-    return _trusted_tableau(diagram.word, seq, diagram.variant)
+    The labels were checked when the diagram was made, and are not checked
+    again."""
+    seq = tuple(map(diagram._labels.__getitem__, diagram._plan.corners))
+    return _trusted(GrowthTableau, word=diagram.word, seq=seq,
+                    variant=diagram.variant)
 
 
 def reconstruct(word: str, tableau, variant: str | None = None):
@@ -250,25 +338,25 @@ def reconstruct(word: str, tableau, variant: str | None = None):
         t = GrowthTableau(word, tableau.seq, variant or tableau.variant)
     else:
         t = tableau
-    t.validate_steps()
-    v = get_variant(t.variant)
-    rows, n_cols = parse_word(word)
-    shape = FerrersShape(rows)
+    plan = _sweep_plan(word)
+    _check_steps(t, plan)
+    backward = _rule(get_variant(t.variant), "backward", plan.small)
 
-    labels = dict(zip(trace_corners(rows, n_cols), t.seq))
-    backward = _rule(v, "backward", shape.n_cells)
+    labels = dict(zip(plan.corners, t.seq))
     entries = {}
     # reversed column-major order: corner (c, r-1) comes from column c+1 and
     # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r)
-    for c, r in reversed(shape.cells()):
-        rho, m = backward(labels[(c, r - 1)], labels[(c - 1, r)],
-                          labels[(c, r)])
-        labels[(c - 1, r - 1)] = rho
-        if m:
-            entries[(c, r)] = m
-    filling = Filling(shape, entries)
-    bottom = [labels[(x, 0)] for x in range(n_cols + 1)]
-    left = [labels[(0, y)] for y in range(len(rows) + 1)]
+    heights = plan.shape.col_heights
+    for c in range(len(heights), 0, -1):
+        for r in range(heights[c - 1], 0, -1):
+            rho, m = backward(labels[(c, r - 1)], labels[(c - 1, r)],
+                              labels[(c, r)])
+            labels[(c - 1, r - 1)] = rho
+            if m:
+                entries[(c, r)] = m
+    filling = Filling(plan.shape, entries)
+    bottom = [labels[(x, 0)] for x in range(plan.n_cols + 1)]
+    left = [labels[(0, y)] for y in range(len(plan.rows) + 1)]
     return filling, bottom, left
 
 
@@ -337,7 +425,7 @@ def blow_up(filling: Filling, variant: str):
 def shrink_back(fine_diagram: GrowthDiagram, row_blocks, col_blocks) -> dict:
     """Corner labels of the coarse diagram, read off a refined diagram at the
     crossings of the block boundaries."""
-    labels = fine_diagram.labels
+    labels = fine_diagram._labels
     col_base = [0, *accumulate(n for _, n in col_blocks)]
     row_base = [0, *accumulate(n for _, n in row_blocks)]
     return {(x, y): labels[(fx, fy)]

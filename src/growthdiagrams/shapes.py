@@ -10,6 +10,7 @@ right, D moves one cell down.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .partitions import conjugate, make_partition
 
@@ -55,8 +56,9 @@ class FerrersShape:
         """All cells in column-major order (col, then row, ascending)."""
         return _column_cells(self.col_heights)
 
-    @property
+    @cached_property
     def word(self) -> str:
+        """The boundary word, computed once per shape."""
         out = []
         x = 0
         for length in reversed(self.rows):
@@ -169,14 +171,3 @@ class StackPolyomino:
 
 def stack_from_text(text: str) -> StackPolyomino:
     return StackPolyomino(tuple(int(x) for x in text.strip().split(",")))
-
-
-def rectangle_in_shape(shape, lo_col: int, lo_row: int, hi_col: int, hi_row: int) -> bool:
-    """True if every cell of the axis-parallel rectangle (lo <= hi) lies in
-    the shape.
-
-    Ferrers shapes and stack polyominoes are both bottom-justified columns,
-    so the rectangle fits when every column it spans reaches ``hi_row``.
-    """
-    return lo_col >= 1 and lo_row >= 1 and all(
-        shape.col_height(c) >= hi_row for c in range(lo_col, hi_col + 1))

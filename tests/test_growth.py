@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from growthdiagrams import growth
 from growthdiagrams.enumeration import all_fillings, all_shapes
 from growthdiagrams.fillings import ARBITRARY, PARTIAL_PERMUTATION, Filling
-from growthdiagrams.growth import (GrowthTableau, blow_up, border_tableau,
-                                   growth_tableau,
+from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
+                                   border_tableau, growth_tableau,
                                    label_diagram, reconstruct, shrink_back,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
@@ -122,29 +123,45 @@ def sweep_entries(f, labels, variant):
     return out
 
 
+def round_trip(f, variant):
+    """Labels, border tableau and recovered filling of f, and the filling
+    its conjugated tableau reconstructs."""
+    d = label_diagram(f, variant)
+    t = border_tableau(d)
+    f2, bottom, left = reconstruct(t.word, t, variant)
+    assert all(p == () for p in bottom + left)
+    return dict(d.labels), t, f2, reconstruct(t.word, t.conjugate())[0]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_round_trip_small_exhaustive(variant, monkeypatch):
+def test_round_trip_small_exhaustive(variant):
     """Every filling of up to 6 cells: labelling and reconstruction, which
-    go through the rule memo at this size, agree with direct calls of the
-    rules, and the round trip is the identity."""
-    monkeypatch.setattr(growth, "_MEMO", {})
+    go through the memo at this size, agree with direct calls of the rules,
+    the round trip is the identity, and a warm memo gives what an empty one
+    gave."""
     cls = get_variant(variant).filling_class
     max_n = 3 if cls == "arbitrary" else None
-    for shape in all_shapes(6):
-        for _, f in all_fillings(shape, cls, max_n):
-            d = label_diagram(f, variant)
-            assert d.labels == sweep_labels(f, variant)
-            t = border_tableau(d)
-            f2, bottom, left = reconstruct(t.word, t, variant)
-            assert f2 == f
-            assert f2.entries == sweep_entries(f, d.labels, variant)
-            assert all(p == () for p in bottom + left)
+    fillings = [f for shape in all_shapes(6)
+                for _, f in all_fillings(shape, cls, max_n)]
+    cold = []
+    for f in fillings:
+        growth._MEMO.clear()
+        out = round_trip(f, variant)
+        labels, _, f2, _ = out
+        assert labels == sweep_labels(f, variant)
+        assert f2 == f
+        assert f2.entries == sweep_entries(f, labels, variant)
+        cold.append(out)
     assert growth._MEMO
+    for f, out in zip(fillings, cold):
+        # the memo as the fillings before left it, then holding this one too
+        assert round_trip(f, variant) == out
+        assert round_trip(f, variant) == out
+    assert len(growth._MEMO) < growth.MEMO_MAX_ENTRIES
 
 
-def test_memo_stores_no_exception(monkeypatch):
-    monkeypatch.setattr(growth, "_MEMO", {})
-    forward = growth._rule(get_variant("standard"), "forward", 1)
+def test_memo_stores_no_exception():
+    forward = growth._rule(get_variant("standard"), "forward", True)
     for _ in range(2):
         with pytest.raises(ValueError, match="nu/rho"):
             forward((), (1,), (2,), 0)
@@ -153,8 +170,7 @@ def test_memo_stores_no_exception(monkeypatch):
     assert len(growth._MEMO) == 1
 
 
-def test_memo_stops_at_its_cap(monkeypatch):
-    monkeypatch.setattr(growth, "_MEMO", {})
+def test_memo_stops_at_its_cap():
     rng = random.Random(5)
     shape = FerrersShape((8,) * 8)
     assert shape.n_cells <= growth.MEMO_MAX_CELLS
@@ -169,14 +185,93 @@ def test_memo_stops_at_its_cap(monkeypatch):
     assert len(growth._MEMO) == growth.MEMO_MAX_ENTRIES
 
 
-def test_memo_skips_large_diagrams(monkeypatch):
-    monkeypatch.setattr(growth, "_MEMO", {})
+def test_memo_skips_large_diagrams():
     shape = FerrersShape((13,) * 5)
     assert shape.n_cells > growth.MEMO_MAX_CELLS
     f = Filling(shape, {(1, 1): 2, (4, 3): 1, (13, 5): 1})
     t = growth_tableau(f, "rsk")
     assert reconstruct(t.word, t)[0] == f
+    # the checking constructor, a padded word, the step checks and the
+    # conjugates store nothing either
+    assert reconstruct(t.word, list(t.seq), "rsk")[0] == f
+    assert growth_tableau(f, "rsk", "D" + t.word).seq[1:] == t.seq
+    t.validate_steps()
+    reconstruct(t.word, t.conjugate())
     assert growth._MEMO == {}
+
+
+def test_memo_keeps_every_kind_under_its_cap(monkeypatch):
+    fillings = [f for shape in all_shapes(5)
+                for _, f in all_fillings(shape, ARBITRARY, 2)]
+    monkeypatch.setattr(growth, "MEMO_MAX_ENTRIES", 0)
+    plain = [round_trip(f, "rsk") for f in fillings]
+    assert growth._MEMO == {}
+    monkeypatch.setattr(growth, "MEMO_MAX_ENTRIES", 64)
+    assert [round_trip(f, "rsk") for f in fillings] == plain
+    assert len(growth._MEMO) == 64
+    kinds = {key[0] if key[0] in ("sweep", "conjugate") else key[1]
+             for key in growth._MEMO}
+    assert kinds == {"sweep", "forward", "backward", "step", "conjugate"}
+
+
+def test_plans_are_stored_for_decoded_words_only():
+    f = Filling(FerrersShape((2, 1)), {(1, 1): 1})
+    key = ("sweep", "RDRD")
+    t = growth_tableau(f)
+    assert key not in growth._MEMO
+    assert reconstruct(t.word, t)[0] == f
+    assert label_diagram(f)._plan is growth._MEMO[key]
+
+
+def test_malformed_word_is_never_stored():
+    f = Filling(FerrersShape((1,)), {(1, 1): 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="only contain D and R"):
+            GrowthTableau("RX", ((), (1,), ()))
+        with pytest.raises(ValueError, match="only contain D and R"):
+            reconstruct("RXD", [(), (1,), (), ()])
+        with pytest.raises(ValueError, match="only contain D and R"):
+            label_diagram(f, word="RXD")
+        with pytest.raises(ValueError, match="only contain D and R"):
+            GrowthDiagram("RX", (1,), 1, "standard", f)
+        # a well-formed word of another shape is kept, and still refused
+        with pytest.raises(ValueError, match="traces RRD"):
+            label_diagram(f, word="RRDD")
+    assert list(growth._MEMO) == [("sweep", "RRDD")]
+
+
+def test_bad_step_rejected_on_every_call():
+    bad = GrowthTableau("RD", ((), (1, 1, 1), ()), "standard")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="step 1 "):
+            bad.validate_steps()
+        with pytest.raises(ValueError, match="step 1 "):
+            reconstruct(bad.word, bad)
+    assert growth._MEMO[("standard", "step", "R", (), (1, 1, 1))] is False
+    # a step that one variant allows is still refused by a variant that
+    # does not
+    GrowthTableau("RD", ((), (2,), ()), "rsk").validate_steps()
+    with pytest.raises(ValueError, match="not a valid standard step"):
+        GrowthTableau("RD", ((), (2,), ()), "standard").validate_steps()
+
+
+def test_growth_diagram_is_read_only_and_checked():
+    f = Filling(FerrersShape((1,)), {})
+    d = label_diagram(f)
+    with pytest.raises(TypeError):
+        d.labels[(1, 1)] = (1, 2)
+    with pytest.raises(FrozenInstanceError):
+        d.labels = {}
+    labels = dict(d.labels)
+    built = GrowthDiagram("RD", [1], 1, "standard", f, labels)
+    assert built == d and built.labels == labels
+    assert border_tableau(built) == border_tableau(d)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        GrowthDiagram("RD", (1,), 1, "standard", f, {**labels, (1, 1): (1, 2)})
+    with pytest.raises(ValueError, match="traces rows"):
+        GrowthDiagram("RD", (2,), 2, "standard", f, labels)
+    with pytest.raises(ValueError, match="unknown variant"):
+        GrowthDiagram("RD", (1,), 1, "bogus", f, labels)
 
 
 def test_reconstruct_checks_outside_tableaux():
@@ -238,18 +333,29 @@ def padded_fillings(draw, variant):
     return Filling(shape, entries), word
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_padded_word_round_trip_property(variant, data):
-    f, word = data.draw(padded_fillings(variant))
-    f2, bottom, left = reconstruct(word, growth_tableau(f, variant, word),
-                                   variant)
+def padded_round_trip(f, word, variant):
+    """The border tableau of f along word, after checking that it
+    reconstructs f and that the padding leaves the shape's labels alone."""
+    t = growth_tableau(f, variant, word)
+    f2, bottom, left = reconstruct(word, t, variant)
     assert f2 == f
     assert all(p == () for p in bottom + left)
     padded = label_diagram(f, variant, word)
     plain = label_diagram(f, variant)
     assert all(padded.label(*xy) == plain.label(*xy) for xy in plain.corners())
+    return t
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_padded_word_round_trip_property(variant, data):
+    f, word = data.draw(padded_fillings(variant))
+    # the memo as earlier examples left it, then holding this one, then empty
+    first = padded_round_trip(f, word, variant)
+    assert padded_round_trip(f, word, variant) == first
+    growth._MEMO.clear()
+    assert padded_round_trip(f, word, variant) == first
 
 
 @pytest.mark.parametrize("variant",

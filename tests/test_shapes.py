@@ -1,14 +1,19 @@
 import pytest
 
 from growthdiagrams.shapes import (FerrersShape, StackPolyomino, parse_word,
-                                   rectangle_in_shape, shape_from_text,
-                                   shape_from_word, stack_from_text, staircase)
+                                   shape_from_text, shape_from_word,
+                                   stack_from_text, staircase)
 
 
 def test_word_round_trip():
     shape = FerrersShape((5, 3, 3, 2, 2, 1))
+    fresh = FerrersShape((5, 3, 3, 2, 2, 1))
     assert shape.word == "RDRDDRDDRRD"
     assert shape_from_word(shape.word) == shape
+    # the word is kept once computed, outside equality, hashing and repr
+    assert shape.word is shape.word
+    assert shape == fresh and hash(shape) == hash(fresh)
+    assert repr(shape) == repr(fresh) == "FerrersShape(rows=(5, 3, 3, 2, 2, 1))"
 
 
 def test_word_normalizes_padding():
@@ -59,9 +64,3 @@ def test_stack_polyomino():
     with pytest.raises(ValueError):
         StackPolyomino((2, 1, 2))  # not unimodal
     assert stack_from_text("1,3,2") == sp
-
-
-def test_rectangle_in_shape():
-    shape = FerrersShape((3, 1))
-    assert rectangle_in_shape(shape, 1, 1, 3, 1)
-    assert not rectangle_in_shape(shape, 1, 1, 2, 2)
