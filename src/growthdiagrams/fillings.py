@@ -79,9 +79,18 @@ def filling_class(f: Filling) -> str:
 
 
 def in_class(f: Filling, cls: str) -> bool:
-    actual = filling_class(f)
-    order = [PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY]
-    return order.index(actual) <= order.index(cls)
+    """Whether f belongs to the class cls (the classes are nested)."""
+    if cls == ARBITRARY:
+        return True
+    if cls not in (ZERO_ONE, PARTIAL_PERMUTATION):
+        raise ValueError(f"unknown filling class {cls!r}")
+    entries = f.entries
+    if any(v > 1 for v in entries.values()):
+        return False
+    if cls == ZERO_ONE:
+        return True
+    return (len({c for c, _ in entries}) == len(entries)
+            == len({r for _, r in entries}))
 
 
 def transpose_filling(f: Filling) -> Filling:

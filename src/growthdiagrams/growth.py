@@ -191,10 +191,12 @@ def tableau_from_json(text: str) -> GrowthTableau:
 class GrowthDiagram:
     """Corner labels of a labelled filling; ``labels`` is read-only.
 
-    The constructor checks every label and that ``row_lens`` and ``n_cols``
-    are what ``word`` traces; ``label_diagram`` builds its diagrams without
-    checking again.  ``labels`` is a view of a private dict, which the
-    growth layer reads directly: a lookup through the view costs more.
+    The constructor checks that ``row_lens``, ``n_cols`` and the filling's
+    shape are what ``word`` traces, that ``labels`` holds exactly the
+    corners of ``corners()``, and every label; ``label_diagram`` builds its
+    diagrams without checking again.  ``labels`` is a view of a private
+    dict, which the growth layer reads directly: a lookup through the view
+    costs more.
     """
 
     word: str
@@ -212,6 +214,12 @@ class GrowthDiagram:
                 f"word {self.word!r} traces rows {plan.rows} and "
                 f"{plan.n_cols} columns, not {tuple(self.row_lens)} and "
                 f"{self.n_cols}")
+        if self.filling.shape != plan.shape:
+            raise ValueError(f"word {self.word!r} traces {plan.shape}, not "
+                             f"{self.filling.shape}")
+        if self.labels.keys() != set(self.corners()):
+            raise ValueError(f"labels must cover exactly the corners of "
+                             f"word {self.word!r}")
         labels = {xy: make_partition(p) for xy, p in self.labels.items()}
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_labels", labels)
@@ -265,11 +273,14 @@ def label_diagram(filling: Filling, variant: str = "standard",
     forward = _rule(v, "forward", plan.small)
     entries = filling.entries
     # column-major order; padding rows and columns hold no cells, so the
-    # shape's cells are exactly the cells of the padded grid
+    # shape's cells are exactly the cells of the padded grid.  Going up a
+    # column, a cell's rho and mu are the nu and lam of the cell below.
     for c, height in enumerate(plan.shape.col_heights, 1):
+        rho, mu = labels[(c - 1, 0)], labels[(c, 0)]
         for r in range(1, height + 1):
-            labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
-                                     labels[(c - 1, r)], entries.get((c, r), 0))
+            nu = labels[(c - 1, r)]
+            mu = labels[(c, r)] = forward(rho, mu, nu, entries.get((c, r), 0))
+            rho = nu
     return _trusted(GrowthDiagram, word=plan.word, row_lens=plan.rows,
                     n_cols=plan.n_cols, variant=variant, filling=filling,
                     labels=MappingProxyType(labels), _labels=labels,
@@ -345,16 +356,22 @@ def reconstruct(word: str, tableau, variant: str | None = None):
     labels = dict(zip(plan.corners, t.seq))
     entries = {}
     # reversed column-major order: corner (c, r-1) comes from column c+1 and
-    # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r)
+    # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r).
+    # Going down a column, a cell's lam and nu are the mu and rho of the
+    # cell above.
     heights = plan.shape.col_heights
     for c in range(len(heights), 0, -1):
-        for r in range(heights[c - 1], 0, -1):
-            rho, m = backward(labels[(c, r - 1)], labels[(c - 1, r)],
-                              labels[(c, r)])
+        top = heights[c - 1]
+        lam, nu = labels[(c, top)], labels[(c - 1, top)]
+        for r in range(top, 0, -1):
+            mu = labels[(c, r - 1)]
+            rho, m = backward(mu, nu, lam)
             labels[(c - 1, r - 1)] = rho
             if m:
                 entries[(c, r)] = m
-    filling = Filling(plan.shape, entries)
+            lam, nu = mu, rho
+    # the backward rules only write positive int entries into the shape
+    filling = _trusted(Filling, shape=plan.shape, entries=entries)
     bottom = [labels[(x, 0)] for x in range(plan.n_cols + 1)]
     left = [labels[(0, y)] for y in range(len(plan.rows) + 1)]
     return filling, bottom, left

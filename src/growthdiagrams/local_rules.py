@@ -22,7 +22,11 @@ recovers (rho, m) from (mu, nu, lam).  Five rule sets are provided:
 The carry-based rules operate on one part index at a time, exactly as in
 their defining descriptions, rather than through bumping.  Each walks its
 corner labels in step, padded with zeros to a common length once the frame
-checks have passed.
+checks have passed.  Before that walk, a frame in which only one side grows
+returns at once, still after the frame checks: forward, an empty cell with
+rho = mu gives lam = nu and one with rho = nu gives lam = mu; backward,
+lam = nu gives (rho, m) = (mu, 0) and lam = mu gives (nu, 0).  On large
+sparse fillings most frames are of this kind.
 """
 
 from dataclasses import dataclass
@@ -99,6 +103,16 @@ def _padded(p, n):
     return p + (0,) * (n - len(p))
 
 
+def _other_side(corner, mu, nu):
+    """In a frame whose corner equals mu or nu, the other one of the two
+    (nu or mu); None when it equals neither."""
+    if corner == mu:
+        return checked_partition(nu)
+    if corner == nu:
+        return checked_partition(mu)
+    return None
+
+
 def forward_rsk(rho, mu, nu, m):
     """Carry rule with horizontal strips in both directions."""
     if m < 0:
@@ -107,6 +121,8 @@ def forward_rsk(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
     if not is_horizontal_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
+    if not m and (lam := _other_side(rho, mu, nu)) is not None:
+        return lam
     # the carry left below the longer of mu and nu fills one more row
     n = max(len(mu), len(nu)) + 1
     lam = []
@@ -124,6 +140,8 @@ def backward_rsk(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
     if not is_horizontal_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
+    if (rho := _other_side(lam, mu, nu)) is not None:
+        return rho, 0
     n = len(lam)
     rho = []
     carry = 0
@@ -176,6 +194,8 @@ def forward_dual_rsk(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
     if not is_vertical_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
+    if not m and (lam := _other_side(rho, mu, nu)) is not None:
+        return lam
     return _forward_dual_carry(rho, mu, nu, m)
 
 
@@ -184,6 +204,8 @@ def backward_dual_rsk(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
     if not is_horizontal_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
+    if (rho := _other_side(lam, mu, nu)) is not None:
+        return rho, 0
     return _backward_dual_carry(mu, nu, lam)
 
 
@@ -195,6 +217,8 @@ def forward_rsk_prime(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
     if not is_horizontal_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
+    if not m and (lam := _other_side(rho, mu, nu)) is not None:
+        return lam
     return _forward_dual_carry(rho, nu, mu, m)
 
 
@@ -203,6 +227,8 @@ def backward_rsk_prime(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
     if not is_vertical_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
+    if (rho := _other_side(lam, mu, nu)) is not None:
+        return rho, 0
     return _backward_dual_carry(nu, mu, lam)
 
 
@@ -214,6 +240,8 @@ def forward_dual_rsk_prime(rho, mu, nu, m):
         raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
     if not is_vertical_strip(nu, rho):
         raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
+    if not m and (lam := _other_side(rho, mu, nu)) is not None:
+        return lam
     n = max(len(mu), len(nu))
     lam = []
     carry = m
@@ -234,6 +262,8 @@ def backward_dual_rsk_prime(mu, nu, lam):
         raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
     if not is_vertical_strip(lam, nu):
         raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
+    if (rho := _other_side(lam, mu, nu)) is not None:
+        return rho, 0
     n = len(lam)
     rho = []
     carry = 0

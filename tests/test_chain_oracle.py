@@ -3,8 +3,8 @@
 The oracle lists every chain in the cell order, keeps those whose
 bounding box fits, and takes the largest value.  It reads a spec's code,
 length mode and rectangle flag only, and tests a step and a box with its
-own helpers, so a fault in `ChainSpec.step_ok` or `rectangle_in_shape`
-shows up here as a mismatch.
+own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
+`longest_chain` shows up here as a mismatch.
 """
 
 from hypothesis import given, settings

@@ -1,5 +1,6 @@
 import pytest
 
+from growthdiagrams.enumeration import all_fillings, all_shapes
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
                                      ChainSpec, Filling, InstanceTooLarge,
                                      chain_spec, filling_class,
@@ -33,6 +34,19 @@ def test_filling_class():
     assert filling_class(make((2, 2), {(1, 1): 2})) == ARBITRARY
     assert in_class(make((2, 2), {}), PARTIAL_PERMUTATION)
     assert not in_class(make((2, 2), {(1, 1): 2}), ZERO_ONE)
+
+
+def test_in_class_agrees_with_the_class_order():
+    order = [PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY]
+    fillings = [f for shape in all_shapes(5)
+                for _, f in all_fillings(shape, ARBITRARY, 3)]
+    for f in fillings:
+        rank = order.index(filling_class(f))
+        for cls in order:
+            assert in_class(f, cls) == (rank <= order.index(cls)), (f, cls)
+    assert {filling_class(f) for f in fillings} == set(order)
+    with pytest.raises(ValueError, match="unknown filling class"):
+        in_class(fillings[0], "rook")
 
 
 def test_json_round_trip():

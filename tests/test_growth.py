@@ -2,18 +2,20 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import growth
-from growthdiagrams.enumeration import all_fillings, all_shapes
-from growthdiagrams.fillings import ARBITRARY, PARTIAL_PERMUTATION, Filling
+from growthdiagrams.enumeration import GREENE_SPECS, all_fillings, all_shapes
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
+                                     longest_chain)
 from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    border_tableau, growth_tableau,
                                    label_diagram, reconstruct, shrink_back,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
+from growthdiagrams.partitions import part
 from growthdiagrams.shapes import FerrersShape, parse_word
 
 
@@ -272,6 +274,17 @@ def test_growth_diagram_is_read_only_and_checked():
         GrowthDiagram("RD", (2,), 2, "standard", f, labels)
     with pytest.raises(ValueError, match="unknown variant"):
         GrowthDiagram("RD", (1,), 1, "bogus", f, labels)
+    # the labels cover exactly the corners, and the filling fits the word
+    with pytest.raises(ValueError, match="exactly the corners"):
+        GrowthDiagram("RD", (1,), 1, "standard", f, {})
+    with pytest.raises(ValueError, match="exactly the corners"):
+        GrowthDiagram("RD", (1,), 1, "standard", f, {**labels, (2, 2): ()})
+    del labels[(1, 1)]
+    with pytest.raises(ValueError, match="exactly the corners"):
+        GrowthDiagram("RD", (1,), 1, "standard", f, labels)
+    with pytest.raises(ValueError, match="traces RD, not RDRD"):
+        GrowthDiagram("RD", (1,), 1, "standard",
+                      Filling(FerrersShape((2, 1)), {}), dict(d.labels))
 
 
 def test_reconstruct_checks_outside_tableaux():
@@ -319,18 +332,24 @@ def padded_fillings(draw, variant):
     cells = shape.cells()
     values = draw(st.lists(st.integers(0, 2 if cls == ARBITRARY else 1),
                            min_size=len(cells), max_size=len(cells)))
-    entries = {cell: v for cell, v in zip(cells, values) if v}
+    entries = keep_in_class({cell: v for cell, v in zip(cells, values) if v},
+                            cls)
+    word = ("D" * draw(st.integers(0, 3)) + shape.word
+            + "R" * draw(st.integers(0, 3)))
+    return Filling(shape, entries), word
+
+
+def keep_in_class(entries, cls):
+    """entries, with only the first cross of every row and column kept for
+    partial permutations."""
     if cls == PARTIAL_PERMUTATION:
-        # keep the first cross of every row and column
         used_cols, used_rows = set(), set()
         for c, r in list(entries):
             if c in used_cols or r in used_rows:
                 del entries[(c, r)]
             used_cols.add(c)
             used_rows.add(r)
-    word = ("D" * draw(st.integers(0, 3)) + shape.word
-            + "R" * draw(st.integers(0, 3)))
-    return Filling(shape, entries), word
+    return entries
 
 
 def padded_round_trip(f, word, variant):
@@ -356,6 +375,46 @@ def test_padded_word_round_trip_property(variant, data):
     assert padded_round_trip(f, word, variant) == first
     growth._MEMO.clear()
     assert padded_round_trip(f, word, variant) == first
+
+
+@st.composite
+def large_fillings(draw, variant):
+    """A filling of a Ferrers shape of 65 to 200 cells, past the memo, in
+    the variant's class: at most 24 nonzero entries, each at most 3."""
+    rows = sorted(draw(st.lists(st.integers(1, 20), min_size=5, max_size=15)),
+                  reverse=True)
+    assume(growth.MEMO_MAX_CELLS < sum(rows) <= 200)
+    shape = FerrersShape(tuple(rows))
+    cls = get_variant(variant).filling_class
+    cells = draw(st.lists(st.sampled_from(shape.cells()), max_size=24,
+                          unique=True))
+    values = draw(st.lists(st.integers(1, 3 if cls == ARBITRARY else 1),
+                           min_size=len(cells), max_size=len(cells)))
+    return Filling(shape, keep_in_class(dict(zip(cells, values)), cls))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_large_round_trip_and_greene_property(variant, data):
+    """Past the memo: the round trip is the identity, and at every corner
+    the label's first part and length are the longest chains of the
+    variant's Greene pair in the corner's rectangle (Greene at k = 1)."""
+    f = data.draw(large_fillings(variant))
+    d = label_diagram(f, variant)
+    assert dict(d.labels) == sweep_labels(f, variant)
+    t = border_tableau(d)
+    f2, bottom, left = reconstruct(t.word, t, variant)
+    assert f2 == f
+    assert all(p == () for p in bottom + left)
+    assert growth._MEMO == {}
+    spec_up, spec_down = GREENE_SPECS[variant]
+    for (x, y), lam in d.labels.items():
+        box = Filling(FerrersShape((x,) * y),
+                      {(c, r): v for (c, r), v in f.entries.items()
+                       if c <= x and r <= y})
+        assert part(lam, 1) == longest_chain(box, spec_up)
+        assert len(lam) == longest_chain(box, spec_down)
 
 
 @pytest.mark.parametrize("variant",
