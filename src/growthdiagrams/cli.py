@@ -39,27 +39,46 @@ def _read_maybe_file(text: str) -> str:
 
 def _parse_filling(args) -> Filling:
     if args.filling is not None:
+        for flag, value in (("--shape", args.shape), ("--cells", args.cells)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply with --filling")
         return filling_from_json(_read_maybe_file(args.filling))
     if args.shape is None or args.cells is None:
         raise ValueError("need either --filling or both --shape and --cells")
     shape = shape_from_text(args.shape)
     entries = {}
     for item in args.cells.split():
-        nums = [int(x) for x in item.split(",")]
-        if len(nums) == 2:
-            c, r, v = nums[0], nums[1], 1
-        else:
-            c, r, v = nums
+        try:
+            nums = [int(x) for x in item.split(",")]
+        except ValueError:
+            nums = ()
+        if len(nums) not in (2, 3):
+            raise ValueError(f"--cells takes entries c,r[,v] of integers, "
+                             f"not {item!r}")
+        c, r, v = nums if len(nums) == 3 else (*nums, 1)
+        if (c, r) in entries:
+            raise ValueError(f"--cells gives cell {c},{r} twice")
         entries[(c, r)] = v
     return Filling(shape, entries)
 
 
 def _parse_tableau(args) -> GrowthTableau:
+    """The tableau of --tableau.  A JSON tableau carries its own word and
+    variant, which --word and --variant may repeat but not contradict; a
+    comma list takes them from --word (required) and --variant."""
     text = _read_maybe_file(args.tableau)
     if text.lstrip().startswith("{"):
-        return tableau_from_json(text)
+        t = tableau_from_json(text)
+        for flag, given, own in (("--word", args.word, t.word),
+                                 ("--variant", args.variant, t.variant)):
+            if given not in (None, own):
+                raise ValueError(f"{flag} {given} contradicts the tableau's "
+                                 f"{flag[2:]} {own}")
+        return t
+    if args.word is None:
+        raise ValueError("--word is required with a comma-list --tableau")
     seq = tuple(parse_partition(p) for p in text.replace(",", " ").split())
-    return GrowthTableau(args.word, seq, args.variant)
+    return GrowthTableau(args.word, seq, args.variant or "standard")
 
 
 def _seq_str(seq) -> str:
@@ -85,7 +104,7 @@ def cmd_map(args) -> int:
 
 def cmd_inverse(args) -> int:
     t = _parse_tableau(args)
-    filling, bottom, left = reconstruct(args.word, t, args.variant)
+    filling, bottom, left = reconstruct(t.word, t)
     if args.format == "json":
         print(json.dumps({
             "filling": json.loads(filling_to_json(filling)),
@@ -240,6 +259,8 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.theorem is not None and args.jonsson is not None:
+        raise ValueError("give --theorem or --jonsson, not both")
     if args.jonsson is not None:
         target, params = "--jonsson", ("s",)
     else:
@@ -298,6 +319,8 @@ def cmd_greene(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.stack is not None and args.shape is not None:
+        raise ValueError("give --stack or --shape, not both")
     if args.stack is not None:
         shape = stack_from_text(args.stack)
     else:
@@ -317,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "chain statistics, and exhaustive verifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_variant(p):
-        p.add_argument("--variant", choices=VARIANTS, default="standard")
+    def add_variant(p, default="standard"):
+        p.add_argument("--variant", choices=VARIANTS, default=default)
 
     def add_filling_inputs(p):
         p.add_argument("--filling", help="filling as JSON, @file, or - for stdin")
@@ -336,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("inverse", help="border tableau -> filling")
-    add_variant(p)
-    p.add_argument("--word", required=True)
+    add_variant(p, default=None)
+    p.add_argument("--word", help="reading word (required with a comma list)")
     p.add_argument("--tableau", required=True,
-                   help="comma list of compact partitions, JSON, or @file")
+                   help="comma list of compact partitions (with --word and "
+                        "--variant, default standard), JSON, or @file")
     add_format(p)
     p.set_defaults(func=cmd_inverse)
 

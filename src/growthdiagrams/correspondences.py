@@ -407,6 +407,12 @@ def oscillating_to_matching(t: GrowthTableau) -> Matching:
 # ---------------------------------------------------------------------------
 # statistic-swapping bijections
 
+# the forward variant of each mode of swap_chain_statistics
+_SWAP_FORWARD = {"standard": "standard", "nes1": "rsk",
+                 "nes1-inverse": "dual-rsk-prime", "nes2": "dual-rsk",
+                 "nes2-inverse": "rsk-prime"}
+
+
 def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
     """Map a filling to one with the up-chain and down-chain statistics
     exchanged, by conjugating every border label.
@@ -418,10 +424,10 @@ def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
       with the rsk-prime rules;
     * ``nes1-inverse`` / ``nes2-inverse``: the inverse directions.
     """
-    forward = {"standard": "standard", "nes1": "rsk",
-               "nes1-inverse": "dual-rsk-prime", "nes2": "dual-rsk",
-               "nes2-inverse": "rsk-prime"}
-    t = growth_tableau(f, forward[mode])
+    if mode not in _SWAP_FORWARD:
+        raise ValueError(f"unknown mode {mode!r}; choose from "
+                         f"{tuple(_SWAP_FORWARD)}")
+    t = growth_tableau(f, _SWAP_FORWARD[mode])
     # the conjugated tableau carries the backward variant
     back, bottom, left = reconstruct(t.word, t.conjugate())
     if any(p != EMPTY for p in bottom + left):

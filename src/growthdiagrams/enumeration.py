@@ -503,8 +503,8 @@ def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
     statistics of the corresponding rectangular region of the filling."""
     if not ks or min(ks) < 1:
         raise ValueError(f"k must be at least 1, got ks={tuple(ks)}")
+    diagram = label_diagram(f, variant)     # rejects an unknown variant
     spec_up, spec_down = GREENE_SPECS[variant]
-    diagram = label_diagram(f, variant)
     for (x, y) in diagram.corners():
         lam = diagram.label(x, y)
         lam_c = conjugate(lam)

@@ -19,14 +19,18 @@ recovers (rho, m) from (mu, nu, lam).  Five rule sets are provided:
 * ``rsk-prime``      -- 0/1 entries, the reflection of dual-rsk;
 * ``dual-rsk-prime`` -- arbitrary entries, vertical strips both ways.
 
-The carry-based rules operate on one part index at a time, exactly as in
-their defining descriptions, rather than through bumping.  Each walks its
-corner labels in step, padded with zeros to a common length once the frame
-checks have passed.  Before that walk, a frame in which only one side grows
-returns at once, still after the frame checks: forward, an empty cell with
-rho = mu gives lam = nu and one with rho = nu gives lam = mu; backward,
-lam = nu gives (rho, m) = (mu, 0) and lam = mu gives (nu, 0).  On large
-sparse fillings most frames are of this kind.
+Every variant's rules share one checked frame, built from its row of
+``VARIANT_TABLE``: the entry is checked against the filling class (0 or 1
+for the two 0/1 classes, nonnegative for arbitrary fillings) and the frame
+against the row's step kinds (mu/rho and lam/nu are right steps, nu/rho
+and lam/mu down steps).  Then a frame in which only one side grows returns
+at once: forward, an empty cell with rho = mu gives lam = nu and one with
+rho = nu gives lam = mu; backward, lam = nu gives (rho, m) = (mu, 0) and
+lam = mu gives (nu, 0).  On large sparse fillings most frames are of this
+kind.  Only the other frames reach the variant's own carry.  The carry
+rules operate on one part index at a time, exactly as in their defining
+descriptions, rather than through bumping; each walks its corner labels in
+step, padded with zeros to a common length.
 """
 
 from dataclasses import dataclass
@@ -44,49 +48,35 @@ def _small_step(bigger, smaller):
     return bigger == smaller or differs_by_one_square(bigger, smaller)
 
 
-def _check_small_step(bigger, smaller, who):
-    if not _small_step(bigger, smaller):
-        raise ValueError(f"{who}: {bigger} / {smaller} is not a step of <= 1 square")
+# step kinds: the test of a step, called as test(outer, inner), and what a
+# step that fails it is not
+_STEP_TESTS = {"1": _small_step, "H": is_horizontal_strip,
+               "V": is_vertical_strip}
+_STEP_NAMES = {"1": "a step of <= 1 square", "H": "a horizontal strip",
+               "V": "a vertical strip"}
 
 
-def forward_standard(rho, mu, nu, m):
-    """Forward rule for partial permutation fillings.
+def _padded(p, n):
+    """The parts of p followed by zeros, n in all (n >= len(p))."""
+    return p + (0,) * (n - len(p))
 
-    The six defining cases are mutually exclusive; the frame conditions
-    (mu and nu each contain rho and exceed it by at most one square, and a
-    cross forces rho = mu = nu) are checked eagerly.
-    """
-    if m not in (0, 1):
-        raise ValueError(f"standard rules need a 0/1 entry, got {m}")
-    _check_small_step(mu, rho, "mu/rho")
-    _check_small_step(nu, rho, "nu/rho")
+
+# The carries.  Each gets a checked frame that is not a pass-through one:
+# forward, m > 0 or rho differs from both mu and nu; backward, lam differs
+# from both mu and nu.
+
+def _forward_standard_carry(rho, mu, nu, m):
     if m:
         if not (rho == mu == nu):
             raise ValueError("cross in a cell whose corners are not all equal")
         return add_square_in_row(rho, 1)
-    if rho == mu == nu:
-        return rho
-    if rho == mu != nu:
-        return nu
-    if rho == nu != mu:
-        return mu
     if mu != nu:
         return union(mu, nu)
     # rho != mu = nu: both grew in the same row k; push to row k + 1
-    k = diff_row(mu, rho)
-    return add_square_in_row(mu, k + 1)
+    return add_square_in_row(mu, diff_row(mu, rho) + 1)
 
 
-def backward_standard(mu, nu, lam):
-    """Inverse of the standard forward rule: returns (rho, m)."""
-    _check_small_step(lam, mu, "lam/mu")
-    _check_small_step(lam, nu, "lam/nu")
-    if lam == mu == nu:
-        return lam, 0
-    if lam == mu != nu:
-        return nu, 0
-    if lam == nu != mu:
-        return mu, 0
+def _backward_standard_carry(mu, nu, lam):
     if mu != nu:
         return intersect(mu, nu), 0
     # mu = nu, both strictly below lam
@@ -98,31 +88,7 @@ def backward_standard(mu, nu, lam):
     return checked_partition(parts), 0
 
 
-def _padded(p, n):
-    """The parts of p followed by zeros, n in all (n >= len(p))."""
-    return p + (0,) * (n - len(p))
-
-
-def _other_side(corner, mu, nu):
-    """In a frame whose corner equals mu or nu, the other one of the two
-    (nu or mu); None when it equals neither."""
-    if corner == mu:
-        return checked_partition(nu)
-    if corner == nu:
-        return checked_partition(mu)
-    return None
-
-
-def forward_rsk(rho, mu, nu, m):
-    """Carry rule with horizontal strips in both directions."""
-    if m < 0:
-        raise ValueError("negative entry")
-    if not is_horizontal_strip(mu, rho):
-        raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
-    if not is_horizontal_strip(nu, rho):
-        raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
-    if not m and (lam := _other_side(rho, mu, nu)) is not None:
-        return lam
+def _forward_rsk_carry(rho, mu, nu, m):
     # the carry left below the longer of mu and nu fills one more row
     n = max(len(mu), len(nu)) + 1
     lam = []
@@ -135,13 +101,7 @@ def forward_rsk(rho, mu, nu, m):
     return checked_partition(lam)
 
 
-def backward_rsk(mu, nu, lam):
-    if not is_horizontal_strip(lam, mu):
-        raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
-    if not is_horizontal_strip(lam, nu):
-        raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
-    if (rho := _other_side(lam, mu, nu)) is not None:
-        return rho, 0
+def _backward_rsk_carry(mu, nu, lam):
     n = len(lam)
     rho = []
     carry = 0
@@ -156,7 +116,7 @@ def backward_rsk(mu, nu, lam):
 
 
 def _forward_dual_carry(rho, mu, nu, m):
-    """lam for a checked dual-rsk frame (mu/rho horizontal, nu/rho vertical)."""
+    """The dual-rsk carry: mu/rho horizontal, nu/rho vertical."""
     n = max(len(mu), len(nu)) + 1
     lam = []
     carry = m
@@ -170,8 +130,7 @@ def _forward_dual_carry(rho, mu, nu, m):
 
 
 def _backward_dual_carry(mu, nu, lam):
-    """(rho, m) for a checked dual-rsk frame (lam/mu vertical, lam/nu
-    horizontal)."""
+    """The dual-rsk carry: lam/mu vertical, lam/nu horizontal."""
     n = len(lam)
     rho = []
     carry = 0
@@ -186,62 +145,7 @@ def _backward_dual_carry(mu, nu, lam):
     return checked_partition(rho), carry
 
 
-def forward_dual_rsk(rho, mu, nu, m):
-    """Carry rule: horizontal strips rightward, vertical strips downward."""
-    if m not in (0, 1):
-        raise ValueError(f"dual rules need a 0/1 entry, got {m}")
-    if not is_horizontal_strip(mu, rho):
-        raise ValueError(f"mu/rho = {mu}/{rho} not a horizontal strip")
-    if not is_vertical_strip(nu, rho):
-        raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
-    if not m and (lam := _other_side(rho, mu, nu)) is not None:
-        return lam
-    return _forward_dual_carry(rho, mu, nu, m)
-
-
-def backward_dual_rsk(mu, nu, lam):
-    if not is_vertical_strip(lam, mu):
-        raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
-    if not is_horizontal_strip(lam, nu):
-        raise ValueError(f"lam/nu = {lam}/{nu} not a horizontal strip")
-    if (rho := _other_side(lam, mu, nu)) is not None:
-        return rho, 0
-    return _backward_dual_carry(mu, nu, lam)
-
-
-def forward_rsk_prime(rho, mu, nu, m):
-    """Reflection of the dual rule in the diagonal: mu and nu swap roles."""
-    if m not in (0, 1):
-        raise ValueError(f"dual rules need a 0/1 entry, got {m}")
-    if not is_vertical_strip(mu, rho):
-        raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
-    if not is_horizontal_strip(nu, rho):
-        raise ValueError(f"nu/rho = {nu}/{rho} not a horizontal strip")
-    if not m and (lam := _other_side(rho, mu, nu)) is not None:
-        return lam
-    return _forward_dual_carry(rho, nu, mu, m)
-
-
-def backward_rsk_prime(mu, nu, lam):
-    if not is_horizontal_strip(lam, mu):
-        raise ValueError(f"lam/mu = {lam}/{mu} not a horizontal strip")
-    if not is_vertical_strip(lam, nu):
-        raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
-    if (rho := _other_side(lam, mu, nu)) is not None:
-        return rho, 0
-    return _backward_dual_carry(nu, mu, lam)
-
-
-def forward_dual_rsk_prime(rho, mu, nu, m):
-    """Carry rule with vertical strips in both directions."""
-    if m < 0:
-        raise ValueError("negative entry")
-    if not is_vertical_strip(mu, rho):
-        raise ValueError(f"mu/rho = {mu}/{rho} not a vertical strip")
-    if not is_vertical_strip(nu, rho):
-        raise ValueError(f"nu/rho = {nu}/{rho} not a vertical strip")
-    if not m and (lam := _other_side(rho, mu, nu)) is not None:
-        return lam
+def _forward_dual_rsk_prime_carry(rho, mu, nu, m):
     n = max(len(mu), len(nu))
     lam = []
     carry = m
@@ -257,13 +161,7 @@ def forward_dual_rsk_prime(rho, mu, nu, m):
     return checked_partition(lam)
 
 
-def backward_dual_rsk_prime(mu, nu, lam):
-    if not is_vertical_strip(lam, mu):
-        raise ValueError(f"lam/mu = {lam}/{mu} not a vertical strip")
-    if not is_vertical_strip(lam, nu):
-        raise ValueError(f"lam/nu = {lam}/{nu} not a vertical strip")
-    if (rho := _other_side(lam, mu, nu)) is not None:
-        return rho, 0
+def _backward_dual_rsk_prime_carry(mu, nu, lam):
     n = len(lam)
     rho = []
     carry = 0
@@ -276,11 +174,6 @@ def backward_dual_rsk_prime(mu, nu, lam):
         carry += c - a - used
     rho.reverse()
     return checked_partition(rho), carry
-
-
-# border step tests by strip kind, each called as test(outer, inner)
-_STEP_TESTS = {"1": _small_step, "H": is_horizontal_strip,
-               "V": is_vertical_strip}
 
 
 @dataclass(frozen=True)
@@ -309,19 +202,71 @@ class Variant:
         return _STEP_TESTS[self.down](prev, nxt)
 
 
-VARIANT_TABLE = {
-    "standard": Variant("standard", forward_standard, backward_standard,
-                        PARTIAL_PERMUTATION, "1", "1", "standard"),
-    "rsk": Variant("rsk", forward_rsk, backward_rsk, ARBITRARY,
-                   "H", "H", "dual-rsk-prime"),
-    "dual-rsk": Variant("dual-rsk", forward_dual_rsk, backward_dual_rsk,
-                        ZERO_ONE, "H", "V", "rsk-prime"),
-    "rsk-prime": Variant("rsk-prime", forward_rsk_prime, backward_rsk_prime,
-                         ZERO_ONE, "V", "H", "dual-rsk"),
-    "dual-rsk-prime": Variant("dual-rsk-prime", forward_dual_rsk_prime,
-                              backward_dual_rsk_prime, ARBITRARY,
-                              "V", "V", "rsk"),
-}
+def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
+    """The variant whose rules check the entry against ``filling_class``
+    and the frame against the step kinds ``right`` and ``down``, pass a
+    label through when only one side grows, and otherwise run ``carries``
+    (the forward and the backward carry)."""
+    zero_one = filling_class != ARBITRARY
+    entry = "a 0/1" if zero_one else "a nonnegative"
+    right_ok, down_ok = _STEP_TESTS[right], _STEP_TESTS[down]
+    right_name, down_name = _STEP_NAMES[right], _STEP_NAMES[down]
+    forward_carry, backward_carry = carries
+
+    def forward(rho, mu, nu, m):
+        if (m not in (0, 1)) if zero_one else m < 0:
+            raise ValueError(f"{name} rules need {entry} entry, got {m}")
+        if not right_ok(mu, rho):
+            raise ValueError(f"mu/rho = {mu}/{rho} is not {right_name}")
+        if not down_ok(nu, rho):
+            raise ValueError(f"nu/rho = {nu}/{rho} is not {down_name}")
+        if not m:
+            if rho == mu:
+                return checked_partition(nu)
+            if rho == nu:
+                return checked_partition(mu)
+        return forward_carry(rho, mu, nu, m)
+
+    def backward(mu, nu, lam):
+        if not down_ok(lam, mu):
+            raise ValueError(f"lam/mu = {lam}/{mu} is not {down_name}")
+        if not right_ok(lam, nu):
+            raise ValueError(f"lam/nu = {lam}/{nu} is not {right_name}")
+        if lam == mu:
+            return checked_partition(nu), 0
+        if lam == nu:
+            return checked_partition(mu), 0
+        return backward_carry(mu, nu, lam)
+
+    return Variant(name, forward, backward, filling_class, right, down,
+                   conjugate)
+
+
+VARIANT_TABLE = {v.name: v for v in (
+    _variant("standard", PARTIAL_PERMUTATION, "1", "1", "standard",
+             (_forward_standard_carry, _backward_standard_carry)),
+    _variant("rsk", ARBITRARY, "H", "H", "dual-rsk-prime",
+             (_forward_rsk_carry, _backward_rsk_carry)),
+    _variant("dual-rsk", ZERO_ONE, "H", "V", "rsk-prime",
+             (_forward_dual_carry, _backward_dual_carry)),
+    # the reflection of dual-rsk in the diagonal: mu and nu swap roles
+    _variant("rsk-prime", ZERO_ONE, "V", "H", "dual-rsk",
+             (lambda rho, mu, nu, m: _forward_dual_carry(rho, nu, mu, m),
+              lambda mu, nu, lam: _backward_dual_carry(nu, mu, lam))),
+    _variant("dual-rsk-prime", ARBITRARY, "V", "V", "rsk",
+             (_forward_dual_rsk_prime_carry, _backward_dual_rsk_prime_carry)),
+)}
+
+forward_standard = VARIANT_TABLE["standard"].forward
+backward_standard = VARIANT_TABLE["standard"].backward
+forward_rsk = VARIANT_TABLE["rsk"].forward
+backward_rsk = VARIANT_TABLE["rsk"].backward
+forward_dual_rsk = VARIANT_TABLE["dual-rsk"].forward
+backward_dual_rsk = VARIANT_TABLE["dual-rsk"].backward
+forward_rsk_prime = VARIANT_TABLE["rsk-prime"].forward
+backward_rsk_prime = VARIANT_TABLE["rsk-prime"].backward
+forward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].forward
+backward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].backward
 
 
 def get_variant(name: str) -> Variant:

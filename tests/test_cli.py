@@ -52,6 +52,34 @@ def test_map_json_and_inverse_round_trip(capsys):
     assert all(p == [] for p in back["bottom"] + back["left"])
 
 
+ARBITRARY_CELLS = ("1,1,2 2,2 1,2,3", {(1, 1): 2, (2, 2): 1, (1, 2): 3})
+ZERO_ONE_CELLS = ("1,1 2,1 1,2", {(1, 1): 1, (2, 1): 1, (1, 2): 1})
+
+
+@pytest.mark.parametrize("variant, cells, want", [
+    ("standard", "1,1 2,2", {(1, 1): 1, (2, 2): 1}),
+    ("rsk", *ARBITRARY_CELLS),
+    ("dual-rsk", *ZERO_ONE_CELLS),
+    ("rsk-prime", *ZERO_ONE_CELLS),
+    ("dual-rsk-prime", *ARBITRARY_CELLS),
+])
+def test_map_json_replays_through_inverse(capsys, variant, cells, want):
+    """A JSON tableau carries its own word and variant into inverse."""
+    code, out, _ = run(capsys, "map", "--shape", "2,2", "--cells", cells,
+                       "--variant", variant, "--word", "RRDD",
+                       "--format", "json")
+    assert code == 0
+    tableau = out.strip()
+    assert json.loads(tableau)["variant"] == variant
+    for extra in ((), ("--word", "RRDD"), ("--variant", variant)):
+        code, out, _ = run(capsys, "inverse", "--tableau", tableau,
+                           "--format", "json", *extra)
+        assert code == 0
+        back = json.loads(out)
+        assert {(c, r): v for c, r, v in back["filling"]["entries"]} == want
+        assert all(p == [] for p in back["bottom"] + back["left"])
+
+
 def test_map_rejects_filling_outside_class(capsys):
     code, _, err = run(capsys, "map", "--shape", "2,2",
                        "--cells", "1,1,2", "--variant", "standard")
@@ -138,6 +166,9 @@ def test_bad_budget_exits_2(capsys, monkeypatch):
     assert err == "error: GROWTH_BUDGET must be a positive integer, got 'abc'\n"
 
 
+RSK_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []], "variant": "rsk"}'
+
+
 @pytest.mark.parametrize("argv, message", [
     (("map", "--filling", "{}"), "a filling is a JSON object"),
     (("map", "--filling", "[1, 2]"), "a filling is a JSON object"),
@@ -167,12 +198,40 @@ def test_bad_budget_exits_2(capsys, monkeypatch):
     (("verify", "--theorem", "T4", "--max-n", "-1"),
      "max_n must be at least 0"),
     (("verify", "--theorem", "T2", "--max-cells", "0"), "no shape to check"),
+    (("verify", "--theorem", "T4", "--jonsson", "1,3,2"),
+     "give --theorem or --jonsson, not both"),
+    (("explore", "--stack", "1,2", "--shape", "2,1"),
+     "give --stack or --shape, not both"),
+    (("map", "--filling", '{"shape": "RD", "entries": []}', "--shape", "1"),
+     "--shape does not apply with --filling"),
+    (("map", "--filling", '{"shape": "RD", "entries": []}', "--cells", "1,1"),
+     "--cells does not apply with --filling"),
+    (("greene", "--filling", '{"shape": "RD", "entries": []}', "--shape", "1",
+      "--cells", "1,1"), "--shape does not apply with --filling"),
+    (("map", "--shape", "2,2", "--cells", "1"),
+     "--cells takes entries c,r[,v] of integers, not '1'"),
+    (("map", "--shape", "2,2", "--cells", "1,1,1,1"),
+     "--cells takes entries c,r[,v] of integers, not '1,1,1,1'"),
+    (("map", "--shape", "2,2", "--cells", "1,x"),
+     "--cells takes entries c,r[,v] of integers, not '1,x'"),
+    (("map", "--shape", "2,2", "--cells", "1,1 2,2 1,1,0"),
+     "--cells gives cell 1,1 twice"),
+    (("inverse", "--tableau", "e,1,e"),
+     "--word is required with a comma-list --tableau"),
+    (("inverse", "--tableau", RSK_TABLEAU, "--variant", "dual-rsk"),
+     "--variant dual-rsk contradicts the tableau's variant rsk"),
+    (("inverse", "--tableau", RSK_TABLEAU, "--word", "RDRD"),
+     "--word RDRD contradicts the tableau's word RRDD"),
 ], ids=["filling-no-keys", "filling-not-object", "filling-short-entry",
         "tableau-no-word", "tableau-seq-not-list", "max-n-for-T2",
         "max-cells-for-jonsson", "s-for-T4", "one-chain-code",
         "three-chain-codes", "jonsson-negative-s", "jonsson-zero-s",
         "greene-zero-k", "count-negative-max-n", "explore-negative-max-n",
-        "T4-negative-max-n", "T2-no-shapes"])
+        "T4-negative-max-n", "T2-no-shapes", "theorem-and-jonsson",
+        "stack-and-shape", "filling-and-shape", "filling-and-cells",
+        "greene-filling-and-shape", "cells-one-number", "cells-four-numbers",
+        "cells-not-integer", "cells-twice", "comma-tableau-no-word",
+        "json-tableau-other-variant", "json-tableau-other-word"])
 def test_malformed_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

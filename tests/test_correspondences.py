@@ -197,6 +197,16 @@ def test_swap_chain_statistics_routes_invert():
     assert swap_chain_statistics(w, "nes2-inverse") == z
 
 
+def test_swap_chain_statistics_rejects_unknown_mode():
+    from growthdiagrams.correspondences import swap_chain_statistics
+    from growthdiagrams.fillings import Filling
+    from growthdiagrams.shapes import FerrersShape
+    f = Filling(FerrersShape((1,)), {})
+    with pytest.raises(ValueError, match=r"unknown mode 'nope'; choose from "
+                                         r"\('standard', 'nes1'"):
+        swap_chain_statistics(f, "nope")
+
+
 def test_conjugate_matching():
     for m in all_matchings(3):
         c = conjugate_matching(m)

@@ -202,6 +202,13 @@ def test_check_greene_small():
     assert check_greene(g, "rsk").passed is True
 
 
+def test_check_greene_rejects_unknown_variant():
+    f = Filling(FerrersShape((1,)), {})
+    with pytest.raises(ValueError, match=r"unknown variant 'nope'; choose "
+                                         r"from \('standard', 'rsk'"):
+        check_greene(f, "nope")
+
+
 def test_greene_oracle_agrees_on_one_rsk_corner():
     # spot check the corner label sums directly
     from growthdiagrams.growth import label_diagram
