@@ -65,10 +65,12 @@ def _parse_filling(args) -> Filling:
 def _parse_tableau(args) -> GrowthTableau:
     """The tableau of --tableau.  A JSON tableau carries its own word and
     variant, which --word and --variant may repeat but not contradict; a
-    comma list takes them from --word (required) and --variant."""
+    comma list takes them from --word (required) and --variant, and so does
+    a JSON tableau that names no variant."""
     text = _read_maybe_file(args.tableau)
+    variant = args.variant or "standard"
     if text.lstrip().startswith("{"):
-        t = tableau_from_json(text)
+        t = tableau_from_json(text, variant)
         for flag, given, own in (("--word", args.word, t.word),
                                  ("--variant", args.variant, t.variant)):
             if given not in (None, own):
@@ -78,7 +80,7 @@ def _parse_tableau(args) -> GrowthTableau:
     if args.word is None:
         raise ValueError("--word is required with a comma-list --tableau")
     seq = tuple(parse_partition(p) for p in text.replace(",", " ").split())
-    return GrowthTableau(args.word, seq, args.variant or "standard")
+    return GrowthTableau(args.word, seq, variant)
 
 
 def _seq_str(seq) -> str:

@@ -29,12 +29,14 @@ EMPTY = ()
 # Small diagrams repeat themselves: few shapes, few frames, few labels.  So
 # for a reading word of at most MEMO_MAX_CELLS cells the growth layer keeps
 # in one memo, keyed by kind, the sweep plan of a decoded word ("sweep",
-# word), the local rules (variant, "forward"/"backward", *frame), the border
-# step checks (variant, "step", step, prev, nxt) and label conjugates
-# ("conjugate", p).  It holds only results of calls that returned, so every
-# distinct input goes once through the full checked code, and it stops
-# growing at MEMO_MAX_ENTRIES.  Larger diagrams rarely repeat a frame and
-# bypass it.
+# word), the local rules (variant, "forward"/"backward", *frame), the step
+# checks of border steps and of the edges the sweeps check themselves
+# (variant, "step", step, prev, nxt) and label conjugates ("conjugate", p).
+# The sweeps pass labels through themselves, so a frame that only passes a
+# label through never reaches the rules or the memo.  The memo holds only
+# results of calls that returned, so every distinct input goes once through
+# the full checked code, and it stops growing at MEMO_MAX_ENTRIES.  Larger
+# diagrams rarely repeat a frame and bypass it.
 # The rules in local_rules.VARIANT_TABLE stay uncached.
 MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
@@ -61,6 +63,11 @@ def _rule(v, direction: str, small: bool):
     """The variant's forward or backward rule, through the memo for a small
     diagram."""
     return _memoised(getattr(v, direction), (v.name, direction), small)
+
+
+def _step_ok(v, small: bool):
+    """The variant's step check, through the memo for a small diagram."""
+    return _memoised(v.step_ok, (v.name, "step"), small)
 
 
 def trace_corners(rows, n_cols: int):
@@ -140,6 +147,7 @@ class GrowthTableau:
     variant: str = "standard"
 
     def __post_init__(self):
+        get_variant(self.variant)
         _sweep_plan(self.word)
         object.__setattr__(self, "seq", tuple(make_partition(p) for p in self.seq))
         if len(self.seq) != len(self.word) + 1:
@@ -148,7 +156,8 @@ class GrowthTableau:
                 f"got {len(self.seq)}")
 
     def validate_steps(self):
-        _check_steps(self, _sweep_plan(self.word))
+        _check_steps(self, _step_ok(get_variant(self.variant),
+                                    _sweep_plan(self.word).small))
 
     def conjugate(self) -> "GrowthTableau":
         conj = _memoised(conjugate, ("conjugate",),
@@ -158,10 +167,9 @@ class GrowthTableau:
                         variant=get_variant(self.variant).conjugate)
 
 
-def _check_steps(t: GrowthTableau, plan: _SweepPlan):
-    """Raise unless every border step of t is a step of its variant."""
-    v = get_variant(t.variant)
-    step_ok = _memoised(v.step_ok, (v.name, "step"), plan.small)
+def _check_steps(t: GrowthTableau, step_ok):
+    """Raise unless every border step of t passes ``step_ok``, the step
+    check of its variant."""
     seq = t.seq
     for i, step in enumerate(t.word):
         prev, nxt = seq[i], seq[i + 1]
@@ -176,7 +184,9 @@ def tableau_to_json(t: GrowthTableau) -> str:
                        "variant": t.variant})
 
 
-def tableau_from_json(text: str) -> GrowthTableau:
+def tableau_from_json(text: str, variant: str = "standard") -> GrowthTableau:
+    """The tableau of a JSON object; one that names no variant is read with
+    ``variant``."""
     data = json.loads(text)
     if not (isinstance(data, dict) and isinstance(data.get("word"), str)
             and int_lists(data.get("seq"))
@@ -184,7 +194,7 @@ def tableau_from_json(text: str) -> GrowthTableau:
         raise ValueError('a growth tableau is a JSON object {"word": "<D/R '
                          'word>", "seq": [[parts], ...], "variant": "<name>"}')
     return GrowthTableau(data["word"], tuple(tuple(p) for p in data["seq"]),
-                         data.get("variant", "standard"))
+                         data.get("variant", variant))
 
 
 @dataclass(frozen=True)
@@ -271,15 +281,35 @@ def label_diagram(filling: Filling, variant: str = "standard",
         labels = _boundary_labels(filling, variant, plan.rows, plan.n_cols,
                                   bottom, left)
     forward = _rule(v, "forward", plan.small)
+    step_ok = _step_ok(v, plan.small)
     entries = filling.entries
     # column-major order; padding rows and columns hold no cells, so the
     # shape's cells are exactly the cells of the padded grid.  Going up a
     # column, a cell's rho and mu are the nu and lam of the cell below.
+    # An empty cell with rho = mu (lam = nu) or rho = nu (lam = mu) passes
+    # its label through here: it checks the one edge it copies, unless that
+    # edge is verified, and both its new edges are then verified too.
+    # left_ok[r] flags the left edge of row r, below_ok the bottom edge of
+    # the cell; the left and bottom boundaries start verified, as
+    # _boundary_labels checked them.  Any other frame goes through the full
+    # rule, and leaves its new edges to the next cell that sees them.
+    left_ok = [True] * (len(plan.rows) + 1)
     for c, height in enumerate(plan.shape.col_heights, 1):
         rho, mu = labels[(c - 1, 0)], labels[(c, 0)]
+        below_ok = True
         for r in range(1, height + 1):
             nu = labels[(c - 1, r)]
-            mu = labels[(c, r)] = forward(rho, mu, nu, entries.get((c, r), 0))
+            m = entries.get((c, r), 0)
+            if not m and rho == mu and (left_ok[r] or step_ok("D", nu, rho)):
+                mu = nu
+                left_ok[r] = below_ok = True
+            elif not m and rho == nu and (below_ok or step_ok("R", rho, mu)):
+                left_ok[r] = below_ok = True
+            else:
+                mu = forward(rho, mu, nu, m)
+                left_ok[r] = below_ok = False
+            # mu now holds lam, the mu of the cell above
+            labels[(c, r)] = mu
             rho = nu
     return _trusted(GrowthDiagram, word=plan.word, row_lens=plan.rows,
                     n_cols=plan.n_cols, variant=variant, filling=filling,
@@ -289,7 +319,8 @@ def label_diagram(filling: Filling, variant: str = "standard",
 
 def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
     """The checked labels of the bottom and left corners, given explicitly
-    (a missing side is all empty)."""
+    (a missing side is all empty).  The sweep takes their edges as checked
+    here, and does not check them again."""
     shape = filling.shape
     bottom = [EMPTY] * (n_cols + 1) if bottom is None else list(bottom)
     left = [EMPTY] * (len(rows) + 1) if left is None else list(left)
@@ -350,26 +381,43 @@ def reconstruct(word: str, tableau, variant: str | None = None):
     else:
         t = tableau
     plan = _sweep_plan(word)
-    _check_steps(t, plan)
-    backward = _rule(get_variant(t.variant), "backward", plan.small)
+    v = get_variant(t.variant)
+    step_ok = _step_ok(v, plan.small)
+    _check_steps(t, step_ok)
+    backward = _rule(v, "backward", plan.small)
 
     labels = dict(zip(plan.corners, t.seq))
     entries = {}
     # reversed column-major order: corner (c, r-1) comes from column c+1 and
     # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r).
     # Going down a column, a cell's lam and nu are the mu and rho of the
-    # cell above.
+    # cell above.  As in label_diagram, a cell with lam = mu (rho = nu) or
+    # lam = nu (rho = mu) passes its label through here, checking the edge
+    # it copies unless that edge is verified.  right_ok[r] flags the right
+    # edge of row r, above_ok the top edge of the cell; the border edges (the
+    # top of each column, and its right edges above the next column) start
+    # verified, as _check_steps checked them.
+    right_ok = [True] * (len(plan.rows) + 1)
     heights = plan.shape.col_heights
     for c in range(len(heights), 0, -1):
         top = heights[c - 1]
         lam, nu = labels[(c, top)], labels[(c - 1, top)]
+        above_ok = True
         for r in range(top, 0, -1):
             mu = labels[(c, r - 1)]
-            rho, m = backward(mu, nu, lam)
-            labels[(c - 1, r - 1)] = rho
-            if m:
-                entries[(c, r)] = m
-            lam, nu = mu, rho
+            if lam == mu and (above_ok or step_ok("R", nu, lam)):
+                right_ok[r] = above_ok = True
+            elif lam == nu and (right_ok[r] or step_ok("D", lam, mu)):
+                nu = mu
+                right_ok[r] = above_ok = True
+            else:
+                nu, m = backward(mu, nu, lam)
+                if m:
+                    entries[(c, r)] = m
+                right_ok[r] = above_ok = False
+            # nu now holds rho, the nu of the cell below
+            labels[(c - 1, r - 1)] = nu
+            lam = mu
     # the backward rules only write positive int entries into the shape
     filling = _trusted(Filling, shape=plan.shape, entries=entries)
     bottom = [labels[(x, 0)] for x in range(plan.n_cols + 1)]

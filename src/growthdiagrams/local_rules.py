@@ -26,11 +26,12 @@ against the row's step kinds (mu/rho and lam/nu are right steps, nu/rho
 and lam/mu down steps).  Then a frame in which only one side grows returns
 at once: forward, an empty cell with rho = mu gives lam = nu and one with
 rho = nu gives lam = mu; backward, lam = nu gives (rho, m) = (mu, 0) and
-lam = mu gives (nu, 0).  On large sparse fillings most frames are of this
-kind.  Only the other frames reach the variant's own carry.  The carry
-rules operate on one part index at a time, exactly as in their defining
-descriptions, rather than through bumping; each walks its corner labels in
-step, padded with zeros to a common length.
+lam = mu gives (nu, 0).  This short cut serves direct callers of the
+rules: the sweeps of ``growth`` pass labels through themselves and check
+each edge of a diagram once.  Only the other frames reach the variant's
+own carry.  The carry rules operate on one part index at a time, exactly
+as in their defining descriptions, rather than through bumping; each walks
+its corner labels in step, padded with zeros to a common length.
 """
 
 from dataclasses import dataclass

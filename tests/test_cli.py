@@ -80,6 +80,27 @@ def test_map_json_replays_through_inverse(capsys, variant, cells, want):
         assert all(p == [] for p in back["bottom"] + back["left"])
 
 
+UNNAMED_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []]}'
+
+
+def test_json_tableau_without_variant_takes_the_flag(capsys):
+    """A JSON tableau that names no variant is read with --variant, and
+    with standard when there is none, as a comma list is."""
+    code, out, _ = run(capsys, "inverse", "--variant", "rsk",
+                       "--tableau", UNNAMED_TABLEAU, "--format", "json")
+    assert code == 0
+    entries = json.loads(out)["filling"]["entries"]
+    assert sorted(map(tuple, entries)) == [(1, 1, 2), (2, 2, 1)]
+    code, out, err = run(capsys, "inverse", "--tableau", UNNAMED_TABLEAU)
+    assert code == 2
+    assert err == ("error: step 1 (R) from () to (2,) is not a valid "
+                   "standard step\n")
+    code, out, _ = run(capsys, "inverse", "--format", "json", "--tableau",
+                       '{"word": "RD", "seq": [[], [1], []]}')
+    assert code == 0
+    assert json.loads(out)["filling"]["entries"] == [[1, 1, 1]]
+
+
 def test_map_rejects_filling_outside_class(capsys):
     code, _, err = run(capsys, "map", "--shape", "2,2",
                        "--cells", "1,1,2", "--variant", "standard")

@@ -1,11 +1,12 @@
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import growth
+from growthdiagrams import growth, local_rules
 from growthdiagrams.enumeration import GREENE_SPECS, all_fillings, all_shapes
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
                                      longest_chain)
@@ -15,7 +16,7 @@ from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
-from growthdiagrams.partitions import part
+from growthdiagrams.partitions import add_square_in_row, part
 from growthdiagrams.shapes import FerrersShape, parse_word
 
 
@@ -39,6 +40,17 @@ def test_tableau_validation():
 def test_tableau_json_round_trip():
     t = GrowthTableau("RRDD", ((), (1,), (2,), (1,), ()), "rsk")
     assert tableau_from_json(tableau_to_json(t)) == t
+    # a tableau that names no variant takes the one given
+    unnamed = '{"word": "RRDD", "seq": [[], [1], [2], [1], []]}'
+    assert tableau_from_json(unnamed, "rsk") == t
+    assert tableau_from_json(unnamed).variant == "standard"
+
+
+def test_tableau_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        GrowthTableau("RD", ((), (1,), ()), "nope")
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        tableau_from_json('{"word": "RD", "seq": [[], [1], []]}', "nope")
 
 
 def test_conjugate_swaps_variant():
@@ -83,6 +95,18 @@ def test_boundary_change_under_occupied_column_rejected():
         label_diagram(f, bottom=[(), (1,), (1,)])
 
 
+def test_boundary_labels_must_be_steps():
+    """The sweeps take the boundary edges as checked, so the boundary check
+    is the only one they get."""
+    f = Filling(FerrersShape((2, 2)), {})
+    with pytest.raises(ValueError, match="bottom labels at 0,1 differ by more"):
+        label_diagram(f, bottom=[(), (2,), (2,)])
+    with pytest.raises(ValueError, match="left labels at 1,2 differ by more"):
+        label_diagram(f, left=[(), (), (1, 1)])
+    with pytest.raises(ValueError, match="bottom labels at 0,1 differ by more"):
+        label_diagram(f, bottom=[(1,), (), ()], left=[(1,), (1,), (1,)])
+
+
 def test_nontrivial_boundary_needs_standard():
     shape = FerrersShape((2,))
     f = Filling(shape, {})
@@ -98,13 +122,16 @@ def test_wrong_class_rejected():
         label_diagram(f, "dual-rsk")
 
 
-def sweep_labels(f, variant):
+def sweep_labels(f, variant, bottom=None, left=None):
     """Corner labels from the variant's forward rule, called directly on
-    every cell, row by row."""
+    every cell, row by row, from the given bottom and left labels (empty by
+    default)."""
     forward = get_variant(variant).forward
     rows = f.shape.rows
-    labels = {(x, 0): () for x in range(f.shape.n_cols + 1)}
-    labels.update({(0, y): () for y in range(len(rows) + 1)})
+    bottom = bottom or [()] * (f.shape.n_cols + 1)
+    left = left or [()] * (len(rows) + 1)
+    labels = {(x, 0): p for x, p in enumerate(bottom)}
+    labels.update({(0, y): p for y, p in enumerate(left)})
     for r, length in enumerate(rows, 1):
         for c in range(1, length + 1):
             labels[(c, r)] = forward(labels[(c - 1, r - 1)], labels[(c, r - 1)],
@@ -172,19 +199,100 @@ def test_memo_stores_no_exception():
     assert len(growth._MEMO) == 1
 
 
+def is_pass_through(rho, mu, nu, m):
+    """Whether label_diagram passes the frame's label through itself."""
+    return not m and (rho == mu or rho == nu)
+
+
 def test_memo_stops_at_its_cap():
     rng = random.Random(5)
     shape = FerrersShape((8,) * 8)
     assert shape.n_cells <= growth.MEMO_MAX_CELLS
+    # only the frames that reach the rules can fill the memo
     frames = set()
     while len(frames) <= growth.MEMO_MAX_ENTRIES:
         f = Filling(shape, {cell: rng.randint(0, 3) for cell in shape.cells()})
         d = label_diagram(f, "rsk")
         assert d.labels == sweep_labels(f, "rsk")
-        frames.update((d.labels[(c - 1, r - 1)], d.labels[(c, r - 1)],
-                       d.labels[(c - 1, r)], f.entry(c, r))
-                      for c, r in shape.cells())
+        frames.update(frame for frame in (
+            (d.labels[(c - 1, r - 1)], d.labels[(c, r - 1)],
+             d.labels[(c - 1, r)], f.entry(c, r)) for c, r in shape.cells())
+            if not is_pass_through(*frame))
     assert len(growth._MEMO) == growth.MEMO_MAX_ENTRIES
+
+
+def test_memo_holds_no_pass_through_frame():
+    """The sweeps pass labels through themselves, so after a warm pass the
+    memo holds only frames that needed a rule."""
+    for variant in VARIANTS:
+        cls = get_variant(variant).filling_class
+        for shape in all_shapes(5):
+            for _, f in all_fillings(shape, cls, 2):
+                round_trip(f, variant)
+                round_trip(f, variant)
+    forward = [key[2:] for key in growth._MEMO if key[1:2] == ("forward",)]
+    backward = [key[2:] for key in growth._MEMO if key[1:2] == ("backward",)]
+    assert forward and backward
+    assert not any(is_pass_through(*frame) for frame in forward)
+    assert not any(lam in (mu, nu) for mu, nu, lam in backward)
+
+
+def corrupt_rsk(monkeypatch):
+    """Give rsk carries whose labels are no step from their neighbours: a
+    forward lam with a 2x2 block more than the carry's, a backward rho with
+    a first part longer than lam's, so that it fits in neither mu nor nu."""
+    def forward_carry(rho, mu, nu, m):
+        lam = local_rules._forward_rsk_carry(rho, mu, nu, m)
+        return (lam[0] + 2, lam[0] + 2) + lam[1:]
+
+    def backward_carry(mu, nu, lam):
+        _, m = local_rules._backward_rsk_carry(mu, nu, lam)
+        return (lam[0] + 1,), m
+
+    monkeypatch.setitem(local_rules.VARIANT_TABLE, "rsk", local_rules._variant(
+        "rsk", ARBITRARY, "H", "H", "dual-rsk-prime",
+        (forward_carry, backward_carry)))
+    # forget what the real rules gave
+    growth._MEMO.clear()
+
+
+# A line of cells (a column or a row) and, for each sweep, the entries in
+# the order the sweep meets them, with the error of the cell after the
+# first entry: that cell (above or to the right going forward, below or to
+# the left going back) is the first to see the label of the corrupted
+# carry.  It passes a label through in the first two cases and holds an
+# entry in the last two.
+_CORRUPTED = [
+    ("column", {(1, 1): 1}, "mu/rho = (3, 3)/() is not",
+     {(1, 2): 1}, "lam/nu = ()/(2,) is not"),
+    ("row", {(1, 1): 1}, "nu/rho = (3, 3)/() is not",
+     {(2, 1): 1}, "lam/mu = ()/(2,) is not"),
+    ("column", {(1, 1): 1, (1, 2): 1}, "mu/rho = (3, 3)/() is not",
+     {(1, 2): 1, (1, 1): 1}, "lam/nu = (1,)/(3,) is not"),
+    ("row", {(1, 1): 1, (2, 1): 1}, "nu/rho = (3, 3)/() is not",
+     {(2, 1): 1, (1, 1): 1}, "lam/mu = (1,)/(3,) is not"),
+]
+
+
+@pytest.mark.parametrize("line, forward_entries, forward_error, "
+                         "backward_entries, backward_error", _CORRUPTED,
+                         ids=["above-passes", "right-passes", "above-carries",
+                              "right-carries"])
+@pytest.mark.parametrize("n", [2, growth.MEMO_MAX_CELLS + 6])
+def test_sweeps_check_what_a_carry_leaves(monkeypatch, n, line,
+                                          forward_entries, forward_error,
+                                          backward_entries, backward_error):
+    """The sweeps skip only edges known to be good: a label that a carry
+    got wrong is refused by the next cell that sees it, whether that cell
+    passes a label through or runs its rule, on a line of n cells, through
+    the memo or past it."""
+    shape = FerrersShape((1,) * n if line == "column" else (n,))
+    t = growth_tableau(Filling(shape, backward_entries), "rsk")
+    corrupt_rsk(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(forward_error)):
+        label_diagram(Filling(shape, forward_entries), "rsk")
+    with pytest.raises(ValueError, match=re.escape(backward_error)):
+        reconstruct(t.word, t)
 
 
 def test_memo_skips_large_diagrams():
@@ -415,6 +523,57 @@ def test_large_round_trip_and_greene_property(variant, data):
                        if c <= x and r <= y})
         assert part(lam, 1) == longest_chain(box, spec_up)
         assert len(lam) == longest_chain(box, spec_down)
+
+
+def grown_chain(draw, start, free):
+    """Labels from start, one per line, each the one before or that plus
+    one square; only a line marked free may grow it."""
+    chain = [start]
+    for line_free in free:
+        p = chain[-1]
+        if line_free and draw(st.booleans()):
+            k = draw(st.sampled_from([k for k in range(1, len(p) + 2)
+                                      if k == 1 or part(p, k - 1) > part(p, k)]))
+            p = add_square_in_row(p, k)
+        chain.append(p)
+    return chain
+
+
+@st.composite
+def bounded_fillings(draw):
+    """A partial permutation filling of a Ferrers shape of at most
+    MEMO_MAX_CELLS cells or of more (up to 200), with standard bottom and
+    left labels that start from one partition and grow by at most one
+    square per column or row, beside empty columns and rows only."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(1, 20), min_size=5, max_size=15))
+        assume(growth.MEMO_MAX_CELLS < sum(rows) <= 200)
+    else:
+        rows = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+        assume(sum(rows) <= growth.MEMO_MAX_CELLS)
+    shape = FerrersShape(tuple(sorted(rows, reverse=True)))
+    cells = draw(st.lists(st.sampled_from(shape.cells()), max_size=12,
+                          unique=True))
+    entries = keep_in_class(dict.fromkeys(cells, 1), PARTIAL_PERMUTATION)
+    start = draw(st.sampled_from([(), (1,), (2, 1), (3, 1, 1)]))
+    bottom = grown_chain(draw, start, [
+        not any(c == x for c, _ in entries) for x in range(1, shape.n_cols + 1)])
+    left = grown_chain(draw, start, [
+        not any(r == y for _, r in entries) for y in range(1, shape.n_rows + 1)])
+    return Filling(shape, entries), bottom, left
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nontrivial_boundary_property(data):
+    """Standard labels from nontrivial bottom and left labels, which the
+    sweeps take as checked edges, are those of direct rule calls, and the
+    round trip gives the filling and both boundaries back."""
+    f, bottom, left = data.draw(bounded_fillings())
+    d = label_diagram(f, bottom=bottom, left=left)
+    assert dict(d.labels) == sweep_labels(f, "standard", bottom, left)
+    t = border_tableau(d)
+    assert reconstruct(t.word, t) == (f, bottom, left)
 
 
 @pytest.mark.parametrize("variant",
