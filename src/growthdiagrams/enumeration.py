@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .correspondences import (all_matchings, all_set_partitions,
-                              conjugate_set_partition,
+from .correspondences import (all_set_partitions, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
                               enhanced_cross, enhanced_nest, min_max_blocks,
                               nest, swap_chain_statistics)
@@ -29,7 +28,8 @@ DEFAULT_HARD_WALL = 10 ** 7
 
 
 def budget_limit() -> int:
-    """The most fillings one enumeration may generate (``GROWTH_BUDGET``)."""
+    """The most fillings or set partitions one enumeration may generate
+    (``GROWTH_BUDGET``)."""
     text = os.environ.get("GROWTH_BUDGET")
     if text is None:
         return DEFAULT_HARD_WALL
@@ -181,14 +181,14 @@ def _shapes_to_check(shapes):
     return shapes
 
 
-def _metered(pairs):
-    """Pass (n, filling) pairs through, raising InstanceTooLarge once more
-    than ``budget_limit()`` fillings have been generated."""
+def _metered(items, what="fillings"):
+    """Pass items through, raising InstanceTooLarge once more than
+    ``budget_limit()`` of them have been generated."""
     wall = budget_limit()
-    for produced, pair in enumerate(pairs, 1):
+    for produced, item in enumerate(items, 1):
         if produced > wall:
-            raise InstanceTooLarge(f"more than {wall} fillings generated")
-        yield pair
+            raise InstanceTooLarge(f"more than {wall} {what} generated")
+        yield item
 
 
 def _mirror_mismatch(source, image):
@@ -354,7 +354,7 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
 def _partition_tables(n, stats, conj, refined):
     """Generic crossing/nesting symmetry check over set partitions of n."""
     counts = {}
-    for p in all_set_partitions(n):
+    for p in _metered(all_set_partitions(n), "set partitions"):
         key = min_max_blocks(p) if refined else None
         s, t = stats(p)
         counts.setdefault(key, {})
@@ -443,12 +443,6 @@ def _densest_bounded_ne(shape, s: int):
             n_max = n
             count += ne == s
     return (0, 0) if n_max is None else (n_max, count)
-
-
-def max_ones_with_bounded_ne(shape, s: int) -> int:
-    """The largest number of 1's a 0-1 filling can carry while keeping all
-    rectangle-bounded ne-chains at length <= s."""
-    return _densest_bounded_ne(shape, s)[0]
 
 
 def jonsson_check(poly: StackPolyomino, s: int) -> Report:
@@ -573,12 +567,3 @@ def catalan_number(n: int) -> int:
     for i in range(n):
         c = c * 2 * (2 * i + 1) // (i + 2)
     return c
-
-
-def count_noncrossing_matchings(n: int) -> int:
-    """Matchings of {1..2n} with no 2-crossing, counted by brute force."""
-    total = 0
-    for m in all_matchings(n):
-        if cross(m.as_set_partition()) <= 1:
-            total += 1
-    return total

@@ -69,13 +69,8 @@ class Filling:
 
 def filling_class(f: Filling) -> str:
     """The strictest of the three filling classes that f belongs to."""
-    if any(v > 1 for v in f.entries.values()):
-        return ARBITRARY
-    rows = [r for (_, r) in f.entries]
-    cols = [c for (c, _) in f.entries]
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        return PARTIAL_PERMUTATION
-    return ZERO_ONE
+    return next(cls for cls in (PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY)
+                if in_class(f, cls))
 
 
 def in_class(f: Filling, cls: str) -> bool:

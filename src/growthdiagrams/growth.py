@@ -14,60 +14,47 @@ length 2n).
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 
 from .fillings import Filling, filling_class, in_class, int_lists
 from .local_rules import get_variant
-from .partitions import conjugate, differs_by_one_square, make_partition
+from .partitions import conjugate, make_partition
 from .shapes import FerrersShape, parse_word
 
 EMPTY = ()
 
 
 # Small diagrams repeat themselves: few shapes, few frames, few labels.  So
-# for a reading word of at most MEMO_MAX_CELLS cells the growth layer keeps
-# in one memo, keyed by kind, the sweep plan of a decoded word ("sweep",
-# word), the local rules (variant, "forward"/"backward", *frame), the step
-# checks of border steps and of the edges the sweeps check themselves
-# (variant, "step", step, prev, nxt) and label conjugates ("conjugate", p).
-# The sweeps pass labels through themselves, so a frame that only passes a
-# label through never reaches the rules or the memo.  The memo holds only
-# results of calls that returned, so every distinct input goes once through
-# the full checked code, and it stops growing at MEMO_MAX_ENTRIES.  Larger
-# diagrams rarely repeat a frame and bypass it.
+# for a reading word of at most MEMO_MAX_CELLS cells the growth layer
+# memoises each variant's local rules and step checks (_small_rules), label
+# conjugates and the sweep plans of decoded words (_PLANS).  The sweeps pass
+# labels through themselves, so a frame that only passes a label through
+# never reaches a rule or its cache.  lru_cache stores no exception, so
+# every distinct input goes once through the full checked code; each cache
+# and _PLANS hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely
+# repeat a frame and bypass them all.
 # The rules in local_rules.VARIANT_TABLE stay uncached.
 MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
-_MEMO = {}
+_PLANS = {}
+_small_conjugate = lru_cache(MEMO_MAX_ENTRIES)(conjugate)
 
 
-def _memoised(fn, tag: tuple, small: bool):
-    """``fn`` through the memo under keys ``tag + args`` when ``small``."""
-    if not small:
-        return fn
-
-    def call(*args):
-        key = tag + args
-        out = _MEMO.get(key)
-        if out is None:
-            out = fn(*args)
-            if len(_MEMO) < MEMO_MAX_ENTRIES:
-                _MEMO[key] = out
-        return out
-    return call
+@lru_cache(maxsize=None)
+def _small_rules(v):
+    """The forward rule, backward rule and step check of variant ``v``,
+    memoised for small diagrams.  Keyed by the variant object, of which
+    VARIANT_TABLE holds one per variant, so a replaced row gets caches of
+    its own."""
+    memo = lru_cache(MEMO_MAX_ENTRIES)
+    return memo(v.forward), memo(v.backward), memo(v.step_ok)
 
 
-def _rule(v, direction: str, small: bool):
-    """The variant's forward or backward rule, through the memo for a small
-    diagram."""
-    return _memoised(getattr(v, direction), (v.name, direction), small)
-
-
-def _step_ok(v, small: bool):
-    """The variant's step check, through the memo for a small diagram."""
-    return _memoised(v.step_ok, (v.name, "step"), small)
+def _rules(v, small: bool):
+    """(forward, backward, step_ok) of ``v``, memoised for a small diagram."""
+    return _small_rules(v) if small else (v.forward, v.backward, v.step_ok)
 
 
 def trace_corners(rows, n_cols: int):
@@ -110,22 +97,21 @@ class _SweepPlan:
 
 
 def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
-    """The plan of a reading word, from the memo for a small one.  ``shape``
+    """The plan of a reading word, from _PLANS for a small one.  ``shape``
     may be given when ``word`` is its own word, and is then used as is.
 
     Only a plan decoded from the word is stored.  One made from a given
     shape decodes nothing, so storing it would save little, and such shapes
     (refined ones from ``blow_up``, say) often recur too rarely to pay for
     their memory."""
-    key = ("sweep", word)
-    plan = _MEMO.get(key)
+    plan = _PLANS.get(word)
     if plan is None and shape is not None:
         plan = _SweepPlan(word, shape.rows, shape.n_cols)
         plan.shape = shape
     elif plan is None:
         plan = _SweepPlan(word, *parse_word(word))
-        if plan.small and len(_MEMO) < MEMO_MAX_ENTRIES:
-            _MEMO[key] = plan
+        if plan.small and len(_PLANS) < MEMO_MAX_ENTRIES:
+            _PLANS[word] = plan
     return plan
 
 
@@ -156,12 +142,11 @@ class GrowthTableau:
                 f"got {len(self.seq)}")
 
     def validate_steps(self):
-        _check_steps(self, _step_ok(get_variant(self.variant),
-                                    _sweep_plan(self.word).small))
+        _check_steps(self, _rules(get_variant(self.variant),
+                                  _sweep_plan(self.word).small)[2])
 
     def conjugate(self) -> "GrowthTableau":
-        conj = _memoised(conjugate, ("conjugate",),
-                         _sweep_plan(self.word).small)
+        conj = _small_conjugate if _sweep_plan(self.word).small else conjugate
         return _trusted(GrowthTableau, word=self.word,
                         seq=tuple(map(conj, self.seq)),
                         variant=get_variant(self.variant).conjugate)
@@ -280,8 +265,7 @@ def label_diagram(filling: Filling, variant: str = "standard",
     else:
         labels = _boundary_labels(filling, variant, plan.rows, plan.n_cols,
                                   bottom, left)
-    forward = _rule(v, "forward", plan.small)
-    step_ok = _step_ok(v, plan.small)
+    forward, _, step_ok = _rules(v, plan.small)
     entries = filling.entries
     # column-major order; padding rows and columns hold no cells, so the
     # shape's cells are exactly the cells of the padded grid.  Going up a
@@ -334,9 +318,10 @@ def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
     if nontrivial and variant != "standard":
         raise ValueError("nontrivial boundary labels need the standard rules")
 
+    step_ok = get_variant("standard").step_ok
     for x in range(1, n_cols + 1):
         prev, cur = bottom[x - 1], bottom[x]
-        if not (prev == cur or differs_by_one_square(cur, prev)):
+        if not step_ok("R", prev, cur):
             raise ValueError(f"bottom labels at {x - 1},{x} differ by more "
                              "than one square")
         if prev != cur and any(filling.entry(x, r)
@@ -344,7 +329,7 @@ def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
             raise ValueError(f"bottom labels change under occupied column {x}")
     for y in range(1, len(rows) + 1):
         prev, cur = left[y - 1], left[y]
-        if not (prev == cur or differs_by_one_square(cur, prev)):
+        if not step_ok("D", cur, prev):
             raise ValueError(f"left labels at {y - 1},{y} differ by more "
                              "than one square")
         if prev != cur and any(filling.entry(c, y)
@@ -382,9 +367,8 @@ def reconstruct(word: str, tableau, variant: str | None = None):
         t = tableau
     plan = _sweep_plan(word)
     v = get_variant(t.variant)
-    step_ok = _step_ok(v, plan.small)
+    _, backward, step_ok = _rules(v, plan.small)
     _check_steps(t, step_ok)
-    backward = _rule(v, "backward", plan.small)
 
     labels = dict(zip(plan.corners, t.seq))
     entries = {}

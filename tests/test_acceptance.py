@@ -9,7 +9,6 @@ import time
 from growthdiagrams.cli import _DEMOS
 from growthdiagrams.enumeration import (all_fillings, all_shapes, bell_number,
                                         catalan_number, check_greene,
-                                        count_noncrossing_matchings,
                                         problem2_evidence, random_fillings,
                                         jonsson_check, stack_polyominoes,
                                         verify_t2, verify_t2a_nes1,
@@ -24,6 +23,8 @@ from growthdiagrams.insertion import (biword_from_filling, border_pair,
                                       transpose_tableau)
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.shapes import FerrersShape, staircase
+
+from oracles import count_noncrossing_matchings
 
 
 def report(number, ok, detail):

@@ -180,6 +180,15 @@ def test_oversize_instance_exits_3(capsys, monkeypatch, argv):
     assert err == "error: more than 5 fillings generated\n"
 
 
+@pytest.mark.parametrize("theorem", ["T4", "T5", "T6"])
+def test_set_partition_verifiers_obey_the_budget(capsys, monkeypatch, theorem):
+    # Bell(4) = 15 set partitions of {1..4}
+    monkeypatch.setenv("GROWTH_BUDGET", "10")
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--max-n", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: more than 10 set partitions generated\n"
+
+
 def test_bad_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("GROWTH_BUDGET", "abc")
     code, _, err = run(capsys, "verify", "--theorem", "T2", "--max-cells", "3")

@@ -4,13 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from growthdiagrams.enumeration import (Report, all_fillings, all_shapes,
+from growthdiagrams.enumeration import (Report, _densest_bounded_ne,
+                                        all_fillings, all_shapes,
                                         bell_number, budget_limit,
                                         catalan_number, check_greene,
-                                        count_noncrossing_matchings,
                                         count_table, generate_fillings,
                                         jonsson_check,
-                                        max_ones_with_bounded_ne,
                                         problem2_evidence, random_fillings,
                                         stack_polyominoes, symmetric_shapes,
                                         verify_t2, verify_t2a_nes1,
@@ -19,6 +18,8 @@ from growthdiagrams.enumeration import (Report, all_fillings, all_shapes,
 from growthdiagrams.fillings import (Filling, InstanceTooLarge, chain_spec,
                                      greene_oracle)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
+
+from oracles import count_noncrossing_matchings, max_ones_with_bounded_ne
 
 
 def test_report_verdicts():
@@ -176,6 +177,11 @@ def test_max_ones_with_bounded_ne():
     assert max_ones_with_bounded_ne(FerrersShape((2, 2)), 1) == 3
     assert max_ones_with_bounded_ne(FerrersShape((2, 2)), 2) == 4
     assert max_ones_with_bounded_ne(FerrersShape((2, 1)), 1) == 3
+    # the single pass of jonsson_check finds the same density
+    for shape in all_shapes(5):
+        for s in (1, 2):
+            assert (_densest_bounded_ne(shape, s)[0]
+                    == max_ones_with_bounded_ne(shape, s))
 
 
 def test_jonsson_check_sorted_shape_trivial():

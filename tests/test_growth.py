@@ -122,6 +122,28 @@ def test_wrong_class_rejected():
         label_diagram(f, "dual-rsk")
 
 
+def clear_memo():
+    """Empty every growth memo, as the autouse fixture does before each
+    test."""
+    growth._PLANS.clear()
+    growth._small_rules.cache_clear()
+    growth._small_conjugate.cache_clear()
+
+
+def memo_is_empty():
+    """Whether no plan is stored and no memoised rule, step check or
+    conjugate has been built or called."""
+    return (growth._PLANS == {}
+            and growth._small_rules.cache_info().currsize == 0
+            and growth._small_conjugate.cache_info().currsize == 0)
+
+
+def small_caches(variant):
+    """The memoised forward rule, backward rule and step check of a
+    variant."""
+    return growth._small_rules(get_variant(variant))
+
+
 def sweep_labels(f, variant, bottom=None, left=None):
     """Corner labels from the variant's forward rule, called directly on
     every cell, row by row, from the given bottom and left labels (empty by
@@ -174,29 +196,31 @@ def test_round_trip_small_exhaustive(variant):
                 for _, f in all_fillings(shape, cls, max_n)]
     cold = []
     for f in fillings:
-        growth._MEMO.clear()
+        clear_memo()
         out = round_trip(f, variant)
         labels, _, f2, _ = out
         assert labels == sweep_labels(f, variant)
         assert f2 == f
         assert f2.entries == sweep_entries(f, labels, variant)
         cold.append(out)
-    assert growth._MEMO
     for f, out in zip(fillings, cold):
         # the memo as the fillings before left it, then holding this one too
         assert round_trip(f, variant) == out
         assert round_trip(f, variant) == out
-    assert len(growth._MEMO) < growth.MEMO_MAX_ENTRIES
+    # every cache was used, and none was full enough to evict an entry
+    caches = [*small_caches(variant), growth._small_conjugate]
+    sizes = [len(growth._PLANS)] + [c.cache_info().currsize for c in caches]
+    assert all(0 < size < growth.MEMO_MAX_ENTRIES for size in sizes)
 
 
 def test_memo_stores_no_exception():
-    forward = growth._rule(get_variant("standard"), "forward", True)
+    forward = small_caches("standard")[0]
     for _ in range(2):
         with pytest.raises(ValueError, match="nu/rho"):
             forward((), (1,), (2,), 0)
-    assert growth._MEMO == {}
+    assert forward.cache_info().currsize == 0
     assert forward((), (1,), (1,), 0) == (1, 1)
-    assert len(growth._MEMO) == 1
+    assert forward.cache_info().currsize == 1
 
 
 def is_pass_through(rho, mu, nu, m):
@@ -218,23 +242,35 @@ def test_memo_stops_at_its_cap():
             (d.labels[(c - 1, r - 1)], d.labels[(c, r - 1)],
              d.labels[(c - 1, r)], f.entry(c, r)) for c, r in shape.cells())
             if not is_pass_through(*frame))
-    assert len(growth._MEMO) == growth.MEMO_MAX_ENTRIES
+    assert small_caches("rsk")[0].cache_info().currsize == growth.MEMO_MAX_ENTRIES
 
 
 def test_memo_holds_no_pass_through_frame():
-    """The sweeps pass labels through themselves, so after a warm pass the
-    memo holds only frames that needed a rule."""
+    """The sweeps pass labels through themselves, so after a warm pass each
+    variant's rule caches hold exactly the distinct frames that needed a
+    rule."""
     for variant in VARIANTS:
         cls = get_variant(variant).filling_class
+        forward, backward = set(), set()
         for shape in all_shapes(5):
             for _, f in all_fillings(shape, cls, 2):
-                round_trip(f, variant)
-                round_trip(f, variant)
-    forward = [key[2:] for key in growth._MEMO if key[1:2] == ("forward",)]
-    backward = [key[2:] for key in growth._MEMO if key[1:2] == ("backward",)]
-    assert forward and backward
-    assert not any(is_pass_through(*frame) for frame in forward)
-    assert not any(lam in (mu, nu) for mu, nu, lam in backward)
+                for _ in range(2):
+                    d = label_diagram(f, variant)
+                    t = border_tableau(d)
+                    assert reconstruct(t.word, t)[0] == f
+                labels = d.labels
+                for c, r in shape.cells():
+                    rho, mu, nu = (labels[(c - 1, r - 1)], labels[(c, r - 1)],
+                                   labels[(c - 1, r)])
+                    lam, m = labels[(c, r)], f.entry(c, r)
+                    if not is_pass_through(rho, mu, nu, m):
+                        forward.add((rho, mu, nu, m))
+                    if lam not in (mu, nu):
+                        backward.add((mu, nu, lam))
+        caches = small_caches(variant)
+        assert forward and backward
+        assert caches[0].cache_info().currsize == len(forward)
+        assert caches[1].cache_info().currsize == len(backward)
 
 
 def corrupt_rsk(monkeypatch):
@@ -252,8 +288,8 @@ def corrupt_rsk(monkeypatch):
     monkeypatch.setitem(local_rules.VARIANT_TABLE, "rsk", local_rules._variant(
         "rsk", ARBITRARY, "H", "H", "dual-rsk-prime",
         (forward_carry, backward_carry)))
-    # forget what the real rules gave
-    growth._MEMO.clear()
+    # a new VARIANT_TABLE row gets memoised rules of its own, so nothing
+    # the real rules gave is remembered for it
 
 
 # A line of cells (a column or a row) and, for each sweep, the entries in
@@ -307,30 +343,33 @@ def test_memo_skips_large_diagrams():
     assert growth_tableau(f, "rsk", "D" + t.word).seq[1:] == t.seq
     t.validate_steps()
     reconstruct(t.word, t.conjugate())
-    assert growth._MEMO == {}
+    assert memo_is_empty()
 
 
-def test_memo_keeps_every_kind_under_its_cap(monkeypatch):
-    fillings = [f for shape in all_shapes(5)
-                for _, f in all_fillings(shape, ARBITRARY, 2)]
-    monkeypatch.setattr(growth, "MEMO_MAX_ENTRIES", 0)
-    plain = [round_trip(f, "rsk") for f in fillings]
-    assert growth._MEMO == {}
-    monkeypatch.setattr(growth, "MEMO_MAX_ENTRIES", 64)
-    assert [round_trip(f, "rsk") for f in fillings] == plain
-    assert len(growth._MEMO) == 64
-    kinds = {key[0] if key[0] in ("sweep", "conjugate") else key[1]
-             for key in growth._MEMO}
-    assert kinds == {"sweep", "forward", "backward", "step", "conjugate"}
+def test_memo_keeps_every_kind_under_its_cap():
+    """Every rule, step and conjugate cache is bounded by MEMO_MAX_ENTRIES,
+    and the plans stop being stored at MEMO_MAX_ENTRIES words."""
+    caches = [c for variant in VARIANTS for c in small_caches(variant)]
+    caches.append(growth._small_conjugate)
+    assert all(c.cache_info().maxsize == growth.MEMO_MAX_ENTRIES
+               for c in caches)
+    f = Filling(FerrersShape((1,)), {(1, 1): 1})
+    plain = label_diagram(f).labels[(1, 1)]
+    # padded words of the one cell, more than the plans may hold
+    for i in range(70):
+        for j in range(70):
+            word = "D" * i + "RD" + "R" * j
+            assert label_diagram(f, word=word).label(1, 1) == plain
+    assert len(growth._PLANS) == growth.MEMO_MAX_ENTRIES
 
 
 def test_plans_are_stored_for_decoded_words_only():
     f = Filling(FerrersShape((2, 1)), {(1, 1): 1})
-    key = ("sweep", "RDRD")
+    key = "RDRD"
     t = growth_tableau(f)
-    assert key not in growth._MEMO
+    assert key not in growth._PLANS
     assert reconstruct(t.word, t)[0] == f
-    assert label_diagram(f)._plan is growth._MEMO[key]
+    assert label_diagram(f)._plan is growth._PLANS[key]
 
 
 def test_malformed_word_is_never_stored():
@@ -347,7 +386,7 @@ def test_malformed_word_is_never_stored():
         # a well-formed word of another shape is kept, and still refused
         with pytest.raises(ValueError, match="traces RRD"):
             label_diagram(f, word="RRDD")
-    assert list(growth._MEMO) == [("sweep", "RRDD")]
+    assert list(growth._PLANS) == ["RRDD"]
 
 
 def test_bad_step_rejected_on_every_call():
@@ -357,7 +396,10 @@ def test_bad_step_rejected_on_every_call():
             bad.validate_steps()
         with pytest.raises(ValueError, match="step 1 "):
             reconstruct(bad.word, bad)
-    assert growth._MEMO[("standard", "step", "R", (), (1, 1, 1))] is False
+    # the failed check was stored once (hits, misses, maxsize, size), and
+    # the stored False still raises
+    step_ok = small_caches("standard")[2]
+    assert step_ok.cache_info() == (3, 1, growth.MEMO_MAX_ENTRIES, 1)
     # a step that one variant allows is still refused by a variant that
     # does not
     GrowthTableau("RD", ((), (2,), ()), "rsk").validate_steps()
@@ -481,7 +523,7 @@ def test_padded_word_round_trip_property(variant, data):
     # the memo as earlier examples left it, then holding this one, then empty
     first = padded_round_trip(f, word, variant)
     assert padded_round_trip(f, word, variant) == first
-    growth._MEMO.clear()
+    clear_memo()
     assert padded_round_trip(f, word, variant) == first
 
 
@@ -515,7 +557,7 @@ def test_large_round_trip_and_greene_property(variant, data):
     f2, bottom, left = reconstruct(t.word, t, variant)
     assert f2 == f
     assert all(p == () for p in bottom + left)
-    assert growth._MEMO == {}
+    assert memo_is_empty()
     spec_up, spec_down = GREENE_SPECS[variant]
     for (x, y), lam in d.labels.items():
         box = Filling(FerrersShape((x,) * y),
