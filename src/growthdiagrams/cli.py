@@ -14,7 +14,7 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               matching_to_oscillating, pair_to_vacillating,
                               setpartition_to_hesitating,
                               setpartition_to_vacillating)
-from .enumeration import (CountTable, VERIFIERS, check_greene, count_table,
+from .enumeration import (VERIFIERS, check_greene, count_table,
                           jonsson_check, problem2_evidence, verify_theorem)
 from .fillings import (Filling, InstanceTooLarge, chain_spec,
                        filling_from_json, filling_to_json)

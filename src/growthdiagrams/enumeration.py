@@ -17,8 +17,8 @@ from .correspondences import (all_set_partitions, conjugate_set_partition,
                               enhanced_cross, enhanced_nest, min_max_blocks,
                               nest, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       Filling, InstanceTooLarge, chain_spec, greene_oracle,
-                       longest_chain, transpose_filling)
+                       Filling, InstanceTooLarge, _trusted, chain_spec,
+                       greene_oracle, longest_chain, transpose_filling)
 from .growth import label_diagram
 from .local_rules import get_variant
 from .partitions import conjugate, part, partitions_of
@@ -96,15 +96,18 @@ def generate_fillings(shape, cls: str, n: int):
 
     For the 0-1 classes ``n`` is the number of 1's; for arbitrary fillings
     it is the sum of the entries.  Generation order is lexicographic over
-    the column-major cell list.
+    the column-major cell list.  The entries are positive ints in cells of
+    the shape by construction, so the fillings are not checked again.
     """
     cells = shape.cells()
     if cls == ZERO_ONE:
         for chosen in combinations(cells, n):
-            yield Filling(shape, {cell: 1 for cell in chosen})
+            yield _trusted(Filling, shape=shape,
+                           entries=dict.fromkeys(chosen, 1))
     elif cls == PARTIAL_PERMUTATION:
         for chosen in _rook_placements(cells, n):
-            yield Filling(shape, {cell: 1 for cell in chosen})
+            yield _trusted(Filling, shape=shape,
+                           entries=dict.fromkeys(chosen, 1))
     elif cls == ARBITRARY:
         def spread(i, left):
             if left == 0:
@@ -121,7 +124,7 @@ def generate_fillings(shape, cls: str, n: int):
                     else:
                         yield rest
         for entries in spread(0, n):
-            yield Filling(shape, entries)
+            yield _trusted(Filling, shape=shape, entries=entries)
     else:
         raise ValueError(f"unknown filling class {cls!r}")
 

@@ -67,6 +67,16 @@ class Filling:
         return hash((self.shape, tuple(sorted(self.entries.items()))))
 
 
+def _trusted(cls, **values):
+    """An instance of a frozen dataclass made of values that are valid by
+    construction (a filling's entries are positive ints in cells of its
+    shape, labels are partitions that match the word); outside input goes
+    through the checking constructor instead."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def filling_class(f: Filling) -> str:
     """The strictest of the three filling classes that f belongs to."""
     return next(cls for cls in (PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY)

@@ -15,10 +15,9 @@ length 2n).
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 
-from .fillings import Filling, filling_class, in_class, int_lists
+from .fillings import Filling, _trusted, filling_class, in_class, int_lists
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
 from .shapes import FerrersShape, parse_word
@@ -29,9 +28,10 @@ EMPTY = ()
 # Small diagrams repeat themselves: few shapes, few frames, few labels.  So
 # for a reading word of at most MEMO_MAX_CELLS cells the growth layer
 # memoises each variant's local rules and step checks (_small_rules), label
-# conjugates and the sweep plans of decoded words (_PLANS).  The sweeps pass
-# labels through themselves, so a frame that only passes a label through
-# never reaches a rule or its cache.  lru_cache stores no exception, so
+# conjugates and the sweep plans of decoded words (_PLANS), among them the
+# words blow_up spells for its refined shapes.  The sweeps pass labels
+# through themselves, so a frame that only passes a label through never
+# reaches a rule or its cache.  lru_cache stores no exception, so
 # every distinct input goes once through the full checked code; each cache
 # and _PLANS hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely
 # repeat a frame and bypass them all.
@@ -39,6 +39,11 @@ EMPTY = ()
 MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
+# The bottom corner keys (x, 0) and the left ones (0, y), shared by the
+# boundaries of all plans, so that a stored plan holds no keys of its own.
+# A wider or taller plan extends them into new tuples: a tuple once read
+# never changes.
+_CORNER_KEYS = ((), ())
 _small_conjugate = lru_cache(MEMO_MAX_ENTRIES)(conjugate)
 
 
@@ -89,11 +94,18 @@ class _SweepPlan:
         return trace_corners(self.rows, self.n_cols)
 
     @cached_property
-    def empty_boundary(self) -> dict:
-        """Empty labels on the bottom and left corners, to be copied."""
-        return dict.fromkeys(
-            [(x, 0) for x in range(self.n_cols + 1)]
-            + [(0, y) for y in range(1, len(self.rows) + 1)], EMPTY)
+    def boundary(self) -> tuple:
+        """The bottom and left corners, whose labels are empty by default,
+        as keys shared by all plans."""
+        global _CORNER_KEYS
+        n, h = self.n_cols, len(self.rows)
+        bottom, left = _CORNER_KEYS
+        if max(n, h) >= len(bottom):
+            grown = range(len(bottom), 2 * max(n, h) + 1)
+            bottom += tuple((x, 0) for x in grown)
+            left += tuple((0, y) for y in grown)
+            _CORNER_KEYS = bottom, left
+        return bottom[:n + 1] + left[1:h + 1]
 
 
 def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
@@ -101,9 +113,9 @@ def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
     may be given when ``word`` is its own word, and is then used as is.
 
     Only a plan decoded from the word is stored.  One made from a given
-    shape decodes nothing, so storing it would save little, and such shapes
-    (refined ones from ``blow_up``, say) often recur too rarely to pay for
-    their memory."""
+    shape decodes nothing, so storing it would save little.  ``blow_up``
+    spells the word of each refined shape, so a small refined shape and its
+    plan are stored, and found here when its filling is labelled."""
     plan = _PLANS.get(word)
     if plan is None and shape is not None:
         plan = _SweepPlan(word, shape.rows, shape.n_cols)
@@ -113,15 +125,6 @@ def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
         if plan.small and len(_PLANS) < MEMO_MAX_ENTRIES:
             _PLANS[word] = plan
     return plan
-
-
-def _trusted(cls, **values):
-    """An instance of a frozen dataclass made of values the growth layer
-    computed itself (labels are partitions already, and match the word);
-    outside input goes through the checking constructor instead."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -233,8 +236,12 @@ class GrowthDiagram:
 
 
 def _checked_variant(filling: Filling, variant: str):
-    """The variant, once the filling is known to be in its class."""
+    """The variant, once the filling is known to be of a Ferrers shape and
+    in the variant's class."""
     v = get_variant(variant)
+    if not isinstance(filling.shape, FerrersShape):
+        raise ValueError(f"growth diagrams need a Ferrers shape, not "
+                         f"{type(filling.shape).__name__} {filling.shape}")
     if not in_class(filling, v.filling_class):
         raise ValueError(
             f"{variant} rules need a {v.filling_class} filling, got "
@@ -261,7 +268,7 @@ def label_diagram(filling: Filling, variant: str = "standard",
             raise ValueError(f"word {word!r} traces {plan.shape}, not {shape}")
 
     if bottom is None and left is None:
-        labels = plan.empty_boundary.copy()
+        labels = dict.fromkeys(plan.boundary, EMPTY)
     else:
         labels = _boundary_labels(filling, variant, plan.rows, plan.n_cols,
                                   bottom, left)
@@ -418,23 +425,16 @@ def growth_tableau(filling: Filling, variant: str = "standard",
 # ---------------------------------------------------------------------------
 # blow-up and shrink-back
 
-def _refine(lines, down):
-    """Split each coarse line into one refined line per token it holds
-    (at least one).
-
-    ``lines`` lists the tokens of each coarse line in order; ``down``
-    assigns them from the last refined line of their block to the first.
-    Returns the blocks (first refined line, number of refined lines),
-    1-based, and the refined line of each token.
-    """
-    blocks, fine, base = [], {}, 0
-    for tokens in lines:
-        n = max(1, len(tokens))
-        blocks.append((base + 1, n))
-        fine.update(zip(reversed(tokens) if down else tokens,
-                        range(base + 1, base + n + 1)))
-        base += n
-    return tuple(blocks), fine
+def _blocks(counts):
+    """The blocks (first refined line, number of refined lines), 1-based,
+    of coarse lines holding ``counts`` crosses each, one refined line per
+    cross (at least one per coarse line), and the last refined line of
+    each block after a leading 0."""
+    blocks, ends = [], [0]
+    for n in counts:
+        blocks.append((ends[-1] + 1, n or 1))
+        ends.append(ends[-1] + (n or 1))
+    return tuple(blocks), ends
 
 
 def blow_up(filling: Filling, variant: str):
@@ -443,40 +443,84 @@ def blow_up(filling: Filling, variant: str):
     An entry m becomes m crosses, each in a refined row and column of its
     own.  Returns (refined filling, row_blocks, col_blocks) where the
     blocks map each original line to (first refined line, number of
-    refined lines), 1-based.
+    refined lines), 1-based.  A refined shape of at most MEMO_MAX_CELLS
+    cells is the shape of its word's stored plan.
     """
     v = _checked_variant(filling, variant)
     if v.right == "1":
         raise ValueError(f"blow-up needs a strip variant, not {variant!r}")
-    # a line whose step is a vertical strip takes its crosses top-left to
-    # bottom-right, any other line bottom-left to top-right; the crosses of
-    # one entry rise to the right only where neither step is a vertical strip
+    # a line gives its entries, left to right in a row and bottom to top in
+    # a column, m refined lines each in turn: from the first refined line
+    # of its block on, or from the last one back where the line's step is
+    # a vertical strip.  The crosses of one entry rise to the right only
+    # where neither step is a vertical strip.
     rows_down, cols_down = v.down == "V", v.right == "V"
     shape = filling.shape
-    rows = [[] for _ in range(shape.n_rows)]
-    cols = [[] for _ in range(shape.n_cols)]
-    for (c, r), m in sorted(filling.entries.items()):
-        tokens = [(c, r, j) for j in range(m)]
-        rows[r - 1] += tokens
-        cols[c - 1] += reversed(tokens) if rows_down and cols_down else tokens
-    row_blocks, fine_row = _refine(rows, rows_down)
-    col_blocks, fine_col = _refine(cols, cols_down)
+    entries = sorted(filling.entries.items())
+    row_n, col_n = [0] * shape.n_rows, [0] * shape.n_cols
+    for (c, r), m in entries:
+        row_n[r - 1] += m
+        col_n[c - 1] += m
+    row_blocks, row_ends = _blocks(row_n)
+    col_blocks, col_ends = _blocks(col_n)
 
-    col_ends = [0, *accumulate(n for _, n in col_blocks)]
-    fine_rows = []
-    for length, (_, n) in zip(shape.rows, row_blocks):
-        fine_rows += [col_ends[length]] * n
-    entries = {(fine_col[tok], row): 1 for tok, row in fine_row.items()}
-    return (Filling(FerrersShape(tuple(fine_rows)), entries),
-            row_blocks, col_blocks)
+    # the refined column of the cross in each refined row (0: none), and
+    # the crosses each coarse line has placed so far
+    fine_col = [0] * (row_ends[-1] + 1)
+    row_used, col_used = [0] * shape.n_rows, [0] * shape.n_cols
+    for (c, r), m in entries:
+        i, k = row_used[r - 1], col_used[c - 1]
+        row_used[r - 1], col_used[c - 1] = i + m, k + m
+        # the entry's refined rows are r0 + 1 .. r0 + m, its columns
+        # c0 + 1 .. c0 + m
+        r0 = row_ends[r] - i - m if rows_down else row_ends[r - 1] + i
+        c0 = col_ends[c] - k - m if cols_down else col_ends[c - 1] + k
+        cols = range(c0 + 1, c0 + m + 1)
+        for fr, fc in zip(range(r0 + 1, r0 + m + 1),
+                          reversed(cols) if rows_down or cols_down else cols):
+            fine_col[fr] = fc
+
+    # the refined shape's word: each coarse row, top down, as its block of
+    # equally long refined rows
+    word, x = [], 0
+    for length, (_, n) in zip(reversed(shape.rows), reversed(row_blocks)):
+        word.append("R" * (col_ends[length] - x) + "D" * n)
+        x = col_ends[length]
+    # one cross per refined row and column, each in the shape by
+    # construction, so the filling is not checked again
+    fine = _trusted(Filling, shape=_sweep_plan("".join(word)).shape,
+                    entries={(c, r): 1 for r, c in enumerate(fine_col) if c})
+    return fine, row_blocks, col_blocks
+
+
+def _block_ends(blocks, count: int, lines: str):
+    """The last refined line of each block after a leading 0, once the
+    blocks are known to tile refined lines 1..count in order."""
+    ends = [0]
+    for first, n in blocks:
+        if first != ends[-1] + 1 or n < 1:
+            break
+        ends.append(ends[-1] + n)
+    else:
+        if ends[-1] == count:
+            return ends
+    raise ValueError(f"{lines} blocks {tuple(blocks)} do not tile the "
+                     f"refined diagram's {count} {lines}s")
 
 
 def shrink_back(fine_diagram: GrowthDiagram, row_blocks, col_blocks) -> dict:
     """Corner labels of the coarse diagram, read off a refined diagram at the
     crossings of the block boundaries."""
+    rows, n_cols = fine_diagram.row_lens, fine_diagram.n_cols
+    row_ends = _block_ends(row_blocks, len(rows), "row")
+    col_ends = _block_ends(col_blocks, n_cols, "column")
     labels = fine_diagram._labels
-    col_base = [0, *accumulate(n for _, n in col_blocks)]
-    row_base = [0, *accumulate(n for _, n in row_blocks)]
-    return {(x, y): labels[(fx, fy)]
-            for y, fy in enumerate(row_base) for x, fx in enumerate(col_base)
-            if (fx, fy) in labels}
+    out = {}
+    for y, fy in enumerate(row_ends):
+        # the crossings on refined corner line fy that are corners
+        width = rows[fy - 1] if fy else n_cols
+        for x, fx in enumerate(col_ends):
+            if fx > width:
+                break
+            out[(x, y)] = labels[(fx, fy)]
+    return out

@@ -12,7 +12,7 @@ naturally build the transposed tableaux; their results are returned as
 built, and callers transpose as needed.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .fillings import Filling

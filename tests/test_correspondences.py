@@ -2,8 +2,8 @@
 
 import pytest
 
-from growthdiagrams.correspondences import (Matching, PartialTableau,
-                                            SetPartition, all_matchings,
+from growthdiagrams.correspondences import (PartialTableau, SetPartition,
+                                            all_matchings,
                                             all_set_partitions,
                                             conjugate_matching,
                                             conjugate_set_partition,

@@ -17,7 +17,8 @@ from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.partitions import add_square_in_row, part
-from growthdiagrams.shapes import FerrersShape, parse_word
+from growthdiagrams.shapes import FerrersShape, StackPolyomino, parse_word
+from oracles import blow_up_oracle
 
 
 def test_trace_corners():
@@ -663,3 +664,84 @@ def test_blow_up_needs_strip_variant():
     # an entry of 2 is outside the dual-rsk class, as for label_diagram
     with pytest.raises(ValueError, match="dual-rsk rules need a zero-one"):
         blow_up(Filling(FerrersShape((2,)), {(1, 1): 2}), "dual-rsk")
+
+
+STRIP_VARIANTS = ["rsk", "dual-rsk", "rsk-prime", "dual-rsk-prime"]
+
+
+def assert_blow_up_is_oracle(f, variant):
+    """blow_up(f) equals the blow-up built through the checking
+    constructors, down to the order of its entries and the shape's column
+    heights; returns it."""
+    got = blow_up(f, variant)
+    want = blow_up_oracle(f, variant)
+    assert got == want
+    assert list(got[0].entries.items()) == list(want[0].entries.items())
+    assert got[0].shape.col_heights == want[0].shape.col_heights
+    return got
+
+
+@pytest.mark.parametrize("variant", STRIP_VARIANTS)
+def test_blow_up_matches_oracle_exhaustive(variant):
+    """Every filling of up to 7 cells (entry sum at most 3): the trusted
+    blow-up is the checked one, its shape is the stored plan's, and the
+    refined filling is labelled along that plan."""
+    cls = get_variant(variant).filling_class
+    max_n = 3 if cls == ARBITRARY else None
+    for shape in all_shapes(7):
+        for _, f in all_fillings(shape, cls, max_n):
+            fine = assert_blow_up_is_oracle(f, variant)[0]
+            plan = growth._PLANS[fine.shape.word]
+            assert fine.shape is plan.shape
+            assert label_diagram(fine)._plan is plan
+
+
+@pytest.mark.parametrize("variant", STRIP_VARIANTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_large_blow_up_property(variant, data):
+    """Refined shapes past the memo are built per call, equal the checked
+    blow-up, and store no plan."""
+    f = data.draw(large_fillings(variant))
+    assert_blow_up_is_oracle(f, variant)
+    assert growth._PLANS == {}
+
+
+def test_blow_ups_keep_plans_under_cap():
+    """Refined shapes are stored only while _PLANS has room, and blow-ups
+    past that point are still right."""
+    for i in range(growth.MEMO_MAX_ENTRIES - 2):
+        growth._sweep_plan("D" * i + "RD")
+    fillings = [Filling(FerrersShape((2, 1)), {(1, 1): m, (2, 1): 1})
+                for m in range(1, 6)]
+    for f in fillings:
+        assert_blow_up_is_oracle(f, "rsk")
+    assert len(growth._PLANS) == growth.MEMO_MAX_ENTRIES
+    for f in fillings:
+        fine = assert_blow_up_is_oracle(f, "rsk")[0]
+        assert (fine.shape.word in growth._PLANS) == (f.entries[(1, 1)] < 3)
+
+
+def test_shrink_back_needs_blocks_that_tile():
+    """Blocks that leave out, repeat or invent refined lines are refused
+    rather than read off in part."""
+    fine = label_diagram(Filling(FerrersShape((2, 1)), {(1, 1): 1}), "rsk")
+    assert shrink_back(fine, ((1, 1), (2, 1)), ((1, 2),)) == {
+        (0, 0): (), (1, 0): (), (0, 1): (), (1, 1): (1,), (0, 2): ()}
+    for rows, cols in [(((1, 9),), ((1, 9),)),
+                       (((1, 1),), ((1, 2),)),
+                       (((1, 1), (3, 1)), ((1, 2),)),
+                       (((1, 2), (2, 0)), ((1, 2),)),
+                       (((1, 0), (1, 1), (2, 1)), ((1, 2),)),
+                       (((1, 1), (2, 1)), ((1, 1), (1, 1))),
+                       (((1, 1), (2, 1)), ((1, 3),))]:
+        with pytest.raises(ValueError, match="do not tile the refined"):
+            shrink_back(fine, rows, cols)
+
+
+def test_growth_diagrams_need_ferrers_shapes():
+    f = Filling(StackPolyomino((1, 2, 1)), {(2, 2): 1})
+    for call in (lambda: label_diagram(f), lambda: blow_up(f, "rsk")):
+        with pytest.raises(ValueError,
+                           match="need a Ferrers shape, not StackPolyomino"):
+            call()

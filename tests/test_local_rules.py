@@ -10,10 +10,8 @@ import pytest
 
 from growthdiagrams.local_rules import (VARIANT_TABLE, backward_dual_rsk_prime,
                                         backward_rsk, backward_standard,
-                                        forward_dual_rsk,
                                         forward_dual_rsk_prime, forward_rsk,
-                                        forward_rsk_prime, forward_standard,
-                                        get_variant)
+                                        forward_standard, get_variant)
 from growthdiagrams.partitions import (conjugate, contains,
                                        is_horizontal_strip, is_vertical_strip,
                                        make_partition)
