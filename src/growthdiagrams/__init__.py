@@ -2,8 +2,8 @@
 
 Local growth rules (standard plus four carry-rule variants), the
 set-partition and matching bijections built on them, chain statistics
-with a brute-force Greene-style oracle, and exhaustive verifiers for the
-associated symmetry theorems.
+(longest chains and Greene's k-chain totals), and exhaustive verifiers for
+the associated symmetry theorems.
 """
 
 from .correspondences import (Matching, PartialTableau, SetPartition,
@@ -21,15 +21,15 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               setpartition_to_vacillating,
                               swap_chain_statistics,
                               vacillating_to_setpartition)
-from .enumeration import (Report, all_fillings, all_shapes, bell_number,
-                          catalan_number, check_greene, count_table,
+from .enumeration import (InstanceTooLarge, Report, all_fillings, all_shapes,
+                          bell_number, catalan_number, check_greene, count_table,
                           generate_fillings, jonsson_check,
                           problem2_evidence, random_fillings,
                           stack_polyominoes, symmetric_shapes, verify_theorem)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       Filling, InstanceTooLarge, chain_spec, filling_class,
-                       filling_from_json, filling_to_json, greene_oracle,
-                       in_class, longest_chain, transpose_filling)
+                       Filling, chain_spec, filling_class, filling_from_json,
+                       filling_to_json, greene_totals, in_class,
+                       longest_chain, transpose_filling)
 from .growth import (GrowthDiagram, GrowthTableau, blow_up, border_tableau,
                      growth_tableau, label_diagram, reconstruct, shrink_back,
                      tableau_from_json, tableau_to_json)

@@ -14,10 +14,10 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               matching_to_oscillating, pair_to_vacillating,
                               setpartition_to_hesitating,
                               setpartition_to_vacillating)
-from .enumeration import (VERIFIERS, check_greene, count_table,
-                          jonsson_check, problem2_evidence, verify_theorem)
-from .fillings import (Filling, InstanceTooLarge, chain_spec,
-                       filling_from_json, filling_to_json)
+from .enumeration import (VERIFIERS, InstanceTooLarge, check_greene,
+                          count_table, jonsson_check, problem2_evidence,
+                          verify_theorem)
+from .fillings import Filling, chain_spec, filling_from_json, filling_to_json
 from .growth import (GrowthTableau, blow_up, growth_tableau, label_diagram,
                      reconstruct, tableau_from_json, tableau_to_json)
 from .insertion import (biword_from_filling, border_pair, dual_rsk_insert,
@@ -314,8 +314,7 @@ def cmd_count(args) -> int:
 
 def cmd_greene(args) -> int:
     f = _parse_filling(args)
-    ks = tuple(range(1, args.k + 1))
-    report = check_greene(f, args.variant, ks)
+    report = check_greene(f, args.variant, range(1, args.k + 1))
     print(report)
     return 0 if report.passed else 1
 
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, ("csv", "json"))
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("greene", help="check corner labels against the chain oracle")
+    p = sub.add_parser("greene", help="check corner labels against k-chain totals")
     add_variant(p)
     add_filling_inputs(p)
     p.add_argument("--k", type=int, default=3)

@@ -17,14 +17,19 @@ from .correspondences import (all_set_partitions, conjugate_set_partition,
                               enhanced_cross, enhanced_nest, min_max_blocks,
                               nest, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       Filling, InstanceTooLarge, _trusted, chain_spec,
-                       greene_oracle, longest_chain, transpose_filling)
+                       Filling, _trusted, chain_spec, greene_totals,
+                       longest_chain, transpose_filling)
 from .growth import label_diagram
 from .local_rules import get_variant
-from .partitions import conjugate, part, partitions_of
+from .partitions import conjugate, partitions_of
 from .shapes import FerrersShape, StackPolyomino
 
 DEFAULT_HARD_WALL = 10 ** 7
+
+
+class InstanceTooLarge(Exception):
+    """Raised when an enumeration generates more than ``budget_limit()``
+    items."""
 
 
 def budget_limit() -> int:
@@ -258,32 +263,38 @@ NES2_SPECS = (chain_spec("nE"), chain_spec("Se", require_rectangle=True))
 NES2_IMAGE_SPECS = (chain_spec("Ne"), chain_spec("sE", require_rectangle=True))
 
 
-def _check_swap(shapes, cls, max_n, specs, image_specs, mode, inverse_mode,
+def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
                 symmetric_only=False):
-    """Count equality plus bijection certificate for one swap identity.
+    """Count identity plus, given the map's (mode, inverse mode), a
+    bijection certificate for one swap identity.
 
-    The bijection must carry statistics (s, t) on the source side to
-    (t, s) on the image side and invert cleanly.
+    Over the fillings, as many have statistics (s, t) under ``specs`` as
+    have (t, s) under ``image_specs``.  The map must carry statistics
+    (s, t) on the source side to (t, s) on the image side and invert
+    cleanly.
     """
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
-        image = CountTable(str(shape), cls, *image_specs)
+        image = (source if image_specs == specs
+                 else CountTable(str(shape), cls, *image_specs))
         for n, f in all_fillings(shape, cls, max_n):
             if symmetric_only and transpose_filling(f) != f:
                 continue
             s = longest_chain(f, specs[0])
             t = longest_chain(f, specs[1])
             source.add(n, s, t)
-            g = swap_chain_statistics(f, mode)
-            u = longest_chain(g, image_specs[0])
-            v = longest_chain(g, image_specs[1])
-            image.add(n, u, v)
+            if image is not source:
+                image.add(n, longest_chain(f, image_specs[0]),
+                          longest_chain(f, image_specs[1]))
+            if modes is None:
+                continue
+            g = swap_chain_statistics(f, modes[0])
             if symmetric_only and transpose_filling(g) != g:
                 return False, (shape, f, "image not symmetric")
-            if (u, v) != (t, s):
+            if (longest_chain(g, image_specs[0]),
+                    longest_chain(g, image_specs[1])) != (t, s):
                 return False, (shape, f, "statistics not exchanged")
-            back = swap_chain_statistics(g, inverse_mode)
-            if back != f:
+            if swap_chain_statistics(g, modes[1]) != f:
                 return False, (shape, f, "map does not invert")
         bad = _mirror_mismatch(source.counts, image.counts)
         if bad:
@@ -295,7 +306,7 @@ def verify_t2(max_cells: int = 9, shapes=None) -> Report:
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
-                              T2_SPECS, T2_SPECS, "standard", "standard")
+                              T2_SPECS, T2_SPECS, ("standard", "standard"))
     return Report("T2", ok, f"{len(shapes)} shapes", witness)
 
 
@@ -304,7 +315,7 @@ def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report
                               else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ARBITRARY, max_sum,
                               NES1_SPECS, NES1_IMAGE_SPECS,
-                              "nes1", "nes1-inverse")
+                              ("nes1", "nes1-inverse"))
     return Report("T2a-NES1", ok, f"{len(shapes)} shapes, entry sum <= {max_sum}",
                   witness)
 
@@ -314,7 +325,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
                               else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ZERO_ONE, max_ones,
                               NES2_SPECS, NES2_IMAGE_SPECS,
-                              "nes2", "nes2-inverse")
+                              ("nes2", "nes2-inverse"))
     return Report("T2a-NES2", ok, f"{len(shapes)} shapes, <= {max_ones} ones",
                   witness)
 
@@ -322,7 +333,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 def verify_t2sym(max_cells: int = 9) -> Report:
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
     ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
-                              T2_SPECS, T2_SPECS, "standard", "standard",
+                              T2_SPECS, T2_SPECS, ("standard", "standard"),
                               symmetric_only=True)
     return Report("T2sym", ok, f"{len(shapes)} symmetric shapes", witness)
 
@@ -336,20 +347,9 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
     ok1, w1 = _check_swap(shapes, ARBITRARY, max_sum,
                           NES1_SPECS, NES1_IMAGE_SPECS,
-                          "nes1", "nes1-inverse", symmetric_only=True)
-    ok2, w2 = True, None
-    for shape in shapes:
-        lhs = CountTable(str(shape), ZERO_ONE, *NES2_SPECS)
-        rhs = CountTable(str(shape), ZERO_ONE, *NES2_IMAGE_SPECS)
-        for n, f in all_fillings(shape, ZERO_ONE, max_sum):
-            if transpose_filling(f) != f:
-                continue
-            lhs.add(n, *(longest_chain(f, spec) for spec in NES2_SPECS))
-            rhs.add(n, *(longest_chain(f, spec) for spec in NES2_IMAGE_SPECS))
-        bad = _mirror_mismatch(lhs.counts, rhs.counts)
-        if bad:
-            ok2, w2 = False, (shape, *bad, "counts differ")
-            break
+                          ("nes1", "nes1-inverse"), symmetric_only=True)
+    ok2, w2 = _check_swap(shapes, ZERO_ONE, max_sum,
+                          NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
     return Report("T2asym", ok1 and ok2,
                   f"{len(shapes)} symmetric shapes", w1 or w2)
 
@@ -496,26 +496,45 @@ GREENE_SPECS = {
 
 
 def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
-    """Compare every corner label of the growth diagram with the chain
-    statistics of the corresponding rectangular region of the filling."""
-    if not ks or min(ks) < 1:
-        raise ValueError(f"k must be at least 1, got ks={tuple(ks)}")
+    """Compare every corner label of the growth diagram with the largest
+    totals of k chains in the corresponding rectangular region of the
+    filling, for each k in ``ks``: a tuple, or a range of consecutive k,
+    which is never spelt out.
+
+    Both sides stop changing once k reaches the filling's entry sum, so a
+    larger k is compared there, and each such k once.
+    """
+    top = max(f.entry_sum, 1)
+    # from a start of at least 1, every member of an increasing range past
+    # its first top + 1 is past top too
+    head = ks[:top + 1] if isinstance(ks, range) else ks
+    if not head or min(head) < 1:
+        raise ValueError(f"k must be at least 1, got ks={_k_text(ks)}")
+    compared = sorted({min(k, top) for k in head})
     diagram = label_diagram(f, variant)     # rejects an unknown variant
     spec_up, spec_down = GREENE_SPECS[variant]
     for (x, y) in diagram.corners():
         lam = diagram.label(x, y)
         lam_c = conjugate(lam)
-        for k in ks:
-            want_rows = sum(part(lam, i) for i in range(1, k + 1))
-            want_cols = sum(part(lam_c, i) for i in range(1, k + 1))
-            got_rows = greene_oracle(f, spec_up, k, corner=(x, y))
-            got_cols = greene_oracle(f, spec_down, k, corner=(x, y))
-            if (got_rows, got_cols) != (want_rows, want_cols):
+        rows = greene_totals(f, spec_up, compared[-1], corner=(x, y))
+        cols = greene_totals(f, spec_down, compared[-1], corner=(x, y))
+        for k in compared:
+            want = (sum(lam[:k]), sum(lam_c[:k]))
+            got = (rows[k - 1], cols[k - 1])
+            if got != want:
                 return Report(f"greene[{variant}]", False,
                               f"corner ({x},{y}), k={k}: label {lam} wants "
-                              f"({want_rows},{want_cols}), chains give "
-                              f"({got_rows},{got_cols})", f)
-    return Report(f"greene[{variant}]", True, f"k in {tuple(ks)}")
+                              f"({want[0]},{want[1]}), chains give "
+                              f"({got[0]},{got[1]})", f)
+    return Report(f"greene[{variant}]", True, f"k in {_k_text(ks)}")
+
+
+def _k_text(ks) -> str:
+    """The k of a Greene check as a tuple, or as first..last for a range of
+    more than three."""
+    if isinstance(ks, range) and len(ks) > 3:
+        return f"{ks[0]}..{ks[-1]}"
+    return str(tuple(ks))
 
 
 def random_fillings(variant: str, count: int, seed: int = 20060828,
@@ -539,7 +558,7 @@ def random_fillings(variant: str, count: int, seed: int = 20060828,
                     entries[(c, r)] = 1
         else:
             top = 1 if cls == ZERO_ONE else max_entry
-            budget = 8          # stay inside the oracle's entry-sum budget
+            budget = 8          # the exhaustive Greene oracle's entry-sum cap
             for cell in cells:
                 if rng.random() < 0.4:
                     v = rng.randint(1, top)

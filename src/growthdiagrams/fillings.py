@@ -1,5 +1,5 @@
-"""Fillings of shapes with nonnegative integers, chain statistics, and a
-brute-force oracle for Greene-style invariants.
+"""Fillings of shapes with nonnegative integers, and their chain
+statistics: the longest chain, and the largest totals of k chains.
 
 A filling stores only its nonzero entries, keyed by (col, row).  Three
 nested classes of fillings appear throughout:
@@ -17,6 +17,8 @@ the tests check it against an exhaustive search over all chains.
 """
 
 import json
+from collections import defaultdict, deque
+from math import inf
 from dataclasses import dataclass, field
 
 from .shapes import shape_from_word
@@ -24,10 +26,6 @@ from .shapes import shape_from_word
 ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
 PARTIAL_PERMUTATION = "partial-permutation"
-
-
-class InstanceTooLarge(Exception):
-    """Raised when a brute-force computation exceeds its safety budget."""
 
 
 @dataclass(frozen=True)
@@ -215,76 +213,62 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     return best
 
 
-# the exhaustive oracle refuses instances beyond these limits
-ORACLE_MAX_CELLS = 16
-ORACLE_MAX_ENTRY_SUM = 8
-ORACLE_MAX_K = 3
+def greene_totals(f: Filling, spec: ChainSpec, k_max: int, corner=None) -> list:
+    """The largest total length of k chains, for k = 1, ..., k_max: the
+    size of their union (``count``), the sum of the entries of k disjoint
+    chains (``entry-sum``), or the size of their multiset union when a cell
+    with entry e may lie in up to e chains (``entry-multiplicity``).
+    ``corner=(x, y)`` keeps the cells weakly left of column x and weakly
+    below row y; ``require_rectangle`` is not read.
 
-
-def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None) -> int:
-    """Maximal total length of a collection of k chains, by exhaustive search.
-
-    The collection semantics depend on the length mode:
-
-    * ``count``: k chains, maximizing the cardinality of the union of their
-      cells (equivalently: the largest cell set decomposable into k chains);
-    * ``entry-sum``: k pairwise disjoint chains, maximizing the sum of the
-      entries they cover;
-    * ``entry-multiplicity``: k chains where a cell with entry e may appear
-      in up to e of them, maximizing the cardinality of the multiset union.
-
-    ``corner=(x, y)`` restricts attention to the cells weakly left of
-    column x and weakly below row y.  This search is deliberately
-    independent of the growth-diagram machinery; it is the reference
-    implementation the fast invariants are tested against.
+    k chains are a flow of k units from a source through the nonzero cells
+    to a sink (Greene--Kleitman; Frank).  Each cell is an in-node and an
+    out-node joined by an edge of its capacity and gain, and out(a) leads
+    to in(b) wherever b may follow a.  Successive longest augmenting paths,
+    one unit each, give the best total for k = 1, 2, ... in turn; once no
+    path gains, the total stays.  No growth label is read: this is what
+    the labels are checked against.
     """
-    region = list(f.entries)
-    if corner is not None:
-        x, y = corner
-        region = [(c, r) for (c, r) in region if c <= x and r <= y]
-    if (f.shape.n_cells > ORACLE_MAX_CELLS or f.entry_sum > ORACLE_MAX_ENTRY_SUM
-            or k > ORACLE_MAX_K):
-        raise InstanceTooLarge(
-            f"oracle budget exceeded (cells={f.shape.n_cells}, "
-            f"sum={f.entry_sum}, k={k})")
-    cells = _sorted_cells(region, spec)
+    cells = _sorted_cells([(c, r) for c, r in f.entries if corner is None
+                           or (c <= corner[0] and r <= corner[1])], spec)
+    # node 2i is cell i's in-node and 2i + 1 its out-node; -2 is the
+    # source and -1 the sink
+    cap, gain, out = {}, {}, defaultdict(list)
 
-    if spec.length_mode == "entry-multiplicity":
-        caps = [min(f.entry(c, r), k) for c, r in cells]
-        gain = [1] * len(cells)
-    elif spec.length_mode == "entry-sum":
-        caps = [1] * len(cells)
-        gain = [f.entry(c, r) for c, r in cells]
-    else:
-        caps = [1] * len(cells)
-        gain = [1] * len(cells)
+    def edge(a, b, capacity, g):
+        cap[a, b], cap[b, a], gain[a, b], gain[b, a] = capacity, 0, g, -g
+        out[a].append(b)
+        out[b].append(a)
 
-    best = 0
-
-    def search(idx, lasts, value):
-        nonlocal best
-        if value + sum(gain[idx:]) * max(caps[idx:], default=1) <= best:
-            return
-        if idx == len(cells):
-            best = max(best, value)
-            return
-        cell = cells[idx]
-        nonempty = [j for j in range(k)
-                    if lasts[j] is not None and spec.step_ok(lasts[j], cell)]
-        empties = [j for j in range(k) if lasts[j] is None]
-        base = [()]
-        for j in nonempty:
-            base.extend(sub + (j,) for sub in list(base) if len(sub) < caps[idx])
-        # empty chains are interchangeable, so only prefixes of them are used
-        choices = []
-        for sub in base:
-            for t in range(min(caps[idx] - len(sub), len(empties)) + 1):
-                choices.append(sub + tuple(empties[:t]))
-        for subset in choices:
-            new_lasts = list(lasts)
-            for j in subset:
-                new_lasts[j] = cell
-            search(idx + 1, tuple(new_lasts), value + gain[idx] * len(subset))
-
-    search(0, tuple([None] * k), 0)
-    return best
+    for i, cell in enumerate(cells):
+        e = f.entries[cell]
+        edge(-2, 2 * i, k_max, 0)
+        edge(2 * i, 2 * i + 1,
+             min(e, k_max) if spec.length_mode == "entry-multiplicity" else 1,
+             e if spec.length_mode == "entry-sum" else 1)
+        edge(2 * i + 1, -1, k_max, 0)
+        for j in range(i + 1, len(cells)):
+            if spec.step_ok(cell, cells[j]):
+                edge(2 * i + 1, 2 * j, k_max, 0)
+    totals = [0]
+    while len(totals) <= k_max:
+        # Bellman-Ford, queue-driven: the residual graph has no cycle of
+        # positive gain
+        best, via, queue = {-2: 0}, {}, deque([-2])
+        while queue:
+            u = queue.popleft()
+            for v in out[u]:
+                if cap[u, v] and best[u] + gain[u, v] > best.get(v, -inf):
+                    best[v], via[v] = best[u] + gain[u, v], u
+                    if v not in queue:
+                        queue.append(v)
+        if best.get(-1, 0) <= 0:
+            break
+        v = -1
+        while v != -2:
+            u = via[v]
+            cap[u, v] -= 1
+            cap[v, u] += 1
+            v = u
+        totals.append(totals[-1] + best[-1])
+    return totals[1:] + totals[-1:] * (k_max + 1 - len(totals))

@@ -262,10 +262,6 @@ forward_standard = VARIANT_TABLE["standard"].forward
 backward_standard = VARIANT_TABLE["standard"].backward
 forward_rsk = VARIANT_TABLE["rsk"].forward
 backward_rsk = VARIANT_TABLE["rsk"].backward
-forward_dual_rsk = VARIANT_TABLE["dual-rsk"].forward
-backward_dual_rsk = VARIANT_TABLE["dual-rsk"].backward
-forward_rsk_prime = VARIANT_TABLE["rsk-prime"].forward
-backward_rsk_prime = VARIANT_TABLE["rsk-prime"].backward
 forward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].forward
 backward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].backward
 

@@ -4,8 +4,9 @@ library against; nothing in ``src/`` calls them."""
 from itertools import accumulate
 
 from growthdiagrams.correspondences import all_matchings, cross
-from growthdiagrams.enumeration import all_fillings
-from growthdiagrams.fillings import ZERO_ONE, Filling, chain_spec, longest_chain
+from growthdiagrams.enumeration import InstanceTooLarge, all_fillings
+from growthdiagrams.fillings import (ZERO_ONE, ChainSpec, Filling, _sorted_cells,
+                                     chain_spec, longest_chain)
 from growthdiagrams.local_rules import get_variant
 from growthdiagrams.shapes import FerrersShape
 
@@ -62,3 +63,78 @@ def blow_up_oracle(filling, variant: str):
     entries = {(fine_col[tok], row): 1 for tok, row in fine_row.items()}
     return (Filling(FerrersShape(tuple(fine_rows)), entries),
             row_blocks, col_blocks)
+
+
+# the exhaustive oracle refuses instances beyond these limits
+ORACLE_MAX_CELLS = 16
+ORACLE_MAX_ENTRY_SUM = 8
+ORACLE_MAX_K = 3
+
+
+def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None) -> int:
+    """Maximal total length of a collection of k chains, by exhaustive search.
+
+    The collection semantics depend on the length mode:
+
+    * ``count``: k chains, maximizing the cardinality of the union of their
+      cells (equivalently: the largest cell set decomposable into k chains);
+    * ``entry-sum``: k pairwise disjoint chains, maximizing the sum of the
+      entries they cover;
+    * ``entry-multiplicity``: k chains where a cell with entry e may appear
+      in up to e of them, maximizing the cardinality of the multiset union.
+
+    ``corner=(x, y)`` restricts attention to the cells weakly left of
+    column x and weakly below row y.  This search is deliberately
+    independent of the growth-diagram machinery; it is the reference
+    implementation the fast invariants are tested against.
+    """
+    region = list(f.entries)
+    if corner is not None:
+        x, y = corner
+        region = [(c, r) for (c, r) in region if c <= x and r <= y]
+    if (f.shape.n_cells > ORACLE_MAX_CELLS or f.entry_sum > ORACLE_MAX_ENTRY_SUM
+            or k > ORACLE_MAX_K):
+        raise InstanceTooLarge(
+            f"oracle budget exceeded (cells={f.shape.n_cells}, "
+            f"sum={f.entry_sum}, k={k})")
+    cells = _sorted_cells(region, spec)
+
+    if spec.length_mode == "entry-multiplicity":
+        caps = [min(f.entry(c, r), k) for c, r in cells]
+        gain = [1] * len(cells)
+    elif spec.length_mode == "entry-sum":
+        caps = [1] * len(cells)
+        gain = [f.entry(c, r) for c, r in cells]
+    else:
+        caps = [1] * len(cells)
+        gain = [1] * len(cells)
+
+    best = 0
+
+    def search(idx, lasts, value):
+        nonlocal best
+        if value + sum(gain[idx:]) * max(caps[idx:], default=1) <= best:
+            return
+        if idx == len(cells):
+            best = max(best, value)
+            return
+        cell = cells[idx]
+        nonempty = [j for j in range(k)
+                    if lasts[j] is not None and spec.step_ok(lasts[j], cell)]
+        empties = [j for j in range(k) if lasts[j] is None]
+        base = [()]
+        for j in nonempty:
+            base.extend(sub + (j,) for sub in list(base) if len(sub) < caps[idx])
+        # empty chains are interchangeable, so only prefixes of them are used
+        choices = []
+        for sub in base:
+            for t in range(min(caps[idx] - len(sub), len(empties)) + 1):
+                choices.append(sub + tuple(empties[:t]))
+        for subset in choices:
+            new_lasts = list(lasts)
+            for j in subset:
+                new_lasts[j] = cell
+            search(idx + 1, tuple(new_lasts), value + gain[idx] * len(subset))
+
+    search(0, tuple([None] * k), 0)
+    return best

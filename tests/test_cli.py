@@ -161,6 +161,18 @@ def test_greene_subcommand(capsys):
     assert "PASS" in out
 
 
+def test_greene_past_the_oracle_caps(capsys):
+    code, out, err = run(capsys, "greene", "--shape", "5,5,5,5",
+                         "--cells", "1,1 2,3 3,2 4,4")
+    assert (code, out, err) == (0, "greene[standard]: PASS [k in (1, 2, 3)]\n", "")
+
+
+def test_greene_huge_k(capsys):
+    code, out, _ = run(capsys, "greene", "--shape", "3,2,1",
+                       "--cells", "1,3 2,2 3,1", "--k", str(10 ** 12))
+    assert (code, out) == (0, "greene[standard]: PASS [k in 1..1000000000000]\n")
+
+
 def test_explore_is_evidence_only(capsys):
     code, out, _ = run(capsys, "explore", "--stack", "1,2,1", "--max-n", "2")
     assert code == 0

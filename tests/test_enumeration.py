@@ -4,7 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from growthdiagrams.enumeration import (Report, _densest_bounded_ne,
+from growthdiagrams import enumeration
+from growthdiagrams.correspondences import swap_chain_statistics
+from growthdiagrams.enumeration import (InstanceTooLarge, Report,
+                                        _densest_bounded_ne,
                                         all_fillings, all_shapes,
                                         bell_number, budget_limit,
                                         catalan_number, check_greene,
@@ -13,13 +16,14 @@ from growthdiagrams.enumeration import (Report, _densest_bounded_ne,
                                         problem2_evidence, random_fillings,
                                         stack_polyominoes, symmetric_shapes,
                                         verify_t2, verify_t2a_nes1,
+                                        verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
-from growthdiagrams.fillings import (Filling, InstanceTooLarge, chain_spec,
-                                     greene_oracle)
+from growthdiagrams.fillings import Filling, chain_spec, greene_totals
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
-from oracles import count_noncrossing_matchings, max_ones_with_bounded_ne
+from oracles import (count_noncrossing_matchings, greene_oracle,
+                     max_ones_with_bounded_ne)
 
 
 def test_report_verdicts():
@@ -165,6 +169,46 @@ def test_verify_t6_small():
     assert verify_t6(3).passed is True
 
 
+def test_swap_counts_differ_is_found(monkeypatch):
+    # the NES2 count over symmetric fillings, against a pair of statistics
+    # that is never exchanged with it
+    monkeypatch.setattr(enumeration, "NES2_IMAGE_SPECS",
+                        (chain_spec("NE"), chain_spec("NE")))
+    report = verify_t2asym(5, 2)
+    assert report.passed is False
+    assert report.witness[-1] == "counts differ"
+
+
+def test_swap_statistics_not_exchanged_is_found(monkeypatch):
+    monkeypatch.setattr(enumeration, "swap_chain_statistics",
+                        lambda f, mode: f)
+    report = verify_t2a_nes1(4, 2)
+    assert report.passed is False
+    assert report.witness[-1] == "statistics not exchanged"
+
+
+def test_swap_map_not_inverting_is_found(monkeypatch):
+    def forward_only(f, mode):
+        if mode.endswith("-inverse"):
+            return Filling(f.shape, {})
+        return swap_chain_statistics(f, mode)
+    monkeypatch.setattr(enumeration, "swap_chain_statistics", forward_only)
+    report = verify_t2a_nes2(4, 2)
+    assert report.passed is False
+    assert report.witness[-1] == "map does not invert"
+
+
+def test_swap_image_not_symmetric_is_found(monkeypatch):
+    # sends every filling of the shape 2,1 to one off the diagonal
+    monkeypatch.setattr(
+        enumeration, "swap_chain_statistics",
+        lambda f, mode: Filling(f.shape, {(1, 2): 1}) if (1, 2) in f.shape
+        else f)
+    report = verify_t2sym(3)
+    assert report.passed is False
+    assert report.witness[-1] == "image not symmetric"
+
+
 def test_verify_theorem_dispatch():
     assert verify_theorem("T2", max_cells=4).passed is True
     with pytest.raises(ValueError):
@@ -222,6 +266,23 @@ def test_greene_oracle_agrees_on_one_rsk_corner():
     lam = label_diagram(f, "rsk").labels[(2, 2)]
     spec = chain_spec("NE", length_mode="entry-sum")
     assert lam[0] == greene_oracle(f, spec, 1)
+
+
+def test_check_greene_stops_at_the_entry_sum(monkeypatch):
+    asked = []
+
+    def totals(f, spec, k_max, corner=None):
+        asked.append(k_max)
+        return greene_totals(f, spec, k_max, corner)
+    monkeypatch.setattr(enumeration, "greene_totals", totals)
+    f = Filling(staircase(4), {(1, 3): 1, (2, 2): 1, (3, 1): 1})
+    report = check_greene(f, "standard", range(1, 10 ** 12 + 1))
+    assert str(report) == "greene[standard]: PASS [k in 1..1000000000000]"
+    assert set(asked) == {3}
+    asked.clear()
+    assert str(check_greene(f, "standard", (1, 2))) == \
+        "greene[standard]: PASS [k in (1, 2)]"
+    assert set(asked) == {2}
 
 
 def test_random_fillings_deterministic():

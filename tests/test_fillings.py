@@ -1,12 +1,14 @@
 import pytest
 
-from growthdiagrams.enumeration import all_fillings, all_shapes
+from growthdiagrams.enumeration import (InstanceTooLarge, all_fillings,
+                                        all_shapes)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     Filling, InstanceTooLarge, chain_spec,
-                                     filling_class, filling_from_json,
-                                     filling_to_json, greene_oracle, in_class,
-                                     longest_chain, transpose_filling)
+                                     Filling, chain_spec, filling_class,
+                                     filling_from_json, filling_to_json,
+                                     in_class, longest_chain,
+                                     transpose_filling)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
+from oracles import greene_oracle
 
 
 def make(rows, entries):

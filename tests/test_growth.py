@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import growth, local_rules
-from growthdiagrams.enumeration import GREENE_SPECS, all_fillings, all_shapes
+from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
+                                        check_greene)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
                                      longest_chain)
 from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
@@ -566,6 +567,18 @@ def test_large_round_trip_and_greene_property(variant, data):
                        if c <= x and r <= y})
         assert part(lam, 1) == longest_chain(box, spec_up)
         assert len(lam) == longest_chain(box, spec_down)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_large_greene_property(variant, data):
+    """Past the memo and past the exhaustive oracle's caps: at every corner
+    lam_1 + ... + lam_k and lam'_1 + ... + lam'_k are the largest totals of
+    k chains of the variant's Greene pair, for k <= 4."""
+    f = data.draw(large_fillings(variant))
+    report = check_greene(f, variant, range(1, 5))
+    assert report.passed, report
 
 
 def grown_chain(draw, start, free):

@@ -1,6 +1,8 @@
 """Source hygiene: every name a module in ``src/`` or ``tests/`` imports is
-read somewhere in that module.  Package ``__init__.py`` files are exempt,
-as their imports are the package's re-exports."""
+read somewhere in that module, and every top-level definition in ``src/``
+is read somewhere in ``src/``, ``tests/`` or ``perfbench/``.  Package
+``__init__.py`` files are exempt, as their imports are the package's
+re-exports; those imports still count as reads."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,55 @@ def test_no_unused_imports():
         found += [f"{path.relative_to(ROOT)}:{line}: {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def top_level_definitions(source: str):
+    """(line, name) of each function, class and assignment target at the
+    top level of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                yield from ((n.lineno, n.id) for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+
+
+def names_read(source: str):
+    """Every name ``source`` reads: as a variable, as an attribute, or by
+    importing it from a module.  A name built as a string, as for
+    ``getattr``, is not seen, so tests read definitions by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_unreferenced_definitions_are_found():
+    source = ("import m\nA, (B, C) = 1, (2, 3)\nD: int = 4\n"
+              "def f(): return g()\ndef g(): return A + m.B\n"
+              "class K: pass\nclass L(K): pass\n")
+    read = names_read(source) | names_read("from x import D")
+    assert [(line, name) for line, name in top_level_definitions(source)
+            if name not in read] == [(2, "C"), (4, "f"), (7, "L")]
+
+
+def test_no_unreferenced_definitions():
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= names_read(path.read_text())
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "__init__.py"
+             for line, name in top_level_definitions(path.read_text())
+             if name not in read]
+    assert not found, "definitions nothing reads:\n" + "\n".join(found)

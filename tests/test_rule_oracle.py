@@ -9,12 +9,12 @@ at most 6, then a Hypothesis property on long partitions.
 """
 
 from itertools import count, product
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import local_rules
 from growthdiagrams.local_rules import VARIANT_TABLE, VARIANTS, get_variant
 from growthdiagrams.partitions import (conjugate, contains, is_horizontal_strip,
                                        is_vertical_strip, partitions_of)
@@ -294,10 +294,12 @@ SMALL = [p for n in range(7) for p in partitions_of(n)]
 @pytest.mark.parametrize("name", VARIANTS)
 def test_variant_table_holds_the_plain_rules(name):
     """The growth layer memoises the rules outside VARIANT_TABLE, so the
-    comparisons in this file run the rules themselves, uncached."""
-    suffix = name.replace("-", "_")
-    assert VARIANT_TABLE[name].forward is getattr(local_rules, f"forward_{suffix}")
-    assert VARIANT_TABLE[name].backward is getattr(local_rules, f"backward_{suffix}")
+    comparisons in this file run the rules themselves, uncached: the plain
+    functions that ``local_rules._variant`` builds, not a cache over them."""
+    v = VARIANT_TABLE[name]
+    for rule, kind in ((v.forward, "forward"), (v.backward, "backward")):
+        assert type(rule) is FunctionType
+        assert rule.__qualname__ == f"_variant.<locals>.{kind}"
 
 
 def test_strip_predicates_match_reference_exhaustively():
