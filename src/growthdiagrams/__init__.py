@@ -22,10 +22,9 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               swap_chain_statistics,
                               vacillating_to_setpartition)
 from .enumeration import (InstanceTooLarge, Report, all_fillings, all_shapes,
-                          bell_number, catalan_number, check_greene, count_table,
-                          generate_fillings, jonsson_check,
-                          problem2_evidence, random_fillings,
-                          stack_polyominoes, symmetric_shapes, verify_theorem)
+                          check_greene, count_table, generate_fillings,
+                          jonsson_check, problem2_evidence, stack_polyominoes,
+                          symmetric_shapes, verify_theorem)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, chain_spec, filling_class, filling_from_json,
                        filling_to_json, greene_totals, in_class,

@@ -5,20 +5,38 @@ Set partitions of {1, ..., n} are encoded as fillings of the triangular
 shape with n-1 cells in the bottom row: a pair (i, j) of the standard
 representation (i < j, consecutive elements of a block) puts a cross in
 column i and in the j-th row counted from above, i.e. internal row
-n + 1 - j.  Crossings of the partition then become strictly down-right
-chains of the filling and nestings become up-right chains.
+n + 1 - j.  Nestings of the partition then become strictly up-right
+(``ne``) chains of the filling, and crossings become strictly down-right
+(``se``) chains whose bounding rectangle lies in the shape: the
+rectangle's top-right cell (i_k, n + 1 - j_1) is in the staircase exactly
+when i_k < j_1.
+
+The enhanced statistics read the same two chains in the filling of the
+hesitating shape.  That is the staircase with an extra diagonal cell
+(i, n + 1 - i) whenever i is a singleton or the middle element of a block,
+and a singleton puts a cross in its diagonal cell.  There the rectangle's
+top-right cell is in the shape exactly when i_k <= j_1, the enhanced
+crossing condition.  No statistic reads a growth label, so the
+statistic-swapping bijections are checked against them.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .fillings import Filling
+from .fillings import Filling, _trusted, chain_spec, longest_chain
 from .growth import (GrowthTableau, growth_tableau, label_diagram,
                      border_tableau, reconstruct)
-from .partitions import contains, make_partition
+from .local_rules import get_variant
+from .partitions import contains, differs_by_one_square, make_partition
 from .shapes import FerrersShape, staircase
 
 EMPTY = ()
+
+# the chains of a k-crossing and of a k-nesting, in either filling
+_CROSSING = chain_spec("se", require_rectangle=True)
+_NESTING = chain_spec("ne")
+# a border step of the standard rules: "R" adds at most one square, "D"
+# removes at most one
+_step_ok = get_variant("standard").step_ok
 
 
 @dataclass(frozen=True)
@@ -27,8 +45,10 @@ class SetPartition:
     blocks: tuple  # tuple of sorted tuples, sorted by minimum
 
     def __post_init__(self):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in self.blocks),
-                              key=lambda b: b[0]))
+        blocks = [tuple(sorted(b)) for b in self.blocks]
+        if not all(blocks):
+            raise ValueError(f"a set partition of 1..{self.n} has an empty block")
+        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         seen = [x for b in blocks for x in b]
         if sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError(f"blocks {blocks} do not partition 1..{self.n}")
@@ -63,53 +83,24 @@ def standard_representation(p: SetPartition):
     return sorted((b[i], b[i + 1]) for b in p.blocks for i in range(len(b) - 1))
 
 
-def enhanced_representation(p: SetPartition):
-    """The standard representation plus (i, i) for every singleton block."""
-    rep = standard_representation(p)
-    rep.extend((b[0], b[0]) for b in p.blocks if len(b) == 1)
-    return sorted(rep)
-
-
-def _max_k(pairs, kind: str, enhanced: bool) -> int:
-    """Largest k with a k-crossing resp. k-nesting among the given pairs."""
-    best = 0
-    for k in range(1, len(pairs) + 1):
-        found = False
-        for combo in combinations(sorted(pairs), k):
-            i_s = [i for i, _ in combo]
-            j_s = [j for _, j in combo]
-            if any(a >= b for a, b in zip(i_s, i_s[1:])):
-                continue
-            if kind == "crossing":
-                ok = all(a < b for a, b in zip(j_s, j_s[1:]))
-                sep = i_s[-1] <= j_s[0] if enhanced else i_s[-1] < j_s[0]
-            else:
-                ok = all(a > b for a, b in zip(j_s, j_s[1:]))
-                sep = i_s[-1] <= j_s[-1] if enhanced else i_s[-1] < j_s[-1]
-            if ok and sep:
-                found = True
-                break
-        if found:
-            best = k
-        else:
-            break
-    return best
-
-
 def cross(p: SetPartition) -> int:
-    return _max_k(standard_representation(p), "crossing", False)
+    """The largest k of a k-crossing of p."""
+    return longest_chain(setpartition_to_filling(p), _CROSSING)
 
 
 def nest(p: SetPartition) -> int:
-    return _max_k(standard_representation(p), "nesting", False)
+    """The largest k of a k-nesting of p."""
+    return longest_chain(setpartition_to_filling(p), _NESTING)
 
 
 def enhanced_cross(p: SetPartition) -> int:
-    return _max_k(enhanced_representation(p), "crossing", True)
+    """The largest k of an enhanced k-crossing of p."""
+    return longest_chain(_hesitating_filling(p), _CROSSING)
 
 
 def enhanced_nest(p: SetPartition) -> int:
-    return _max_k(enhanced_representation(p), "nesting", True)
+    """The largest k of an enhanced k-nesting of p."""
+    return longest_chain(_hesitating_filling(p), _NESTING)
 
 
 def min_max_blocks(p: SetPartition):
@@ -120,11 +111,14 @@ def min_max_blocks(p: SetPartition):
 # ---------------------------------------------------------------------------
 # vacillating tableaux
 
+def _crosses(n: int, pairs) -> dict:
+    """A cross in column i, row n + 1 - j for each pair (i, j)."""
+    return {(i, n + 1 - j): 1 for i, j in pairs}
+
+
 def setpartition_to_filling(p: SetPartition) -> Filling:
-    entries = {}
-    for i, j in standard_representation(p):
-        entries[(i, p.n + 1 - j)] = 1
-    return Filling(staircase(p.n), entries)
+    return _trusted(Filling, shape=staircase(p.n),
+                    entries=_crosses(p.n, standard_representation(p)))
 
 
 def filling_to_setpartition(f: Filling, n: int) -> SetPartition:
@@ -164,17 +158,9 @@ def is_vacillating(t: GrowthTableau, n: int) -> bool:
         return False
     for i in range(1, n + 1):
         a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
-        if not (_shrinks(a, b) and _grows(b, c)):
+        if not (_step_ok("D", a, b) and _step_ok("R", b, c)):
             return False
     return True
-
-
-def _grows(a, b):
-    return contains(b, a) and sum(b) - sum(a) in (0, 1)
-
-
-def _shrinks(a, b):
-    return contains(a, b) and sum(a) - sum(b) in (0, 1)
 
 
 def vacillating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPartition:
@@ -252,20 +238,21 @@ def pair_to_vacillating(p: SetPartition, t: PartialTableau) -> GrowthTableau:
 # ---------------------------------------------------------------------------
 # hesitating tableaux
 
-def _hesitating_shape(p: SetPartition):
+def _hesitating_shape(n: int, extended) -> FerrersShape:
     """The staircase with an extra diagonal cell in column i (and row i from
-    above) whenever i is a singleton or the middle element of a chain."""
-    n = p.n
-    rep = standard_representation(p)
-    firsts = {i for i, _ in rep}
-    seconds = {j for _, j in rep}
-    extended = {b[0] for b in p.blocks if len(b) == 1} | (firsts & seconds)
-    rows = []
-    for r in range(1, n + 1):
-        length = (n - r) + (1 if (n + 1 - r) in extended else 0)
-        rows.append(length)
-    shape = FerrersShape(tuple(x for x in rows if x))
-    return shape, extended
+    above) for each i in ``extended``."""
+    return FerrersShape(tuple(j - 1 + (j in extended) for j in range(n, 0, -1)))
+
+
+def _hesitating_filling(p: SetPartition) -> Filling:
+    """The filling of the staircase extended at every singleton and every
+    middle element of a block, with a cross in the diagonal cell of each
+    singleton."""
+    singletons = [b[0] for b in p.blocks if len(b) == 1]
+    middles = [x for b in p.blocks for x in b[1:-1]]
+    pairs = standard_representation(p) + [(i, i) for i in singletons]
+    shape = _hesitating_shape(p.n, {*singletons, *middles})
+    return _trusted(Filling, shape=shape, entries=_crosses(p.n, pairs))
 
 
 def _padded_word(shape: FerrersShape, n: int) -> str:
@@ -273,15 +260,8 @@ def _padded_word(shape: FerrersShape, n: int) -> str:
 
 
 def setpartition_to_hesitating(p: SetPartition) -> GrowthTableau:
-    n = p.n
-    shape, extended = _hesitating_shape(p)
-    entries = {}
-    for i, j in standard_representation(p):
-        entries[(i, n + 1 - j)] = 1
-    for i in extended:
-        if (i,) in p.blocks:
-            entries[(i, n + 1 - i)] = 1
-    return growth_tableau(Filling(shape, entries), word=_padded_word(shape, n))
+    f = _hesitating_filling(p)
+    return growth_tableau(f, word=_padded_word(f.shape, p.n))
 
 
 def is_hesitating(t: GrowthTableau, n: int) -> bool:
@@ -291,9 +271,9 @@ def is_hesitating(t: GrowthTableau, n: int) -> bool:
         return False
     for i in range(1, n + 1):
         a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
-        pat1 = a == b and _grows(b, c) and b != c
-        pat2 = _shrinks(a, b) and a != b and b == c
-        pat3 = _grows(a, b) and a != b and _shrinks(b, c) and b != c
+        pat1 = a == b and _step_ok("R", b, c) and b != c
+        pat2 = _step_ok("D", a, b) and a != b and b == c
+        pat3 = _step_ok("R", a, b) and a != b and _step_ok("D", b, c) and b != c
         if not (pat1 or pat2 or pat3):
             return False
     return True
@@ -308,9 +288,7 @@ def hesitating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPar
     extended = {i for i in range(1, n + 1)
                 if contains(t.seq[2 * i - 1], t.seq[2 * i - 2])
                 and t.seq[2 * i - 1] != t.seq[2 * i - 2]}
-    rows = tuple(x for x in ((n - r) + (1 if (n + 1 - r) in extended else 0)
-                             for r in range(1, n + 1)) if x)
-    shape = FerrersShape(rows)
+    shape = _hesitating_shape(n, extended)
     filling, bottom, left = reconstruct(_padded_word(shape, n), t, "standard")
     if any(p != EMPTY for p in bottom + left):
         raise ValueError("backward pass left nonempty boundary labels")
@@ -340,6 +318,9 @@ class Matching:
 
     def __post_init__(self):
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
+        for p in pairs:
+            if len(p) != 2:
+                raise ValueError(f"matching block {p} is not a pair")
         seen = [x for p in pairs for x in p]
         if sorted(seen) != list(range(1, 2 * self.n + 1)):
             raise ValueError(f"pairs {pairs} do not match up 1..{2 * self.n}")
@@ -381,7 +362,7 @@ def matching_to_oscillating(m: Matching) -> GrowthTableau:
 def is_oscillating(t: GrowthTableau, length: int) -> bool:
     if len(t.seq) != length + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
         return False
-    return all(abs(sum(a) - sum(b)) == 1 and (contains(a, b) or contains(b, a))
+    return all(differs_by_one_square(a, b) or differs_by_one_square(b, a)
                for a, b in zip(t.seq, t.seq[1:]))
 
 

@@ -7,7 +7,6 @@ together with a pointwise bijection certificate where one exists.
 """
 
 import os
-import random
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -20,7 +19,6 @@ from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, _trusted, chain_spec, greene_totals,
                        longest_chain, transpose_filling)
 from .growth import label_diagram
-from .local_rules import get_variant
 from .partitions import conjugate, partitions_of
 from .shapes import FerrersShape, StackPolyomino
 
@@ -535,57 +533,3 @@ def _k_text(ks) -> str:
     if isinstance(ks, range) and len(ks) > 3:
         return f"{ks[0]}..{ks[-1]}"
     return str(tuple(ks))
-
-
-def random_fillings(variant: str, count: int, seed: int = 20060828,
-                    max_cells: int = 9, max_entry: int = 3):
-    """Deterministic pseudo-random fillings in the variant's class."""
-    rng = random.Random(seed)
-    shapes = all_shapes(max_cells)
-    cls = get_variant(variant).filling_class
-    out = []
-    while len(out) < count:
-        shape = rng.choice(shapes)
-        cells = shape.cells()
-        entries = {}
-        if cls == PARTIAL_PERMUTATION:
-            cols = list(range(1, shape.n_cols + 1))
-            rows = list(range(1, shape.n_rows + 1))
-            rng.shuffle(cols)
-            rng.shuffle(rows)
-            for c, r in zip(cols, rows):
-                if (c, r) in shape and rng.random() < 0.7:
-                    entries[(c, r)] = 1
-        else:
-            top = 1 if cls == ZERO_ONE else max_entry
-            budget = 8          # the exhaustive Greene oracle's entry-sum cap
-            for cell in cells:
-                if rng.random() < 0.4:
-                    v = rng.randint(1, top)
-                    if budget - v < 0:
-                        break
-                    budget -= v
-                    entries[cell] = v
-        out.append(Filling(shape, entries))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# independent counting oracles
-
-def bell_number(n: int) -> int:
-    """Bell numbers via the Peirce triangle recurrence."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
-def catalan_number(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c

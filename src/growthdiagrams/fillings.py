@@ -36,7 +36,8 @@ class Filling:
     def __post_init__(self):
         clean = {}
         for (c, r), v in self.entries.items():
-            v = int(v)
+            if type(v) is not int:
+                raise ValueError(f"entry {v!r} at ({c},{r}) is not an integer")
             if v < 0:
                 raise ValueError(f"negative entry at ({c},{r})")
             if v == 0:

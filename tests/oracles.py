@@ -1,19 +1,73 @@
 """Brute-force counts and plain reference versions that the tests check the
 library against; nothing in ``src/`` calls them."""
 
-from itertools import accumulate
+import random
+from itertools import accumulate, combinations
 
-from growthdiagrams.correspondences import all_matchings, cross
-from growthdiagrams.enumeration import InstanceTooLarge, all_fillings
-from growthdiagrams.fillings import (ZERO_ONE, ChainSpec, Filling, _sorted_cells,
-                                     chain_spec, longest_chain)
+from growthdiagrams.correspondences import all_matchings, standard_representation
+from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shapes
+from growthdiagrams.fillings import (PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
+                                     Filling, _sorted_cells, chain_spec,
+                                     longest_chain)
 from growthdiagrams.local_rules import get_variant
 from growthdiagrams.shapes import FerrersShape
 
 
+def enhanced_representation(p):
+    """The standard representation plus (i, i) for every singleton block."""
+    rep = standard_representation(p)
+    rep.extend((b[0], b[0]) for b in p.blocks if len(b) == 1)
+    return sorted(rep)
+
+
+def _max_k(pairs, kind: str, enhanced: bool) -> int:
+    """Largest k with a k-crossing resp. k-nesting among the given pairs."""
+    best = 0
+    for k in range(1, len(pairs) + 1):
+        found = False
+        for combo in combinations(sorted(pairs), k):
+            i_s = [i for i, _ in combo]
+            j_s = [j for _, j in combo]
+            if any(a >= b for a, b in zip(i_s, i_s[1:])):
+                continue
+            if kind == "crossing":
+                ok = all(a < b for a, b in zip(j_s, j_s[1:]))
+                sep = i_s[-1] <= j_s[0] if enhanced else i_s[-1] < j_s[0]
+            else:
+                ok = all(a > b for a, b in zip(j_s, j_s[1:]))
+                sep = i_s[-1] <= j_s[-1] if enhanced else i_s[-1] < j_s[-1]
+            if ok and sep:
+                found = True
+                break
+        if found:
+            best = k
+        else:
+            break
+    return best
+
+
 def count_noncrossing_matchings(n: int) -> int:
     """Matchings of {1..2n} with no 2-crossing, counted by brute force."""
-    return sum(cross(m.as_set_partition()) <= 1 for m in all_matchings(n))
+    return sum(_max_k(standard_representation(m.as_set_partition()),
+                      "crossing", False) <= 1 for m in all_matchings(n))
+
+
+def bell_number(n: int) -> int:
+    """Bell numbers via the Peirce triangle recurrence."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def catalan_number(n: int) -> int:
+    c = 1
+    for i in range(n):
+        c = c * 2 * (2 * i + 1) // (i + 2)
+    return c
 
 
 def max_ones_with_bounded_ne(shape, s: int) -> int:
@@ -138,3 +192,37 @@ def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None) -> int:
 
     search(0, tuple([None] * k), 0)
     return best
+
+
+def random_fillings(variant: str, count: int, seed: int = 20060828,
+                    max_cells: int = 9, max_entry: int = 3):
+    """Deterministic pseudo-random fillings in the variant's class, of
+    entry sum within the exhaustive Greene oracle's cap."""
+    rng = random.Random(seed)
+    shapes = all_shapes(max_cells)
+    cls = get_variant(variant).filling_class
+    out = []
+    while len(out) < count:
+        shape = rng.choice(shapes)
+        cells = shape.cells()
+        entries = {}
+        if cls == PARTIAL_PERMUTATION:
+            cols = list(range(1, shape.n_cols + 1))
+            rows = list(range(1, shape.n_rows + 1))
+            rng.shuffle(cols)
+            rng.shuffle(rows)
+            for c, r in zip(cols, rows):
+                if (c, r) in shape and rng.random() < 0.7:
+                    entries[(c, r)] = 1
+        else:
+            top = 1 if cls == ZERO_ONE else max_entry
+            budget = ORACLE_MAX_ENTRY_SUM
+            for cell in cells:
+                if rng.random() < 0.4:
+                    v = rng.randint(1, top)
+                    if budget - v < 0:
+                        break
+                    budget -= v
+                    entries[cell] = v
+        out.append(Filling(shape, entries))
+    return out

@@ -7,9 +7,8 @@ and asserts the same condition, so the suite doubles as a report.
 import time
 
 from growthdiagrams.cli import _DEMOS
-from growthdiagrams.enumeration import (all_fillings, all_shapes, bell_number,
-                                        catalan_number, check_greene,
-                                        problem2_evidence, random_fillings,
+from growthdiagrams.enumeration import (all_fillings, all_shapes, check_greene,
+                                        problem2_evidence,
                                         jonsson_check, stack_polyominoes,
                                         verify_t2, verify_t2a_nes1,
                                         verify_t2a_nes2, verify_t2asym,
@@ -24,7 +23,8 @@ from growthdiagrams.insertion import (biword_from_filling, border_pair,
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.shapes import FerrersShape, staircase
 
-from oracles import count_noncrossing_matchings
+from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
+                     random_fillings)
 
 
 def report(number, ok, detail):

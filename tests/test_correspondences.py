@@ -1,8 +1,12 @@
 """Set partitions, matchings and their tableau encodings."""
 
+import time
+
 import pytest
 
-from growthdiagrams.correspondences import (PartialTableau, SetPartition,
+from growthdiagrams import correspondences
+from growthdiagrams.correspondences import (Matching, PartialTableau,
+                                            SetPartition,
                                             all_matchings,
                                             all_set_partitions,
                                             conjugate_matching,
@@ -10,7 +14,6 @@ from growthdiagrams.correspondences import (PartialTableau, SetPartition,
                                             conjugate_set_partition_enhanced,
                                             cross, enhanced_cross,
                                             enhanced_nest,
-                                            enhanced_representation,
                                             filling_to_setpartition,
                                             hesitating_to_setpartition,
                                             is_hesitating, is_oscillating,
@@ -28,6 +31,8 @@ from growthdiagrams.correspondences import (PartialTableau, SetPartition,
                                             standard_representation,
                                             vacillating_to_setpartition)
 from growthdiagrams.partitions import parse_partition
+
+from oracles import _max_k, enhanced_representation
 
 
 def seq_of(t):
@@ -47,6 +52,17 @@ def test_parse_and_str():
         SetPartition(3, ((1, 2),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SetPartition(2, ((1, 2), ())),
+    lambda: parse_set_partition("1 2 |"),
+    lambda: Matching(2, ((1, 2, 3), (4,))),
+    lambda: parse_matching("1-2-3 4"),
+], ids=["empty-block", "parsed-empty-block", "triple", "parsed-triple"])
+def test_malformed_blocks_raise(make):
+    with pytest.raises(ValueError, match="empty block|is not a pair"):
+        make()
+
+
 def test_representations():
     p = parse_set_partition("1 4 5 7 | 2 6 | 3")
     assert standard_representation(p) == [(1, 4), (2, 6), (4, 5), (5, 7)]
@@ -59,6 +75,31 @@ def test_cross_nest_small():
     assert nest(parse_set_partition("1 3 | 2 4")) == 1
     assert cross(parse_set_partition("1 4 | 2 3")) == 1
     assert nest(parse_set_partition("1 4 | 2 3")) == 2
+
+
+def test_statistics_match_the_k_subset_oracle():
+    start = time.perf_counter()
+    for n in range(9):
+        for p in all_set_partitions(n):
+            standard, enhanced = (standard_representation(p),
+                                  enhanced_representation(p))
+            assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
+                _max_k(standard, "crossing", False),
+                _max_k(standard, "nesting", False),
+                _max_k(enhanced, "crossing", True),
+                _max_k(enhanced, "nesting", True)), str(p)
+    assert time.perf_counter() - start < 5
+
+
+def test_statistics_read_no_growth_label(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a statistic called growth code")
+    for name in ("growth_tableau", "label_diagram", "border_tableau",
+                 "reconstruct"):
+        monkeypatch.setattr(correspondences, name, refuse)
+    p = parse_set_partition("1 2 3 | 4 6 | 5")
+    assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
+        1, 1, 2, 2)
 
 
 def test_min_max_blocks():

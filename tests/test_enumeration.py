@@ -9,11 +9,9 @@ from growthdiagrams.correspondences import swap_chain_statistics
 from growthdiagrams.enumeration import (InstanceTooLarge, Report,
                                         _densest_bounded_ne,
                                         all_fillings, all_shapes,
-                                        bell_number, budget_limit,
-                                        catalan_number, check_greene,
+                                        budget_limit, check_greene,
                                         count_table, generate_fillings,
-                                        jonsson_check,
-                                        problem2_evidence, random_fillings,
+                                        jonsson_check, problem2_evidence,
                                         stack_polyominoes, symmetric_shapes,
                                         verify_t2, verify_t2a_nes1,
                                         verify_t2a_nes2, verify_t2asym,
@@ -22,8 +20,8 @@ from growthdiagrams.enumeration import (InstanceTooLarge, Report,
 from growthdiagrams.fillings import Filling, chain_spec, greene_totals
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
-from oracles import (count_noncrossing_matchings, greene_oracle,
-                     max_ones_with_bounded_ne)
+from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
+                     greene_oracle, max_ones_with_bounded_ne, random_fillings)
 
 
 def test_report_verdicts():

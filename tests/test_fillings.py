@@ -29,6 +29,12 @@ def test_filling_validates_cells():
         make((2, 2), {(1, 1): -1})
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+def test_filling_rejects_entries_that_are_not_ints(value):
+    with pytest.raises(ValueError, match=r"at \(1,1\) is not an integer"):
+        make((1,), {(1, 1): value})
+
+
 def test_filling_class():
     assert filling_class(make((2, 2), {(1, 1): 1, (2, 2): 1})) == PARTIAL_PERMUTATION
     assert filling_class(make((2, 2), {(1, 1): 1, (1, 2): 1})) == ZERO_ONE
