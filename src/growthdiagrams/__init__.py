@@ -10,7 +10,7 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               all_matchings, all_set_partitions,
                               conjugate_matching, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
-                              enhanced_cross, enhanced_nest,
+                              cross_nest, enhanced_cross, enhanced_nest,
                               filling_to_setpartition,
                               hesitating_to_setpartition, matching_to_oscillating,
                               min_max_blocks, min_max_from_vacillating, nest,

@@ -8,6 +8,7 @@ Exit codes: 0 for success / PASS, 1 for FAIL or a counterexample,
 import argparse
 import inspect
 import json
+import re
 import sys
 
 from .correspondences import (Matching, PartialTableau, SetPartition,
@@ -62,6 +63,9 @@ def _parse_filling(args) -> Filling:
     return Filling(shape, entries)
 
 
+_LIST_SEPARATOR = re.compile(r"[,\s]+(?![^\[]*\])")
+
+
 def _parse_tableau(args) -> GrowthTableau:
     """The tableau of --tableau.  A JSON tableau carries its own word and
     variant, which --word and --variant may repeat but not contradict; a
@@ -79,7 +83,8 @@ def _parse_tableau(args) -> GrowthTableau:
         return t
     if args.word is None:
         raise ValueError("--word is required with a comma-list --tableau")
-    seq = tuple(parse_partition(p) for p in text.replace(",", " ").split())
+    # split at commas and spaces, except inside a bracketed label "[10,1]"
+    seq = tuple(parse_partition(p) for p in _LIST_SEPARATOR.split(text) if p)
     return GrowthTableau(args.word, seq, variant)
 
 
@@ -314,7 +319,7 @@ def cmd_count(args) -> int:
 
 def cmd_greene(args) -> int:
     f = _parse_filling(args)
-    report = check_greene(f, args.variant, range(1, args.k + 1))
+    report = check_greene(f, args.variant, args.k)
     print(report)
     return 0 if report.passed else 1
 

@@ -18,6 +18,14 @@ and a singleton puts a cross in its diagonal cell.  There the rectangle's
 top-right cell is in the shape exactly when i_k <= j_1, the enhanced
 crossing condition.  No statistic reads a growth label, so the
 statistic-swapping bijections are checked against them.
+
+Each tableau is the border of its filling read along one D/R word, with
+one step pair per element i of 1..n: "DR" (delete, then add) except where
+the shape has the extra diagonal cell of i, which turns the pair into "RD"
+(add, then delete).  So the vacillating tableau is read along "DR" * n, the
+hesitating tableau along "DR" or "RD" for each i, and the oscillating
+tableau of a matching of 1..2n along "DR" * 2n with every other label
+dropped.
 """
 
 from dataclasses import dataclass
@@ -26,8 +34,9 @@ from .fillings import Filling, _trusted, chain_spec, longest_chain
 from .growth import (GrowthTableau, growth_tableau, label_diagram,
                      border_tableau, reconstruct)
 from .local_rules import get_variant
-from .partitions import contains, differs_by_one_square, make_partition
-from .shapes import FerrersShape, staircase
+from .partitions import (contains, differs_by_one_square, make_partition,
+                         parse_int)
+from .shapes import shape_from_word, staircase
 
 EMPTY = ()
 
@@ -59,9 +68,10 @@ class SetPartition:
 
 
 def parse_set_partition(text: str, n: int | None = None) -> SetPartition:
-    blocks = tuple(tuple(int(x) for x in part.split()) for part in text.split("|"))
+    blocks = tuple(tuple(parse_int(x, text) for x in part.split())
+                   for part in text.split("|")) if text.strip() else ()
     if n is None:
-        n = max(x for b in blocks for x in b)
+        n = max((x for b in blocks for x in b), default=0)
     return SetPartition(n, blocks)
 
 
@@ -95,12 +105,19 @@ def nest(p: SetPartition) -> int:
 
 def enhanced_cross(p: SetPartition) -> int:
     """The largest k of an enhanced k-crossing of p."""
-    return longest_chain(_hesitating_filling(p), _CROSSING)
+    return longest_chain(_hesitating(p)[1], _CROSSING)
 
 
 def enhanced_nest(p: SetPartition) -> int:
     """The largest k of an enhanced k-nesting of p."""
-    return longest_chain(_hesitating_filling(p), _NESTING)
+    return longest_chain(_hesitating(p)[1], _NESTING)
+
+
+def cross_nest(p: SetPartition, enhanced: bool = False) -> tuple[int, int]:
+    """(cross(p), nest(p)), or with ``enhanced`` the enhanced pair, read
+    from one filling of p."""
+    f = _hesitating(p)[1] if enhanced else setpartition_to_filling(p)
+    return longest_chain(f, _CROSSING), longest_chain(f, _NESTING)
 
 
 def min_max_blocks(p: SetPartition):
@@ -144,13 +161,15 @@ def _partition_from_pairs(n: int, pairs) -> SetPartition:
     return SetPartition(n, tuple(blocks))
 
 
-def _staircase_word(n: int) -> str:
-    return "DR" * n
+def _tableau_word(n: int, extended=()) -> str:
+    """The reading word of a set partition's growth diagram: "DR" for each
+    element of 1..n, and "RD" instead for each element in ``extended``."""
+    return "".join("RD" if i in extended else "DR" for i in range(1, n + 1))
 
 
 def setpartition_to_vacillating(p: SetPartition) -> GrowthTableau:
     """The sequence of 2n+1 partitions read along the staircase boundary."""
-    return growth_tableau(setpartition_to_filling(p), word=_staircase_word(p.n))
+    return growth_tableau(setpartition_to_filling(p), word=_tableau_word(p.n))
 
 
 def is_vacillating(t: GrowthTableau, n: int) -> bool:
@@ -168,10 +187,8 @@ def vacillating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPa
         n = (len(t.seq) - 1) // 2
     if not is_vacillating(t, n):
         raise ValueError("not a vacillating tableau")
-    filling, bottom, left = reconstruct(_staircase_word(n), t, "standard")
-    if any(p != EMPTY for p in bottom + left):
-        raise ValueError("backward pass left nonempty boundary labels")
-    return filling_to_setpartition(filling, n)
+    return filling_to_setpartition(
+        reconstruct(_tableau_word(n), t, "standard")[0], n)
 
 
 def min_max_from_vacillating(t: GrowthTableau, n: int | None = None):
@@ -231,37 +248,28 @@ def pair_to_vacillating(p: SetPartition, t: PartialTableau) -> GrowthTableau:
     n = p.n
     bottom = [t.shape_at(x) for x in range(n + 1)]
     diagram = label_diagram(setpartition_to_filling(p), "standard",
-                            word=_staircase_word(n), bottom=bottom)
+                            word=_tableau_word(n), bottom=bottom)
     return border_tableau(diagram)
 
 
 # ---------------------------------------------------------------------------
 # hesitating tableaux
 
-def _hesitating_shape(n: int, extended) -> FerrersShape:
-    """The staircase with an extra diagonal cell in column i (and row i from
-    above) for each i in ``extended``."""
-    return FerrersShape(tuple(j - 1 + (j in extended) for j in range(n, 0, -1)))
-
-
-def _hesitating_filling(p: SetPartition) -> Filling:
-    """The filling of the staircase extended at every singleton and every
-    middle element of a block, with a cross in the diagonal cell of each
-    singleton."""
+def _hesitating(p: SetPartition):
+    """The hesitating word of p and its filling: the staircase extended by
+    the diagonal cell of every singleton and every middle element of a
+    block, with a cross in the diagonal cell of each singleton."""
     singletons = [b[0] for b in p.blocks if len(b) == 1]
     middles = [x for b in p.blocks for x in b[1:-1]]
+    word = _tableau_word(p.n, {*singletons, *middles})
     pairs = standard_representation(p) + [(i, i) for i in singletons]
-    shape = _hesitating_shape(p.n, {*singletons, *middles})
-    return _trusted(Filling, shape=shape, entries=_crosses(p.n, pairs))
-
-
-def _padded_word(shape: FerrersShape, n: int) -> str:
-    return "D" * (n - shape.n_rows) + shape.word + "R" * (n - shape.n_cols)
+    return word, _trusted(Filling, shape=shape_from_word(word),
+                          entries=_crosses(p.n, pairs))
 
 
 def setpartition_to_hesitating(p: SetPartition) -> GrowthTableau:
-    f = _hesitating_filling(p)
-    return growth_tableau(f, word=_padded_word(f.shape, p.n))
+    word, f = _hesitating(p)
+    return growth_tableau(f, word=word)
 
 
 def is_hesitating(t: GrowthTableau, n: int) -> bool:
@@ -284,26 +292,13 @@ def hesitating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPar
         n = (len(t.seq) - 1) // 2
     if not is_hesitating(t, n):
         raise ValueError("not a hesitating tableau")
-    # an add-then-delete pair at position i marks the extra diagonal cell
+    # an add-then-delete pair at position i marks the extra diagonal cell;
+    # a cross there is a singleton, which _partition_from_pairs skips
     extended = {i for i in range(1, n + 1)
                 if contains(t.seq[2 * i - 1], t.seq[2 * i - 2])
                 and t.seq[2 * i - 1] != t.seq[2 * i - 2]}
-    shape = _hesitating_shape(n, extended)
-    filling, bottom, left = reconstruct(_padded_word(shape, n), t, "standard")
-    if any(p != EMPTY for p in bottom + left):
-        raise ValueError("backward pass left nonempty boundary labels")
-    pairs = []
-    singles = []
-    for (c, r) in filling.entries:
-        j = n + 1 - r
-        if c == j:
-            singles.append(c)
-        else:
-            pairs.append((c, j))
-    part = _partition_from_pairs(n, pairs)
-    if any((i,) not in part.blocks for i in singles):
-        raise ValueError("diagonal cross at a non-singleton position")
-    return part
+    return filling_to_setpartition(
+        reconstruct(_tableau_word(n, extended), t, "standard")[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +329,8 @@ class Matching:
 
 
 def parse_matching(text: str) -> Matching:
-    pairs = tuple(tuple(int(x) for x in p.split("-")) for p in text.split())
+    pairs = tuple(tuple(parse_int(x, text) for x in p.split("-"))
+                  for p in text.split())
     return Matching(len(pairs), pairs)
 
 
@@ -377,12 +373,8 @@ def oscillating_to_matching(t: GrowthTableau) -> Matching:
             q = t.seq[i + 1]
             seq.append(p if contains(q, p) else q)
     # seq now interleaves deletions and additions into a length 4n+1 sequence
-    vac = GrowthTableau(_staircase_word(two_n), tuple(seq))
-    part = vacillating_to_setpartition(vac, two_n)
-    if any(len(b) != 2 for b in part.blocks):
-        raise ValueError("tableau does not encode a perfect matching")
-    n = two_n // 2
-    return Matching(n, part.blocks)
+    vac = GrowthTableau(_tableau_word(two_n), tuple(seq))
+    return Matching(two_n // 2, vacillating_to_setpartition(vac, two_n).blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +402,7 @@ def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
                          f"{tuple(_SWAP_FORWARD)}")
     t = growth_tableau(f, _SWAP_FORWARD[mode])
     # the conjugated tableau carries the backward variant
-    back, bottom, left = reconstruct(t.word, t.conjugate())
-    if any(p != EMPTY for p in bottom + left):
-        raise ValueError("conjugated tableau did not reconstruct cleanly")
-    return back
+    return reconstruct(t.word, t.conjugate())[0]
 
 
 def conjugate_set_partition(p: SetPartition) -> SetPartition:

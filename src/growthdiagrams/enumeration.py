@@ -12,9 +12,8 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .correspondences import (all_set_partitions, conjugate_set_partition,
-                              conjugate_set_partition_enhanced, cross,
-                              enhanced_cross, enhanced_nest, min_max_blocks,
-                              nest, swap_chain_statistics)
+                              conjugate_set_partition_enhanced, cross_nest,
+                              min_max_blocks, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, _trusted, chain_spec, greene_totals,
                        longest_chain, transpose_filling)
@@ -384,12 +383,12 @@ def _partition_verdict(name, max_n, stats, conj, refined, kind=""):
 
 
 def verify_t4(max_n: int = 5) -> Report:
-    return _partition_verdict("T4", max_n, lambda p: (cross(p), nest(p)),
+    return _partition_verdict("T4", max_n, cross_nest,
                               conjugate_set_partition, False)
 
 
 def verify_t5(max_n: int = 5) -> Report:
-    return _partition_verdict("T5", max_n, lambda p: (cross(p), nest(p)),
+    return _partition_verdict("T5", max_n, cross_nest,
                               conjugate_set_partition, True, ", refined")
 
 
@@ -400,7 +399,7 @@ def verify_t6(max_n: int = 4) -> Report:
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
     return _partition_verdict(
-        "T6", max_n, lambda p: (enhanced_cross(p), enhanced_nest(p)),
+        "T6", max_n, lambda p: cross_nest(p, enhanced=True),
         conjugate_set_partition_enhanced, False, ", enhanced")
 
 
@@ -493,30 +492,25 @@ GREENE_SPECS = {
 }
 
 
-def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
+def check_greene(f: Filling, variant: str, k_max: int = 3) -> Report:
     """Compare every corner label of the growth diagram with the largest
     totals of k chains in the corresponding rectangular region of the
-    filling, for each k in ``ks``: a tuple, or a range of consecutive k,
-    which is never spelt out.
+    filling, for each k in 1..k_max.
 
-    Both sides stop changing once k reaches the filling's entry sum, so a
-    larger k is compared there, and each such k once.
+    Both sides stop changing once k reaches the filling's entry sum, so no
+    larger k is compared.
     """
-    top = max(f.entry_sum, 1)
-    # from a start of at least 1, every member of an increasing range past
-    # its first top + 1 is past top too
-    head = ks[:top + 1] if isinstance(ks, range) else ks
-    if not head or min(head) < 1:
-        raise ValueError(f"k must be at least 1, got ks={_k_text(ks)}")
-    compared = sorted({min(k, top) for k in head})
+    if k_max < 1:
+        raise ValueError(f"k must be at least 1, got k_max={k_max}")
+    top = min(k_max, max(f.entry_sum, 1))
     diagram = label_diagram(f, variant)     # rejects an unknown variant
     spec_up, spec_down = GREENE_SPECS[variant]
     for (x, y) in diagram.corners():
         lam = diagram.label(x, y)
         lam_c = conjugate(lam)
-        rows = greene_totals(f, spec_up, compared[-1], corner=(x, y))
-        cols = greene_totals(f, spec_down, compared[-1], corner=(x, y))
-        for k in compared:
+        rows = greene_totals(f, spec_up, top, corner=(x, y))
+        cols = greene_totals(f, spec_down, top, corner=(x, y))
+        for k in range(1, top + 1):
             want = (sum(lam[:k]), sum(lam_c[:k]))
             got = (rows[k - 1], cols[k - 1])
             if got != want:
@@ -524,12 +518,5 @@ def check_greene(f: Filling, variant: str, ks=(1, 2, 3)) -> Report:
                               f"corner ({x},{y}), k={k}: label {lam} wants "
                               f"({want[0]},{want[1]}), chains give "
                               f"({got[0]},{got[1]})", f)
-    return Report(f"greene[{variant}]", True, f"k in {_k_text(ks)}")
-
-
-def _k_text(ks) -> str:
-    """The k of a Greene check as a tuple, or as first..last for a range of
-    more than three."""
-    if isinstance(ks, range) and len(ks) > 3:
-        return f"{ks[0]}..{ks[-1]}"
-    return str(tuple(ks))
+    ks = f"1..{k_max}" if k_max > 3 else tuple(range(1, k_max + 1))
+    return Report(f"greene[{variant}]", True, f"k in {ks}")

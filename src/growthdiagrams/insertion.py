@@ -37,14 +37,6 @@ class TwoRowedArray:
                     raise ValueError("bottoms under equal tops must decrease")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def tops(self):
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def bottoms(self):
-        return tuple(b for _, b in self.pairs)
-
 
 def biword_from_filling(f: Filling, ordering: str = "weak") -> TwoRowedArray:
     pairs = []

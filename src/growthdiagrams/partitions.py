@@ -8,15 +8,33 @@ containment) are coordinatewise.
 from operator import ge, sub
 
 _ZERO_ONE = frozenset((0, 1))
+_INT = frozenset((int,))
+
+
+def int_tuple(values) -> tuple[int, ...]:
+    """``values`` as a tuple, which must hold ints only (not bools)."""
+    t = tuple(values)
+    if not _INT.issuperset(map(type, t)):
+        bad = next(x for x in t if type(x) is not int)
+        raise ValueError(f"{bad!r} in {t} is not an integer")
+    return t
+
+
+def parse_int(token: str, text: str) -> int:
+    """The integer ``token`` of the input ``text``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} in {text!r} is not an integer") from None
 
 
 def make_partition(parts) -> tuple[int, ...]:
-    """Normalize an iterable of parts into a partition tuple.
+    """Normalize an iterable of int parts into a partition tuple.
 
-    Trailing zeros are stripped.  Raises ValueError if the parts are not
-    weakly decreasing or contain a negative entry.
+    Trailing zeros are stripped.  Raises ValueError if a part is not an
+    int, the parts are not weakly decreasing or contain a negative entry.
     """
-    return checked_partition(tuple(map(int, parts)))
+    return checked_partition(int_tuple(parts))
 
 
 def checked_partition(parts) -> tuple[int, ...]:
@@ -130,7 +148,8 @@ def parse_partition(text: str) -> tuple[int, ...]:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unbalanced brackets in {text!r}")
-        return make_partition(int(x) for x in text[1:-1].split(","))
+        return make_partition(parse_int(x, text)
+                              for x in text[1:-1].split(","))
     if not text.isdigit():
         raise ValueError(f"cannot parse partition {text!r}")
     return make_partition(int(c) for c in text)

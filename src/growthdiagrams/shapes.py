@@ -12,7 +12,7 @@ right, D moves one cell down.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .partitions import conjugate, make_partition
+from .partitions import conjugate, int_tuple, make_partition, parse_int
 
 
 def _column_cells(col_heights):
@@ -112,7 +112,8 @@ def shape_from_text(text: str) -> FerrersShape:
         return FerrersShape(())
     if set(text) <= {"D", "R"}:
         return shape_from_word(text)
-    return FerrersShape(tuple(sorted((int(x) for x in text.split(",")), reverse=True)))
+    return FerrersShape(tuple(sorted((parse_int(x, text) for x in text.split(",")),
+                                     reverse=True)))
 
 
 def staircase(n: int) -> FerrersShape:
@@ -127,7 +128,7 @@ class StackPolyomino:
     col_heights: tuple[int, ...]
 
     def __post_init__(self):
-        h = tuple(int(x) for x in self.col_heights)
+        h = int_tuple(self.col_heights)
         if any(x <= 0 for x in h):
             raise ValueError(f"column heights must be positive: {h}")
         if h:
@@ -170,4 +171,5 @@ class StackPolyomino:
 
 
 def stack_from_text(text: str) -> StackPolyomino:
-    return StackPolyomino(tuple(int(x) for x in text.strip().split(",")))
+    return StackPolyomino(tuple(parse_int(x, text)
+                                for x in text.strip().split(",")))

@@ -52,6 +52,24 @@ def test_map_json_and_inverse_round_trip(capsys):
     assert all(p == [] for p in back["bottom"] + back["left"])
 
 
+def test_map_text_with_bracketed_labels_replays(capsys):
+    """A label with a part above 9 prints as "[10,1]", commas and all; the
+    text border still replays through inverse."""
+    cells = "1,1 2,2 3,3 4,4 5,5 6,6 7,7 8,8 9,9 11,10 10,11"
+    code, out, _ = run(capsys, "map", "--shape", ",".join(["11"] * 11),
+                       "--cells", cells)
+    assert code == 0
+    lines = dict(line.split(None, 1) for line in out.splitlines())
+    assert "[10],[10,1],[10]" in lines["border"]
+    code, out, _ = run(capsys, "inverse", "--word", lines["word"],
+                       "--tableau", lines["border"], "--format", "json")
+    assert code == 0
+    back = json.loads(out)
+    assert {(c, r) for c, r, _ in back["filling"]["entries"]} == {
+        tuple(map(int, item.split(","))) for item in cells.split()}
+    assert all(p == [] for p in back["bottom"] + back["left"])
+
+
 ARBITRARY_CELLS = ("1,1,2 2,2 1,2,3", {(1, 1): 2, (2, 2): 1, (1, 2): 3})
 ZERO_ONE_CELLS = ("1,1 2,1 1,2", {(1, 1): 1, (2, 1): 1, (1, 2): 1})
 
@@ -264,6 +282,11 @@ RSK_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []], "variant": "rsk"
      "--variant dual-rsk contradicts the tableau's variant rsk"),
     (("inverse", "--tableau", RSK_TABLEAU, "--word", "RDRD"),
      "--word RDRD contradicts the tableau's word RRDD"),
+    (("count", "--shape", "3,x"), "'x' in '3,x' is not an integer"),
+    (("verify", "--jonsson", "1,,2"), "'' in '1,,2' is not an integer"),
+    (("explore", "--stack", "1,x"), "'x' in '1,x' is not an integer"),
+    (("inverse", "--word", "RD", "--tableau", "e,[1 ,e"),
+     "unbalanced brackets in '[1'"),
 ], ids=["filling-no-keys", "filling-not-object", "filling-short-entry",
         "tableau-no-word", "tableau-seq-not-list", "max-n-for-T2",
         "max-cells-for-jonsson", "s-for-T4", "one-chain-code",
@@ -273,7 +296,9 @@ RSK_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []], "variant": "rsk"
         "stack-and-shape", "filling-and-shape", "filling-and-cells",
         "greene-filling-and-shape", "cells-one-number", "cells-four-numbers",
         "cells-not-integer", "cells-twice", "comma-tableau-no-word",
-        "json-tableau-other-variant", "json-tableau-other-word"])
+        "json-tableau-other-variant", "json-tableau-other-word",
+        "count-shape-not-integer", "jonsson-empty-height",
+        "explore-stack-not-integer", "comma-tableau-open-bracket"])
 def test_malformed_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

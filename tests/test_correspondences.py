@@ -12,7 +12,7 @@ from growthdiagrams.correspondences import (Matching, PartialTableau,
                                             conjugate_matching,
                                             conjugate_set_partition,
                                             conjugate_set_partition_enhanced,
-                                            cross, enhanced_cross,
+                                            cross, cross_nest, enhanced_cross,
                                             enhanced_nest,
                                             filling_to_setpartition,
                                             hesitating_to_setpartition,
@@ -30,6 +30,7 @@ from growthdiagrams.correspondences import (Matching, PartialTableau,
                                             setpartition_to_vacillating,
                                             standard_representation,
                                             vacillating_to_setpartition)
+from growthdiagrams.growth import GrowthTableau
 from growthdiagrams.partitions import parse_partition
 
 from oracles import _max_k, enhanced_representation
@@ -50,6 +51,24 @@ def test_parse_and_str():
     assert str(p) == "1 4 5 7 | 2 6 | 3"
     with pytest.raises(ValueError):
         SetPartition(3, ((1, 2),))
+
+
+def test_parse_inverts_str():
+    for n in range(6):
+        for p in all_set_partitions(n):
+            assert parse_set_partition(str(p)) == p
+    assert parse_set_partition("") == SetPartition(0, ())
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_set_partition, "1 x"), (parse_set_partition, "1 2 | 3.0"),
+    (parse_matching, "1-x"), (parse_matching, "1-2 3-"),
+])
+def test_parsers_name_the_bad_token(parse, text):
+    token = text.replace("|", " ").replace("-", " ").split(" ")[-1]
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == f"{token!r} in {text!r} is not an integer"
 
 
 @pytest.mark.parametrize("make", [
@@ -100,6 +119,15 @@ def test_statistics_read_no_growth_label(monkeypatch):
     p = parse_set_partition("1 2 3 | 4 6 | 5")
     assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
         1, 1, 2, 2)
+    assert (cross_nest(p), cross_nest(p, enhanced=True)) == ((1, 1), (2, 2))
+
+
+def test_pair_reader_matches_the_single_statistics():
+    for n in range(8):
+        for p in all_set_partitions(n):
+            assert cross_nest(p) == (cross(p), nest(p)), str(p)
+            assert cross_nest(p, enhanced=True) == (
+                enhanced_cross(p), enhanced_nest(p)), str(p)
 
 
 def test_min_max_blocks():
@@ -150,6 +178,81 @@ def test_hesitating_round_trip():
             t = setpartition_to_hesitating(p)
             assert is_hesitating(t, n)
             assert hesitating_to_setpartition(t, n) == p
+
+
+def _removed(p):
+    """p less one corner square, for each corner."""
+    for i, x in enumerate(p):
+        if i + 1 == len(p) or p[i + 1] < x:
+            yield tuple(y for y in p[:i] + (x - 1,) + p[i + 1:] if y)
+
+
+def _added(p):
+    """p plus one square, for each row that can take one."""
+    for i in range(len(p) + 1):
+        here = p[i] if i < len(p) else 0
+        if i == 0 or p[i - 1] > here:
+            yield p[:i] + (here + 1,) + p[i + 1:]
+
+
+def _vacillating_steps(a):
+    for b in (a, *_removed(a)):
+        for c in (b, *_added(b)):
+            yield b, c
+
+
+def _hesitating_steps(a):
+    yield from ((a, c) for c in _added(a))
+    yield from ((b, b) for b in _removed(a))
+    yield from ((b, c) for b in _added(a) for c in _removed(b))
+
+
+def _oscillating_steps(a):
+    yield from ((b,) for b in (*_added(a), *_removed(a)))
+
+
+def _closed_sequences(steps, groups):
+    """Every sequence of partitions from () back to () made of ``groups``
+    groups of labels, each a choice of ``steps`` after the last label.
+    Each group shrinks the size by at most one, which prunes the search."""
+    def grow(seq, left):
+        if not left:
+            if seq[-1] == ():
+                yield seq
+            return
+        for group in steps(seq[-1]):
+            if sum(group[-1]) < left:
+                yield from grow(seq + group, left - 1)
+    return list(grow(((),), groups))
+
+
+def test_every_tableau_decodes_and_reencodes():
+    """The sequences found by an independent search, pruned by each
+    tableau's step pattern, are exactly as many as the objects they encode,
+    and each one decodes and re-encodes to itself; so the decoders need no
+    check after the backward pass."""
+    start = time.perf_counter()
+    bell = (1, 1, 2, 5, 15, 52, 203)
+    for n, count in enumerate(bell):
+        for steps, ok, decode, encode in (
+                (_vacillating_steps, is_vacillating, vacillating_to_setpartition,
+                 setpartition_to_vacillating),
+                (_hesitating_steps, is_hesitating, hesitating_to_setpartition,
+                 setpartition_to_hesitating)):
+            found = _closed_sequences(steps, n)
+            assert len(found) == count
+            for seq in found:
+                t = GrowthTableau("DR" * n, seq)
+                assert ok(t, n)
+                assert encode(decode(t, n)).seq == seq
+    for n, count in enumerate((1, 1, 3, 15, 105)):
+        found = _closed_sequences(_oscillating_steps, 2 * n)
+        assert len(found) == count
+        for seq in found:
+            t = GrowthTableau("D" * (2 * n), seq)
+            assert is_oscillating(t, 2 * n)
+            assert matching_to_oscillating(oscillating_to_matching(t)).seq == seq
+    assert time.perf_counter() - start < 5
 
 
 def test_oscillating_fixture():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module in ``src/`` or ``tests/`` imports is
-read somewhere in that module, and every top-level definition in ``src/``
-is read somewhere in ``src/``, ``tests/`` or ``perfbench/``.  Package
+read somewhere in that module, every top-level definition in ``src/`` is
+read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and so is every
+method and property of a class in ``src/``, as an attribute.  Package
 ``__init__.py`` files are exempt, as their imports are the package's
 re-exports; those imports still count as reads."""
 
@@ -61,6 +62,23 @@ def top_level_definitions(source: str):
                             if isinstance(n, ast.Name))
 
 
+def methods(source: str):
+    """(line, "Class.name", name) of each method and property, dunders
+    excepted, of each class at the top level of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    yield item.lineno, f"{node.name}.{item.name}", item.name
+
+
+def attributes_read(source: str):
+    """Every name ``source`` reads as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
 def names_read(source: str):
     """Every name ``source`` reads: as a variable, as an attribute, or by
     importing it from a module.  A name built as a string, as for
@@ -85,14 +103,34 @@ def test_unreferenced_definitions_are_found():
             if name not in read] == [(2, "C"), (4, "f"), (7, "L")]
 
 
+def test_unread_methods_are_found():
+    source = ("class K:\n    x = 1\n    def __len__(self): return 0\n"
+              "    def used(self): return self.p\n"
+              "    def unused(self): return used\n"
+              "    @property\n    def p(self): return 1\n"
+              "    @property\n    def q(self): return 2\n"
+              "def f(k): return k.used()\n")
+    read = attributes_read(source)
+    assert [(line, qualified) for line, qualified, name in methods(source)
+            if name not in read] == [(5, "K.unused"), (9, "K.q")]
+
+
 def test_no_unreferenced_definitions():
-    read = set()
+    read, attributes = set(), set()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            read |= names_read(path.read_text())
-    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
-             for path in sorted((ROOT / "src").rglob("*.py"))
-             if path.name != "__init__.py"
-             for line, name in top_level_definitions(path.read_text())
-             if name not in read]
+            source = path.read_text()
+            read |= names_read(source)
+            attributes |= attributes_read(source)
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text()
+        where = path.relative_to(ROOT)
+        if path.name != "__init__.py":
+            found += [f"{where}:{line}: {name}"
+                      for line, name in top_level_definitions(source)
+                      if name not in read]
+        found += [f"{where}:{line}: {qualified}"
+                  for line, qualified, name in methods(source)
+                  if name not in attributes]
     assert not found, "definitions nothing reads:\n" + "\n".join(found)

@@ -1,12 +1,17 @@
+import re
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from growthdiagrams.growth import GrowthTableau
 from growthdiagrams.partitions import (add_square_in_row, conjugate, contains,
                                        diff_row, differs_by_one_square,
                                        intersect, is_horizontal_strip,
                                        is_vertical_strip, make_partition,
                                        parse_partition, part, partitions_of,
                                        to_compact, union)
+from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
 partitions = st.lists(st.integers(0, 8), max_size=6).map(
     lambda xs: make_partition(sorted(xs, reverse=True)))
@@ -18,9 +23,30 @@ def test_make_partition_strips_zeros():
 
 
 def test_make_partition_rejects_increase():
-    import pytest
     with pytest.raises(ValueError):
         make_partition([1, 2])
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: make_partition([True, True]), "True in (True, True)"),
+    (lambda: make_partition([2, 1.0]), "1.0 in (2, 1.0)"),
+    (lambda: FerrersShape((2.5, 1)), "2.5 in (2.5, 1)"),
+    (lambda: FerrersShape("21"), "'2' in ('2', '1')"),
+    (lambda: GrowthTableau("RD", ((), (1.9,), ())), "1.9 in (1.9,)"),
+    (lambda: StackPolyomino((1.5, 2)), "1.5 in (1.5, 2)"),
+], ids=["bools", "float", "shape-float", "shape-string", "tableau-float",
+        "stack-float"])
+def test_parts_must_be_ints(make, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not an integer$"):
+        make()
+
+
+@pytest.mark.parametrize("text", ["[2,x]", "[2,]", "[ ]"])
+def test_parse_partition_names_the_bad_token(text):
+    token = text[1:-1].split(",")[-1]
+    with pytest.raises(ValueError) as info:
+        parse_partition(text)
+    assert str(info.value) == f"{token!r} in {text!r} is not an integer"
 
 
 def test_part_indexing():
