@@ -31,12 +31,12 @@ dropped.
 from dataclasses import dataclass
 
 from .fillings import Filling, _trusted, chain_spec, longest_chain
-from .growth import (GrowthTableau, growth_tableau, label_diagram,
-                     border_tableau, reconstruct)
+from .growth import (GrowthTableau, _sweep_plan, border_tableau,
+                     growth_tableau, label_diagram, reconstruct)
 from .local_rules import get_variant
 from .partitions import (contains, differs_by_one_square, make_partition,
                          parse_int)
-from .shapes import shape_from_word, staircase
+from .shapes import shape_from_word
 
 EMPTY = ()
 
@@ -134,7 +134,9 @@ def _crosses(n: int, pairs) -> dict:
 
 
 def setpartition_to_filling(p: SetPartition) -> Filling:
-    return _trusted(Filling, shape=staircase(p.n),
+    # the staircase is the shape of its word's sweep plan, which is stored
+    # for a small n, so one shape serves every partition of that n
+    return _trusted(Filling, shape=_sweep_plan(_tableau_word(p.n)).shape,
                     entries=_crosses(p.n, standard_representation(p)))
 
 

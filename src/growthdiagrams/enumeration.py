@@ -4,6 +4,13 @@ Everything here is deliberately brute force: fillings are generated in a
 deterministic lexicographic order, chain statistics come from the chain
 searcher in :mod:`fillings`, and each verifier checks a counting identity
 together with a pointwise bijection certificate where one exists.
+
+The certificates take two passes over one table, kept for one (shape, n)
+or one n at a time.  The first pass reads each object's statistics, and
+for set partitions its conjugate, once; the second checks each object's
+image against the table, so an image's statistics and, for a map that is
+its own inverse, its image are looked up rather than computed again.  An
+image that is not in the table fails the check.
 """
 
 import os
@@ -268,35 +275,62 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
     Over the fillings, as many have statistics (s, t) under ``specs`` as
     have (t, s) under ``image_specs``.  The map must carry statistics
     (s, t) on the source side to (t, s) on the image side and invert
-    cleanly.
+    cleanly.  Each (shape, n) is checked in two passes over one table of
+    its fillings: the first reads every statistic once, the second checks
+    each filling's image against the table.
     """
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
         image = (source if image_specs == specs
                  else CountTable(str(shape), cls, *image_specs))
-        for n, f in all_fillings(shape, cls, max_n):
-            if symmetric_only and transpose_filling(f) != f:
-                continue
-            s = longest_chain(f, specs[0])
-            t = longest_chain(f, specs[1])
-            source.add(n, s, t)
-            if image is not source:
-                image.add(n, longest_chain(f, image_specs[0]),
-                          longest_chain(f, image_specs[1]))
-            if modes is None:
-                continue
-            g = swap_chain_statistics(f, modes[0])
-            if symmetric_only and transpose_filling(g) != g:
-                return False, (shape, f, "image not symmetric")
-            if (longest_chain(g, image_specs[0]),
-                    longest_chain(g, image_specs[1])) != (t, s):
-                return False, (shape, f, "statistics not exchanged")
-            if swap_chain_statistics(g, modes[1]) != f:
-                return False, (shape, f, "map does not invert")
+        for n, group in groupby(all_fillings(shape, cls, max_n),
+                                key=itemgetter(0)):
+            table = {}      # entries -> (filling, statistics, image side)
+            for _, f in group:
+                if symmetric_only and transpose_filling(f) != f:
+                    continue
+                s = longest_chain(f, specs[0])
+                t = longest_chain(f, specs[1])
+                source.add(n, s, t)
+                swapped = (s, t)
+                if image is not source:
+                    swapped = (longest_chain(f, image_specs[0]),
+                               longest_chain(f, image_specs[1]))
+                    image.add(n, *swapped)
+                table[frozenset(f.entries.items())] = f, (s, t), swapped
+            if modes is not None and table:
+                witness = _swap_witness(shape, table, modes, symmetric_only)
+                if witness:
+                    return False, witness
         bad = _mirror_mismatch(source.counts, image.counts)
         if bad:
             return False, (shape, *bad, "counts differ")
     return True, None
+
+
+def _swap_witness(shape, table, modes, symmetric_only):
+    """The first filling of the table, in enumeration order, whose image
+    under ``modes[0]`` fails a check, as (shape, filling, reason); None if
+    there is none.  A map that is its own inverse is applied once to each
+    filling, and each image's image is looked up."""
+    forward, backward = modes
+    images = (swap_chain_statistics(f, forward) for f, _, _ in table.values())
+    if forward == backward:
+        images = list(images)
+        image_of = dict(zip(table, images))
+    for (f, (s, t), _), g in zip(table.values(), images):
+        if symmetric_only and transpose_filling(g) != g:
+            return shape, f, "image not symmetric"
+        key = frozenset(g.entries.items())
+        if g.shape != shape or key not in table:
+            return shape, f, "image outside the class"
+        if table[key][2] != (t, s):
+            return shape, f, "statistics not exchanged"
+        back = (image_of[key] if forward == backward
+                else swap_chain_statistics(g, backward))
+        if back != f:
+            return shape, f, "map does not invert"
+    return None
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
@@ -352,19 +386,26 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
 
 
 def _partition_tables(n, stats, conj, refined):
-    """Generic crossing/nesting symmetry check over set partitions of n."""
-    counts = {}
+    """Generic crossing/nesting symmetry check over set partitions of n,
+    in two passes over one table of them: the first reads each
+    partition's statistics and conjugate once, the second checks each
+    conjugate against the table."""
+    counts, table = {}, {}
     for p in _metered(all_set_partitions(n), "set partitions"):
         key = min_max_blocks(p) if refined else None
         s, t = stats(p)
         counts.setdefault(key, {})
         counts[key][(s, t)] = counts[key].get((s, t), 0) + 1
-        q = conj(p)
-        if stats(q) != (t, s):
+        table[p] = key, (s, t), conj(p)
+    for p, (key, (s, t), q) in table.items():
+        if q not in table:
+            return False, (p, "image outside the class")
+        q_key, q_stats, q_image = table[q]
+        if q_stats != (t, s):
             return False, (p, "statistics not exchanged")
-        if refined and min_max_blocks(q) != min_max_blocks(p):
+        if refined and q_key != key:
             return False, (p, "minima/maxima not preserved")
-        if conj(q) != p:
+        if q_image != p:
             return False, (p, "conjugation is not an involution")
     bad = _mirror_mismatch(counts, counts)
     if bad:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .fillings import Filling
-from .partitions import part
+from .partitions import int_tuple, part
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,10 @@ class TwoRowedArray:
     ordering: str         # 'weak' | 'dec'
 
     def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        if self.ordering not in ("weak", "dec"):
+            raise ValueError(f"unknown ordering {self.ordering!r}; choose "
+                             f"from ('weak', 'dec')")
+        pairs = tuple(int_tuple((a, b)) for a, b in self.pairs)
         tops = [a for a, _ in pairs]
         if tops != sorted(tops):
             raise ValueError("top entries must be weakly increasing")

@@ -1,11 +1,14 @@
 """Generators, count tables, verifiers and the counting oracles."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from growthdiagrams import enumeration
-from growthdiagrams.correspondences import swap_chain_statistics
+from growthdiagrams.correspondences import (SetPartition, all_set_partitions,
+                                            conjugate_set_partition,
+                                            swap_chain_statistics)
 from growthdiagrams.enumeration import (InstanceTooLarge, Report,
                                         _densest_bounded_ne,
                                         all_fillings, all_shapes,
@@ -22,6 +25,8 @@ from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
                      greene_oracle, max_ones_with_bounded_ne, random_fillings)
+
+SQUARE = FerrersShape((2, 2))
 
 
 def test_report_verdicts():
@@ -205,6 +210,98 @@ def test_swap_image_not_symmetric_is_found(monkeypatch):
     report = verify_t2sym(3)
     assert report.passed is False
     assert report.witness[-1] == "image not symmetric"
+
+
+def swap_except(overrides):
+    """The swap map, except that the filling with a single 1 in a key cell
+    of ``overrides`` is sent to the value's entries."""
+    def swap(f, mode):
+        for cell, entries in overrides.items():
+            if f.entries == {cell: 1}:
+                return Filling(f.shape, entries)
+        return swap_chain_statistics(f, mode)
+    return swap
+
+
+@pytest.mark.parametrize("verify", [lambda: verify_t2(shapes=[SQUARE]),
+                                    lambda: verify_t2a_nes1(shapes=[SQUARE],
+                                                            max_sum=1)],
+                         ids=["T2", "NES1"])
+def test_swap_image_outside_the_class_is_found(monkeypatch, verify):
+    # one filling with a single entry is sent to the empty filling, which
+    # the table of its n does not hold
+    monkeypatch.setattr(enumeration, "swap_chain_statistics",
+                        swap_except({(2, 1): {}}))
+    report = verify()
+    assert report.passed is False
+    assert report.witness == (SQUARE, Filling(SQUARE, {(2, 1): 1}),
+                              "image outside the class")
+
+
+def test_swap_witness_is_the_first_failing_filling(monkeypatch):
+    # the standard map fixes every single cross.  Here (1,1) goes to (1,2),
+    # whose image is not (1,1) again, and the later (2,2) goes outside the
+    # class: the earlier filling is named, with its own reason
+    monkeypatch.setattr(enumeration, "swap_chain_statistics",
+                        swap_except({(1, 1): {(1, 2): 1}, (2, 2): {}}))
+    report = verify_t2(shapes=[SQUARE])
+    assert report.witness == (SQUARE, Filling(SQUARE, {(1, 1): 1}),
+                              "map does not invert")
+
+
+def reversed_partition(p):
+    return SetPartition(p.n, tuple(tuple(p.n + 1 - x for x in b)
+                                   for b in p.blocks))
+
+
+def shifted_partition(p):
+    return SetPartition(p.n, tuple(tuple(x % p.n + 1 for x in b)
+                                   for b in p.blocks))
+
+
+@pytest.mark.parametrize("verify, conj, stats, details, witness", [
+    (verify_t4, lambda p: p, None, "n=4",
+     (SetPartition(4, ((1, 3), (2, 4))), "statistics not exchanged")),
+    (verify_t5, reversed_partition, lambda p: (0, 0), "n=3",
+     (SetPartition(3, ((1,), (2, 3))), "minima/maxima not preserved")),
+    (verify_t4, shifted_partition, lambda p: (0, 0), "n=3",
+     (SetPartition(3, ((1, 3), (2,))), "conjugation is not an involution")),
+    (verify_t6, lambda p: SetPartition(p.n + 1, p.blocks + ((p.n + 1,),)),
+     None, "n=0", (SetPartition(0, ()), "image outside the class")),
+], ids=["exchange", "minima", "involution", "outside"])
+def test_partition_failures_are_found(monkeypatch, verify, conj, stats,
+                                      details, witness):
+    monkeypatch.setattr(enumeration, "conjugate_set_partition", conj)
+    monkeypatch.setattr(enumeration, "conjugate_set_partition_enhanced", conj)
+    if stats is not None:
+        monkeypatch.setattr(enumeration, "cross_nest", stats)
+    report = verify(4)
+    assert report.passed is False
+    assert (report.details, report.witness) == (details, witness)
+
+
+def test_each_map_runs_once_per_object(monkeypatch):
+    """The swap and the conjugation are each their own inverse, so every
+    image's image is looked up, not computed again."""
+    mapped, conjugated = Counter(), Counter()
+
+    def counted_swap(f, mode):
+        mapped[f.shape, frozenset(f.entries)] += 1
+        return swap_chain_statistics(f, mode)
+
+    def counted_conjugate(p):
+        conjugated[p] += 1
+        return conjugate_set_partition(p)
+    monkeypatch.setattr(enumeration, "swap_chain_statistics", counted_swap)
+    monkeypatch.setattr(enumeration, "conjugate_set_partition",
+                        counted_conjugate)
+    assert verify_t2(6).passed and verify_t4(6).passed
+    assert mapped.keys() == {(shape, frozenset(f.entries))
+                             for shape in all_shapes(6) for _, f in
+                             all_fillings(shape, "partial-permutation")}
+    assert conjugated.keys() == {p for n in range(7)
+                                 for p in all_set_partitions(n)}
+    assert set(mapped.values()) == set(conjugated.values()) == {1}
 
 
 def test_verify_theorem_dispatch():

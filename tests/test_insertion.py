@@ -25,6 +25,20 @@ def test_two_rowed_array_orderings():
         TwoRowedArray(((2, 1), (1, 1)), "weak")
 
 
+@pytest.mark.parametrize("pairs, ordering, message", [
+    (((1.5, 2.9),), "weak", r"^1\.5 in \(1\.5, 2\.9\) is not an integer$"),
+    ((("1", "2"),), "weak", r"^'1' in \('1', '2'\) is not an integer$"),
+    (((1, True),), "dec", r"^True in \(1, True\) is not an integer$"),
+    (((1, 2),), "sideways",
+     r"^unknown ordering 'sideways'; choose from \('weak', 'dec'\)$"),
+], ids=["float", "text", "bool", "ordering"])
+def test_two_rowed_array_rejects_bad_input(pairs, ordering, message):
+    """Values are never truncated or converted, and the ordering is one of
+    the two that the insertions read."""
+    with pytest.raises(ValueError, match=message):
+        TwoRowedArray(pairs, ordering)
+
+
 def test_biword_from_filling():
     f = Filling(FerrersShape((2, 2)), {(1, 1): 2, (1, 2): 1, (2, 1): 1})
     assert biword_from_filling(f).pairs == ((1, 1), (1, 1), (1, 2), (2, 1))
