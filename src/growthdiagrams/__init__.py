@@ -7,24 +7,20 @@ the associated symmetry theorems.
 """
 
 from .correspondences import (Matching, PartialTableau, SetPartition,
-                              all_matchings, all_set_partitions,
-                              conjugate_matching, conjugate_set_partition,
+                              all_set_partitions, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
                               cross_nest, enhanced_cross, enhanced_nest,
-                              filling_to_setpartition,
-                              hesitating_to_setpartition, matching_to_oscillating,
+                              filling_to_setpartition, matching_to_oscillating,
                               min_max_blocks, min_max_from_vacillating, nest,
-                              oscillating_to_matching, pair_to_vacillating,
-                              parse_matching, parse_set_partition,
+                              pair_to_vacillating, parse_set_partition,
                               setpartition_to_filling,
                               setpartition_to_hesitating,
                               setpartition_to_vacillating,
-                              swap_chain_statistics,
-                              vacillating_to_setpartition)
+                              swap_chain_statistics)
 from .enumeration import (InstanceTooLarge, Report, all_fillings, all_shapes,
                           check_greene, count_table, generate_fillings,
-                          jonsson_check, problem2_evidence, stack_polyominoes,
-                          symmetric_shapes, verify_theorem)
+                          jonsson_check, problem2_evidence, symmetric_shapes,
+                          verify_theorem)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, chain_spec, filling_class, filling_from_json,
                        filling_to_json, greene_totals, in_class,

@@ -1,4 +1,4 @@
-"""Bijections between set partitions / matchings and tableau sequences,
+"""Set partitions and matchings, their fillings and tableau sequences,
 and the chain-statistic swapping maps built from growth diagrams.
 
 Set partitions of {1, ..., n} are encoded as fillings of the triangular
@@ -26,6 +26,14 @@ the shape has the extra diagonal cell of i, which turns the pair into "RD"
 hesitating tableau along "DR" or "RD" for each i, and the oscillating
 tableau of a matching of 1..2n along "DR" * 2n with every other label
 dropped.
+
+Both conjugations are the standard swap of the partition's filling
+(``swap_chain_statistics``): conjugating every label of the vacillating
+or hesitating tableau and running the backward rules is exactly the swap
+of the staircase or hesitating filling.  A matching is conjugated as the
+set partition it is.  Only the encoders of the tableaux live here; the
+decoders are kept in the tests, as the reference the swap is checked
+against.
 """
 
 from dataclasses import dataclass
@@ -33,19 +41,11 @@ from dataclasses import dataclass
 from .fillings import Filling, _trusted, chain_spec, longest_chain
 from .growth import (GrowthTableau, _sweep_plan, border_tableau,
                      growth_tableau, label_diagram, reconstruct)
-from .local_rules import get_variant
-from .partitions import (contains, differs_by_one_square, make_partition,
-                         parse_int)
-from .shapes import shape_from_word
-
-EMPTY = ()
+from .partitions import make_partition, parse_int
 
 # the chains of a k-crossing and of a k-nesting, in either filling
 _CROSSING = chain_spec("se", require_rectangle=True)
 _NESTING = chain_spec("ne")
-# a border step of the standard rules: "R" adds at most one square, "D"
-# removes at most one
-_step_ok = get_variant("standard").step_ok
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class SetPartition:
     blocks: tuple  # tuple of sorted tuples, sorted by minimum
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"a set partition needs n >= 0, got {self.n}")
         blocks = [tuple(sorted(b)) for b in self.blocks]
         if not all(blocks):
             raise ValueError(f"a set partition of 1..{self.n} has an empty block")
@@ -77,6 +79,8 @@ def parse_set_partition(text: str, n: int | None = None) -> SetPartition:
 
 def all_set_partitions(n: int):
     """All set partitions of {1..n}, by recursive block insertion."""
+    if n < 0:
+        raise ValueError(f"set partitions need n >= 0, got {n}")
     if n == 0:
         yield SetPartition(0, ())
         return
@@ -141,13 +145,10 @@ def setpartition_to_filling(p: SetPartition) -> Filling:
 
 
 def filling_to_setpartition(f: Filling, n: int) -> SetPartition:
-    pairs = [(c, n + 1 - r) for (c, r) in f.entries]
-    return _partition_from_pairs(n, pairs)
-
-
-def _partition_from_pairs(n: int, pairs) -> SetPartition:
+    """The partition whose pairs are the crosses of f, a staircase or
+    hesitating filling; a cross in a diagonal cell is a singleton."""
     succ = {}
-    for i, j in pairs:
+    for i, j in ((c, n + 1 - r) for (c, r) in f.entries):
         if i == j:
             continue
         if i in succ:
@@ -172,25 +173,6 @@ def _tableau_word(n: int, extended=()) -> str:
 def setpartition_to_vacillating(p: SetPartition) -> GrowthTableau:
     """The sequence of 2n+1 partitions read along the staircase boundary."""
     return growth_tableau(setpartition_to_filling(p), word=_tableau_word(p.n))
-
-
-def is_vacillating(t: GrowthTableau, n: int) -> bool:
-    if len(t.seq) != 2 * n + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
-        return False
-    for i in range(1, n + 1):
-        a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
-        if not (_step_ok("D", a, b) and _step_ok("R", b, c)):
-            return False
-    return True
-
-
-def vacillating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPartition:
-    if n is None:
-        n = (len(t.seq) - 1) // 2
-    if not is_vacillating(t, n):
-        raise ValueError("not a vacillating tableau")
-    return filling_to_setpartition(
-        reconstruct(_tableau_word(n), t, "standard")[0], n)
 
 
 def min_max_from_vacillating(t: GrowthTableau, n: int | None = None):
@@ -265,42 +247,15 @@ def _hesitating(p: SetPartition):
     middles = [x for b in p.blocks for x in b[1:-1]]
     word = _tableau_word(p.n, {*singletons, *middles})
     pairs = standard_representation(p) + [(i, i) for i in singletons]
-    return word, _trusted(Filling, shape=shape_from_word(word),
+    # as for the staircase, a small word's stored plan gives one shape to
+    # every partition with that word
+    return word, _trusted(Filling, shape=_sweep_plan(word).shape,
                           entries=_crosses(p.n, pairs))
 
 
 def setpartition_to_hesitating(p: SetPartition) -> GrowthTableau:
     word, f = _hesitating(p)
     return growth_tableau(f, word=word)
-
-
-def is_hesitating(t: GrowthTableau, n: int) -> bool:
-    """Each step pair does nothing-then-add, delete-then-nothing, or
-    add-then-delete."""
-    if len(t.seq) != 2 * n + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
-        return False
-    for i in range(1, n + 1):
-        a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
-        pat1 = a == b and _step_ok("R", b, c) and b != c
-        pat2 = _step_ok("D", a, b) and a != b and b == c
-        pat3 = _step_ok("R", a, b) and a != b and _step_ok("D", b, c) and b != c
-        if not (pat1 or pat2 or pat3):
-            return False
-    return True
-
-
-def hesitating_to_setpartition(t: GrowthTableau, n: int | None = None) -> SetPartition:
-    if n is None:
-        n = (len(t.seq) - 1) // 2
-    if not is_hesitating(t, n):
-        raise ValueError("not a hesitating tableau")
-    # an add-then-delete pair at position i marks the extra diagonal cell;
-    # a cross there is a singleton, which _partition_from_pairs skips
-    extended = {i for i in range(1, n + 1)
-                if contains(t.seq[2 * i - 1], t.seq[2 * i - 2])
-                and t.seq[2 * i - 1] != t.seq[2 * i - 2]}
-    return filling_to_setpartition(
-        reconstruct(_tableau_word(n, extended), t, "standard")[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +269,8 @@ class Matching:
     pairs: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"a matching needs n >= 0, got {self.n}")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         for p in pairs:
             if len(p) != 2:
@@ -330,53 +287,11 @@ class Matching:
         return SetPartition(2 * self.n, self.pairs)
 
 
-def parse_matching(text: str) -> Matching:
-    pairs = tuple(tuple(parse_int(x, text) for x in p.split("-"))
-                  for p in text.split())
-    return Matching(len(pairs), pairs)
-
-
-def all_matchings(n: int):
-    """All perfect matchings of {1..2n}."""
-    def rec(elems):
-        if not elems:
-            yield ()
-            return
-        first, rest = elems[0], elems[1:]
-        for i, other in enumerate(rest):
-            for sub in rec(rest[:i] + rest[i + 1:]):
-                yield ((first, other),) + sub
-    for pairs in rec(tuple(range(1, 2 * n + 1))):
-        yield Matching(n, pairs)
-
-
 def matching_to_oscillating(m: Matching) -> GrowthTableau:
     """Drop the odd-indexed terms of the vacillating tableau of the matching."""
     vac = setpartition_to_vacillating(m.as_set_partition())
     seq = vac.seq[::2]
     return GrowthTableau("D" * (2 * m.n), seq)
-
-
-def is_oscillating(t: GrowthTableau, length: int) -> bool:
-    if len(t.seq) != length + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
-        return False
-    return all(differs_by_one_square(a, b) or differs_by_one_square(b, a)
-               for a, b in zip(t.seq, t.seq[1:]))
-
-
-def oscillating_to_matching(t: GrowthTableau) -> Matching:
-    two_n = len(t.seq) - 1
-    if not is_oscillating(t, two_n):
-        raise ValueError("not an oscillating tableau")
-    seq = []
-    for i, p in enumerate(t.seq):
-        seq.append(p)
-        if i < two_n:
-            q = t.seq[i + 1]
-            seq.append(p if contains(q, p) else q)
-    # seq now interleaves deletions and additions into a length 4n+1 sequence
-    vac = GrowthTableau(_tableau_word(two_n), tuple(seq))
-    return Matching(two_n // 2, vacillating_to_setpartition(vac, two_n).blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +323,14 @@ def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
 
 
 def conjugate_set_partition(p: SetPartition) -> SetPartition:
-    """Exchange cross and nest by conjugating the vacillating tableau."""
-    t = setpartition_to_vacillating(p)
-    return vacillating_to_setpartition(t.conjugate(), p.n)
+    """Exchange cross and nest by the standard swap of p's filling, which
+    conjugates its vacillating tableau."""
+    f = swap_chain_statistics(setpartition_to_filling(p))
+    return filling_to_setpartition(f, p.n)
 
 
 def conjugate_set_partition_enhanced(p: SetPartition) -> SetPartition:
-    """Exchange enhanced cross and nest via the hesitating tableau."""
-    t = setpartition_to_hesitating(p)
-    return hesitating_to_setpartition(t.conjugate(), p.n)
-
-
-def conjugate_matching(m: Matching) -> Matching:
-    return oscillating_to_matching(matching_to_oscillating(m).conjugate())
+    """Exchange enhanced cross and nest by the standard swap of p's
+    hesitating filling, which conjugates its hesitating tableau."""
+    f = swap_chain_statistics(_hesitating(p)[1])
+    return filling_to_setpartition(f, p.n)

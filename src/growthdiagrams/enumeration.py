@@ -81,25 +81,6 @@ def symmetric_shapes(max_cells: int):
     return [s for s in all_shapes(max_cells) if s.is_symmetric()]
 
 
-def stack_polyominoes(max_cells: int):
-    """Every stack polyomino with 1..max_cells cells (unimodal heights)."""
-    def comps(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in comps(total - first):
-                yield (first,) + rest
-    out = []
-    for n in range(1, max_cells + 1):
-        for heights in comps(n):
-            try:
-                out.append(StackPolyomino(heights))
-            except ValueError:
-                continue
-    return out
-
-
 def generate_fillings(shape, cls: str, n: int):
     """All fillings of the shape in the given class.
 

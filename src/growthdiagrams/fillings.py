@@ -124,7 +124,12 @@ def filling_from_json(text: str) -> Filling:
         raise ValueError('a filling is a JSON object {"shape": "<D/R word>", '
                          '"entries": [[col, row, value], ...]}')
     shape = shape_from_word(data["shape"])
-    return Filling(shape, {(c, r): v for c, r, v in data["entries"]})
+    entries = {}
+    for c, r, v in data["entries"]:
+        if (c, r) in entries:
+            raise ValueError(f"the entries give cell {c},{r} twice")
+        entries[(c, r)] = v
+    return Filling(shape, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,13 @@ Every variant's rules share one checked frame, built from its row of
 ``VARIANT_TABLE``: the entry is checked against the filling class (0 or 1
 for the two 0/1 classes, nonnegative for arbitrary fillings) and the frame
 against the row's step kinds (mu/rho and lam/nu are right steps, nu/rho
-and lam/mu down steps).  Then a frame in which only one side grows returns
-at once: forward, an empty cell with rho = mu gives lam = nu and one with
-rho = nu gives lam = mu; backward, lam = nu gives (rho, m) = (mu, 0) and
-lam = mu gives (nu, 0).  This short cut serves direct callers of the
-rules: the sweeps of ``growth`` pass labels through themselves and check
-each edge of a diagram once.  Only the other frames reach the variant's
-own carry.  The carry rules operate on one part index at a time, exactly
-as in their defining descriptions, rather than through bumping; each walks
-its corner labels in step, padded with zeros to a common length.
+and lam/mu down steps).  Every checked frame then goes to the variant's
+own carry, the frames that only pass a label through included.  The
+sweeps of ``growth`` pass labels through themselves, and hand a rule such
+a frame only when its edge check fails, for the rule to raise.  The carry
+rules operate on one part index at a time, exactly as in their defining
+descriptions, rather than through bumping; each walks its corner labels
+in step, padded with zeros to a common length.
 """
 
 from dataclasses import dataclass
@@ -62,9 +60,10 @@ def _padded(p, n):
     return p + (0,) * (n - len(p))
 
 
-# The carries.  Each gets a checked frame that is not a pass-through one:
-# forward, m > 0 or rho differs from both mu and nu; backward, lam differs
-# from both mu and nu.
+# The carries.  Each gets a checked frame, and returns the label it passes
+# through when only one side grows: forward, an empty cell with rho = mu
+# gives lam = nu and one with rho = nu gives lam = mu; backward, lam = nu
+# gives (rho, m) = (mu, 0) and lam = mu gives (nu, 0).
 
 def _forward_standard_carry(rho, mu, nu, m):
     if m:
@@ -73,6 +72,8 @@ def _forward_standard_carry(rho, mu, nu, m):
         return add_square_in_row(rho, 1)
     if mu != nu:
         return union(mu, nu)
+    if rho == mu:
+        return checked_partition(mu)
     # rho != mu = nu: both grew in the same row k; push to row k + 1
     return add_square_in_row(mu, diff_row(mu, rho) + 1)
 
@@ -80,6 +81,8 @@ def _forward_standard_carry(rho, mu, nu, m):
 def _backward_standard_carry(mu, nu, lam):
     if mu != nu:
         return intersect(mu, nu), 0
+    if lam == mu:
+        return checked_partition(mu), 0
     # mu = nu, both strictly below lam
     k = diff_row(lam, mu)
     if k == 1:
@@ -205,9 +208,8 @@ class Variant:
 
 def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
     """The variant whose rules check the entry against ``filling_class``
-    and the frame against the step kinds ``right`` and ``down``, pass a
-    label through when only one side grows, and otherwise run ``carries``
-    (the forward and the backward carry)."""
+    and the frame against the step kinds ``right`` and ``down``, and then
+    run ``carries`` (the forward and the backward carry)."""
     zero_one = filling_class != ARBITRARY
     entry = "a 0/1" if zero_one else "a nonnegative"
     right_ok, down_ok = _STEP_TESTS[right], _STEP_TESTS[down]
@@ -221,11 +223,6 @@ def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
             raise ValueError(f"mu/rho = {mu}/{rho} is not {right_name}")
         if not down_ok(nu, rho):
             raise ValueError(f"nu/rho = {nu}/{rho} is not {down_name}")
-        if not m:
-            if rho == mu:
-                return checked_partition(nu)
-            if rho == nu:
-                return checked_partition(mu)
         return forward_carry(rho, mu, nu, m)
 
     def backward(mu, nu, lam):
@@ -233,10 +230,6 @@ def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
             raise ValueError(f"lam/mu = {lam}/{mu} is not {down_name}")
         if not right_ok(lam, nu):
             raise ValueError(f"lam/nu = {lam}/{nu} is not {right_name}")
-        if lam == mu:
-            return checked_partition(nu), 0
-        if lam == nu:
-            return checked_partition(mu), 0
         return backward_carry(mu, nu, lam)
 
     return Variant(name, forward, backward, filling_class, right, down,

@@ -4,13 +4,22 @@ library against; nothing in ``src/`` calls them."""
 import random
 from itertools import accumulate, combinations
 
-from growthdiagrams.correspondences import all_matchings, standard_representation
+from growthdiagrams.correspondences import (Matching, SetPartition,
+                                            _tableau_word,
+                                            filling_to_setpartition,
+                                            matching_to_oscillating,
+                                            setpartition_to_hesitating,
+                                            setpartition_to_vacillating,
+                                            standard_representation)
 from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shapes
 from growthdiagrams.fillings import (PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                                      Filling, _sorted_cells, chain_spec,
                                      longest_chain)
+from growthdiagrams.growth import GrowthTableau, reconstruct
 from growthdiagrams.local_rules import get_variant
-from growthdiagrams.shapes import FerrersShape
+from growthdiagrams.partitions import (contains, differs_by_one_square,
+                                       parse_int)
+from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
 
 def enhanced_representation(p):
@@ -19,6 +28,141 @@ def enhanced_representation(p):
     rep.extend((b[0], b[0]) for b in p.blocks if len(b) == 1)
     return sorted(rep)
 
+
+# ---------------------------------------------------------------------------
+# the tableau route: decode a vacillating, hesitating or oscillating tableau
+# by its step pattern and the backward rules.  The conjugations of the
+# library swap the partition's filling instead; the tests check that both
+# routes agree.
+
+EMPTY = ()
+# a border step of the standard rules: "R" adds at most one square, "D"
+# removes at most one
+_step_ok = get_variant("standard").step_ok
+
+
+def is_vacillating(t: GrowthTableau, n: int) -> bool:
+    if len(t.seq) != 2 * n + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
+        return False
+    for i in range(1, n + 1):
+        a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
+        if not (_step_ok("D", a, b) and _step_ok("R", b, c)):
+            return False
+    return True
+
+
+def vacillating_to_setpartition(t: GrowthTableau, n: int | None = None):
+    if n is None:
+        n = (len(t.seq) - 1) // 2
+    if not is_vacillating(t, n):
+        raise ValueError("not a vacillating tableau")
+    return filling_to_setpartition(
+        reconstruct(_tableau_word(n), t, "standard")[0], n)
+
+
+def is_hesitating(t: GrowthTableau, n: int) -> bool:
+    """Each step pair does nothing-then-add, delete-then-nothing, or
+    add-then-delete."""
+    if len(t.seq) != 2 * n + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
+        return False
+    for i in range(1, n + 1):
+        a, b, c = t.seq[2 * i - 2], t.seq[2 * i - 1], t.seq[2 * i]
+        pat1 = a == b and _step_ok("R", b, c) and b != c
+        pat2 = _step_ok("D", a, b) and a != b and b == c
+        pat3 = _step_ok("R", a, b) and a != b and _step_ok("D", b, c) and b != c
+        if not (pat1 or pat2 or pat3):
+            return False
+    return True
+
+
+def hesitating_to_setpartition(t: GrowthTableau, n: int | None = None):
+    if n is None:
+        n = (len(t.seq) - 1) // 2
+    if not is_hesitating(t, n):
+        raise ValueError("not a hesitating tableau")
+    # an add-then-delete pair at position i marks the extra diagonal cell;
+    # a cross there is a singleton, which filling_to_setpartition skips
+    extended = {i for i in range(1, n + 1)
+                if contains(t.seq[2 * i - 1], t.seq[2 * i - 2])
+                and t.seq[2 * i - 1] != t.seq[2 * i - 2]}
+    return filling_to_setpartition(
+        reconstruct(_tableau_word(n, extended), t, "standard")[0], n)
+
+
+def parse_matching(text: str) -> Matching:
+    pairs = tuple(tuple(parse_int(x, text) for x in p.split("-"))
+                  for p in text.split())
+    return Matching(len(pairs), pairs)
+
+
+def all_matchings(n: int):
+    """All perfect matchings of {1..2n}."""
+    def rec(elems):
+        if not elems:
+            yield ()
+            return
+        first, rest = elems[0], elems[1:]
+        for i, other in enumerate(rest):
+            for sub in rec(rest[:i] + rest[i + 1:]):
+                yield ((first, other),) + sub
+    for pairs in rec(tuple(range(1, 2 * n + 1))):
+        yield Matching(n, pairs)
+
+
+def is_oscillating(t: GrowthTableau, length: int) -> bool:
+    if len(t.seq) != length + 1 or t.seq[0] != EMPTY or t.seq[-1] != EMPTY:
+        return False
+    return all(differs_by_one_square(a, b) or differs_by_one_square(b, a)
+               for a, b in zip(t.seq, t.seq[1:]))
+
+
+def oscillating_to_matching(t: GrowthTableau) -> Matching:
+    two_n = len(t.seq) - 1
+    if not is_oscillating(t, two_n):
+        raise ValueError("not an oscillating tableau")
+    seq = []
+    for i, p in enumerate(t.seq):
+        seq.append(p)
+        if i < two_n:
+            q = t.seq[i + 1]
+            seq.append(p if contains(q, p) else q)
+    # seq now interleaves deletions and additions into a length 4n+1 sequence
+    vac = GrowthTableau(_tableau_word(two_n), tuple(seq))
+    return Matching(two_n // 2, vacillating_to_setpartition(vac, two_n).blocks)
+
+
+def conjugate_by_vacillating(p):
+    """Conjugate p's vacillating tableau and decode it."""
+    t = setpartition_to_vacillating(p)
+    return vacillating_to_setpartition(t.conjugate(), p.n)
+
+
+def conjugate_by_hesitating(p):
+    """Conjugate p's hesitating tableau and decode it."""
+    t = setpartition_to_hesitating(p)
+    return hesitating_to_setpartition(t.conjugate(), p.n)
+
+
+def conjugate_by_oscillating(m: Matching) -> Matching:
+    """Conjugate m's oscillating tableau and decode it."""
+    return oscillating_to_matching(matching_to_oscillating(m).conjugate())
+
+
+def random_set_partition(rng: random.Random, n: int):
+    """A set partition of 1..n, each element joining a random block or
+    opening a new one (not uniform over the partitions)."""
+    blocks = []
+    for x in range(1, n + 1):
+        k = rng.randrange(len(blocks) + 1)
+        if k == len(blocks):
+            blocks.append([x])
+        else:
+            blocks[k].append(x)
+    return SetPartition(n, tuple(map(tuple, blocks)))
+
+
+# ---------------------------------------------------------------------------
+# brute-force counts
 
 def _max_k(pairs, kind: str, enhanced: bool) -> int:
     """Largest k with a k-crossing resp. k-nesting among the given pairs."""
@@ -68,6 +212,25 @@ def catalan_number(n: int) -> int:
     for i in range(n):
         c = c * 2 * (2 * i + 1) // (i + 2)
     return c
+
+
+def stack_polyominoes(max_cells: int):
+    """Every stack polyomino with 1..max_cells cells (unimodal heights)."""
+    def comps(total):
+        if total == 0:
+            yield ()
+            return
+        for first in range(1, total + 1):
+            for rest in comps(total - first):
+                yield (first,) + rest
+    out = []
+    for n in range(1, max_cells + 1):
+        for heights in comps(n):
+            try:
+                out.append(StackPolyomino(heights))
+            except ValueError:
+                continue
+    return out
 
 
 def max_ones_with_bounded_ne(shape, s: int) -> int:

@@ -8,8 +8,7 @@ import time
 
 from growthdiagrams.cli import _DEMOS
 from growthdiagrams.enumeration import (all_fillings, all_shapes, check_greene,
-                                        problem2_evidence,
-                                        jonsson_check, stack_polyominoes,
+                                        problem2_evidence, jonsson_check,
                                         verify_t2, verify_t2a_nes1,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
@@ -24,7 +23,7 @@ from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.shapes import FerrersShape, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
-                     random_fillings)
+                     random_fillings, stack_polyominoes)
 
 
 def report(number, ok, detail):

@@ -10,10 +10,12 @@ own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams.enumeration import all_fillings, all_shapes, stack_polyominoes
+from growthdiagrams.enumeration import all_fillings, all_shapes
 from growthdiagrams.fillings import (ARBITRARY, ZERO_ONE, Filling, chain_spec,
                                      longest_chain)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
+
+from oracles import stack_polyominoes
 
 CODES = ("NE", "Ne", "nE", "ne", "SE", "Se", "sE", "se")
 SPECS = tuple(chain_spec(code, mode, rect) for code in CODES

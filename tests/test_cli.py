@@ -13,11 +13,56 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# the whole stdout of ``demo``: every figure's labels, byte for byte
+DEMO_OUTPUT = """\
+fig0: standard growth along RDRDDRDDRRD
+  input   {"shape": "RDRDDRDDRRD", "entries": [[1, 4, 1], [2, 2, 1], [5, 1, 1]]}
+  border  e,1,1,11,11,1,1,1,e,e,1,e
+  OK
+fig2: pair (1 | 2 6 | 3 | 4 7 | 5 ; 17/5) -> vacillating
+  border  e,e,1,1,2,2,2,2,21,21,211,21,21,11,21
+  OK
+fig3: set partition 1 4 5 7 | 2 6 | 3 -> vacillating tableau
+  border  e,e,1,1,11,11,11,1,2,1,11,1,1,e,e
+  OK
+fig4: set partition 1 4 5 7 | 2 6 | 3 -> hesitating tableau
+  border  e,e,1,1,11,21,11,21,2,21,11,1,1,e,e
+  OK
+fig5: matching 1-4 2-6 3-5 -> oscillating tableau
+  sequence e,1,11,21,2,1,e
+  OK
+fig6: rsk on the 2x4 rectangle
+  border   e,3,32,31,3,2,e
+  P        112/34
+  Q        111/22
+  OK
+fig6a: rsk on a 2x2 square with entries 1,2,2,0
+  corner labels {(1, 1): '1', (1, 2): '3', (2, 1): '3', (2, 2): '32'}
+  blow-up       {"shape": "RRRRRDDDDD", "entries": [[1, 1, 1], [2, 4, 1], [3, 5, 1], [4, 2, 1], [5, 3, 1]]}
+  OK
+fig7: dual-rsk on the 2x4 rectangle
+  border   e,3,32,22,21,11,e
+  P        11/23/4
+  Q        12/12/1
+  OK
+fig8: rsk-prime on the 2x4 rectangle
+  border   e,111,2111,211,21,2,e
+  P        11/2/3/4
+  Q        12/1/1/2
+  OK
+fig9: dual-rsk-prime on the 2x4 rectangle
+  border   e,111,2111,211,21,11,e
+  P        1134/2
+  Q        1112/2
+  corner   2111
+  OK
+"""
+
+
 def test_demo_all_figures(capsys):
     code, out, _ = run(capsys, "demo")
     assert code == 0
-    assert "MISMATCH" not in out
-    assert out.count("OK") >= 10
+    assert out == DEMO_OUTPUT
 
 
 @pytest.mark.parametrize("figure",
@@ -25,7 +70,7 @@ def test_demo_all_figures(capsys):
 def test_demo_single_figure(capsys, figure):
     code, out, _ = run(capsys, "demo", "--figure", figure)
     assert code == 0
-    assert "MISMATCH" not in out
+    assert out.startswith(f"fig{figure}: ") and out in DEMO_OUTPUT
 
 
 def test_map_text_output(capsys):
@@ -276,6 +321,8 @@ RSK_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []], "variant": "rsk"
      "--cells takes entries c,r[,v] of integers, not '1,x'"),
     (("map", "--shape", "2,2", "--cells", "1,1 2,2 1,1,0"),
      "--cells gives cell 1,1 twice"),
+    (("map", "--filling", '{"shape": "RRDD", "entries": [[1, 1, 1], [1, 1, 0]]}'),
+     "the entries give cell 1,1 twice"),
     (("inverse", "--tableau", "e,1,e"),
      "--word is required with a comma-list --tableau"),
     (("inverse", "--tableau", RSK_TABLEAU, "--variant", "dual-rsk"),
@@ -295,7 +342,8 @@ RSK_TABLEAU = '{"word": "RRDD", "seq": [[], [2], [3], [2], []], "variant": "rsk"
         "T4-negative-max-n", "T2-no-shapes", "theorem-and-jonsson",
         "stack-and-shape", "filling-and-shape", "filling-and-cells",
         "greene-filling-and-shape", "cells-one-number", "cells-four-numbers",
-        "cells-not-integer", "cells-twice", "comma-tableau-no-word",
+        "cells-not-integer", "cells-twice", "filling-cell-twice",
+        "comma-tableau-no-word",
         "json-tableau-other-variant", "json-tableau-other-word",
         "count-shape-not-integer", "jonsson-empty-height",
         "explore-stack-not-integer", "comma-tableau-open-bracket"])

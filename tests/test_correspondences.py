@@ -1,39 +1,38 @@
 """Set partitions, matchings and their tableau encodings."""
 
+import random
 import time
 
 import pytest
 
 from growthdiagrams import correspondences
 from growthdiagrams.correspondences import (Matching, PartialTableau,
-                                            SetPartition,
-                                            all_matchings,
+                                            SetPartition, _hesitating,
                                             all_set_partitions,
-                                            conjugate_matching,
                                             conjugate_set_partition,
                                             conjugate_set_partition_enhanced,
                                             cross, cross_nest, enhanced_cross,
                                             enhanced_nest,
                                             filling_to_setpartition,
-                                            hesitating_to_setpartition,
-                                            is_hesitating, is_oscillating,
-                                            is_vacillating,
                                             matching_to_oscillating,
                                             min_max_blocks,
                                             min_max_from_vacillating, nest,
-                                            oscillating_to_matching,
                                             pair_to_vacillating,
-                                            parse_matching,
                                             parse_set_partition,
                                             setpartition_to_filling,
                                             setpartition_to_hesitating,
                                             setpartition_to_vacillating,
-                                            standard_representation,
-                                            vacillating_to_setpartition)
-from growthdiagrams.growth import GrowthTableau
+                                            standard_representation)
+from growthdiagrams.growth import MEMO_MAX_CELLS, GrowthTableau
 from growthdiagrams.partitions import parse_partition
+from growthdiagrams.shapes import shape_from_word
 
-from oracles import _max_k, enhanced_representation
+from oracles import (_max_k, all_matchings, conjugate_by_hesitating,
+                     conjugate_by_oscillating, conjugate_by_vacillating,
+                     enhanced_representation, hesitating_to_setpartition,
+                     is_hesitating, is_oscillating, is_vacillating,
+                     oscillating_to_matching, parse_matching,
+                     random_set_partition, vacillating_to_setpartition)
 
 
 def seq_of(t):
@@ -352,8 +351,59 @@ def test_swap_chain_statistics_rejects_unknown_mode():
 
 
 def test_conjugate_matching():
-    for m in all_matchings(3):
-        c = conjugate_matching(m)
-        pm, pc = m.as_set_partition(), c.as_set_partition()
-        assert (cross(pc), nest(pc)) == (nest(pm), cross(pm))
-        assert conjugate_matching(c) == m
+    """A matching is conjugated as the set partition it is: that equals
+    conjugating its oscillating tableau, exchanges cross and nest, and is
+    an involution."""
+    for n in range(6):
+        for m in all_matchings(n):
+            pm = m.as_set_partition()
+            pc = conjugate_set_partition(pm)
+            assert pc == conjugate_by_oscillating(m).as_set_partition(), str(m)
+            assert cross_nest(pc) == cross_nest(pm)[::-1]
+            assert conjugate_set_partition(pc) == pm
+
+
+def test_conjugations_equal_the_tableau_route():
+    start = time.perf_counter()
+    for n in range(8):
+        for p in all_set_partitions(n):
+            assert conjugate_set_partition(p) == conjugate_by_vacillating(p), str(p)
+            assert conjugate_set_partition_enhanced(p) == (
+                conjugate_by_hesitating(p)), str(p)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conjugations_on_large_partitions(seed):
+    """Partitions of 20 to 60 elements, whose staircases are past the
+    growth layer's memo, so the sweeps run unmemoised."""
+    rng = random.Random(seed)
+    for _ in range(5):
+        p = random_set_partition(rng, rng.randint(20, 60))
+        assert setpartition_to_filling(p).shape.n_cells > MEMO_MAX_CELLS
+        q = conjugate_set_partition(p)
+        assert q == conjugate_by_vacillating(p), str(p)
+        assert cross_nest(q) == cross_nest(p)[::-1], str(p)
+        assert min_max_blocks(q) == min_max_blocks(p), str(p)
+        assert conjugate_set_partition(q) == p, str(p)
+        e = conjugate_set_partition_enhanced(p)
+        assert e == conjugate_by_hesitating(p), str(p)
+        assert cross_nest(e, True) == cross_nest(p, True)[::-1], str(p)
+        assert conjugate_set_partition_enhanced(e) == p, str(p)
+
+
+def test_hesitating_shapes_are_shared():
+    p, q = parse_set_partition("1 3 | 2 | 4"), parse_set_partition("1 2 3 | 4")
+    (word, f), (other, g) = _hesitating(p), _hesitating(q)
+    assert word == other == "DRRDDRRD"
+    assert f.shape is g.shape
+    assert f.shape == shape_from_word(word)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SetPartition(-2, ()), lambda: Matching(-1, ()),
+    lambda: list(all_set_partitions(-1)),
+], ids=["set-partition", "matching", "all-set-partitions"])
+def test_negative_n_is_refused(make):
+    with pytest.raises(ValueError, match=r"n >= 0, got -\d$"):
+        make()

@@ -15,7 +15,7 @@ from growthdiagrams.enumeration import (InstanceTooLarge, Report,
                                         budget_limit, check_greene,
                                         count_table, generate_fillings,
                                         jonsson_check, problem2_evidence,
-                                        stack_polyominoes, symmetric_shapes,
+                                        symmetric_shapes,
                                         verify_t2, verify_t2a_nes1,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
@@ -24,7 +24,8 @@ from growthdiagrams.fillings import Filling, chain_spec, greene_totals
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
-                     greene_oracle, max_ones_with_bounded_ne, random_fillings)
+                     greene_oracle, max_ones_with_bounded_ne, random_fillings,
+                     stack_polyominoes)
 
 SQUARE = FerrersShape((2, 2))
 

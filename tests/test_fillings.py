@@ -61,6 +61,12 @@ def test_json_round_trip():
     assert filling_from_json(filling_to_json(f)) == f
 
 
+def test_json_refuses_a_repeated_cell():
+    text = '{"shape": "RRDD", "entries": [[2, 1, 3], [1, 1, 1], [2, 1, 3]]}'
+    with pytest.raises(ValueError, match=r"^the entries give cell 2,1 twice$"):
+        filling_from_json(text)
+
+
 def test_chain_spec_codes():
     assert chain_spec("NE").code == "NE"
     assert chain_spec("se").code == "se"
