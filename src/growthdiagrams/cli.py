@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run the embedded worked examples")
     p.add_argument("--figure", choices=sorted(_DEMOS))
-    add_format(p)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("verify", help="run a theorem verifier")

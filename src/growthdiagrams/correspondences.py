@@ -40,12 +40,19 @@ from dataclasses import dataclass
 
 from .fillings import Filling, _trusted, chain_spec, longest_chain
 from .growth import (GrowthTableau, _sweep_plan, border_tableau,
-                     growth_tableau, label_diagram, reconstruct)
+                     conjugate_swap, growth_tableau, label_diagram)
 from .partitions import make_partition, parse_int
 
 # the chains of a k-crossing and of a k-nesting, in either filling
 _CROSSING = chain_spec("se", require_rectangle=True)
 _NESTING = chain_spec("ne")
+
+
+def _check_n(n, needs: str):
+    """Raise unless n is an int, by ``partitions.int_tuple``'s rule (a
+    bool is not), and n >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{needs} an integer n >= 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,7 @@ class SetPartition:
     blocks: tuple  # tuple of sorted tuples, sorted by minimum
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"a set partition needs n >= 0, got {self.n}")
+        _check_n(self.n, "a set partition needs")
         blocks = [tuple(sorted(b)) for b in self.blocks]
         if not all(blocks):
             raise ValueError(f"a set partition of 1..{self.n} has an empty block")
@@ -79,8 +85,7 @@ def parse_set_partition(text: str, n: int | None = None) -> SetPartition:
 
 def all_set_partitions(n: int):
     """All set partitions of {1..n}, by recursive block insertion."""
-    if n < 0:
-        raise ValueError(f"set partitions need n >= 0, got {n}")
+    _check_n(n, "set partitions need")
     if n == 0:
         yield SetPartition(0, ())
         return
@@ -269,8 +274,7 @@ class Matching:
     pairs: tuple
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"a matching needs n >= 0, got {self.n}")
+        _check_n(self.n, "a matching needs")
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         for p in pairs:
             if len(p) != 2:
@@ -317,9 +321,7 @@ def swap_chain_statistics(f: Filling, mode: str = "standard") -> Filling:
     if mode not in _SWAP_FORWARD:
         raise ValueError(f"unknown mode {mode!r}; choose from "
                          f"{tuple(_SWAP_FORWARD)}")
-    t = growth_tableau(f, _SWAP_FORWARD[mode])
-    # the conjugated tableau carries the backward variant
-    return reconstruct(t.word, t.conjugate())[0]
+    return conjugate_swap(f, _SWAP_FORWARD[mode])
 
 
 def conjugate_set_partition(p: SetPartition) -> SetPartition:

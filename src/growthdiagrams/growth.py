@@ -1,9 +1,13 @@
 """Growth diagrams on Ferrers shapes.
 
 A growth diagram assigns a partition label to every lattice corner of a
-shape so that each cell obeys the local rules of its variant.  Labels are
-kept in a dict keyed by corner coordinates (x, y): corner (x, y) is the
-point x cells from the left and y cells up from the bottom.
+shape so that each cell obeys the local rules of its variant.  Corner
+(x, y) is the point x cells from the left and y cells up from the bottom.
+The sweeps keep the labels in one flat list, column by column: corner
+(x, y) sits at position ``start[x] + y`` of the word's sweep plan, so the
+left side's corners come first and the two corner lines of a cell's
+sides are consecutive runs of the list.  A ``GrowthDiagram`` shows the
+labels as a dict keyed by (x, y).
 
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
@@ -15,6 +19,7 @@ length 2n).
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 from .fillings import Filling, _trusted, filling_class, in_class, int_lists
@@ -29,21 +34,23 @@ EMPTY = ()
 # for a reading word of at most MEMO_MAX_CELLS cells the growth layer
 # memoises each variant's local rules and step checks (_small_rules), label
 # conjugates and the sweep plans of decoded words (_PLANS), among them the
-# words blow_up spells for its refined shapes.  The sweeps pass labels
-# through themselves, so a frame that only passes a label through never
-# reaches a rule or its cache.  lru_cache stores no exception, so
-# every distinct input goes once through the full checked code; each cache
-# and _PLANS hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely
-# repeat a frame and bypass them all.
+# words blow_up spells for its refined shapes.  A plan keeps its word's
+# flat layout: the column starts, the border positions and the corner keys
+# in flat order, whose (x, y) tuples all small plans share from
+# _COLUMN_KEYS, so a stored plan holds ints and pointers but no key of its
+# own.  The sweeps pass labels through themselves, so a frame that only
+# passes a label through never reaches a rule or its cache.  lru_cache
+# stores no exception, so every distinct input goes once through the full
+# checked code; each cache and _PLANS hold at most MEMO_MAX_ENTRIES
+# entries.  Larger diagrams rarely repeat a frame and bypass them all.
 # The rules in local_rules.VARIANT_TABLE stay uncached.
 MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
-# The bottom corner keys (x, 0) and the left ones (0, y), shared by the
-# boundaries of all plans, so that a stored plan holds no keys of its own.
-# A wider or taller plan extends them into new tuples: a tuple once read
+# _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
+# wider or taller plan extends a column into a new tuple: a tuple once read
 # never changes.
-_CORNER_KEYS = ((), ())
+_COLUMN_KEYS = []
 _small_conjugate = lru_cache(MEMO_MAX_ENTRIES)(conjugate)
 
 
@@ -76,9 +83,7 @@ def trace_corners(rows, n_cols: int):
 class _SweepPlan:
     """Everything a sweep along one reading word needs that depends on the
     word alone.  Only the decoded word is computed up front; the rest is
-    computed on first use and then kept with the plan.  The sweeps walk the
-    cells column by column from the shape's column heights: a list of the
-    cells would cost a tuple per cell in every stored plan."""
+    computed on first use and then kept with the plan."""
 
     def __init__(self, word: str, rows, n_cols: int):
         self.word, self.rows, self.n_cols = word, rows, n_cols
@@ -89,23 +94,42 @@ class _SweepPlan:
         return FerrersShape(self.rows)
 
     @cached_property
-    def corners(self):
-        """The border corners, top-left to bottom-right."""
-        return trace_corners(self.rows, self.n_cols)
+    def start(self) -> list:
+        """The flat position of corner (x, 0) for x = 0..n_cols, then the
+        number of corners.  Column 0 holds a corner per row and one below
+        them, column x > 0 one per cell and one below, so a zero-height
+        column of a padded word holds its bottom corner only."""
+        shape = self.shape
+        heights = (len(self.rows), *shape.col_heights,
+                   *(0,) * (self.n_cols - shape.n_cols))
+        return list(accumulate((h + 1 for h in heights), initial=0))
 
     @cached_property
-    def boundary(self) -> tuple:
-        """The bottom and left corners, whose labels are empty by default,
-        as keys shared by all plans."""
-        global _CORNER_KEYS
-        n, h = self.n_cols, len(self.rows)
-        bottom, left = _CORNER_KEYS
-        if max(n, h) >= len(bottom):
-            grown = range(len(bottom), 2 * max(n, h) + 1)
-            bottom += tuple((x, 0) for x in grown)
-            left += tuple((0, y) for y in grown)
-            _CORNER_KEYS = bottom, left
-        return bottom[:n + 1] + left[1:h + 1]
+    def keys(self) -> tuple:
+        """The corner keys (x, y) in the order of the flat labels: from
+        _COLUMN_KEYS for a small plan, made anew for a large one, whose
+        plan lives for one call."""
+        start = self.start
+        sizes = [b - a for a, b in zip(start, start[1:])]
+        if not self.small:
+            return tuple((x, y) for x, n in enumerate(sizes)
+                         for y in range(n))
+        for x, n in enumerate(sizes):
+            if x == len(_COLUMN_KEYS):
+                _COLUMN_KEYS.append(())
+            col = _COLUMN_KEYS[x]
+            if n > len(col):
+                _COLUMN_KEYS[x] = col + tuple((x, y)
+                                              for y in range(len(col), n))
+        return tuple(chain.from_iterable(
+            col[:n] for col, n in zip(_COLUMN_KEYS, sizes)))
+
+    @cached_property
+    def border(self) -> list:
+        """The flat positions of the border corners, top-left to
+        bottom-right."""
+        start = self.start
+        return [start[x] + y for x, y in trace_corners(self.rows, self.n_cols)]
 
 
 def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
@@ -127,6 +151,89 @@ def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
     return plan
 
 
+def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
+    """Label every cell's top-right corner in ``labels``, the flat labels
+    whose bottom and left corners are set, from the filling's ``entries``
+    with the rules of variant ``v``.
+
+    The cells go column by column, bottom to top; padding rows and columns
+    hold no cells.  Going up a column, a cell's rho and mu are the nu and
+    lam of the cell below.  An empty cell with rho = mu (lam = nu) or
+    rho = nu (lam = mu) passes its label through here: it checks the one
+    edge it copies, unless that edge is verified, and both its new edges are
+    then verified too.  left_ok[r] flags the left edge of row r, below_ok
+    the bottom edge of the cell; the left and bottom boundaries start
+    verified, as they are empty or _boundary_labels checked them.  Any
+    other frame goes through the full rule, and leaves its new edges to the
+    next cell that sees them."""
+    forward, _, step_ok = _rules(v, plan.small)
+    start = plan.start
+    left_ok = [True] * (len(plan.rows) + 1)
+    for c in range(1, len(start) - 1):
+        # corner (c - 1, r) is at p + r and corner (c, r) at q + r
+        p, q = start[c - 1], start[c]
+        rho, mu = labels[p], labels[q]
+        below_ok = True
+        for r in range(1, start[c + 1] - q):
+            nu = labels[p + r]
+            m = entries.get((c, r), 0)
+            if not m and rho == mu and (left_ok[r] or step_ok("D", nu, rho)):
+                mu = nu
+                left_ok[r] = below_ok = True
+            elif not m and rho == nu and (below_ok or step_ok("R", rho, mu)):
+                left_ok[r] = below_ok = True
+            else:
+                mu = forward(rho, mu, nu, m)
+                left_ok[r] = below_ok = False
+            # mu now holds lam, the mu of the cell above
+            labels[q + r] = mu
+            rho = nu
+
+
+def _backward_sweep(plan: _SweepPlan, seq, v):
+    """The flat labels and the entries that the rules of variant ``v``
+    recover from ``seq``, the border labels, once its steps are checked.
+
+    The cells go column by column from the right, top to bottom: corner
+    (c, r-1) comes from column c+1 and corner (c-1, r) from cell (c, r+1),
+    so both are known at cell (c, r).  Going down a column, a cell's lam
+    and nu are the mu and rho of the cell above.  As in _forward_sweep, a
+    cell with lam = mu (rho = nu) or lam = nu (rho = mu) passes its label
+    through here, checking the edge it copies unless that edge is verified.
+    right_ok[r] flags the right edge of row r, above_ok the top edge of the
+    cell; the border edges (the top of each column, and its right edges
+    above the next column) start verified, as their steps were checked."""
+    _, backward, step_ok = _rules(v, plan.small)
+    _check_steps(plan.word, seq, step_ok, v.name)
+    start = plan.start
+    labels = [EMPTY] * start[-1]
+    for i, p in zip(plan.border, seq):
+        labels[i] = p
+    entries = {}
+    right_ok = [True] * (len(plan.rows) + 1)
+    for c in range(len(start) - 2, 0, -1):
+        p, q = start[c - 1], start[c]
+        top = start[c + 1] - q - 1
+        lam, nu = labels[q + top], labels[p + top]
+        above_ok = True
+        for r in range(top, 0, -1):
+            mu = labels[q + r - 1]
+            if lam == mu and (above_ok or step_ok("R", nu, lam)):
+                right_ok[r] = above_ok = True
+            elif lam == nu and (right_ok[r] or step_ok("D", lam, mu)):
+                nu = mu
+                right_ok[r] = above_ok = True
+            else:
+                nu, m = backward(mu, nu, lam)
+                if m:
+                    entries[(c, r)] = m
+                right_ok[r] = above_ok = False
+            # nu now holds rho, the nu of the cell below
+            labels[p + r - 1] = nu
+            lam = mu
+    return labels, entries
+
+
 @dataclass(frozen=True)
 class GrowthTableau:
     """A sequence of partitions read along a boundary word."""
@@ -145,8 +252,9 @@ class GrowthTableau:
                 f"got {len(self.seq)}")
 
     def validate_steps(self):
-        _check_steps(self, _rules(get_variant(self.variant),
-                                  _sweep_plan(self.word).small)[2])
+        _check_steps(self.word, self.seq,
+                     _rules(get_variant(self.variant),
+                            _sweep_plan(self.word).small)[2], self.variant)
 
     def conjugate(self) -> "GrowthTableau":
         conj = _small_conjugate if _sweep_plan(self.word).small else conjugate
@@ -155,16 +263,15 @@ class GrowthTableau:
                         variant=get_variant(self.variant).conjugate)
 
 
-def _check_steps(t: GrowthTableau, step_ok):
-    """Raise unless every border step of t passes ``step_ok``, the step
-    check of its variant."""
-    seq = t.seq
-    for i, step in enumerate(t.word):
+def _check_steps(word: str, seq, step_ok, variant: str):
+    """Raise unless every step of ``seq`` along ``word`` passes
+    ``step_ok``, the step check of ``variant``."""
+    for i, step in enumerate(word):
         prev, nxt = seq[i], seq[i + 1]
         if not step_ok(step, prev, nxt):
             raise ValueError(
                 f"step {i + 1} ({step}) from {prev} to {nxt} is not a valid "
-                f"{t.variant} step")
+                f"{variant} step")
 
 
 def tableau_to_json(t: GrowthTableau) -> str:
@@ -192,9 +299,8 @@ class GrowthDiagram:
     The constructor checks that ``row_lens``, ``n_cols`` and the filling's
     shape are what ``word`` traces, that ``labels`` holds exactly the
     corners of ``corners()``, and every label; ``label_diagram`` builds its
-    diagrams without checking again.  ``labels`` is a view of a private
-    dict, which the growth layer reads directly: a lookup through the view
-    costs more.
+    diagrams without checking again.  The growth layer reads the labels
+    from a private flat list in the plan's corner layout instead.
     """
 
     word: str
@@ -220,7 +326,8 @@ class GrowthDiagram:
                              f"word {self.word!r}")
         labels = {xy: make_partition(p) for xy, p in self.labels.items()}
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_flat", list(map(labels.__getitem__,
+                                                   plan.keys)))
         object.__setattr__(self, "row_lens", plan.rows)
         object.__setattr__(self, "labels", MappingProxyType(labels))
 
@@ -268,51 +375,21 @@ def label_diagram(filling: Filling, variant: str = "standard",
             raise ValueError(f"word {word!r} traces {plan.shape}, not {shape}")
 
     if bottom is None and left is None:
-        labels = dict.fromkeys(plan.boundary, EMPTY)
+        flat = [EMPTY] * plan.start[-1]
     else:
-        labels = _boundary_labels(filling, variant, plan.rows, plan.n_cols,
-                                  bottom, left)
-    forward, _, step_ok = _rules(v, plan.small)
-    entries = filling.entries
-    # column-major order; padding rows and columns hold no cells, so the
-    # shape's cells are exactly the cells of the padded grid.  Going up a
-    # column, a cell's rho and mu are the nu and lam of the cell below.
-    # An empty cell with rho = mu (lam = nu) or rho = nu (lam = mu) passes
-    # its label through here: it checks the one edge it copies, unless that
-    # edge is verified, and both its new edges are then verified too.
-    # left_ok[r] flags the left edge of row r, below_ok the bottom edge of
-    # the cell; the left and bottom boundaries start verified, as
-    # _boundary_labels checked them.  Any other frame goes through the full
-    # rule, and leaves its new edges to the next cell that sees them.
-    left_ok = [True] * (len(plan.rows) + 1)
-    for c, height in enumerate(plan.shape.col_heights, 1):
-        rho, mu = labels[(c - 1, 0)], labels[(c, 0)]
-        below_ok = True
-        for r in range(1, height + 1):
-            nu = labels[(c - 1, r)]
-            m = entries.get((c, r), 0)
-            if not m and rho == mu and (left_ok[r] or step_ok("D", nu, rho)):
-                mu = nu
-                left_ok[r] = below_ok = True
-            elif not m and rho == nu and (below_ok or step_ok("R", rho, mu)):
-                left_ok[r] = below_ok = True
-            else:
-                mu = forward(rho, mu, nu, m)
-                left_ok[r] = below_ok = False
-            # mu now holds lam, the mu of the cell above
-            labels[(c, r)] = mu
-            rho = nu
+        flat = _boundary_labels(filling, variant, plan, bottom, left)
+    _forward_sweep(plan, flat, filling.entries, v)
+    labels = dict(zip(plan.keys, flat))
     return _trusted(GrowthDiagram, word=plan.word, row_lens=plan.rows,
                     n_cols=plan.n_cols, variant=variant, filling=filling,
-                    labels=MappingProxyType(labels), _labels=labels,
-                    _plan=plan)
+                    labels=MappingProxyType(labels), _flat=flat, _plan=plan)
 
 
-def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
-    """The checked labels of the bottom and left corners, given explicitly
-    (a missing side is all empty).  The sweep takes their edges as checked
-    here, and does not check them again."""
-    shape = filling.shape
+def _boundary_labels(filling, variant, plan, bottom, left) -> list:
+    """Flat labels holding the checked labels of the bottom and left
+    corners, given explicitly (a missing side is all empty).  The sweep
+    takes their edges as checked here, and does not check them again."""
+    shape, rows, n_cols = filling.shape, plan.rows, plan.n_cols
     bottom = [EMPTY] * (n_cols + 1) if bottom is None else list(bottom)
     left = [EMPTY] * (len(rows) + 1) if left is None else list(left)
     if len(bottom) != n_cols + 1 or len(left) != len(rows) + 1:
@@ -343,9 +420,11 @@ def _boundary_labels(filling, variant, rows, n_cols, bottom, left) -> dict:
                                for c in range(1, rows[y - 1] + 1)):
             raise ValueError(f"left labels change beside occupied row {y}")
 
-    labels = {(x, 0): bottom[x] for x in range(n_cols + 1)}
-    labels.update({(0, y): left[y] for y in range(len(rows) + 1)})
-    return labels
+    # column 0 is the left side, and corner (x, 0) sits at start[x]
+    flat = left + [EMPTY] * (plan.start[-1] - len(left))
+    for i, p in zip(plan.start, bottom):
+        flat[i] = p
+    return flat
 
 
 def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
@@ -353,7 +432,7 @@ def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
 
     The labels were checked when the diagram was made, and are not checked
     again."""
-    seq = tuple(map(diagram._labels.__getitem__, diagram._plan.corners))
+    seq = tuple(map(diagram._flat.__getitem__, diagram._plan.border))
     return _trusted(GrowthTableau, word=diagram.word, seq=seq,
                     variant=diagram.variant)
 
@@ -373,47 +452,28 @@ def reconstruct(word: str, tableau, variant: str | None = None):
     else:
         t = tableau
     plan = _sweep_plan(word)
-    v = get_variant(t.variant)
-    _, backward, step_ok = _rules(v, plan.small)
-    _check_steps(t, step_ok)
-
-    labels = dict(zip(plan.corners, t.seq))
-    entries = {}
-    # reversed column-major order: corner (c, r-1) comes from column c+1 and
-    # corner (c-1, r) from cell (c, r+1), so both are known at cell (c, r).
-    # Going down a column, a cell's lam and nu are the mu and rho of the
-    # cell above.  As in label_diagram, a cell with lam = mu (rho = nu) or
-    # lam = nu (rho = mu) passes its label through here, checking the edge
-    # it copies unless that edge is verified.  right_ok[r] flags the right
-    # edge of row r, above_ok the top edge of the cell; the border edges (the
-    # top of each column, and its right edges above the next column) start
-    # verified, as _check_steps checked them.
-    right_ok = [True] * (len(plan.rows) + 1)
-    heights = plan.shape.col_heights
-    for c in range(len(heights), 0, -1):
-        top = heights[c - 1]
-        lam, nu = labels[(c, top)], labels[(c - 1, top)]
-        above_ok = True
-        for r in range(top, 0, -1):
-            mu = labels[(c, r - 1)]
-            if lam == mu and (above_ok or step_ok("R", nu, lam)):
-                right_ok[r] = above_ok = True
-            elif lam == nu and (right_ok[r] or step_ok("D", lam, mu)):
-                nu = mu
-                right_ok[r] = above_ok = True
-            else:
-                nu, m = backward(mu, nu, lam)
-                if m:
-                    entries[(c, r)] = m
-                right_ok[r] = above_ok = False
-            # nu now holds rho, the nu of the cell below
-            labels[(c - 1, r - 1)] = nu
-            lam = mu
+    labels, entries = _backward_sweep(plan, t.seq, get_variant(t.variant))
     # the backward rules only write positive int entries into the shape
     filling = _trusted(Filling, shape=plan.shape, entries=entries)
-    bottom = [labels[(x, 0)] for x in range(plan.n_cols + 1)]
-    left = [labels[(0, y)] for y in range(len(plan.rows) + 1)]
-    return filling, bottom, left
+    bottom = [labels[i] for i in plan.start[:-1]]
+    return filling, bottom, labels[:len(plan.rows) + 1]
+
+
+def conjugate_swap(filling: Filling, variant: str) -> Filling:
+    """The filling that the conjugate variant's backward rules reconstruct
+    from the conjugate of ``filling``'s border tableau under ``variant``,
+    ``reconstruct(t.word, t.conjugate())[0]`` for ``t = growth_tableau(
+    filling, variant)``, in one pass over one plan, the plan of the shape's
+    word.  The conjugated border is step-checked for the conjugate variant,
+    as ``reconstruct`` checks a tableau."""
+    v = _checked_variant(filling, variant)
+    plan = _sweep_plan(filling.shape.word)
+    labels = [EMPTY] * plan.start[-1]
+    _forward_sweep(plan, labels, filling.entries, v)
+    conj = _small_conjugate if plan.small else conjugate
+    seq = [conj(labels[i]) for i in plan.border]
+    entries = _backward_sweep(plan, seq, get_variant(v.conjugate))[1]
+    return _trusted(Filling, shape=filling.shape, entries=entries)
 
 
 def growth_tableau(filling: Filling, variant: str = "standard",
@@ -514,7 +574,7 @@ def shrink_back(fine_diagram: GrowthDiagram, row_blocks, col_blocks) -> dict:
     rows, n_cols = fine_diagram.row_lens, fine_diagram.n_cols
     row_ends = _block_ends(row_blocks, len(rows), "row")
     col_ends = _block_ends(col_blocks, n_cols, "column")
-    labels = fine_diagram._labels
+    flat, start = fine_diagram._flat, fine_diagram._plan.start
     out = {}
     for y, fy in enumerate(row_ends):
         # the crossings on refined corner line fy that are corners
@@ -522,5 +582,5 @@ def shrink_back(fine_diagram: GrowthDiagram, row_blocks, col_blocks) -> dict:
         for x, fx in enumerate(col_ends):
             if fx > width:
                 break
-            out[(x, y)] = labels[(fx, fy)]
+            out[(x, y)] = flat[start[fx] + fy]
     return out

@@ -184,6 +184,10 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # demo prints text only, so it takes no --format
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--figure", "5", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_verify_theorem(capsys):

@@ -1,14 +1,18 @@
 """Set partitions, matchings and their tableau encodings."""
 
 import random
+import re
 import time
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from growthdiagrams import correspondences
-from growthdiagrams.correspondences import (Matching, PartialTableau,
-                                            SetPartition, _hesitating,
-                                            all_set_partitions,
+from growthdiagrams import correspondences, growth
+from growthdiagrams.correspondences import (_SWAP_FORWARD, Matching,
+                                            PartialTableau, SetPartition,
+                                            _hesitating, all_set_partitions,
                                             conjugate_set_partition,
                                             conjugate_set_partition_enhanced,
                                             cross, cross_nest, enhanced_cross,
@@ -22,10 +26,18 @@ from growthdiagrams.correspondences import (Matching, PartialTableau,
                                             setpartition_to_filling,
                                             setpartition_to_hesitating,
                                             setpartition_to_vacillating,
-                                            standard_representation)
-from growthdiagrams.growth import MEMO_MAX_CELLS, GrowthTableau
-from growthdiagrams.partitions import parse_partition
-from growthdiagrams.shapes import shape_from_word
+                                            standard_representation,
+                                            swap_chain_statistics)
+from growthdiagrams.enumeration import (NES1_IMAGE_SPECS, NES1_SPECS,
+                                        NES2_IMAGE_SPECS, NES2_SPECS,
+                                        T2_SPECS, all_fillings, all_shapes)
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
+                                     longest_chain, transpose_filling)
+from growthdiagrams.growth import (MEMO_MAX_CELLS, GrowthTableau,
+                                   growth_tableau, reconstruct)
+from growthdiagrams.local_rules import get_variant
+from growthdiagrams.partitions import conjugate, parse_partition
+from growthdiagrams.shapes import FerrersShape, shape_from_word
 
 from oracles import (_max_k, all_matchings, conjugate_by_hesitating,
                      conjugate_by_oscillating, conjugate_by_vacillating,
@@ -33,6 +45,7 @@ from oracles import (_max_k, all_matchings, conjugate_by_hesitating,
                      is_hesitating, is_oscillating, is_vacillating,
                      oscillating_to_matching, parse_matching,
                      random_set_partition, vacillating_to_setpartition)
+from test_growth import large_fillings
 
 
 def seq_of(t):
@@ -113,7 +126,7 @@ def test_statistics_read_no_growth_label(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a statistic called growth code")
     for name in ("growth_tableau", "label_diagram", "border_tableau",
-                 "reconstruct"):
+                 "conjugate_swap"):
         monkeypatch.setattr(correspondences, name, refuse)
     p = parse_set_partition("1 2 3 | 4 6 | 5")
     assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
@@ -407,3 +420,127 @@ def test_hesitating_shapes_are_shared():
 def test_negative_n_is_refused(make):
     with pytest.raises(ValueError, match=r"n >= 0, got -\d$"):
         make()
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("make", [
+    lambda n: SetPartition(n, ()), lambda n: Matching(n, ()),
+    lambda n: list(all_set_partitions(n)),
+], ids=["set-partition", "matching", "all-set-partitions"])
+def test_non_integer_n_is_refused(make, n):
+    """n must be an int by ``partitions.int_tuple``'s rule, which refuses
+    bools, and the one-line message names n."""
+    with pytest.raises(ValueError, match=re.escape(
+            f" an integer n >= 0, got {n!r}") + "$"):
+        make(n)
+
+
+@pytest.mark.parametrize("mode", list(_SWAP_FORWARD))
+def test_swap_equals_the_tableau_composition(mode):
+    """On every filling of every shape up to 6 cells, the empty one too
+    (arbitrary entry sum at most 3), the one-pass swap is the public
+    composition: label, read the border, conjugate it, reconstruct."""
+    variant = _SWAP_FORWARD[mode]
+    cls = get_variant(variant).filling_class
+    for shape in all_shapes(6, min_cells=0):
+        for _, f in all_fillings(shape, cls, 3 if cls == ARBITRARY else None):
+            t = growth_tableau(f, variant)
+            assert swap_chain_statistics(f, mode) == reconstruct(
+                t.word, t.conjugate())[0], (mode, f)
+
+
+@pytest.mark.parametrize("shape", [FerrersShape((1,)), FerrersShape((13,) * 5)],
+                         ids=["memoised", "past-the-memo"])
+def test_swap_step_checks_the_conjugated_border(monkeypatch, shape):
+    """With the label conjugation replaced by the identity, the rsk border
+    of an entry 2 makes a horizontal step of two squares, which the
+    dual-rsk-prime backward rules refuse before they run."""
+    f = Filling(shape, {(1, 1): 2})
+    swap_chain_statistics(f, "nes1")
+    monkeypatch.setattr(growth, "conjugate", lambda p: p)
+    monkeypatch.setattr(growth, "_small_conjugate", lambda p: p)
+    with pytest.raises(ValueError, match=r"from \(\) to \(2,\) is not a "
+                                         r"valid dual-rsk-prime step"):
+        swap_chain_statistics(f, "nes1")
+
+
+def test_one_large_conjugation_builds_at_most_two_plans(monkeypatch):
+    """Past the memo nothing stores a plan, and each conjugation decodes
+    the tableau word once for the partition's filling and the shape's word
+    once for the swap."""
+    built = []
+    init = growth._SweepPlan.__init__
+
+    def counting_init(plan, word, rows, n_cols):
+        built.append(word)
+        init(plan, word, rows, n_cols)
+
+    monkeypatch.setattr(growth._SweepPlan, "__init__", counting_init)
+    p = random_set_partition(random.Random(0), 40)
+    for conj in (conjugate_set_partition, conjugate_set_partition_enhanced):
+        built.clear()
+        conj(p)
+        assert len(built) <= 2, built
+
+
+# mode: (forward variant, inverse mode, statistics of f, of the image)
+_LARGE_SWAPS = {
+    "standard": ("standard", "standard", T2_SPECS, T2_SPECS),
+    "nes1": ("rsk", "nes1-inverse", NES1_SPECS, NES1_IMAGE_SPECS),
+    "nes2": ("dual-rsk", "nes2-inverse", NES2_SPECS, NES2_IMAGE_SPECS),
+}
+
+
+@pytest.mark.parametrize("mode", list(_LARGE_SWAPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_large_swap_property(mode, data):
+    """Past the memo, on 65 to 400 cells: the swap sends statistics (s, t)
+    to (t, s) under the image's specs, by the chain oracle, and the inverse
+    mode gives f back."""
+    variant, inverse, specs, image_specs = _LARGE_SWAPS[mode]
+    f = data.draw(large_fillings(variant, max_cells=400, max_entries=40))
+    g = swap_chain_statistics(f, mode)
+    assert g.shape == f.shape
+    s, t = (longest_chain(f, spec) for spec in specs)
+    assert tuple(longest_chain(g, spec) for spec in image_specs) == (t, s)
+    assert swap_chain_statistics(g, inverse) == f
+
+
+@st.composite
+def symmetric_large_fillings(draw, cls):
+    """A symmetric filling of a self-conjugate shape of 65 to 400 cells,
+    the union of a random shape in a 20 x 20 box and its transpose: at
+    most 40 nonzero entries, each at most 3, in mirrored pairs, and for
+    partial permutations in distinct lines."""
+    rows = sorted(draw(st.lists(st.integers(1, 20), min_size=5,
+                                max_size=20)), reverse=True)
+    rows = tuple(max(a, b) for a, b in zip_longest(rows, conjugate(rows),
+                                                   fillvalue=0))
+    assume(MEMO_MAX_CELLS < sum(rows))
+    shape = FerrersShape(rows)
+    cells = draw(st.lists(st.sampled_from([(c, r) for c, r in shape.cells()
+                                           if c <= r]),
+                          max_size=20, unique=True))
+    entries, used = {}, set()
+    for c, r in cells:
+        if cls == PARTIAL_PERMUTATION:
+            if c in used or r in used:
+                continue
+            used.update((c, r))
+        m = draw(st.integers(1, 3)) if cls == ARBITRARY else 1
+        entries[(c, r)] = entries[(r, c)] = m
+    return Filling(shape, entries)
+
+
+@pytest.mark.parametrize("mode, cls", [("standard", PARTIAL_PERMUTATION),
+                                       ("nes1", ARBITRARY)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_large_symmetric_swap_property(mode, cls, data):
+    """Past the memo, the standard and nes1 swaps send a symmetric filling
+    to a symmetric image (T2sym, T2asym)."""
+    f = data.draw(symmetric_large_fillings(cls))
+    assert transpose_filling(f) == f
+    g = swap_chain_statistics(f, mode)
+    assert transpose_filling(g) == g

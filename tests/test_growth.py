@@ -530,16 +530,18 @@ def test_padded_word_round_trip_property(variant, data):
 
 
 @st.composite
-def large_fillings(draw, variant):
-    """A filling of a Ferrers shape of 65 to 200 cells, past the memo, in
-    the variant's class: at most 24 nonzero entries, each at most 3."""
-    rows = sorted(draw(st.lists(st.integers(1, 20), min_size=5, max_size=15)),
-                  reverse=True)
-    assume(growth.MEMO_MAX_CELLS < sum(rows) <= 200)
+def large_fillings(draw, variant, max_cells=200, max_entries=24):
+    """A filling of a Ferrers shape of 65 to ``max_cells`` cells, past the
+    memo, in the variant's class: at most ``max_entries`` nonzero entries,
+    each at most 3.  Its rows are 5 to ``max_cells // 13`` lines of up to
+    20 cells."""
+    rows = sorted(draw(st.lists(st.integers(1, 20), min_size=5,
+                                max_size=max_cells // 13)), reverse=True)
+    assume(growth.MEMO_MAX_CELLS < sum(rows) <= max_cells)
     shape = FerrersShape(tuple(rows))
     cls = get_variant(variant).filling_class
-    cells = draw(st.lists(st.sampled_from(shape.cells()), max_size=24,
-                          unique=True))
+    cells = draw(st.lists(st.sampled_from(shape.cells()),
+                          max_size=max_entries, unique=True))
     values = draw(st.lists(st.integers(1, 3 if cls == ARBITRARY else 1),
                            min_size=len(cells), max_size=len(cells)))
     return Filling(shape, keep_in_class(dict(zip(cells, values)), cls))
