@@ -1,9 +1,12 @@
 """Exhaustive generators and the theorem-verification harness.
 
 Everything here is deliberately brute force: fillings are generated in a
-deterministic lexicographic order, chain statistics come from the chain
-searcher in :mod:`fillings`, and each verifier checks a counting identity
-together with a pointwise bijection certificate where one exists.
+deterministic lexicographic order, by entry sum, and each verifier checks
+a counting identity together with a pointwise bijection certificate where
+one exists.  The chain statistics of the enumerated fillings come from one
+:class:`fillings.ChainTable` per shape and spec, which reads each filling
+from two smaller ones; single fillings, as of the set partitions and the
+stack polyominoes, go to :func:`fillings.longest_chain`.
 
 The certificates take two passes over one table, kept for one (shape, n)
 or one n at a time.  The first pass reads each object's statistics, and
@@ -22,8 +25,8 @@ from .correspondences import (all_set_partitions, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross_nest,
                               min_max_blocks, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       Filling, _trusted, chain_spec, greene_totals,
-                       longest_chain, transpose_filling)
+                       ChainTable, Filling, _trusted, chain_spec,
+                       greene_totals, longest_chain)
 from .growth import label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import FerrersShape, StackPolyomino
@@ -72,7 +75,7 @@ class Report:
 def all_shapes(max_cells: int, min_cells: int = 1):
     """Every Ferrers shape with the given cell-count range."""
     out = []
-    for n in range(min_cells, max_cells + 1):
+    for n in range(min_cells, _check_int(max_cells, "max_cells") + 1):
         out.extend(FerrersShape(p) for p in sorted(partitions_of(n)))
     return out
 
@@ -147,24 +150,46 @@ def _rook_placements(cells, n: int):
 
 
 def all_fillings(shape, cls: str, max_n: int | None = None):
-    """Fillings for every feasible n, with the hard generation wall applied."""
-    if max_n is None:
-        if cls == PARTIAL_PERMUTATION:
-            max_n = min(shape.n_rows, shape.n_cols)
-        elif cls == ZERO_ONE:
-            max_n = shape.n_cells
-        else:
-            raise ValueError("arbitrary fillings need an explicit entry-sum bound")
-    else:
-        _check_max_n(max_n)
-    yield from _metered((n, f) for n in range(max_n + 1)
-                        for f in generate_fillings(shape, cls, n))
+    """(n, filling) for every feasible n in ascending order, with the hard
+    generation wall applied.  The bound is checked here, before the first
+    filling is asked for."""
+    return _metered((n, f) for n in range(_max_n(shape, cls, max_n) + 1)
+                    for f in generate_fillings(shape, cls, n))
 
 
-def _check_max_n(max_n: int):
-    """A negative bound would give an empty range, and an empty verdict."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be at least 0, got {max_n}")
+def _max_n(shape, cls: str, max_n: int | None) -> int:
+    """``max_n``, once checked, or the largest n of the class's fillings of
+    the shape when it is None."""
+    if max_n is not None:
+        return _check_bound(max_n, "max_n", 0)
+    if cls == PARTIAL_PERMUTATION:
+        return min(shape.n_rows, shape.n_cols)
+    if cls == ZERO_ONE:
+        return shape.n_cells
+    raise ValueError("arbitrary fillings need an explicit entry-sum bound")
+
+
+def _check_int(value, name: str) -> int:
+    """``value``, once it is an int, by ``partitions.int_tuple``'s rule (a
+    bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_bound(value, name: str, least: int) -> int:
+    """``value``, once it is an int of at least ``least``: a smaller bound
+    would give an empty range, and an empty verdict."""
+    if _check_int(value, name) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _chain_tables(shape, cls: str, max_n: int | None, specs):
+    """A ChainTable of the shape for each spec, sized for the class's
+    fillings of entry sum at most ``max_n``."""
+    bits = _max_n(shape, cls, max_n).bit_length() if cls == ARBITRARY else 1
+    return [ChainTable(shape, spec, bits) for spec in specs]
 
 
 def _shapes_to_check(shapes):
@@ -230,8 +255,9 @@ class CountTable:
 def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
                 max_n: int | None = None) -> CountTable:
     table = CountTable(str(shape), cls, spec_x, spec_y)
+    x, y = _chain_tables(shape, cls, max_n, (spec_x, spec_y))
     for n, f in all_fillings(shape, cls, max_n):
-        table.add(n, longest_chain(f, spec_x), longest_chain(f, spec_y))
+        table.add(n, x(f), y(f))
     return table
 
 
@@ -258,25 +284,28 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
     (s, t) on the source side to (t, s) on the image side and invert
     cleanly.  Each (shape, n) is checked in two passes over one table of
     its fillings: the first reads every statistic once, the second checks
-    each filling's image against the table.
+    each filling's image against the table.  The statistics of every
+    filling are read, symmetric or not, so that each finds the smaller
+    fillings it is read from in the chain tables.
     """
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
         image = (source if image_specs == specs
                  else CountTable(str(shape), cls, *image_specs))
+        x, y = _chain_tables(shape, cls, max_n, specs)
+        image_x, image_y = (x, y) if image is source else _chain_tables(
+            shape, cls, max_n, image_specs)
         for n, group in groupby(all_fillings(shape, cls, max_n),
                                 key=itemgetter(0)):
             table = {}      # entries -> (filling, statistics, image side)
             for _, f in group:
-                if symmetric_only and transpose_filling(f) != f:
+                s, t = x(f), y(f)
+                swapped = (s, t) if image is source else (image_x(f),
+                                                          image_y(f))
+                if symmetric_only and not f.is_symmetric():
                     continue
-                s = longest_chain(f, specs[0])
-                t = longest_chain(f, specs[1])
                 source.add(n, s, t)
-                swapped = (s, t)
                 if image is not source:
-                    swapped = (longest_chain(f, image_specs[0]),
-                               longest_chain(f, image_specs[1]))
                     image.add(n, *swapped)
                 table[frozenset(f.entries.items())] = f, (s, t), swapped
             if modes is not None and table:
@@ -300,7 +329,7 @@ def _swap_witness(shape, table, modes, symmetric_only):
         images = list(images)
         image_of = dict(zip(table, images))
     for (f, (s, t), _), g in zip(table.values(), images):
-        if symmetric_only and transpose_filling(g) != g:
+        if symmetric_only and not g.is_symmetric():
             return shape, f, "image not symmetric"
         key = frozenset(g.entries.items())
         if g.shape != shape or key not in table:
@@ -323,6 +352,7 @@ def verify_t2(max_cells: int = 9, shapes=None) -> Report:
 
 
 def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report:
+    _check_bound(max_sum, "max_sum", 0)
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ARBITRARY, max_sum,
@@ -333,6 +363,7 @@ def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report
 
 
 def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Report:
+    _check_bound(max_ones, "max_ones", 0)
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
     ok, witness = _check_swap(shapes, ZERO_ONE, max_ones,
@@ -351,6 +382,7 @@ def verify_t2sym(max_cells: int = 9) -> Report:
 
 
 def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
+    _check_bound(max_sum, "max_sum", 0)
     # The first identity has a symmetry-preserving bijection (its two rule
     # sets treat mu and nu interchangeably, so symmetric fillings give
     # palindromic border sequences).  The second does not: its rule sets
@@ -396,7 +428,7 @@ def _partition_tables(n, stats, conj, refined):
 
 
 def _partition_verdict(name, max_n, stats, conj, refined, kind=""):
-    _check_max_n(max_n)
+    _check_bound(max_n, "max_n", 0)
     for n in range(max_n + 1):
         ok, witness = _partition_tables(n, stats, conj, refined)
         if not ok:
@@ -475,8 +507,7 @@ def jonsson_check(poly: StackPolyomino, s: int) -> Report:
     longest ne-chain exactly s must agree between the polyomino and the
     Ferrers shape obtained by sorting its columns by height.
     """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
+    _check_bound(s, "s", 1)
     n1, c1 = _densest_bounded_ne(poly, s)
     n2, c2 = _densest_bounded_ne(poly.sort_columns(), s)
     ok = n1 == n2 and c1 == c2
@@ -522,7 +553,7 @@ def check_greene(f: Filling, variant: str, k_max: int = 3) -> Report:
     Both sides stop changing once k reaches the filling's entry sum, so no
     larger k is compared.
     """
-    if k_max < 1:
+    if _check_int(k_max, "k_max") < 1:
         raise ValueError(f"k must be at least 1, got k_max={k_max}")
     top = min(k_max, max(f.entry_sum, 1))
     diagram = label_diagram(f, variant)     # rejects an unknown variant

@@ -13,19 +13,30 @@ compass code.  The first letter gives the vertical relation (N = weakly
 above, n = strictly above, S = weakly below, s = strictly below), the
 second the horizontal one (E = weakly right, e = strictly right).
 :func:`longest_chain` finds the longest chain with one longest-path pass;
-the tests check it against an exhaustive search over all chains.
+the tests check it against an exhaustive search over all chains.  A
+:class:`ChainTable` reads the same statistic for every filling of one
+shape, each from two smaller fillings, and falls back on
+:func:`longest_chain` for the fillings it cannot read that way.
 """
 
 import json
 from collections import defaultdict, deque
 from math import inf
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 
 from .shapes import shape_from_word
 
 ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
 PARTIAL_PERMUTATION = "partial-permutation"
+
+# The bounds of every memo: what a shape of at most MEMO_MAX_CELLS cells
+# may keep (the growth layer's rule caches and sweep plans, and a
+# ChainTable), and the most entries each such memo holds.
+MEMO_MAX_CELLS = 64
+MEMO_MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,14 @@ class Filling:
     def cells(self):
         """Cells carrying a nonzero entry, in column-major order."""
         return sorted(self.entries)
+
+    def is_symmetric(self) -> bool:
+        """Whether the filling equals its transpose, which is not built: its
+        shape is self-conjugate and each entry equals the one across the
+        diagonal."""
+        entries = self.entries
+        return self.shape.is_symmetric() and all(
+            entries.get((r, c)) == v for (c, r), v in entries.items())
 
     def __eq__(self, other):
         return (isinstance(other, Filling)
@@ -217,6 +236,134 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
                 if heights is None or min(heights[c0 - 1:c1]) >= max(r0, r1):
                     best = value
     return best
+
+
+class ChainTable:
+    """``longest_chain(f, spec)`` of the fillings f of one shape whose
+    entries are below ``2 ** bits``, each read from two fillings of smaller
+    entry sum that the table has read before.
+
+    A filling is coded as an int, ``bits`` bits per cell in the spec's cell
+    order, so its last cell x is its top digit and its first cell s its
+    lowest.  Every chain runs in that order, and steps compose: a cell that
+    may follow b may follow every cell that b may follow.  So with pred(x)
+    the cells that may precede x, succ(s) those that may follow s, and w
+    the entry for ``entry-sum`` chains and 1 otherwise,
+
+        L(f) = max(L(f - x), w(x) + L(f & pred(x))).
+
+    A chain's box is spanned by its two ends, so a chain from s fits the
+    shape exactly when each of its cells spans a box with s that fits,
+    the cells win(s).  With ``require_rectangle`` the table also keeps L of
+    each filling it reads, and
+
+        R(f) = max(R(f - s), w(s) + L(f & succ(s) & win(s))).
+
+    Read in order of entry sum, as ``all_fillings`` gives them, the
+    fillings of a class find both smaller fillings here.  A filling that
+    does not, and every filling of a shape of more than MEMO_MAX_CELLS
+    cells, is read by ``longest_chain``; each of the table's memos stores
+    at most MEMO_MAX_ENTRIES fillings.
+    """
+
+    def __init__(self, shape, spec: ChainSpec, bits: int):
+        self.spec, self.bits = spec, bits
+        self.weighted = spec.length_mode == "entry-sum"
+        self.pos = None
+        if shape.n_cells > MEMO_MAX_CELLS:
+            return
+        cells = _sorted_cells(shape.cells(), spec)
+        self.pos = {cell: bits * i for i, cell in enumerate(cells)}
+        digit = {cell: ((1 << bits) - 1) << at for cell, at in self.pos.items()}
+        # col_upto[c] and row_upto[r]: the digits of the cells in columns
+        # 1..c and in rows 1..r
+        heights = shape.col_heights
+        col_upto = [0] * (len(heights) + 2)
+        row_upto = [0] * (max(heights, default=0) + 2)
+        for (c, r), d in digit.items():
+            col_upto[c] |= d
+            row_upto[r] |= d
+        col_upto = list(accumulate(col_upto, or_))
+        row_upto = list(accumulate(row_upto, or_))
+        every = col_upto[-1]
+        rise, run = spec.min_rise, spec.min_run
+
+        def step_cells(c, r, forward):
+            """The cells a chain may step to from (c, r): forward to a later
+            cell, or back to an earlier one."""
+            if forward:
+                cols = every ^ col_upto[c + run - 1]
+            else:
+                cols = col_upto[c - run]
+            up, down = every ^ row_upto[r + rise - 1], row_upto[r - rise]
+            return cols & (up if forward == spec.upward else down) & ~digit[c, r]
+
+        self.pred = [step_cells(c, r, False) for c, r in cells]
+        self.free, self.bounded = {0: 0}, None
+        if spec.require_rectangle:
+            # after[i]: the cells that may follow cell i and span a box
+            # with it that fits the shape, column by column while the
+            # lowest column so far reaches row r
+            self.after = []
+            for c, r in cells:
+                fits, low = 0, heights[c - 1]
+                for col in range(c, len(heights) + 1):
+                    low = min(low, heights[col - 1])
+                    if low < r:
+                        break
+                    fits |= (col_upto[col] ^ col_upto[col - 1]) & row_upto[low]
+                self.after.append(step_cells(c, r, True) & fits)
+            self.bounded = {0: 0}
+
+    def __call__(self, f: Filling) -> int:
+        pos = self.pos
+        if pos is None:
+            return longest_chain(f, self.spec)
+        code = 0
+        for cell, v in f.entries.items():
+            code |= v << pos[cell]
+        value = self._free(code) if self.bounded is None else self._bounded(code)
+        return longest_chain(f, self.spec) if value is None else value
+
+    def _free(self, code: int):
+        """L of the filling ``code``, None if a smaller filling is missing."""
+        known = self.free
+        value = known.get(code)
+        if value is None:
+            last = (code.bit_length() - 1) // self.bits
+            shift = last * self.bits
+            rest = known.get(code & ((1 << shift) - 1))
+            before = known.get(code & self.pred[last])
+            if rest is None or before is None:
+                return None
+            value = before + (code >> shift if self.weighted else 1)
+            if rest > value:
+                value = rest
+            if len(known) < MEMO_MAX_ENTRIES:
+                known[code] = value
+        return value
+
+    def _bounded(self, code: int):
+        """R of the filling ``code``, None if a smaller filling is
+        missing."""
+        known = self.bounded
+        value = known.get(code)
+        if value is None:
+            # L of this filling is read by the larger fillings
+            self._free(code)
+            first = ((code & -code).bit_length() - 1) // self.bits
+            shift = first * self.bits
+            w = (code >> shift) & ((1 << self.bits) - 1)
+            rest = known.get(code ^ (w << shift))
+            after = self.free.get(code & self.after[first])
+            if rest is None or after is None:
+                return None
+            value = after + (w if self.weighted else 1)
+            if rest > value:
+                value = rest
+            if len(known) < MEMO_MAX_ENTRIES:
+                known[code] = value
+        return value
 
 
 def greene_totals(f: Filling, spec: ChainSpec, k_max: int, corner=None) -> list:

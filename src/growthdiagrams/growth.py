@@ -22,7 +22,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import Filling, _trusted, filling_class, in_class, int_lists
+from .fillings import (MEMO_MAX_CELLS, MEMO_MAX_ENTRIES, Filling, _trusted,
+                       filling_class, in_class, int_lists)
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
 from .shapes import FerrersShape, parse_word
@@ -44,8 +45,6 @@ EMPTY = ()
 # checked code; each cache and _PLANS hold at most MEMO_MAX_ENTRIES
 # entries.  Larger diagrams rarely repeat a frame and bypass them all.
 # The rules in local_rules.VARIANT_TABLE stay uncached.
-MEMO_MAX_CELLS = 64
-MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
 # wider or taller plan extends a column into a new tuple: a tuple once read
@@ -57,9 +56,9 @@ _small_conjugate = lru_cache(MEMO_MAX_ENTRIES)(conjugate)
 @lru_cache(maxsize=None)
 def _small_rules(v):
     """The forward rule, backward rule and step check of variant ``v``,
-    memoised for small diagrams.  Keyed by the variant object, of which
-    VARIANT_TABLE holds one per variant, so a replaced row gets caches of
-    its own."""
+    memoised for small diagrams.  Keyed by the variant object, which
+    hashes by identity: VARIANT_TABLE holds one per variant, and a
+    replaced row gets caches of its own."""
     memo = lru_cache(MEMO_MAX_ENTRIES)
     return memo(v.forward), memo(v.backward), memo(v.step_ok)
 
@@ -236,7 +235,11 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
 
 @dataclass(frozen=True)
 class GrowthTableau:
-    """A sequence of partitions read along a boundary word."""
+    """A sequence of partitions read along a boundary word.
+
+    The constructor keeps the sweep plan of the word it decodes, as
+    ``label_diagram``'s tableaux keep their diagram's, so that no method
+    decodes the word again."""
 
     word: str
     seq: tuple
@@ -244,7 +247,7 @@ class GrowthTableau:
 
     def __post_init__(self):
         get_variant(self.variant)
-        _sweep_plan(self.word)
+        object.__setattr__(self, "_plan", _sweep_plan(self.word))
         object.__setattr__(self, "seq", tuple(make_partition(p) for p in self.seq))
         if len(self.seq) != len(self.word) + 1:
             raise ValueError(
@@ -253,14 +256,15 @@ class GrowthTableau:
 
     def validate_steps(self):
         _check_steps(self.word, self.seq,
-                     _rules(get_variant(self.variant),
-                            _sweep_plan(self.word).small)[2], self.variant)
+                     _rules(get_variant(self.variant), self._plan.small)[2],
+                     self.variant)
 
     def conjugate(self) -> "GrowthTableau":
-        conj = _small_conjugate if _sweep_plan(self.word).small else conjugate
+        conj = _small_conjugate if self._plan.small else conjugate
         return _trusted(GrowthTableau, word=self.word,
                         seq=tuple(map(conj, self.seq)),
-                        variant=get_variant(self.variant).conjugate)
+                        variant=get_variant(self.variant).conjugate,
+                        _plan=self._plan)
 
 
 def _check_steps(word: str, seq, step_ok, variant: str):
@@ -434,7 +438,7 @@ def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
     again."""
     seq = tuple(map(diagram._flat.__getitem__, diagram._plan.border))
     return _trusted(GrowthTableau, word=diagram.word, seq=seq,
-                    variant=diagram.variant)
+                    variant=diagram.variant, _plan=diagram._plan)
 
 
 def reconstruct(word: str, tableau, variant: str | None = None):
@@ -451,7 +455,9 @@ def reconstruct(word: str, tableau, variant: str | None = None):
         t = GrowthTableau(word, tableau.seq, variant or tableau.variant)
     else:
         t = tableau
-    plan = _sweep_plan(word)
+    # a small word's plan is decoded and stored, for label_diagram to find;
+    # a large one is the tableau's own
+    plan = _sweep_plan(word) if t._plan.small else t._plan
     labels, entries = _backward_sweep(plan, t.seq, get_variant(t.variant))
     # the backward rules only write positive int entries into the shape
     filling = _trusted(Filling, shape=plan.shape, entries=entries)

@@ -180,7 +180,7 @@ def _backward_dual_rsk_prime_carry(mu, nu, lam):
     return checked_partition(rho), carry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Variant:
     """Bundle of local rules plus the step shapes they produce.
 
@@ -188,7 +188,8 @@ class Variant:
     grows its label, a down step shrinks it, by at most one square
     (``"1"``), a horizontal strip (``"H"``) or a vertical strip (``"V"``).
     ``conjugate`` names the variant whose tableaux are the conjugates of
-    this variant's.
+    this variant's.  A variant equals and hashes as itself alone, so the
+    growth layer's caches find it without hashing its fields.
     """
 
     name: str

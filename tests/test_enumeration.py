@@ -121,6 +121,37 @@ def test_empty_ranges_rejected(call, message):
         call()
 
 
+POLY = StackPolyomino((1, 3, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: all_fillings(SQUARE, "arbitrary", v), "max_n"),
+    (lambda v: all_fillings(SQUARE, "zero-one", v), "max_n"),
+    (lambda v: count_table(SQUARE, "arbitrary", chain_spec("ne"),
+                           chain_spec("se"), v), "max_n"),
+    (lambda v: problem2_evidence(SQUARE, v), "max_n"),
+    (lambda v: verify_t2(v), "max_cells"),
+    (lambda v: verify_t2sym(v), "max_cells"),
+    (lambda v: verify_t2a_nes1(4, v), "max_sum"),
+    (lambda v: verify_t2a_nes2(4, v), "max_ones"),
+    (lambda v: verify_t2asym(4, v), "max_sum"),
+    (lambda v: verify_t4(v), "max_n"),
+    (lambda v: verify_t5(v), "max_n"),
+    (lambda v: verify_t6(v), "max_n"),
+    (lambda v: jonsson_check(POLY, v), "s"),
+    (lambda v: check_greene(Filling(SQUARE, {}), "standard", v), "k_max"),
+], ids=["all-fillings", "all-fillings-01", "count-table", "problem2", "T2",
+        "T2sym", "NES1", "NES2", "T2asym", "T4", "T5", "T6", "jonsson",
+        "greene"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_non_integer_bounds_are_refused(call, message, value):
+    """A bound that is not an int, by partitions.int_tuple's rule (a bool
+    is not), is refused at the call with one line that names it."""
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == f"{message} must be an integer, got {value!r}"
+
+
 def test_all_fillings_iterates_by_size():
     sizes = [n for n, _ in all_fillings(FerrersShape((2,)), "zero-one")]
     assert sizes == [0, 1, 1, 2]

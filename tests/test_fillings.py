@@ -151,3 +151,15 @@ def test_transpose_filling():
     f = make((3, 1), {(3, 1): 2})
     assert transpose_filling(f).entries == {(1, 3): 2}
     assert transpose_filling(transpose_filling(f)) == f
+
+
+def test_is_symmetric_is_equality_with_the_transpose():
+    """On every filling of every Ferrers shape of at most 5 cells, the
+    self-conjugate ones included."""
+    fillings = [f for shape in all_shapes(5)
+                for _, f in all_fillings(shape, ARBITRARY, 2)]
+    assert [f.is_symmetric() for f in fillings] == [
+        transpose_filling(f) == f for f in fillings]
+    assert any(f.is_symmetric() and f.entries for f in fillings)
+    assert not make((2, 1), {(1, 2): 1}).is_symmetric()
+    assert not make((2,), {}).is_symmetric()

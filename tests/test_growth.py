@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from dataclasses import FrozenInstanceError
@@ -346,6 +347,43 @@ def test_memo_skips_large_diagrams():
     t.validate_steps()
     reconstruct(t.word, t.conjugate())
     assert memo_is_empty()
+
+
+def test_large_tableaux_decode_their_word_once(monkeypatch):
+    """Past the memo a tableau keeps the plan its word was decoded into,
+    or its diagram's: the step check, the conjugate and reconstruct decode
+    the word no more, and reconstruct of a raw sequence decodes it once."""
+    f = Filling(FerrersShape((13,) * 5), {(1, 1): 2, (4, 3): 1, (13, 5): 1})
+    built = []
+    init = growth._SweepPlan.__init__
+
+    def counting_init(plan, word, rows, n_cols):
+        built.append(word)
+        init(plan, word, rows, n_cols)
+
+    monkeypatch.setattr(growth._SweepPlan, "__init__", counting_init)
+    t = growth_tableau(f, "rsk")
+    assert len(built) == 1
+    t.validate_steps()
+    conj = t.conjugate()
+    conj.validate_steps()
+    assert reconstruct(t.word, t)[0] == f
+    assert reconstruct(t.word, conj)[0] == reconstruct(
+        conj.word, list(conj.seq), conj.variant)[0]
+    assert len(built) == 2
+    assert reconstruct(t.word, list(t.seq), "rsk")[0] == f
+    assert len(built) == 3
+
+
+def test_small_rules_are_keyed_by_identity():
+    """A variant hashes and compares as itself, so a copy with the same
+    fields, as a replaced VARIANT_TABLE row may be, gets caches of its
+    own."""
+    v = get_variant("rsk")
+    copy = dataclasses.replace(v)
+    assert copy != v and hash(v) == object.__hash__(v)
+    assert growth._small_rules(copy) is not growth._small_rules(v)
+    assert growth._small_rules(v) is growth._small_rules(get_variant("rsk"))
 
 
 def test_memo_keeps_every_kind_under_its_cap():

@@ -134,3 +134,32 @@ def test_no_unreferenced_definitions():
                   for line, qualified, name in methods(source)
                   if name not in attributes]
     assert not found, "definitions nothing reads:\n" + "\n".join(found)
+
+
+def imported_modules(source: str):
+    """The last dotted part of each module that ``source`` imports, imports
+    from, or imports from a package (``from . import m``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[-1])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_imported_modules_are_found():
+    source = ("import json\nfrom .growth import label_diagram\n"
+              "from growthdiagrams.enumeration import count_table\n"
+              "from . import local_rules\n")
+    assert imported_modules(source) == {"json", "growth", "enumeration",
+                                        "local_rules"}
+
+
+def test_chain_statistics_import_no_growth_code():
+    """The chain statistics the verifiers certify the growth labels with
+    read no growth label: fillings.py imports none of the modules that make
+    or use them."""
+    source = (ROOT / "src" / "growthdiagrams" / "fillings.py").read_text()
+    assert not imported_modules(source) & {"growth", "local_rules",
+                                           "correspondences", "enumeration"}
