@@ -7,7 +7,11 @@ The sweeps keep the labels in one flat list, column by column: corner
 (x, y) sits at position ``start[x] + y`` of the word's sweep plan, so the
 left side's corners come first and the two corner lines of a cell's
 sides are consecutive runs of the list.  A ``GrowthDiagram`` shows the
-labels as a dict keyed by (x, y).
+labels as a dict keyed by (x, y), which ``label_diagram``'s diagrams
+build from the list when it is first read.  Past the memo below, the
+sweeps test each edge of a diagram once and run the variant's carries
+directly; only a frame with a failing edge reaches the full rule, which
+raises.
 
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
@@ -33,18 +37,19 @@ EMPTY = ()
 
 # Small diagrams repeat themselves: few shapes, few frames, few labels.  So
 # for a reading word of at most MEMO_MAX_CELLS cells the growth layer
-# memoises each variant's local rules and step checks (_small_rules), label
-# conjugates and the sweep plans of decoded words (_PLANS), among them the
-# words blow_up spells for its refined shapes.  A plan keeps its word's
-# flat layout: the column starts, the border positions and the corner keys
-# in flat order, whose (x, y) tuples all small plans share from
-# _COLUMN_KEYS, so a stored plan holds ints and pointers but no key of its
-# own.  The sweeps pass labels through themselves, so a frame that only
-# passes a label through never reaches a rule or its cache.  lru_cache
-# stores no exception, so every distinct input goes once through the full
-# checked code; each cache and _PLANS hold at most MEMO_MAX_ENTRIES
-# entries.  Larger diagrams rarely repeat a frame and bypass them all.
-# The rules in local_rules.VARIANT_TABLE stay uncached.
+# memoises each variant's local rules and step tests (_small_rules), label
+# conjugates and the sweep plans of the words (_PLANS), decoded or built
+# from a filling's shape, among them the words blow_up spells for its
+# refined shapes.  A plan keeps its word's flat layout: the column starts,
+# the border positions and the corner keys in flat order, whose (x, y)
+# tuples all small plans share from _COLUMN_KEYS, so a stored plan holds
+# ints and pointers but no key of its own.  The sweeps pass labels through
+# themselves, so a frame that only passes a label through never reaches a
+# rule or its cache.  lru_cache stores no exception, so every distinct
+# input goes once through the full checked code; each cache and _PLANS
+# hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely repeat a
+# frame and bypass them all: their sweeps test each edge once and call the
+# carries.  The rules in local_rules.VARIANT_TABLE stay uncached.
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
 # wider or taller plan extends a column into a new tuple: a tuple once read
@@ -55,17 +60,21 @@ _small_conjugate = lru_cache(MEMO_MAX_ENTRIES)(conjugate)
 
 @lru_cache(maxsize=None)
 def _small_rules(v):
-    """The forward rule, backward rule and step check of variant ``v``,
-    memoised for small diagrams.  Keyed by the variant object, which
-    hashes by identity: VARIANT_TABLE holds one per variant, and a
-    replaced row gets caches of its own."""
+    """The forward rule, backward rule, step check and right and down step
+    tests of variant ``v``, memoised for small diagrams.  Keyed by the
+    variant object, which hashes by identity: VARIANT_TABLE holds one per
+    variant, and a replaced row gets caches of its own."""
     memo = lru_cache(MEMO_MAX_ENTRIES)
-    return memo(v.forward), memo(v.backward), memo(v.step_ok)
+    return (memo(v.forward), memo(v.backward), memo(v.step_ok),
+            memo(v.right_ok), memo(v.down_ok))
 
 
 def _rules(v, small: bool):
-    """(forward, backward, step_ok) of ``v``, memoised for a small diagram."""
-    return _small_rules(v) if small else (v.forward, v.backward, v.step_ok)
+    """(forward, backward, step_ok, right_ok, down_ok) of ``v``, memoised
+    for a small diagram."""
+    if small:
+        return _small_rules(v)
+    return v.forward, v.backward, v.step_ok, v.right_ok, v.down_ok
 
 
 def trace_corners(rows, n_cols: int):
@@ -135,16 +144,18 @@ def _sweep_plan(word: str, shape: FerrersShape | None = None) -> _SweepPlan:
     """The plan of a reading word, from _PLANS for a small one.  ``shape``
     may be given when ``word`` is its own word, and is then used as is.
 
-    Only a plan decoded from the word is stored.  One made from a given
-    shape decodes nothing, so storing it would save little.  ``blow_up``
-    spells the word of each refined shape, so a small refined shape and its
-    plan are stored, and found here when its filling is labelled."""
+    A small plan is stored under its word, decoded or built from a given
+    shape, while _PLANS holds fewer than MEMO_MAX_ENTRIES words.
+    ``blow_up`` spells the word of each refined shape, so a small refined
+    shape and its plan are stored, and found here when its filling is
+    labelled."""
     plan = _PLANS.get(word)
-    if plan is None and shape is not None:
-        plan = _SweepPlan(word, shape.rows, shape.n_cols)
-        plan.shape = shape
-    elif plan is None:
-        plan = _SweepPlan(word, *parse_word(word))
+    if plan is None:
+        if shape is None:
+            plan = _SweepPlan(word, *parse_word(word))
+        else:
+            plan = _SweepPlan(word, shape.rows, shape.n_cols)
+            plan.shape = shape
         if plan.small and len(_PLANS) < MEMO_MAX_ENTRIES:
             _PLANS[word] = plan
     return plan
@@ -157,15 +168,21 @@ def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
 
     The cells go column by column, bottom to top; padding rows and columns
     hold no cells.  Going up a column, a cell's rho and mu are the nu and
-    lam of the cell below.  An empty cell with rho = mu (lam = nu) or
-    rho = nu (lam = mu) passes its label through here: it checks the one
-    edge it copies, unless that edge is verified, and both its new edges are
-    then verified too.  left_ok[r] flags the left edge of row r, below_ok
-    the bottom edge of the cell; the left and bottom boundaries start
-    verified, as they are empty or _boundary_labels checked them.  Any
-    other frame goes through the full rule, and leaves its new edges to the
-    next cell that sees them."""
-    forward, _, step_ok = _rules(v, plan.small)
+    lam of the cell below.  Each edge is tested once, by the first cell
+    that sees it, unless it is verified: left_ok[r] flags the left edge of
+    row r, below_ok the bottom edge of the cell, and the left and bottom
+    boundaries start verified, as they are empty or _boundary_labels
+    checked them.  An empty cell with rho = mu (lam = nu) or rho = nu
+    (lam = mu) passes its label through here: it tests the one edge it
+    copies, unless that edge is verified or trivial, and both its new edges
+    are then verified too.  Any other frame is a rule frame.  On a small
+    diagram it goes to the memoised full rule.  Past the memo, one whose
+    edges pass goes straight to the variant's carry, and one whose edge
+    fails goes to the full rule, to raise.  A rule frame leaves its new
+    edges to the next cell that sees them."""
+    small = plan.small
+    forward, _, _, is_right, is_down = _rules(v, small)
+    rule = forward if small else v.forward_carry
     start = plan.start
     left_ok = [True] * (len(plan.rows) + 1)
     for c in range(1, len(start) - 1):
@@ -176,13 +193,18 @@ def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
         for r in range(1, start[c + 1] - q):
             nu = labels[p + r]
             m = entries.get((c, r), 0)
-            if not m and rho == mu and (left_ok[r] or step_ok("D", nu, rho)):
+            if not m and rho == mu and (left_ok[r] or nu == rho
+                                         or is_down(nu, rho)):
                 mu = nu
                 left_ok[r] = below_ok = True
-            elif not m and rho == nu and (below_ok or step_ok("R", rho, mu)):
+            elif not m and rho == nu and (below_ok or is_right(mu, rho)):
                 left_ok[r] = below_ok = True
             else:
-                mu = forward(rho, mu, nu, m)
+                if small or ((left_ok[r] or is_down(nu, rho))
+                             and (below_ok or is_right(mu, rho))):
+                    mu = rule(rho, mu, nu, m)
+                else:
+                    mu = forward(rho, mu, nu, m)
                 left_ok[r] = below_ok = False
             # mu now holds lam, the mu of the cell above
             labels[q + r] = mu
@@ -196,13 +218,17 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
     The cells go column by column from the right, top to bottom: corner
     (c, r-1) comes from column c+1 and corner (c-1, r) from cell (c, r+1),
     so both are known at cell (c, r).  Going down a column, a cell's lam
-    and nu are the mu and rho of the cell above.  As in _forward_sweep, a
-    cell with lam = mu (rho = nu) or lam = nu (rho = mu) passes its label
-    through here, checking the edge it copies unless that edge is verified.
+    and nu are the mu and rho of the cell above.  As in _forward_sweep,
+    each edge is tested once unless it is verified, a cell with lam = mu
+    (rho = nu) or lam = nu (rho = mu) passes its label through here, and a
+    rule frame goes to the memoised rule on a small diagram and, past the
+    memo, to the carry or, when an edge fails, to the full rule.
     right_ok[r] flags the right edge of row r, above_ok the top edge of the
     cell; the border edges (the top of each column, and its right edges
     above the next column) start verified, as their steps were checked."""
-    _, backward, step_ok = _rules(v, plan.small)
+    small = plan.small
+    _, backward, step_ok, is_right, is_down = _rules(v, small)
+    rule = backward if small else v.backward_carry
     _check_steps(plan.word, seq, step_ok, v.name)
     start = plan.start
     labels = [EMPTY] * start[-1]
@@ -217,13 +243,17 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
         above_ok = True
         for r in range(top, 0, -1):
             mu = labels[q + r - 1]
-            if lam == mu and (above_ok or step_ok("R", nu, lam)):
+            if lam == mu and (above_ok or lam == nu or is_right(lam, nu)):
                 right_ok[r] = above_ok = True
-            elif lam == nu and (right_ok[r] or step_ok("D", lam, mu)):
+            elif lam == nu and (right_ok[r] or is_down(lam, mu)):
                 nu = mu
                 right_ok[r] = above_ok = True
             else:
-                nu, m = backward(mu, nu, lam)
+                if small or ((right_ok[r] or is_down(lam, mu))
+                             and (above_ok or is_right(lam, nu))):
+                    nu, m = rule(mu, nu, lam)
+                else:
+                    nu, m = backward(mu, nu, lam)
                 if m:
                     entries[(c, r)] = m
                 right_ok[r] = above_ok = False
@@ -269,10 +299,11 @@ class GrowthTableau:
 
 def _check_steps(word: str, seq, step_ok, variant: str):
     """Raise unless every step of ``seq`` along ``word`` passes
-    ``step_ok``, the step check of ``variant``."""
+    ``step_ok``, the step check of ``variant``.  A step between equal
+    labels is valid of every kind, and is not tested."""
     for i, step in enumerate(word):
         prev, nxt = seq[i], seq[i + 1]
-        if not step_ok(step, prev, nxt):
+        if prev != nxt and not step_ok(step, prev, nxt):
             raise ValueError(
                 f"step {i + 1} ({step}) from {prev} to {nxt} is not a valid "
                 f"{variant} step")
@@ -304,7 +335,11 @@ class GrowthDiagram:
     shape are what ``word`` traces, that ``labels`` holds exactly the
     corners of ``corners()``, and every label; ``label_diagram`` builds its
     diagrams without checking again.  The growth layer reads the labels
-    from a private flat list in the plan's corner layout instead.
+    from a private flat list in the plan's corner layout instead, and a
+    diagram of ``label_diagram`` builds its ``labels`` from that list the
+    first time they are read, ``==`` and ``repr`` included, so that a
+    diagram only passed on to ``border_tableau`` or ``shrink_back`` never
+    builds them.
     """
 
     word: str
@@ -334,6 +369,16 @@ class GrowthDiagram:
                                                    plan.keys)))
         object.__setattr__(self, "row_lens", plan.rows)
         object.__setattr__(self, "labels", MappingProxyType(labels))
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance lacks: the labels of a
+        # diagram from label_diagram, until they are first read
+        if name != "labels":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels = MappingProxyType(dict(zip(self._plan.keys, self._flat)))
+        object.__setattr__(self, "labels", labels)
+        return labels
 
     def label(self, x: int, y: int):
         return self.labels[(x, y)]
@@ -383,10 +428,9 @@ def label_diagram(filling: Filling, variant: str = "standard",
     else:
         flat = _boundary_labels(filling, variant, plan, bottom, left)
     _forward_sweep(plan, flat, filling.entries, v)
-    labels = dict(zip(plan.keys, flat))
     return _trusted(GrowthDiagram, word=plan.word, row_lens=plan.rows,
                     n_cols=plan.n_cols, variant=variant, filling=filling,
-                    labels=MappingProxyType(labels), _flat=flat, _plan=plan)
+                    _flat=flat, _plan=plan)
 
 
 def _boundary_labels(filling, variant, plan, bottom, left) -> list:

@@ -24,15 +24,19 @@ Every variant's rules share one checked frame, built from its row of
 for the two 0/1 classes, nonnegative for arbitrary fillings) and the frame
 against the row's step kinds (mu/rho and lam/nu are right steps, nu/rho
 and lam/mu down steps).  Every checked frame then goes to the variant's
-own carry, the frames that only pass a label through included.  The
-sweeps of ``growth`` pass labels through themselves, and hand a rule such
-a frame only when its edge check fails, for the rule to raise.  The carry
-rules operate on one part index at a time, exactly as in their defining
-descriptions, rather than through bumping; each walks its corner labels
-in step, padded with zeros to a common length.
+own carry, the frames that only pass a label through included.  A
+``Variant`` also exposes its carries and its right and down step tests,
+for the sweeps of ``growth``: they pass labels through themselves, and
+past their memo they test each edge of a diagram once and hand a frame
+whose edges pass straight to the carry.  Only a frame with a failing edge
+goes to the full rule, for the rule to raise.  The carry rules operate on
+one part index at a time, exactly as in their defining descriptions,
+rather than through bumping; each walks its corner labels in step,
+reading 0 past the end of a shorter one.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .fillings import ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE
 from .partitions import (add_square_in_row, checked_partition, diff_row,
@@ -55,9 +59,12 @@ _STEP_NAMES = {"1": "a step of <= 1 square", "H": "a horizontal strip",
                "V": "a vertical strip"}
 
 
-def _padded(p, n):
-    """The parts of p followed by zeros, n in all (n >= len(p))."""
-    return p + (0,) * (n - len(p))
+def _rows_up(mu, nu, lam):
+    """The parts (lam_i, mu_i, nu_i) from the last row of lam up, for the
+    backward carries; mu and nu, both inside lam, read 0 past their ends."""
+    n = len(lam)
+    return zip(reversed(lam), reversed(mu + (0,) * (n - len(mu))),
+               reversed(nu + (0,) * (n - len(nu))))
 
 
 # The carries.  Each gets a checked frame, and returns the label it passes
@@ -93,24 +100,22 @@ def _backward_standard_carry(mu, nu, lam):
 
 
 def _forward_rsk_carry(rho, mu, nu, m):
-    # the carry left below the longer of mu and nu fills one more row
-    n = max(len(mu), len(nu)) + 1
     lam = []
     carry = m
-    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+    for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
         if a < b:
             a, b = b, a
         lam.append(a + carry)
         carry = b - r
+    # the carry left below the longer of mu and nu fills one more row
+    lam.append(carry)
     return checked_partition(lam)
 
 
 def _backward_rsk_carry(mu, nu, lam):
-    n = len(lam)
     rho = []
     carry = 0
-    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
-                       reversed(_padded(nu, n))):
+    for c, a, b in _rows_up(mu, nu, lam):
         if a < b:
             a, b = b, a
         rho.append(b - carry)
@@ -121,25 +126,23 @@ def _backward_rsk_carry(mu, nu, lam):
 
 def _forward_dual_carry(rho, mu, nu, m):
     """The dual-rsk carry: mu/rho horizontal, nu/rho vertical."""
-    n = max(len(mu), len(nu)) + 1
     lam = []
     carry = m
-    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+    for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
         a += carry
         if a < b:
             a, b = b, a
         lam.append(a)
         carry = b - r
+    lam.append(carry)
     return checked_partition(lam)
 
 
 def _backward_dual_carry(mu, nu, lam):
     """The dual-rsk carry: lam/mu vertical, lam/nu horizontal."""
-    n = len(lam)
     rho = []
     carry = 0
-    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
-                       reversed(_padded(nu, n))):
+    for c, a, b in _rows_up(mu, nu, lam):
         b -= carry
         if a < b:
             a, b = b, a
@@ -150,10 +153,9 @@ def _backward_dual_carry(mu, nu, lam):
 
 
 def _forward_dual_rsk_prime_carry(rho, mu, nu, m):
-    n = max(len(mu), len(nu))
     lam = []
     carry = m
-    for r, a, b in zip(_padded(rho, n), _padded(mu, n), _padded(nu, n)):
+    for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
         used = 1 if carry and r == a == b else 0
         if a < b:
             a, b = b, a
@@ -166,11 +168,9 @@ def _forward_dual_rsk_prime_carry(rho, mu, nu, m):
 
 
 def _backward_dual_rsk_prime_carry(mu, nu, lam):
-    n = len(lam)
     rho = []
     carry = 0
-    for c, a, b in zip(reversed(lam), reversed(_padded(mu, n)),
-                       reversed(_padded(nu, n))):
+    for c, a, b in _rows_up(mu, nu, lam):
         used = 1 if carry and a == b == c else 0
         if a < b:
             a, b = b, a
@@ -188,7 +188,9 @@ class Variant:
     grows its label, a down step shrinks it, by at most one square
     (``"1"``), a horizontal strip (``"H"``) or a vertical strip (``"V"``).
     ``conjugate`` names the variant whose tableaux are the conjugates of
-    this variant's.  A variant equals and hashes as itself alone, so the
+    this variant's.  ``forward`` and ``backward`` are the checked rules,
+    ``forward_carry`` and ``backward_carry`` the carries they run once the
+    frame is checked.  A variant equals and hashes as itself alone, so the
     growth layer's caches find it without hashing its fields.
     """
 
@@ -199,12 +201,24 @@ class Variant:
     right: str
     down: str
     conjugate: str
+    forward_carry: object
+    backward_carry: object
+
+    @property
+    def right_ok(self):
+        """The test of a right step, called as right_ok(outer, inner)."""
+        return _STEP_TESTS[self.right]
+
+    @property
+    def down_ok(self):
+        """The test of a down step, called as down_ok(outer, inner)."""
+        return _STEP_TESTS[self.down]
 
     def step_ok(self, step, prev, nxt) -> bool:
         """Whether prev -> nxt is a valid border step ``"R"`` or ``"D"``."""
         if step == "R":
-            return _STEP_TESTS[self.right](nxt, prev)
-        return _STEP_TESTS[self.down](prev, nxt)
+            return self.right_ok(nxt, prev)
+        return self.down_ok(prev, nxt)
 
 
 def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
@@ -234,7 +248,7 @@ def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
         return backward_carry(mu, nu, lam)
 
     return Variant(name, forward, backward, filling_class, right, down,
-                   conjugate)
+                   conjugate, forward_carry, backward_carry)
 
 
 VARIANT_TABLE = {v.name: v for v in (

@@ -349,11 +349,61 @@ def test_memo_skips_large_diagrams():
     assert memo_is_empty()
 
 
-def test_large_tableaux_decode_their_word_once(monkeypatch):
-    """Past the memo a tableau keeps the plan its word was decoded into,
-    or its diagram's: the step check, the conjugate and reconstruct decode
-    the word no more, and reconstruct of a raw sequence decodes it once."""
-    f = Filling(FerrersShape((13,) * 5), {(1, 1): 2, (4, 3): 1, (13, 5): 1})
+def counted_row(monkeypatch, variant):
+    """Rebuild the variant's VARIANT_TABLE row, as corrupt_rsk does, from
+    step tests and carries that count their calls: "step" counts the step
+    tests, "frames" the rule frames (each runs the carry once)."""
+    counts = {"step": 0, "frames": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(local_rules, "_STEP_TESTS", {
+        kind: counting("step", test)
+        for kind, test in local_rules._STEP_TESTS.items()})
+    v = get_variant(variant)
+    monkeypatch.setitem(local_rules.VARIANT_TABLE, variant, local_rules._variant(
+        variant, v.filling_class, v.right, v.down, v.conjugate,
+        (counting("frames", v.forward_carry),
+         counting("frames", v.backward_carry))))
+    return counts
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_large_sweeps_test_each_edge_once(monkeypatch, variant):
+    """Past the memo each edge is tested at most once: a rule frame leaves
+    two new edges, and the boundary edges start verified, so the forward
+    sweep makes at most 2R step tests and the backward sweep, which first
+    checks the B border steps, at most B + 2R, for R rule frames."""
+    rng = random.Random(20)
+    cls = get_variant(variant).filling_class
+    counts = counted_row(monkeypatch, variant)
+    for _ in range(5):
+        shape = FerrersShape(tuple(sorted(
+            (rng.randint(8, 16) for _ in range(10)), reverse=True)))
+        assert shape.n_cells > growth.MEMO_MAX_CELLS
+        cells = rng.sample(shape.cells(), 12)
+        f = Filling(shape, keep_in_class(
+            {cell: rng.randint(1, 3 if cls == ARBITRARY else 1)
+             for cell in cells}, cls))
+        counts.update(step=0, frames=0)
+        d = label_diagram(f, variant)
+        assert counts["frames"] > 0
+        assert counts["step"] <= 2 * counts["frames"]
+        t = border_tableau(d)
+        counts.update(step=0, frames=0)
+        assert reconstruct(t.word, t)[0] == f
+        assert counts["frames"] > 0
+        assert counts["step"] <= len(t.word) + 2 * counts["frames"]
+    assert memo_is_empty()
+
+
+def count_plans(monkeypatch):
+    """The words of the sweep plans built from now on, in a list that
+    grows as they are built."""
     built = []
     init = growth._SweepPlan.__init__
 
@@ -362,6 +412,15 @@ def test_large_tableaux_decode_their_word_once(monkeypatch):
         init(plan, word, rows, n_cols)
 
     monkeypatch.setattr(growth._SweepPlan, "__init__", counting_init)
+    return built
+
+
+def test_large_tableaux_decode_their_word_once(monkeypatch):
+    """Past the memo a tableau keeps the plan its word was decoded into,
+    or its diagram's: the step check, the conjugate and reconstruct decode
+    the word no more, and reconstruct of a raw sequence decodes it once."""
+    f = Filling(FerrersShape((13,) * 5), {(1, 1): 2, (4, 3): 1, (13, 5): 1})
+    built = count_plans(monkeypatch)
     t = growth_tableau(f, "rsk")
     assert len(built) == 1
     t.validate_steps()
@@ -403,13 +462,22 @@ def test_memo_keeps_every_kind_under_its_cap():
     assert len(growth._PLANS) == growth.MEMO_MAX_ENTRIES
 
 
-def test_plans_are_stored_for_decoded_words_only():
+def test_small_plans_are_stored_when_first_built(monkeypatch):
+    """A small plan is stored under its word whether it was decoded or
+    built from a filling's shape: a second label_diagram of a fresh small
+    shape builds no plan, and reconstruct, of a tableau or of a raw
+    sequence, reads the same plan object."""
+    built = count_plans(monkeypatch)
     f = Filling(FerrersShape((2, 1)), {(1, 1): 1})
-    key = "RDRD"
-    t = growth_tableau(f)
-    assert key not in growth._PLANS
+    d = label_diagram(f)
+    assert built == ["RDRD"] and d._plan is growth._PLANS["RDRD"]
+    g = Filling(FerrersShape((2, 1)), {(2, 1): 1})
+    assert label_diagram(g)._plan is d._plan
+    t = border_tableau(d)
     assert reconstruct(t.word, t)[0] == f
-    assert label_diagram(f)._plan is growth._PLANS[key]
+    assert reconstruct(t.word, list(t.seq))[0] == f
+    assert GrowthTableau(t.word, t.seq)._plan is d._plan
+    assert built == ["RDRD"]
 
 
 def test_malformed_word_is_never_stored():
@@ -475,6 +543,33 @@ def test_growth_diagram_is_read_only_and_checked():
     with pytest.raises(ValueError, match="traces RD, not RDRD"):
         GrowthDiagram("RD", (1,), 1, "standard",
                       Filling(FerrersShape((2, 1)), {}), dict(d.labels))
+
+
+@pytest.mark.parametrize("rows", [(3, 2), (13,) * 5])
+def test_labels_are_built_on_first_read(rows):
+    """A diagram of label_diagram builds its labels when they are first
+    read, ==, repr and label() included, and they are the labels that the
+    checking constructor accepts; a large diagram only passed on to
+    border_tableau and reconstruct never makes its plan's corner keys."""
+    shape = FerrersShape(rows)
+    f = Filling(shape, {(1, 1): 1, (2, 2): 1})
+    labels = sweep_labels(f, "standard")
+    built = GrowthDiagram(shape.word, rows, shape.n_cols, "standard", f,
+                          labels)
+    d = label_diagram(f)
+    assert "labels" not in vars(d)
+    assert d == built and "labels" in vars(d)
+    assert repr(label_diagram(f)) == repr(d)
+    assert label_diagram(f).label(2, 2) == labels[(2, 2)] == (2,)
+    assert label_diagram(f).labels == built.labels == labels
+    with pytest.raises(AttributeError, match="no attribute 'lables'"):
+        label_diagram(f).lables
+    passed_on = label_diagram(f)
+    t = border_tableau(passed_on)
+    assert reconstruct(t.word, t)[0] == f
+    assert "labels" not in vars(passed_on)
+    if shape.n_cells > growth.MEMO_MAX_CELLS:
+        assert "keys" not in vars(passed_on._plan)
 
 
 def test_reconstruct_checks_outside_tableaux():

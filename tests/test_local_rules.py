@@ -14,7 +14,7 @@ from growthdiagrams.local_rules import (VARIANT_TABLE, backward_dual_rsk_prime,
                                         forward_standard, get_variant)
 from growthdiagrams.partitions import (conjugate, contains,
                                        is_horizontal_strip, is_vertical_strip,
-                                       make_partition)
+                                       make_partition, partitions_of)
 
 
 def test_forward_standard_cases():
@@ -142,3 +142,13 @@ def test_forward_output_steps(name):
         # the step above mu is of the nu/rho type and vice versa
         assert checks[NU_KIND[name]](lam, mu), (name, rho, mu, nu, m, lam)
         assert checks[STEP_KIND[name]](lam, nu), (name, rho, mu, nu, m, lam)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_zero_step_is_every_kind(name):
+    """The border check and the sweeps' pass-through cells skip the test
+    of a step between equal labels, which every step kind allows."""
+    v = get_variant(name)
+    for n in range(9):
+        for p in partitions_of(n):
+            assert v.step_ok("R", p, p) and v.step_ok("D", p, p), p
