@@ -4,9 +4,9 @@ Everything here is deliberately brute force: fillings are generated in a
 deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
 one exists.  The chain statistics of the enumerated fillings come from one
-:class:`fillings.ChainTable` per shape and spec, which reads each filling
-from two smaller ones; single fillings, as of the set partitions and the
-stack polyominoes, go to :func:`fillings.longest_chain`.
+:class:`fillings.ChainTable` per shape and spec, which reads any filling
+from two smaller ones; the single fillings of the set partitions go to
+:func:`fillings.longest_chain`.
 
 The certificates take two passes over one table, kept for one (shape, n)
 or one n at a time.  The first pass reads each object's statistics, and
@@ -26,7 +26,7 @@ from .correspondences import (all_set_partitions, conjugate_set_partition,
                               min_max_blocks, swap_chain_statistics)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        ChainTable, Filling, _trusted, chain_spec,
-                       greene_totals, longest_chain)
+                       greene_totals)
 from .growth import label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import FerrersShape, StackPolyomino
@@ -284,9 +284,8 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
     (s, t) on the source side to (t, s) on the image side and invert
     cleanly.  Each (shape, n) is checked in two passes over one table of
     its fillings: the first reads every statistic once, the second checks
-    each filling's image against the table.  The statistics of every
-    filling are read, symmetric or not, so that each finds the smaller
-    fillings it is read from in the chain tables.
+    each filling's image against the table.  With ``symmetric_only`` a
+    filling that is not symmetric is skipped before it is read.
     """
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
@@ -299,11 +298,11 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
                                 key=itemgetter(0)):
             table = {}      # entries -> (filling, statistics, image side)
             for _, f in group:
+                if symmetric_only and not f.is_symmetric():
+                    continue
                 s, t = x(f), y(f)
                 swapped = (s, t) if image is source else (image_x(f),
                                                           image_y(f))
-                if symmetric_only and not f.is_symmetric():
-                    continue
                 source.add(n, s, t)
                 if image is not source:
                     image.add(n, *swapped)
@@ -485,14 +484,15 @@ def _densest_bounded_ne(shape, s: int):
     with n_max 1's have a longest such chain of exactly s.
 
     One metered pass from the fullest fillings down, ending at the first
-    filling below n_max.
+    filling below n_max, read through one chain table.
     """
+    bounded_ne, = _chain_tables(shape, ZERO_ONE, None, NE_SE_SPECS[:1])
     n_max, count = None, 0
     for n, f in _metered((n, f) for n in range(shape.n_cells, -1, -1)
                          for f in generate_fillings(shape, ZERO_ONE, n)):
         if n_max is not None and n < n_max:
             break
-        ne = longest_chain(f, NE_SE_SPECS[0])
+        ne = bounded_ne(f)
         if ne <= s:
             n_max = n
             count += ne == s

@@ -14,9 +14,8 @@ above, n = strictly above, S = weakly below, s = strictly below), the
 second the horizontal one (E = weakly right, e = strictly right).
 :func:`longest_chain` finds the longest chain with one longest-path pass;
 the tests check it against an exhaustive search over all chains.  A
-:class:`ChainTable` reads the same statistic for every filling of one
-shape, each from two smaller fillings, and falls back on
-:func:`longest_chain` for the fillings it cannot read that way.
+:class:`ChainTable` reads the same statistic for any filling of one
+shape from two smaller fillings, in any order.
 """
 
 import json
@@ -32,11 +31,10 @@ ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
 PARTIAL_PERMUTATION = "partial-permutation"
 
-# The bounds of every memo: what a shape of at most MEMO_MAX_CELLS cells
-# may keep (the growth layer's rule caches and sweep plans, and a
-# ChainTable), and the most entries each such memo holds.
+# The most cells of a shape that keeps a memo: the growth layer's rule
+# caches and sweep plans, and a ChainTable, whose masks take O(cells ** 2)
+# bits.
 MEMO_MAX_CELLS = 64
-MEMO_MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
 class ChainTable:
     """``longest_chain(f, spec)`` of the fillings f of one shape whose
     entries are below ``2 ** bits``, each read from two fillings of smaller
-    entry sum that the table has read before.
+    entry sum.
 
     A filling is coded as an int, ``bits`` bits per cell in the spec's cell
     order, so its last cell x is its top digit and its first cell s its
@@ -254,16 +252,16 @@ class ChainTable:
 
     A chain's box is spanned by its two ends, so a chain from s fits the
     shape exactly when each of its cells spans a box with s that fits,
-    the cells win(s).  With ``require_rectangle`` the table also keeps L of
-    each filling it reads, and
+    the cells win(s).  With ``require_rectangle``
 
         R(f) = max(R(f - s), w(s) + L(f & succ(s) & win(s))).
 
-    Read in order of entry sum, as ``all_fillings`` gives them, the
-    fillings of a class find both smaller fillings here.  A filling that
-    does not, and every filling of a shape of more than MEMO_MAX_CELLS
-    cells, is read by ``longest_chain``; each of the table's memos stores
-    at most MEMO_MAX_ENTRIES fillings.
+    The table keeps every filling it reads, in any order, and reads a
+    smaller filling it lacks by the same recurrence: a nested read drops a
+    nonzero cell, so at most MEMO_MAX_CELLS reads are nested.  Read in the
+    order of ``all_fillings``, each memo holds at most the fillings read.
+    A shape of more than MEMO_MAX_CELLS cells gets no table, and
+    ``longest_chain`` reads its fillings.
     """
 
     def __init__(self, shape, spec: ChainSpec, bits: int):
@@ -322,47 +320,43 @@ class ChainTable:
         code = 0
         for cell, v in f.entries.items():
             code |= v << pos[cell]
-        value = self._free(code) if self.bounded is None else self._bounded(code)
-        return longest_chain(f, self.spec) if value is None else value
+        return self._free(code) if self.bounded is None else self._bounded(code)
 
-    def _free(self, code: int):
-        """L of the filling ``code``, None if a smaller filling is missing."""
+    def _free(self, code: int) -> int:
+        """L of the filling ``code``."""
         known = self.free
         value = known.get(code)
         if value is None:
             last = (code.bit_length() - 1) // self.bits
             shift = last * self.bits
-            rest = known.get(code & ((1 << shift) - 1))
-            before = known.get(code & self.pred[last])
-            if rest is None or before is None:
-                return None
-            value = before + (code >> shift if self.weighted else 1)
-            if rest > value:
-                value = rest
-            if len(known) < MEMO_MAX_ENTRIES:
-                known[code] = value
+            rest, before = code & ((1 << shift) - 1), code & self.pred[last]
+            value = known.get(before)
+            if value is None:
+                value = self._free(before)
+            value += code >> shift if self.weighted else 1
+            other = known.get(rest)
+            if other is None:
+                other = self._free(rest)
+            known[code] = value = value if value > other else other
         return value
 
-    def _bounded(self, code: int):
-        """R of the filling ``code``, None if a smaller filling is
-        missing."""
+    def _bounded(self, code: int) -> int:
+        """R of the filling ``code``."""
         known = self.bounded
         value = known.get(code)
         if value is None:
-            # L of this filling is read by the larger fillings
-            self._free(code)
             first = ((code & -code).bit_length() - 1) // self.bits
             shift = first * self.bits
             w = (code >> shift) & ((1 << self.bits) - 1)
-            rest = known.get(code ^ (w << shift))
-            after = self.free.get(code & self.after[first])
-            if rest is None or after is None:
-                return None
-            value = after + (w if self.weighted else 1)
-            if rest > value:
-                value = rest
-            if len(known) < MEMO_MAX_ENTRIES:
-                known[code] = value
+            rest, after = code ^ (w << shift), code & self.after[first]
+            value = self.free.get(after)
+            if value is None:
+                value = self._free(after)
+            value += w if self.weighted else 1
+            other = known.get(rest)
+            if other is None:
+                other = self._bounded(rest)
+            known[code] = value = value if value > other else other
         return value
 
 

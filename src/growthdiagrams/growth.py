@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (MEMO_MAX_CELLS, MEMO_MAX_ENTRIES, Filling, _trusted,
-                       filling_class, in_class, int_lists)
+from .fillings import (MEMO_MAX_CELLS, Filling, _trusted, filling_class,
+                       in_class, int_lists)
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
 from .shapes import FerrersShape, parse_word
@@ -50,6 +50,7 @@ EMPTY = ()
 # hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely repeat a
 # frame and bypass them all: their sweeps test each edge once and call the
 # carries.  The rules in local_rules.VARIANT_TABLE stay uncached.
+MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
 # wider or taller plan extends a column into a new tuple: a tuple once read
@@ -379,6 +380,10 @@ class GrowthDiagram:
         labels = MappingProxyType(dict(zip(self._plan.keys, self._flat)))
         object.__setattr__(self, "labels", labels)
         return labels
+
+    def __hash__(self):
+        # equal diagrams share these fields, and the labels are not built
+        return hash((self.word, self.variant, self.filling))
 
     def label(self, x: int, y: int):
         return self.labels[(x, y)]

@@ -8,16 +8,19 @@ own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
 `longest_chain` shows up here as a mismatch.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import fillings
 from growthdiagrams.enumeration import (NE_SE_SPECS, all_fillings, all_shapes,
-                                        count_table)
+                                        count_table, generate_fillings,
+                                        problem2_evidence)
 from growthdiagrams.fillings import (ARBITRARY, MEMO_MAX_CELLS,
-                                     MEMO_MAX_ENTRIES, PARTIAL_PERMUTATION,
-                                     ZERO_ONE, ChainTable, Filling, chain_spec,
-                                     longest_chain)
+                                     PARTIAL_PERMUTATION, ZERO_ONE, ChainTable,
+                                     Filling, chain_spec, longest_chain)
+from growthdiagrams.growth import MEMO_MAX_ENTRIES
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
 from oracles import stack_polyominoes
@@ -172,17 +175,39 @@ def test_chain_table_property(shape, cls_n, spec):
 
 
 def test_chain_table_reads_out_of_order(monkeypatch):
-    """Read from the largest filling down, a table misses the smaller
-    fillings of most fillings, and hands those to longest_chain, which
-    gives the value."""
+    """Read from the largest filling down, a table reads the smaller
+    fillings it lacks by its own recurrence: it gives longest_chain's
+    value, hands no filling to longest_chain and keeps every filling read,
+    on (4,4,3,2) more than MEMO_MAX_ENTRIES of them."""
     handed = counting_fallback(monkeypatch)
-    shape = FerrersShape((3, 2, 1))
-    group = [f for _, f in all_fillings(shape, ZERO_ONE)][::-1]
-    for spec in NE_SE_SPECS:
-        table = ChainTable(shape, spec, 1)
-        assert [table(f) for f in group] == [longest_chain(f, spec)
-                                             for f in group]
-    assert group[0] in handed and group[-1] not in handed
+    for shape in (FerrersShape((3, 2, 1)), FerrersShape((4, 4, 3, 2))):
+        group = [f for _, f in all_fillings(shape, ZERO_ONE)][::-1]
+        for spec in NE_SE_SPECS:
+            table = ChainTable(shape, spec, 1)
+            assert [table(f) for f in group] == [longest_chain(f, spec)
+                                                 for f in group]
+            assert len(table.bounded) == len(group)
+    assert len(group) > MEMO_MAX_ENTRIES
+    assert handed == []
+
+
+def test_chain_table_memos_hold_at_most_the_fillings_read():
+    """Read in the order of all_fillings, each memo of each table holds at
+    most as many fillings as were read, for every class and spec on the
+    Ferrers shapes and stack polyominoes of at most 6 cells."""
+    oversize = []
+    for shape in all_shapes(6) + stack_polyominoes(6):
+        for cls, max_n in ((ARBITRARY, 3), (ZERO_ONE, None),
+                           (PARTIAL_PERMUTATION, None)):
+            group = [f for _, f in all_fillings(shape, cls, max_n)]
+            for spec in SPECS:
+                table = ChainTable(shape, spec, 2 if cls == ARBITRARY else 1)
+                for f in group:
+                    table(f)
+                oversize += [(shape, cls, spec)
+                             for memo in (table.free, table.bounded or {})
+                             if len(memo) > len(group)]
+    assert oversize == []
 
 
 def counts_by_longest_chain(shape, cls, specs, max_n=None):
@@ -196,14 +221,15 @@ def counts_by_longest_chain(shape, cls, specs, max_n=None):
 
 
 def test_count_table_past_the_table_memo(monkeypatch):
-    """Past MEMO_MAX_ENTRIES fillings a table stores no more, and the
-    fillings whose smaller fillings it lacks go to longest_chain."""
+    """A table's memos have no cap: past MEMO_MAX_ENTRIES fillings every
+    filling is still read from its smaller fillings, and none goes to
+    longest_chain."""
     shape = FerrersShape((4, 4, 3, 2))
     assert 2 ** shape.n_cells > MEMO_MAX_ENTRIES
     expected = counts_by_longest_chain(shape, ZERO_ONE, NE_SE_SPECS)
     handed = counting_fallback(monkeypatch)
     assert count_table(shape, ZERO_ONE, *NE_SE_SPECS).counts == expected
-    assert handed
+    assert handed == []
 
 
 def test_count_table_past_the_table_shape_bound(monkeypatch):
@@ -217,3 +243,19 @@ def test_count_table_past_the_table_shape_bound(monkeypatch):
     table = count_table(shape, ZERO_ONE, *specs, 2)
     assert table.counts == expected
     assert len(handed) == 2 * sum(map(table.total, table.counts))
+
+
+def test_asymmetric_ne_se_table():
+    """(4,4,4,3) has an asymmetric table of rectangle-bounded ne and se
+    chains: of its 5,005 0-1 fillings with six 1's, 43 have (s, t) =
+    (1, 2) and 42 have (2, 1).  The exhaustive chain search gives the same
+    counts."""
+    shape = FerrersShape((4, 4, 4, 3))
+    table = count_table(shape, ZERO_ONE, *NE_SE_SPECS, 6)
+    assert (table.counts[6][1, 2], table.counts[6][2, 1]) == (43, 42)
+    group = list(generate_fillings(shape, ZERO_ONE, 6))
+    assert len(group) == 5005
+    assert Counter(tuple(oracle_longest_chain(f, spec) for spec in NE_SE_SPECS)
+                   for f in group) == table.counts[6]
+    assert (problem2_evidence(shape, 6).details
+            == "asymmetry at (n,s,t)=(6, 1, 2)")

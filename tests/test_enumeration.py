@@ -9,7 +9,7 @@ from growthdiagrams import enumeration
 from growthdiagrams.correspondences import (SetPartition, all_set_partitions,
                                             conjugate_set_partition,
                                             swap_chain_statistics)
-from growthdiagrams.enumeration import (InstanceTooLarge, Report,
+from growthdiagrams.enumeration import (NE_SE_SPECS, InstanceTooLarge, Report,
                                         _densest_bounded_ne,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
@@ -20,7 +20,8 @@ from growthdiagrams.enumeration import (InstanceTooLarge, Report,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
-from growthdiagrams.fillings import Filling, chain_spec, greene_totals
+from growthdiagrams.fillings import (Filling, chain_spec, greene_totals,
+                                     longest_chain)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
@@ -348,11 +349,16 @@ def test_max_ones_with_bounded_ne():
     assert max_ones_with_bounded_ne(FerrersShape((2, 2)), 1) == 3
     assert max_ones_with_bounded_ne(FerrersShape((2, 2)), 2) == 4
     assert max_ones_with_bounded_ne(FerrersShape((2, 1)), 1) == 3
-    # the single pass of jonsson_check finds the same density
-    for shape in all_shapes(5):
+    # the single pass of jonsson_check finds the same density, and as
+    # many densest fillings with a longest chain of exactly s as
+    # longest_chain does
+    ne = NE_SE_SPECS[0]
+    for shape in all_shapes(5) + stack_polyominoes(6):
         for s in (1, 2):
-            assert (_densest_bounded_ne(shape, s)[0]
-                    == max_ones_with_bounded_ne(shape, s))
+            n_max = max_ones_with_bounded_ne(shape, s)
+            count = sum(longest_chain(f, ne) == s
+                        for f in generate_fillings(shape, "zero-one", n_max))
+            assert _densest_bounded_ne(shape, s) == (n_max, count)
 
 
 def test_jonsson_check_sorted_shape_trivial():

@@ -572,6 +572,20 @@ def test_labels_are_built_on_first_read(rows):
         assert "keys" not in vars(passed_on._plan)
 
 
+@pytest.mark.parametrize("rows", [(2, 2), (9,) * 8])
+def test_diagrams_hash_as_they_compare(rows):
+    """A diagram of label_diagram and an equal one of the checking
+    constructor hash alike, and hashing builds no labels."""
+    shape = FerrersShape(rows)
+    f = Filling(shape, {(1, 1): 1, (2, 2): 1})
+    built = GrowthDiagram(shape.word, rows, shape.n_cols, "standard", f,
+                          sweep_labels(f, "standard"))
+    d = label_diagram(f)
+    assert hash(d) == hash(built)
+    assert "labels" not in vars(d)
+    assert d == built and len({d, built}) == 1
+
+
 def test_reconstruct_checks_outside_tableaux():
     # a raw sequence is checked label by label
     with pytest.raises(ValueError, match="not weakly decreasing"):
