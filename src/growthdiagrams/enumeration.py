@@ -6,28 +6,34 @@ a counting identity together with a pointwise bijection certificate where
 one exists.  The chain statistics of the enumerated fillings come from one
 :class:`fillings.ChainTable` per shape and spec, which reads any filling
 from two smaller ones; the single fillings of the set partitions go to
-:func:`fillings.longest_chain`.
+:func:`fillings.longest_chain`.  A count table of every 0-1 filling of a
+shape is the one exception: it reads the tables' statistics over the
+whole code space, one byte per filling, and makes no filling.
 
 The certificates take two passes over one table, kept for one (shape, n)
 or one n at a time.  The first pass reads each object's statistics, and
 for set partitions its conjugate, once; the second checks each object's
 image against the table, so an image's statistics and, for a map that is
 its own inverse, its image are looked up rather than computed again.  An
-image that is not in the table fails the check.
+image that is not in the table fails the check.  The swap verifiers key
+the table by each filling's code, and map the fillings with the shape's
+swap, set up once per shape and mode.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .correspondences import (all_set_partitions, conjugate_set_partition,
+from .correspondences import (_SWAP_FORWARD, all_set_partitions,
+                              conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross_nest,
-                              min_max_blocks, swap_chain_statistics)
+                              min_max_blocks)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        ChainTable, Filling, _trusted, chain_spec,
                        greene_totals)
-from .growth import label_diagram
+from .growth import _shape_swap, label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import FerrersShape, StackPolyomino
 
@@ -205,8 +211,12 @@ def _metered(items, what="fillings"):
     wall = budget_limit()
     for produced, item in enumerate(items, 1):
         if produced > wall:
-            raise InstanceTooLarge(f"more than {wall} {what} generated")
+            raise _too_large(wall, what)
         yield item
+
+
+def _too_large(wall: int, what="fillings") -> InstanceTooLarge:
+    return InstanceTooLarge(f"more than {wall} {what} generated")
 
 
 def _mirror_mismatch(source, image):
@@ -254,11 +264,71 @@ class CountTable:
 
 def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
                 max_n: int | None = None) -> CountTable:
+    """The number of fillings of the class with each (n, s, t): n their
+    entry sum, s and t their statistics under ``spec_x`` and ``spec_y``.
+    Each n's (s, t) keys come in the order the fillings are generated.
+
+    A table of every 0-1 filling of a shape with chain-table masks is
+    counted over the code space; every other table enumerates."""
     table = CountTable(str(shape), cls, spec_x, spec_y)
     x, y = _chain_tables(shape, cls, max_n, (spec_x, spec_y))
+    if (cls == ZERO_ONE and x.pred is not None
+            and _max_n(shape, cls, max_n) >= shape.n_cells):
+        table.counts = _code_space_counts(shape, x, y)
+        return table
     for n, f in all_fillings(shape, cls, max_n):
         table.add(n, x(f), y(f))
     return table
+
+
+def _code_space_counts(shape, x: ChainTable, y: ChainTable) -> dict:
+    """count_table's counts of all 2 ** N 0-1 fillings of the N-cell
+    shape, read from one byte array of each table's statistic.
+
+    One pass walks the fillings as the codes with cell i of
+    ``shape.cells()`` at bit N - 1 - i, from 2 ** N - 1 down to 0: each n's
+    fillings come in generation order, as codes of ``combinations`` in
+    lexicographic order fall.  A code's digits go to each table's cell
+    order through one lookup table per byte, the low byte's read in the
+    inner loop."""
+    cells = shape.cells()
+    size, wall = 1 << len(cells), budget_limit()
+    if size > wall:
+        raise _too_large(wall)
+    stat_x, stat_y = x._code_space(), y._code_space()
+    low = min(len(cells), 8)
+    bytes_x, bytes_y = _byte_tables(x.pos, cells), _byte_tables(y.pos, cells)
+    # the low byte's (n << 16, x digits, y digits), highest byte first
+    lows = list(zip([v.bit_count() << 16 for v in range(1 << low)],
+                    bytes_x[0], bytes_y[0]))[::-1]
+    # (n << 16) + (s << 8) + t -> count, in the order the walk meets them
+    joint = Counter()
+    for high in range((size >> low) - 1, -1, -1):
+        hx = hy = 0
+        for i in range(1, len(bytes_x)):
+            digits = high >> 8 * (i - 1) & 255
+            hx |= bytes_x[i][digits]
+            hy |= bytes_y[i][digits]
+        hn = high.bit_count() << 16
+        joint.update([hn + n + (stat_x[hx | dx] << 8 | stat_y[hy | dy])
+                      for n, dx, dy in lows])
+    counts = {n: {} for n in range(len(cells) + 1)}
+    for key, count in joint.items():
+        counts[key >> 16][key >> 8 & 255, key & 255] = count
+    return counts
+
+
+def _byte_tables(pos, cells) -> list:
+    """For each byte of a code with cell i of ``cells`` at bit N - 1 - i,
+    the table of the byte's values with each digit moved to the cell's bit
+    in the cell order ``pos``."""
+    tables, order = [], cells[::-1]
+    for at in range(0, max(len(order), 1), 8):
+        table = [0]
+        for cell in order[at:at + 8]:
+            table += [v | 1 << pos[cell] for v in table]
+        tables.append(table)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +353,42 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
     have (t, s) under ``image_specs``.  The map must carry statistics
     (s, t) on the source side to (t, s) on the image side and invert
     cleanly.  Each (shape, n) is checked in two passes over one table of
-    its fillings: the first reads every statistic once, the second checks
-    each filling's image against the table.  With ``symmetric_only`` a
-    filling that is not symmetric is skipped before it is read.
+    its fillings, keyed by code: the first codes each filling once in each
+    cell order its chain tables read, and reads every statistic once; the
+    second checks each filling's image against the table.  With
+    ``symmetric_only`` a filling that is not symmetric is skipped before it
+    is read.
     """
     for shape in shapes:
         source = CountTable(str(shape), cls, *specs)
         image = (source if image_specs == specs
                  else CountTable(str(shape), cls, *image_specs))
-        x, y = _chain_tables(shape, cls, max_n, specs)
-        image_x, image_y = (x, y) if image is source else _chain_tables(
-            shape, cls, max_n, image_specs)
+        tables = _chain_tables(shape, cls, max_n, specs if image is source
+                               else specs + image_specs)
+        # the key is the code in the first table's cell order, and each
+        # table reads the key or the code in the other order
+        keys, up = tables[0], tables[0].spec.upward
+        flipped = next((t for t in tables if t.spec.upward != up), keys)
+        reads = [(t._read, t.spec.upward != up) for t in tables]
         for n, group in groupby(all_fillings(shape, cls, max_n),
                                 key=itemgetter(0)):
-            table = {}      # entries -> (filling, statistics, image side)
+            table = {}      # key -> (filling, statistics, image side)
             for _, f in group:
                 if symmetric_only and not f.is_symmetric():
                     continue
-                s, t = x(f), y(f)
-                swapped = (s, t) if image is source else (image_x(f),
-                                                          image_y(f))
+                codes = keys._code(f.entries), flipped._code(f.entries)
+                stats = [read(codes[flip]) for read, flip in reads]
+                s, t = stats[:2]
                 source.add(n, s, t)
-                if image is not source:
+                if image is source:
+                    swapped = s, t
+                else:
+                    swapped = stats[2], stats[3]
                     image.add(n, *swapped)
-                table[frozenset(f.entries.items())] = f, (s, t), swapped
+                table[codes[0]] = f, (s, t), swapped
             if modes is not None and table:
-                witness = _swap_witness(shape, table, modes, symmetric_only)
+                witness = _swap_witness(shape, table, modes, keys,
+                                        symmetric_only)
                 if witness:
                     return False, witness
         bad = _mirror_mismatch(source.counts, image.counts)
@@ -317,27 +397,33 @@ def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
     return True, None
 
 
-def _swap_witness(shape, table, modes, symmetric_only):
+def _swap_witness(shape, table, modes, keys: ChainTable, symmetric_only):
     """The first filling of the table, in enumeration order, whose image
     under ``modes[0]`` fails a check, as (shape, filling, reason); None if
-    there is none.  A map that is its own inverse is applied once to each
-    filling, and each image's image is looked up."""
-    forward, backward = modes
-    images = (swap_chain_statistics(f, forward) for f, _, _ in table.values())
-    if forward == backward:
+    there is none.  The table is keyed by the codes of ``keys``, and an
+    image with an entry too large for a digit has no key.  The shape's
+    swaps are set up once, and map only fillings in the table: the
+    enumerated ones, and an image once its key is found.  A map that is
+    its own inverse is applied once to each filling, and each image's
+    image is looked up."""
+    forward, backward = (_shape_swap(shape, _SWAP_FORWARD[mode])
+                         for mode in modes)
+    images = (forward(f.entries) for f, _, _ in table.values())
+    if modes[0] == modes[1]:
         images = list(images)
         image_of = dict(zip(table, images))
     for (f, (s, t), _), g in zip(table.values(), images):
-        if symmetric_only and not g.is_symmetric():
+        if symmetric_only and not _trusted(Filling, shape=shape,
+                                           entries=g).is_symmetric():
             return shape, f, "image not symmetric"
-        key = frozenset(g.entries.items())
-        if g.shape != shape or key not in table:
+        key = (keys._code(g) if max(g.values(), default=0) >> keys.bits == 0
+               else None)
+        if key not in table:
             return shape, f, "image outside the class"
         if table[key][2] != (t, s):
             return shape, f, "statistics not exchanged"
-        back = (image_of[key] if forward == backward
-                else swap_chain_statistics(g, backward))
-        if back != f:
+        back = image_of[key] if modes[0] == modes[1] else backward(g)
+        if back != f.entries:
             return shape, f, "map does not invert"
     return None
 

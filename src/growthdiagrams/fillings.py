@@ -256,22 +256,26 @@ class ChainTable:
 
         R(f) = max(R(f - s), w(s) + L(f & succ(s) & win(s))).
 
-    The table keeps every filling it reads, in any order, and reads a
-    smaller filling it lacks by the same recurrence: a nested read drops a
-    nonzero cell, so at most MEMO_MAX_CELLS reads are nested.  Read in the
-    order of ``all_fillings``, each memo holds at most the fillings read.
-    A shape of more than MEMO_MAX_CELLS cells gets no table, and
+    ``_read`` takes a filling's code, so that callers reading several
+    tables of one cell order code each filling once.  The table keeps every
+    filling it reads, in any order, and reads a smaller filling it lacks by
+    the same recurrence: a nested read drops a nonzero cell, so at most
+    MEMO_MAX_CELLS reads are nested.  Read in the order of
+    ``all_fillings``, each memo holds at most the fillings read.
+    ``_code_space`` fills the statistic of every 0-1 filling, by the same
+    recurrences in increasing code order, into one byte per code.  A shape
+    of more than MEMO_MAX_CELLS cells gets no masks (``pred`` is None), and
     ``longest_chain`` reads its fillings.
     """
 
     def __init__(self, shape, spec: ChainSpec, bits: int):
         self.spec, self.bits = spec, bits
         self.weighted = spec.length_mode == "entry-sum"
-        self.pos = None
-        if shape.n_cells > MEMO_MAX_CELLS:
-            return
         cells = _sorted_cells(shape.cells(), spec)
         self.pos = {cell: bits * i for i, cell in enumerate(cells)}
+        if shape.n_cells > MEMO_MAX_CELLS:
+            self.shape, self.pred, self._read = shape, None, self._decoded
+            return
         digit = {cell: ((1 << bits) - 1) << at for cell, at in self.pos.items()}
         # col_upto[c] and row_upto[r]: the digits of the cells in columns
         # 1..c and in rows 1..r
@@ -298,6 +302,7 @@ class ChainTable:
 
         self.pred = [step_cells(c, r, False) for c, r in cells]
         self.free, self.bounded = {0: 0}, None
+        self._read = self._free
         if spec.require_rectangle:
             # after[i]: the cells that may follow cell i and span a box
             # with it that fits the shape, column by column while the
@@ -312,15 +317,27 @@ class ChainTable:
                     fits |= (col_upto[col] ^ col_upto[col - 1]) & row_upto[low]
                 self.after.append(step_cells(c, r, True) & fits)
             self.bounded = {0: 0}
+            self._read = self._bounded
 
     def __call__(self, f: Filling) -> int:
+        return self._read(self._code(f.entries))
+
+    def _code(self, entries) -> int:
+        """The code of a filling's entries, each below ``2 ** bits``."""
         pos = self.pos
-        if pos is None:
-            return longest_chain(f, self.spec)
         code = 0
-        for cell, v in f.entries.items():
+        for cell, v in entries.items():
             code |= v << pos[cell]
-        return self._free(code) if self.bounded is None else self._bounded(code)
+        return code
+
+    def _decoded(self, code: int) -> int:
+        """``longest_chain`` of the filling ``code``, on a shape with no
+        masks."""
+        digit = (1 << self.bits) - 1
+        entries = {cell: code >> at & digit for cell, at in self.pos.items()
+                   if code >> at & digit}
+        return longest_chain(_trusted(Filling, shape=self.shape,
+                                      entries=entries), self.spec)
 
     def _free(self, code: int) -> int:
         """L of the filling ``code``."""
@@ -358,6 +375,38 @@ class ChainTable:
                 other = self._bounded(rest)
             known[code] = value = value if value > other else other
         return value
+
+    def _code_space(self) -> bytearray:
+        """The statistic of every 0-1 filling, one byte per code.  L goes
+        block by block of one top digit, and R, with ``require_rectangle``,
+        slice by slice of one lowest digit, from the highest one down: each
+        code is filled after the smaller codes its recurrence reads."""
+        size = 1 << len(self.pred)
+        free = bytearray(size)
+        for last, before in enumerate(self.pred):
+            # the codes top + rest, rest < top, read L(rest) and
+            # L(rest & before)
+            top = 1 << last
+            free[top:2 * top] = _max_plus_one(
+                free[:top], [free[rest & before] for rest in range(top)])
+        if self.bounded is None:
+            return free
+        bounded = bytearray(size)
+        for first in reversed(range(len(self.after))):
+            # the codes with lowest digit 1 << first, every step-th from it,
+            # read R of the code without it, every step-th from 0
+            step, after = 2 << first, self.after[first]
+            bounded[1 << first::step] = _max_plus_one(
+                bounded[::step], [free[code & after]
+                                  for code in range(1 << first, size, step)])
+        return bounded
+
+
+def _max_plus_one(without, within) -> bytes:
+    """max(a, b + 1) of each pair of the two sequences: a code's value
+    without its digit, and one more than the value of the cells its digit
+    may join."""
+    return bytes([a if a > b else b + 1 for a, b in zip(without, within)])
 
 
 def greene_totals(f: Filling, spec: ChainSpec, k_max: int, corner=None) -> list:

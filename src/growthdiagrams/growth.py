@@ -521,14 +521,32 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
     filling, variant)``, in one pass over one plan, the plan of the shape's
     word.  The conjugated border is step-checked for the conjugate variant,
     as ``reconstruct`` checks a tableau."""
-    v = _checked_variant(filling, variant)
-    plan = _sweep_plan(filling.shape.word)
-    labels = [EMPTY] * plan.start[-1]
-    _forward_sweep(plan, labels, filling.entries, v)
-    conj = _small_conjugate if plan.small else conjugate
-    seq = [conj(labels[i]) for i in plan.border]
-    entries = _backward_sweep(plan, seq, get_variant(v.conjugate))[1]
+    _checked_variant(filling, variant)
+    entries = _shape_swap(filling.shape, variant)(filling.entries)
     return _trusted(Filling, shape=filling.shape, entries=entries)
+
+
+def _shape_swap(shape: FerrersShape, variant: str):
+    """``conjugate_swap`` on the fillings of one Ferrers shape, as a map
+    from entries to entries.  The plan, the two variants, the conjugate
+    and the border positions are taken once; each call runs the two
+    sweeps, and step-checks the conjugated border.  The entries are not
+    checked against the variant's class: the caller hands over only
+    fillings known to be in it."""
+    # the empty filling is in every class, so this checks the variant and
+    # the shape
+    v = _checked_variant(_trusted(Filling, shape=shape, entries={}), variant)
+    back = get_variant(v.conjugate)
+    plan = _sweep_plan(shape.word)
+    size, border = plan.start[-1], plan.border
+    conj = _small_conjugate if plan.small else conjugate
+
+    def swap(entries):
+        labels = [EMPTY] * size
+        _forward_sweep(plan, labels, entries, v)
+        seq = list(map(conj, map(labels.__getitem__, border)))
+        return _backward_sweep(plan, seq, back)[1]
+    return swap
 
 
 def growth_tableau(filling: Filling, variant: str = "standard",

@@ -266,13 +266,6 @@ VARIANT_TABLE = {v.name: v for v in (
              (_forward_dual_rsk_prime_carry, _backward_dual_rsk_prime_carry)),
 )}
 
-forward_standard = VARIANT_TABLE["standard"].forward
-backward_standard = VARIANT_TABLE["standard"].backward
-forward_rsk = VARIANT_TABLE["rsk"].forward
-backward_rsk = VARIANT_TABLE["rsk"].backward
-forward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].forward
-backward_dual_rsk_prime = VARIANT_TABLE["dual-rsk-prime"].backward
-
 
 def get_variant(name: str) -> Variant:
     try:

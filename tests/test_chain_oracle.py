@@ -9,14 +9,17 @@ own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
 """
 
 from collections import Counter
+from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import fillings
-from growthdiagrams.enumeration import (NE_SE_SPECS, all_fillings, all_shapes,
-                                        count_table, generate_fillings,
-                                        problem2_evidence)
+from growthdiagrams import enumeration, fillings
+from growthdiagrams.enumeration import (NE_SE_SPECS, T2_SPECS,
+                                        InstanceTooLarge, all_fillings,
+                                        all_shapes, count_table,
+                                        generate_fillings, problem2_evidence)
 from growthdiagrams.fillings import (ARBITRARY, MEMO_MAX_CELLS,
                                      PARTIAL_PERMUTATION, ZERO_ONE, ChainTable,
                                      Filling, chain_spec, longest_chain)
@@ -210,14 +213,26 @@ def test_chain_table_memos_hold_at_most_the_fillings_read():
     assert oversize == []
 
 
-def counts_by_longest_chain(shape, cls, specs, max_n=None):
-    """count_table's counts, each filling read by longest_chain."""
+def enumerated_counts(shape, cls, reads, max_n=None):
+    """count_table's counts by enumeration, each filling read by each of
+    ``reads``."""
     counts = {}
     for n, f in all_fillings(shape, cls, max_n):
-        key = tuple(longest_chain(f, spec) for spec in specs)
+        key = tuple(read(f) for read in reads)
         counts.setdefault(n, {})
         counts[n][key] = counts[n].get(key, 0) + 1
     return counts
+
+
+def counts_by_longest_chain(shape, cls, specs, max_n=None):
+    """count_table's counts, each filling read by longest_chain."""
+    return enumerated_counts(shape, cls, [partial(longest_chain, spec=spec)
+                                          for spec in specs], max_n)
+
+
+def ordered(counts):
+    """The counts with the order of their keys, n's and each n's (s, t)."""
+    return [(n, list(table.items())) for n, table in counts.items()]
 
 
 def test_count_table_past_the_table_memo(monkeypatch):
@@ -249,7 +264,8 @@ def test_asymmetric_ne_se_table():
     """(4,4,4,3) has an asymmetric table of rectangle-bounded ne and se
     chains: of its 5,005 0-1 fillings with six 1's, 43 have (s, t) =
     (1, 2) and 42 have (2, 1).  The exhaustive chain search gives the same
-    counts."""
+    counts, and the full table, counted over the code space, the same
+    n = 6 table in the same key order."""
     shape = FerrersShape((4, 4, 4, 3))
     table = count_table(shape, ZERO_ONE, *NE_SE_SPECS, 6)
     assert (table.counts[6][1, 2], table.counts[6][2, 1]) == (43, 42)
@@ -257,5 +273,84 @@ def test_asymmetric_ne_se_table():
     assert len(group) == 5005
     assert Counter(tuple(oracle_longest_chain(f, spec) for spec in NE_SE_SPECS)
                    for f in group) == table.counts[6]
-    assert (problem2_evidence(shape, 6).details
-            == "asymmetry at (n,s,t)=(6, 1, 2)")
+    full = count_table(shape, ZERO_ONE, *NE_SE_SPECS)
+    assert sum(map(full.total, full.counts)) == 2 ** 15
+    assert list(full.counts[6].items()) == list(table.counts[6].items())
+    for max_n in (6, None):
+        assert (problem2_evidence(shape, max_n).details
+                == "asymmetry at (n,s,t)=(6, 1, 2)")
+
+
+# ---------------------------------------------------------------------------
+# count tables over the code space
+
+# a rectangle-bounded spec, whose cells go top down in each column, and
+# a free one, whose cells go bottom up
+MIXED_SPECS = (chain_spec("Se", require_rectangle=True), chain_spec("nE"))
+
+
+def refuse_enumeration(monkeypatch):
+    """Make count_table fail if it enumerates the fillings."""
+    def refuse(*args):
+        raise AssertionError("count_table enumerated the fillings")
+    monkeypatch.setattr(enumeration, "all_fillings", refuse)
+
+
+def test_code_space_counts_match_longest_chain(monkeypatch):
+    """Every 0-1 filling of the empty shape, of every Ferrers shape of at
+    most 8 cells and of every stack polyomino of at most 7, counted over
+    the code space: the counts of longest_chain, n's and each n's (s, t) in
+    the same order, for three spec pairs."""
+    shapes = [FerrersShape(())] + all_shapes(8) + stack_polyominoes(7)
+    expected = {(shape, specs): counts_by_longest_chain(shape, ZERO_ONE, specs)
+                for shape in shapes
+                for specs in (NE_SE_SPECS, T2_SPECS, MIXED_SPECS)}
+    refuse_enumeration(monkeypatch)
+    for (shape, specs), counts in expected.items():
+        assert (ordered(count_table(shape, ZERO_ONE, *specs).counts)
+                == ordered(counts)), (shape, specs)
+
+
+@st.composite
+def _shapes_of_9_to_16_cells(draw):
+    """A Ferrers shape with the drawn rows, or a stack polyomino with them
+    as column heights."""
+    left, rows = draw(st.integers(9, 16)), []
+    while left:
+        rows.append(draw(st.integers(1, min(left, rows[-1] if rows
+                                            else left))))
+        left -= rows[-1]
+    if draw(st.booleans()):
+        return FerrersShape(tuple(rows))
+    rising = draw(st.lists(st.booleans(), min_size=len(rows),
+                           max_size=len(rows)))
+    return StackPolyomino(tuple(sorted(h for h, up in zip(rows, rising) if up)
+                                + [h for h, up in zip(rows, rising)
+                                   if not up]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_shapes_of_9_to_16_cells(), st.sampled_from(SPECS),
+       st.sampled_from(SPECS))
+def test_code_space_counts_property(shape, spec_x, spec_y):
+    """Shapes of 9 to 16 cells: the code-space counts are those of the
+    enumerated fillings, each read by a chain table, in the same order."""
+    reads = [ChainTable(shape, spec, 1) for spec in (spec_x, spec_y)]
+    assert (ordered(count_table(shape, ZERO_ONE, spec_x, spec_y).counts)
+            == ordered(enumerated_counts(shape, ZERO_ONE, reads)))
+
+
+def test_code_space_budget(monkeypatch):
+    """The code space obeys the budget on all 2 ** N codes: N = 8 cells
+    fit a budget of 256 fillings, and a budget of 255 is refused before
+    any table is filled."""
+    shape = FerrersShape((3, 3, 2))
+    monkeypatch.setenv("GROWTH_BUDGET", "256")
+    table = count_table(shape, ZERO_ONE, *NE_SE_SPECS)
+    assert sum(map(table.total, table.counts)) == 256
+    monkeypatch.setenv("GROWTH_BUDGET", "255")
+    refuse_enumeration(monkeypatch)
+    monkeypatch.setattr(ChainTable, "_code_space", None)
+    with pytest.raises(InstanceTooLarge) as raised:
+        count_table(shape, ZERO_ONE, *NE_SE_SPECS)
+    assert str(raised.value) == "more than 255 fillings generated"

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +239,26 @@ def test_greene_huge_k(capsys):
     code, out, _ = run(capsys, "greene", "--shape", "3,2,1",
                        "--cells", "1,3 2,2 3,1", "--k", str(10 ** 12))
     assert (code, out) == (0, "greene[standard]: PASS [k in 1..1000000000000]\n")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("count_432.json", ("count", "--shape", "4,3,2", "--class", "zero-one",
+                        "--chains", "ne,se", "--rectangle", "both",
+                        "--format", "json")),
+    ("count_332.csv", ("count", "--shape", "3,3,2", "--class", "zero-one",
+                       "--chains", "ne,se", "--rectangle", "both",
+                       "--format", "csv")),
+    ("explore_4443.txt", ("explore", "--shape", "4,4,4,3", "--table")),
+])
+def test_zero_one_tables_print_the_golden_output(capsys, golden, argv):
+    """Full 0-1 tables, byte for byte with the tables enumeration printed,
+    keys in the order of the generated fillings."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_explore_is_evidence_only(capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from growthdiagrams import enumeration
 from growthdiagrams.correspondences import (SetPartition, all_set_partitions,
-                                            conjugate_set_partition,
-                                            swap_chain_statistics)
-from growthdiagrams.enumeration import (NE_SE_SPECS, InstanceTooLarge, Report,
+                                            conjugate_set_partition)
+from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS,
+                                        InstanceTooLarge, Report,
                                         _densest_bounded_ne,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
@@ -20,8 +20,9 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, InstanceTooLarge, Report,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
-from growthdiagrams.fillings import (Filling, chain_spec, greene_totals,
-                                     longest_chain)
+from growthdiagrams.fillings import (ChainTable, Filling, chain_spec,
+                                     greene_totals, longest_chain)
+from growthdiagrams.growth import _shape_swap
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
@@ -215,20 +216,28 @@ def test_swap_counts_differ_is_found(monkeypatch):
     assert report.witness[-1] == "counts differ"
 
 
+def patch_swap(monkeypatch, make):
+    """Replace the verifiers' per-shape swap: the shape's map under a
+    variant becomes ``make(shape, variant, swap)``, given the real map
+    ``swap`` from entries to entries."""
+    monkeypatch.setattr(
+        enumeration, "_shape_swap",
+        lambda shape, variant: make(shape, variant,
+                                    _shape_swap(shape, variant)))
+
+
 def test_swap_statistics_not_exchanged_is_found(monkeypatch):
-    monkeypatch.setattr(enumeration, "swap_chain_statistics",
-                        lambda f, mode: f)
+    patch_swap(monkeypatch, lambda shape, variant, swap: dict)
     report = verify_t2a_nes1(4, 2)
     assert report.passed is False
     assert report.witness[-1] == "statistics not exchanged"
 
 
 def test_swap_map_not_inverting_is_found(monkeypatch):
-    def forward_only(f, mode):
-        if mode.endswith("-inverse"):
-            return Filling(f.shape, {})
-        return swap_chain_statistics(f, mode)
-    monkeypatch.setattr(enumeration, "swap_chain_statistics", forward_only)
+    # the inverse of nes2 runs the rsk-prime rules, and here loses every
+    # entry
+    patch_swap(monkeypatch, lambda shape, variant, swap:
+               (lambda entries: {}) if variant == "rsk-prime" else swap)
     report = verify_t2a_nes2(4, 2)
     assert report.passed is False
     assert report.witness[-1] == "map does not invert"
@@ -236,10 +245,8 @@ def test_swap_map_not_inverting_is_found(monkeypatch):
 
 def test_swap_image_not_symmetric_is_found(monkeypatch):
     # sends every filling of the shape 2,1 to one off the diagonal
-    monkeypatch.setattr(
-        enumeration, "swap_chain_statistics",
-        lambda f, mode: Filling(f.shape, {(1, 2): 1}) if (1, 2) in f.shape
-        else f)
+    patch_swap(monkeypatch, lambda shape, variant, swap:
+               (lambda entries: {(1, 2): 1}) if (1, 2) in shape else swap)
     report = verify_t2sym(3)
     assert report.passed is False
     assert report.witness[-1] == "image not symmetric"
@@ -248,12 +255,14 @@ def test_swap_image_not_symmetric_is_found(monkeypatch):
 def swap_except(overrides):
     """The swap map, except that the filling with a single 1 in a key cell
     of ``overrides`` is sent to the value's entries."""
-    def swap(f, mode):
-        for cell, entries in overrides.items():
-            if f.entries == {cell: 1}:
-                return Filling(f.shape, entries)
-        return swap_chain_statistics(f, mode)
-    return swap
+    def make(shape, variant, swap):
+        def patched(entries):
+            for cell, image in overrides.items():
+                if entries == {cell: 1}:
+                    return image
+            return swap(entries)
+        return patched
+    return make
 
 
 @pytest.mark.parametrize("verify", [lambda: verify_t2(shapes=[SQUARE]),
@@ -263,11 +272,23 @@ def swap_except(overrides):
 def test_swap_image_outside_the_class_is_found(monkeypatch, verify):
     # one filling with a single entry is sent to the empty filling, which
     # the table of its n does not hold
-    monkeypatch.setattr(enumeration, "swap_chain_statistics",
-                        swap_except({(2, 1): {}}))
+    patch_swap(monkeypatch, swap_except({(2, 1): {}}))
     report = verify()
     assert report.passed is False
     assert report.witness == (SQUARE, Filling(SQUARE, {(2, 1): 1}),
+                              "image outside the class")
+
+
+def test_swap_image_key_does_not_collide(monkeypatch):
+    """The table of the NES2 fillings with one 1 is keyed by one bit per
+    cell, so an image with a 2 in the cell below (1,2) would carry the
+    key of the filling with a 1 at (1,2), which the table holds.  It is
+    outside the class all the same."""
+    pos = ChainTable(SQUARE, NES2_SPECS[0], 1).pos
+    assert 2 << pos[1, 1] == 1 << pos[1, 2]
+    patch_swap(monkeypatch, swap_except({(1, 1): {(1, 1): 2}}))
+    report = verify_t2a_nes2(shapes=[SQUARE], max_ones=1)
+    assert report.witness == (SQUARE, Filling(SQUARE, {(1, 1): 1}),
                               "image outside the class")
 
 
@@ -275,8 +296,7 @@ def test_swap_witness_is_the_first_failing_filling(monkeypatch):
     # the standard map fixes every single cross.  Here (1,1) goes to (1,2),
     # whose image is not (1,1) again, and the later (2,2) goes outside the
     # class: the earlier filling is named, with its own reason
-    monkeypatch.setattr(enumeration, "swap_chain_statistics",
-                        swap_except({(1, 1): {(1, 2): 1}, (2, 2): {}}))
+    patch_swap(monkeypatch, swap_except({(1, 1): {(1, 2): 1}, (2, 2): {}}))
     report = verify_t2(shapes=[SQUARE])
     assert report.witness == (SQUARE, Filling(SQUARE, {(1, 1): 1}),
                               "map does not invert")
@@ -318,14 +338,16 @@ def test_each_map_runs_once_per_object(monkeypatch):
     image's image is looked up, not computed again."""
     mapped, conjugated = Counter(), Counter()
 
-    def counted_swap(f, mode):
-        mapped[f.shape, frozenset(f.entries)] += 1
-        return swap_chain_statistics(f, mode)
+    def counted_swap(shape, variant, swap):
+        def counted(entries):
+            mapped[shape, frozenset(entries)] += 1
+            return swap(entries)
+        return counted
 
     def counted_conjugate(p):
         conjugated[p] += 1
         return conjugate_set_partition(p)
-    monkeypatch.setattr(enumeration, "swap_chain_statistics", counted_swap)
+    patch_swap(monkeypatch, counted_swap)
     monkeypatch.setattr(enumeration, "conjugate_set_partition",
                         counted_conjugate)
     assert verify_t2(6).passed and verify_t4(6).passed

@@ -8,53 +8,53 @@ import random
 
 import pytest
 
-from growthdiagrams.local_rules import (VARIANT_TABLE, backward_dual_rsk_prime,
-                                        backward_rsk, backward_standard,
-                                        forward_dual_rsk_prime, forward_rsk,
-                                        forward_standard, get_variant)
+from growthdiagrams.local_rules import VARIANT_TABLE, get_variant
 from growthdiagrams.partitions import (conjugate, contains,
                                        is_horizontal_strip, is_vertical_strip,
                                        make_partition, partitions_of)
 
+STANDARD, RSK, DUAL_RSK_PRIME = (VARIANT_TABLE[name] for name in
+                                 ("standard", "rsk", "dual-rsk-prime"))
+
 
 def test_forward_standard_cases():
-    assert forward_standard((), (), (), 0) == ()
-    assert forward_standard((), (), (), 1) == (1,)
-    assert forward_standard((1,), (2,), (1, 1), 0) == (2, 1)      # union
-    assert forward_standard((1,), (1,), (2,), 0) == (2,)          # F2
-    assert forward_standard((1,), (2,), (2,), 0) == (2, 1)        # F5
-    assert forward_standard((2,), (2, 1), (2, 1), 0) == (2, 1, 1)  # F5 in row 3
+    assert STANDARD.forward((), (), (), 0) == ()
+    assert STANDARD.forward((), (), (), 1) == (1,)
+    assert STANDARD.forward((1,), (2,), (1, 1), 0) == (2, 1)      # union
+    assert STANDARD.forward((1,), (1,), (2,), 0) == (2,)          # F2
+    assert STANDARD.forward((1,), (2,), (2,), 0) == (2, 1)        # F5
+    assert STANDARD.forward((2,), (2, 1), (2, 1), 0) == (2, 1, 1)  # F5 in row 3
 
 
 def test_forward_standard_rejects_bad_input():
     with pytest.raises(ValueError):
-        forward_standard((), (1,), (), 1)     # cross needs equal corners
+        STANDARD.forward((), (1,), (), 1)     # cross needs equal corners
     with pytest.raises(ValueError):
-        forward_standard((), (2,), (), 0)     # jump of two squares
+        STANDARD.forward((), (2,), (), 0)     # jump of two squares
 
 
 def test_backward_standard_cases():
-    assert backward_standard((), (), ()) == ((), 0)
-    assert backward_standard((1,), (1,), (2,)) == ((1,), 1)
-    assert backward_standard((2,), (1, 1), (2, 1)) == ((1,), 0)
-    assert backward_standard((2, 1), (2, 1), (2, 2)) == ((1, 1), 0)
+    assert STANDARD.backward((), (), ()) == ((), 0)
+    assert STANDARD.backward((1,), (1,), (2,)) == ((1,), 1)
+    assert STANDARD.backward((2,), (1, 1), (2, 1)) == ((1,), 0)
+    assert STANDARD.backward((2, 1), (2, 1), (2, 2)) == ((1, 1), 0)
 
 
 def test_forward_rsk_spot_values():
-    assert forward_rsk((), (), (1,), 2) == (3,)
-    assert forward_rsk((1,), (3,), (3,), 0) == (3, 2)
-    assert forward_rsk((), (), (), 3) == (3,)
+    assert RSK.forward((), (), (1,), 2) == (3,)
+    assert RSK.forward((1,), (3,), (3,), 0) == (3, 2)
+    assert RSK.forward((), (), (), 3) == (3,)
 
 
 def test_backward_rsk_spot_values():
-    assert backward_rsk((), (1,), (3,)) == ((), 2)
-    assert backward_rsk((3,), (3,), (3, 2)) == ((1,), 0)
+    assert RSK.backward((), (1,), (3,)) == ((), 2)
+    assert RSK.backward((3,), (3,), (3, 2)) == ((1,), 0)
 
 
 def test_dual_rsk_prime_inverse_of_stack():
     # an entry of 3 in a single cell becomes a column of height 3
-    assert forward_dual_rsk_prime((), (), (), 3) == (1, 1, 1)
-    assert backward_dual_rsk_prime((), (), (1, 1, 1)) == ((), 3)
+    assert DUAL_RSK_PRIME.forward((), (), (), 3) == (1, 1, 1)
+    assert DUAL_RSK_PRIME.backward((), (), (1, 1, 1)) == ((), 3)
 
 
 def random_partition(rng, max_total=8):
