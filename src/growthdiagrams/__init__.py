@@ -9,7 +9,7 @@ the associated symmetry theorems.
 from .correspondences import (Matching, PartialTableau, SetPartition,
                               all_set_partitions, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
-                              cross_nest, enhanced_cross, enhanced_nest,
+                              enhanced_cross, enhanced_nest,
                               filling_to_setpartition, matching_to_oscillating,
                               min_max_blocks, min_max_from_vacillating, nest,
                               pair_to_vacillating, parse_set_partition,

@@ -17,7 +17,8 @@ hesitating shape.  That is the staircase with an extra diagonal cell
 and a singleton puts a cross in its diagonal cell.  There the rectangle's
 top-right cell is in the shape exactly when i_k <= j_1, the enhanced
 crossing condition.  No statistic reads a growth label, so the
-statistic-swapping bijections are checked against them.
+statistic-swapping bijections are checked against them; the T4-T6
+verifiers read the same two chains of the fillings from chain tables.
 
 Each tableau is the border of its filling read along one D/R word, with
 one step pair per element i of 1..n: "DR" (delete, then add) except where
@@ -120,13 +121,6 @@ def enhanced_cross(p: SetPartition) -> int:
 def enhanced_nest(p: SetPartition) -> int:
     """The largest k of an enhanced k-nesting of p."""
     return longest_chain(_hesitating(p)[1], _NESTING)
-
-
-def cross_nest(p: SetPartition, enhanced: bool = False) -> tuple[int, int]:
-    """(cross(p), nest(p)), or with ``enhanced`` the enhanced pair, read
-    from one filling of p."""
-    f = _hesitating(p)[1] if enhanced else setpartition_to_filling(p)
-    return longest_chain(f, _CROSSING), longest_chain(f, _NESTING)
 
 
 def min_max_blocks(p: SetPartition):

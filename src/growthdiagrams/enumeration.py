@@ -5,19 +5,21 @@ deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
 one exists.  The chain statistics of the enumerated fillings come from one
 :class:`fillings.ChainTable` per shape and spec, which reads any filling
-from two smaller ones; the single fillings of the set partitions go to
-:func:`fillings.longest_chain`.  A count table of every 0-1 filling of a
-shape is the one exception: it reads the tables' statistics over the
-whole code space, one byte per filling, and makes no filling.
+from two smaller ones.  A count table of every 0-1 filling of a shape is
+the one exception: it reads the tables' statistics over the whole code
+space, one byte per filling, and makes no filling.
 
-The certificates take two passes over one table, kept for one (shape, n)
-or one n at a time.  The first pass reads each object's statistics, and
-for set partitions its conjugate, once; the second checks each object's
-image against the table, so an image's statistics and, for a map that is
-its own inverse, its image are looked up rather than computed again.  An
-image that is not in the table fails the check.  The swap verifiers key
-the table by each filling's code, and map the fillings with the shape's
-swap, set up once per shape and mode.
+Every verifier checks one swap of fillings in ``_check_swap``.  The set
+partitions of each n come as their staircase or hesitating fillings, and
+their conjugation is the standard swap of those fillings.  A certificate
+takes two passes over one table, kept for one key of one shape at a time.
+The key is n, or for T5 the block minima and maxima of the partitions of
+one n.  The first pass reads each filling's statistics once; the second
+checks each filling's image against the table, so an image's statistics
+and, for a map that is its own inverse, its image are looked up rather
+than computed again.  An image that is not in the table fails the check.
+The table is keyed by each filling's code, and the fillings are mapped
+with the shape's swap, set up once per shape and mode.
 """
 
 import os
@@ -26,10 +28,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .correspondences import (_SWAP_FORWARD, all_set_partitions,
-                              conjugate_set_partition,
-                              conjugate_set_partition_enhanced, cross_nest,
-                              min_max_blocks)
+from .correspondences import (_CROSSING, _NESTING, _SWAP_FORWARD,
+                              _hesitating, all_set_partitions,
+                              min_max_blocks, setpartition_to_filling)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        ChainTable, Filling, _trusted, chain_spec,
                        greene_totals)
@@ -164,15 +165,18 @@ def all_fillings(shape, cls: str, max_n: int | None = None):
 
 
 def _max_n(shape, cls: str, max_n: int | None) -> int:
-    """``max_n``, once checked, or the largest n of the class's fillings of
-    the shape when it is None."""
-    if max_n is not None:
-        return _check_bound(max_n, "max_n", 0)
+    """The largest n of the class's fillings of the shape, or ``max_n``,
+    once checked, when that is smaller.  Arbitrary fillings have no
+    largest n, so ``max_n`` is needed and is taken as it is."""
     if cls == PARTIAL_PERMUTATION:
-        return min(shape.n_rows, shape.n_cols)
-    if cls == ZERO_ONE:
-        return shape.n_cells
-    raise ValueError("arbitrary fillings need an explicit entry-sum bound")
+        top = min(shape.n_rows, shape.n_cols)
+    elif cls == ZERO_ONE:
+        top = shape.n_cells
+    elif max_n is None:
+        raise ValueError("arbitrary fillings need an explicit entry-sum bound")
+    else:
+        return _check_bound(max_n, "max_n", 0)
+    return top if max_n is None else min(_check_bound(max_n, "max_n", 0), top)
 
 
 def _check_int(value, name: str) -> int:
@@ -344,54 +348,57 @@ NES2_SPECS = (chain_spec("nE"), chain_spec("Se", require_rectangle=True))
 NES2_IMAGE_SPECS = (chain_spec("Ne"), chain_spec("sE", require_rectangle=True))
 
 
-def _check_swap(shapes, cls, max_n, specs, image_specs, modes=None,
+def _check_swap(groups, specs, image_specs, modes=None, bits=1,
                 symmetric_only=False):
     """Count identity plus, given the map's (mode, inverse mode), a
     bijection certificate for one swap identity.
 
-    Over the fillings, as many have statistics (s, t) under ``specs`` as
-    have (t, s) under ``image_specs``.  The map must carry statistics
-    (s, t) on the source side to (t, s) on the image side and invert
-    cleanly.  Each (shape, n) is checked in two passes over one table of
-    its fillings, keyed by code: the first codes each filling once in each
-    cell order its chain tables read, and reads every statistic once; the
-    second checks each filling's image against the table.  With
+    ``groups`` holds (shape, fillings) pairs, the fillings (key, filling)
+    pairs of that shape with each key's fillings together, and entries
+    below ``2 ** bits``.  Over each key's fillings, as many have
+    statistics (s, t) under ``specs`` as have (t, s) under
+    ``image_specs``.  The map must carry statistics (s, t) on the source
+    side to (t, s) on the image side, keep the key, and invert cleanly.
+    Each key is checked in two passes over one table of its fillings,
+    keyed by code: the first codes each filling once in each cell order
+    its chain tables read, and reads every statistic once; the second
+    checks each filling's image against the table.  With
     ``symmetric_only`` a filling that is not symmetric is skipped before it
     is read.
     """
-    for shape in shapes:
-        source = CountTable(str(shape), cls, *specs)
-        image = (source if image_specs == specs
-                 else CountTable(str(shape), cls, *image_specs))
-        tables = _chain_tables(shape, cls, max_n, specs if image is source
-                               else specs + image_specs)
+    for shape, keyed in groups:
+        source = {}     # key -> {(s, t): count}
+        image = source if image_specs == specs else {}
+        tables = [ChainTable(shape, spec, bits) for spec in
+                  (specs if image is source else specs + image_specs)]
         # the key is the code in the first table's cell order, and each
         # table reads the key or the code in the other order
         keys, up = tables[0], tables[0].spec.upward
         flipped = next((t for t in tables if t.spec.upward != up), keys)
         reads = [(t._read, t.spec.upward != up) for t in tables]
-        for n, group in groupby(all_fillings(shape, cls, max_n),
-                                key=itemgetter(0)):
-            table = {}      # key -> (filling, statistics, image side)
+        for key, group in groupby(keyed, key=itemgetter(0)):
+            table = {}      # code -> (filling, statistics, image side)
+            counts = source.setdefault(key, Counter())
+            image_counts = image.setdefault(key, Counter())
             for _, f in group:
                 if symmetric_only and not f.is_symmetric():
                     continue
                 codes = keys._code(f.entries), flipped._code(f.entries)
                 stats = [read(codes[flip]) for read, flip in reads]
                 s, t = stats[:2]
-                source.add(n, s, t)
+                counts[s, t] += 1
                 if image is source:
                     swapped = s, t
                 else:
                     swapped = stats[2], stats[3]
-                    image.add(n, *swapped)
+                    image_counts[swapped] += 1
                 table[codes[0]] = f, (s, t), swapped
             if modes is not None and table:
                 witness = _swap_witness(shape, table, modes, keys,
                                         symmetric_only)
                 if witness:
                     return False, witness
-        bad = _mirror_mismatch(source.counts, image.counts)
+        bad = _mirror_mismatch(source, image)
         if bad:
             return False, (shape, *bad, "counts differ")
     return True, None
@@ -428,10 +435,15 @@ def _swap_witness(shape, table, modes, keys: ChainTable, symmetric_only):
     return None
 
 
+def _shape_groups(shapes, cls, max_n):
+    """_check_swap's groups of the shapes' fillings, keyed by n."""
+    return ((shape, all_fillings(shape, cls, max_n)) for shape in shapes)
+
+
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
-    ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
+    ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
                               T2_SPECS, T2_SPECS, ("standard", "standard"))
     return Report("T2", ok, f"{len(shapes)} shapes", witness)
 
@@ -440,9 +452,9 @@ def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report
     _check_bound(max_sum, "max_sum", 0)
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
-    ok, witness = _check_swap(shapes, ARBITRARY, max_sum,
+    ok, witness = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum),
                               NES1_SPECS, NES1_IMAGE_SPECS,
-                              ("nes1", "nes1-inverse"))
+                              ("nes1", "nes1-inverse"), max_sum.bit_length())
     return Report("T2a-NES1", ok, f"{len(shapes)} shapes, entry sum <= {max_sum}",
                   witness)
 
@@ -451,7 +463,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
     _check_bound(max_ones, "max_ones", 0)
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
-    ok, witness = _check_swap(shapes, ZERO_ONE, max_ones,
+    ok, witness = _check_swap(_shape_groups(shapes, ZERO_ONE, max_ones),
                               NES2_SPECS, NES2_IMAGE_SPECS,
                               ("nes2", "nes2-inverse"))
     return Report("T2a-NES2", ok, f"{len(shapes)} shapes, <= {max_ones} ones",
@@ -460,7 +472,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 
 def verify_t2sym(max_cells: int = 9) -> Report:
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
-    ok, witness = _check_swap(shapes, PARTIAL_PERMUTATION, None,
+    ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
                               T2_SPECS, T2_SPECS, ("standard", "standard"),
                               symmetric_only=True)
     return Report("T2sym", ok, f"{len(shapes)} symmetric shapes", witness)
@@ -474,72 +486,58 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # are reflections of each other rather than self-reflective, so it is
     # checked by counting over the symmetric fillings directly.
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
-    ok1, w1 = _check_swap(shapes, ARBITRARY, max_sum,
+    ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum),
                           NES1_SPECS, NES1_IMAGE_SPECS,
-                          ("nes1", "nes1-inverse"), symmetric_only=True)
-    ok2, w2 = _check_swap(shapes, ZERO_ONE, max_sum,
+                          ("nes1", "nes1-inverse"), max_sum.bit_length(),
+                          symmetric_only=True)
+    ok2, w2 = _check_swap(_shape_groups(shapes, ZERO_ONE, max_sum),
                           NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
     return Report("T2asym", ok1 and ok2,
                   f"{len(shapes)} symmetric shapes", w1 or w2)
 
 
-def _partition_tables(n, stats, conj, refined):
-    """Generic crossing/nesting symmetry check over set partitions of n,
-    in two passes over one table of them: the first reads each
-    partition's statistics and conjugate once, the second checks each
-    conjugate against the table."""
-    counts, table = {}, {}
-    for p in _metered(all_set_partitions(n), "set partitions"):
-        key = min_max_blocks(p) if refined else None
-        s, t = stats(p)
-        counts.setdefault(key, {})
-        counts[key][(s, t)] = counts[key].get((s, t), 0) + 1
-        table[p] = key, (s, t), conj(p)
-    for p, (key, (s, t), q) in table.items():
-        if q not in table:
-            return False, (p, "image outside the class")
-        q_key, q_stats, q_image = table[q]
-        if q_stats != (t, s):
-            return False, (p, "statistics not exchanged")
-        if refined and q_key != key:
-            return False, (p, "minima/maxima not preserved")
-        if q_image != p:
-            return False, (p, "conjugation is not an involution")
-    bad = _mirror_mismatch(counts, counts)
-    if bad:
-        key, (s, t) = bad
-        return False, (key, s, t, "counts differ")
-    return True, None
-
-
-def _partition_verdict(name, max_n, stats, conj, refined, kind=""):
+def _partition_verdict(name, max_n, filling_of, key_of, kind=""):
+    """The standard swap of the set partitions' fillings, checked by
+    ``_check_swap`` for each n up to ``max_n``: each filling by
+    ``filling_of``, grouped by its shape and then by ``key_of``, each in
+    the order of ``all_set_partitions``."""
     _check_bound(max_n, "max_n", 0)
     for n in range(max_n + 1):
-        ok, witness = _partition_tables(n, stats, conj, refined)
+        groups = {}     # shape -> key -> fillings
+        for p in _metered(all_set_partitions(n), "set partitions"):
+            f = filling_of(p)
+            groups.setdefault(f.shape, {}).setdefault(key_of(p), []).append(f)
+        # (cross, nest), or the enhanced pair in a hesitating filling
+        specs = _CROSSING, _NESTING
+        ok, witness = _check_swap(
+            [(shape, [(key, f) for key, fs in by_key.items() for f in fs])
+             for shape, by_key in groups.items()],
+            specs, specs, ("standard", "standard"))
         if not ok:
             return Report(name, False, f"n={n}", witness)
     return Report(name, True, f"set partitions up to n={max_n}{kind}")
 
 
 def verify_t4(max_n: int = 5) -> Report:
-    return _partition_verdict("T4", max_n, cross_nest,
-                              conjugate_set_partition, False)
+    return _partition_verdict("T4", max_n, setpartition_to_filling,
+                              lambda p: p.n)
 
 
 def verify_t5(max_n: int = 5) -> Report:
-    return _partition_verdict("T5", max_n, cross_nest,
-                              conjugate_set_partition, True, ", refined")
+    # the swap keeps which rows and columns of the staircase are empty:
+    # they are the block minima and maxima
+    return _partition_verdict("T5", max_n, setpartition_to_filling,
+                              min_max_blocks, ", refined")
 
 
 def verify_t6(max_n: int = 4) -> Report:
-    # The enhanced statistics are exchanged by conjugating the hesitating
-    # tableau, but unlike the plain case the block minima/maxima are not
-    # preserved (the conjugation may turn a singleton into a middle
+    # The swap keeps the hesitating shape, so each shape's fillings are
+    # checked apart.  Unlike the plain case the block minima/maxima are
+    # not preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
-    return _partition_verdict(
-        "T6", max_n, lambda p: cross_nest(p, enhanced=True),
-        conjugate_set_partition_enhanced, False, ", enhanced")
+    return _partition_verdict("T6", max_n, lambda p: _hesitating(p)[1],
+                              lambda p: p.n, ", enhanced")
 
 
 VERIFIERS = {"T2": verify_t2, "T2a-NES1": verify_t2a_nes1,

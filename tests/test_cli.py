@@ -244,21 +244,47 @@ def test_greene_huge_k(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+# every verifier at a small size
+VERIFY_RUNS = (("T2", "--max-cells", "5"), ("T2a-NES1", "--max-cells", "4"),
+               ("T2a-NES2", "--max-cells", "4"), ("T2sym", "--max-cells", "6"),
+               ("T2asym", "--max-cells", "6"), ("T4", "--max-n", "6"),
+               ("T5", "--max-n", "6"), ("T6", "--max-n", "5"))
+
+
 @pytest.mark.parametrize("golden, argv", [
-    ("count_432.json", ("count", "--shape", "4,3,2", "--class", "zero-one",
+    ("count_432.json", [("count", "--shape", "4,3,2", "--class", "zero-one",
+                         "--chains", "ne,se", "--rectangle", "both",
+                         "--format", "json")]),
+    ("count_332.csv", [("count", "--shape", "3,3,2", "--class", "zero-one",
                         "--chains", "ne,se", "--rectangle", "both",
-                        "--format", "json")),
-    ("count_332.csv", ("count", "--shape", "3,3,2", "--class", "zero-one",
-                       "--chains", "ne,se", "--rectangle", "both",
-                       "--format", "csv")),
-    ("explore_4443.txt", ("explore", "--shape", "4,4,4,3", "--table")),
+                        "--format", "csv")]),
+    ("explore_4443.txt", [("explore", "--shape", "4,4,4,3", "--table")]),
+    ("verify.txt", [("verify", "--theorem", *run) for run in VERIFY_RUNS]),
+    ("verify.json", [("verify", "--theorem", *run, "--format", "json")
+                     for run in VERIFY_RUNS]),
 ])
 def test_zero_one_tables_print_the_golden_output(capsys, golden, argv):
     """Full 0-1 tables, byte for byte with the tables enumeration printed,
-    keys in the order of the generated fillings."""
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
+    keys in the order of the generated fillings, and every verifier's
+    verdict at a small size: the output of each command line of ``argv``
+    in turn."""
+    out = ""
+    for line in argv:
+        code, more, _ = run(capsys, *line)
+        assert code == 0, line
+        out += more
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_max_n_past_the_largest_n_stops_there(capsys, fmt):
+    """A partial permutation of the shape 2,1 has at most two crosses, so
+    a larger --max-n prints the same table, and no n past 2 is walked."""
+    want = run(capsys, "count", "--shape", "2,1", "--max-n", "2",
+               "--format", fmt)
+    assert want[0] == 0
+    assert run(capsys, "count", "--shape", "2,1", "--max-n", str(10 ** 12),
+               "--format", fmt) == want
 
 
 def test_explore_is_evidence_only(capsys):

@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import correspondences, growth
-from growthdiagrams.correspondences import (_SWAP_FORWARD, Matching,
+from growthdiagrams.correspondences import (_CROSSING, _NESTING,
+                                            _SWAP_FORWARD, Matching,
                                             PartialTableau, SetPartition,
                                             _hesitating, all_set_partitions,
                                             conjugate_set_partition,
                                             conjugate_set_partition_enhanced,
-                                            cross, cross_nest, enhanced_cross,
+                                            cross, enhanced_cross,
                                             enhanced_nest,
                                             filling_to_setpartition,
                                             matching_to_oscillating,
@@ -31,8 +32,9 @@ from growthdiagrams.correspondences import (_SWAP_FORWARD, Matching,
 from growthdiagrams.enumeration import (NES1_IMAGE_SPECS, NES1_SPECS,
                                         NES2_IMAGE_SPECS, NES2_SPECS,
                                         T2_SPECS, all_fillings, all_shapes)
-from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
-                                     longest_chain, transpose_filling)
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION,
+                                     ChainTable, Filling, longest_chain,
+                                     transpose_filling)
 from growthdiagrams.growth import (MEMO_MAX_CELLS, GrowthTableau,
                                    growth_tableau, reconstruct)
 from growthdiagrams.local_rules import get_variant
@@ -109,16 +111,28 @@ def test_cross_nest_small():
 
 
 def test_statistics_match_the_k_subset_oracle():
+    """The statistics, and the chain tables that the T4-T6 verifiers read
+    them from, on the staircase and the hesitating fillings."""
     start = time.perf_counter()
+    tables = {}     # shape -> its (cross, nest) chain tables
+
+    def read(f):
+        if f.shape not in tables:
+            tables[f.shape] = [ChainTable(f.shape, spec, 1)
+                               for spec in (_CROSSING, _NESTING)]
+        return tuple(table(f) for table in tables[f.shape])
     for n in range(9):
         for p in all_set_partitions(n):
             standard, enhanced = (standard_representation(p),
                                   enhanced_representation(p))
-            assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
-                _max_k(standard, "crossing", False),
-                _max_k(standard, "nesting", False),
-                _max_k(enhanced, "crossing", True),
-                _max_k(enhanced, "nesting", True)), str(p)
+            want = (_max_k(standard, "crossing", False),
+                    _max_k(standard, "nesting", False),
+                    _max_k(enhanced, "crossing", True),
+                    _max_k(enhanced, "nesting", True))
+            assert (cross(p), nest(p), enhanced_cross(p),
+                    enhanced_nest(p)) == want, str(p)
+            assert (read(setpartition_to_filling(p))
+                    + read(_hesitating(p)[1])) == want, str(p)
     assert time.perf_counter() - start < 5
 
 
@@ -131,15 +145,6 @@ def test_statistics_read_no_growth_label(monkeypatch):
     p = parse_set_partition("1 2 3 | 4 6 | 5")
     assert (cross(p), nest(p), enhanced_cross(p), enhanced_nest(p)) == (
         1, 1, 2, 2)
-    assert (cross_nest(p), cross_nest(p, enhanced=True)) == ((1, 1), (2, 2))
-
-
-def test_pair_reader_matches_the_single_statistics():
-    for n in range(8):
-        for p in all_set_partitions(n):
-            assert cross_nest(p) == (cross(p), nest(p)), str(p)
-            assert cross_nest(p, enhanced=True) == (
-                enhanced_cross(p), enhanced_nest(p)), str(p)
 
 
 def test_min_max_blocks():
@@ -372,7 +377,7 @@ def test_conjugate_matching():
             pm = m.as_set_partition()
             pc = conjugate_set_partition(pm)
             assert pc == conjugate_by_oscillating(m).as_set_partition(), str(m)
-            assert cross_nest(pc) == cross_nest(pm)[::-1]
+            assert (cross(pc), nest(pc)) == (nest(pm), cross(pm))
             assert conjugate_set_partition(pc) == pm
 
 
@@ -396,12 +401,13 @@ def test_conjugations_on_large_partitions(seed):
         assert setpartition_to_filling(p).shape.n_cells > MEMO_MAX_CELLS
         q = conjugate_set_partition(p)
         assert q == conjugate_by_vacillating(p), str(p)
-        assert cross_nest(q) == cross_nest(p)[::-1], str(p)
+        assert (cross(q), nest(q)) == (nest(p), cross(p)), str(p)
         assert min_max_blocks(q) == min_max_blocks(p), str(p)
         assert conjugate_set_partition(q) == p, str(p)
         e = conjugate_set_partition_enhanced(p)
         assert e == conjugate_by_hesitating(p), str(p)
-        assert cross_nest(e, True) == cross_nest(p, True)[::-1], str(p)
+        assert (enhanced_cross(e), enhanced_nest(e)) == (
+            enhanced_nest(p), enhanced_cross(p)), str(p)
         assert conjugate_set_partition_enhanced(e) == p, str(p)
 
 

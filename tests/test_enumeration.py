@@ -1,14 +1,17 @@
 """Generators, count tables, verifiers and the counting oracles."""
 
+import inspect
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from growthdiagrams import enumeration
-from growthdiagrams.correspondences import (SetPartition, all_set_partitions,
-                                            conjugate_set_partition)
-from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS,
+from growthdiagrams.correspondences import (SetPartition, _hesitating,
+                                            all_set_partitions,
+                                            filling_to_setpartition,
+                                            setpartition_to_filling)
+from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
                                         InstanceTooLarge, Report,
                                         _densest_bounded_ne,
                                         all_fillings, all_shapes,
@@ -159,6 +162,18 @@ def test_all_fillings_iterates_by_size():
     assert sizes == [0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("cls, top", [("zero-one", 4),
+                                      ("partial-permutation", 2)])
+def test_max_n_stops_at_the_largest_n(monkeypatch, cls, top):
+    """n runs up to the cell count of 0-1 fillings and up to the smaller
+    side of partial permutations, whatever larger bound is asked for."""
+    walked = []
+    monkeypatch.setattr(enumeration, "generate_fillings",
+                        lambda shape, cls, n: walked.append(n) or iter(()))
+    list(all_fillings(SQUARE, cls, 10))
+    assert walked == list(range(top + 1))
+
+
 def test_count_table():
     shape = FerrersShape((2, 2))
     t = count_table(shape, "partial-permutation", chain_spec("NE"),
@@ -302,61 +317,92 @@ def test_swap_witness_is_the_first_failing_filling(monkeypatch):
                               "map does not invert")
 
 
-def reversed_partition(p):
-    return SetPartition(p.n, tuple(tuple(p.n + 1 - x for x in b)
-                                   for b in p.blocks))
+def rotated(entries, shape):
+    """The staircase filling of the partition of ``entries`` with every
+    element x moved to x + 1, and n to 1: not an involution from n = 3."""
+    n = shape.n_cols + 1
+    p = filling_to_setpartition(Filling(shape, entries), n)
+    return setpartition_to_filling(
+        SetPartition(n, tuple(tuple(x % n + 1 for x in b) for b in p.blocks))
+    ).entries
 
 
-def shifted_partition(p):
-    return SetPartition(p.n, tuple(tuple(x % p.n + 1 for x in b)
-                                   for b in p.blocks))
+# the hesitating filling of 1 3 | 2, which the injection sends outside
+HESITATING = _hesitating(SetPartition(3, ((1, 3), (2,))))[1]
 
 
-@pytest.mark.parametrize("verify, conj, stats, details, witness", [
-    (verify_t4, lambda p: p, None, "n=4",
+@pytest.mark.parametrize("verify, make, details, witness", [
+    # every map the identity: the first partition with cross != nest
+    (verify_t4, lambda shape, variant, swap: dict, "n=4",
      (SetPartition(4, ((1, 3), (2, 4))), "statistics not exchanged")),
-    (verify_t5, reversed_partition, lambda p: (0, 0), "n=3",
-     (SetPartition(3, ((1,), (2, 3))), "minima/maxima not preserved")),
-    (verify_t4, shifted_partition, lambda p: (0, 0), "n=3",
-     (SetPartition(3, ((1, 3), (2,))), "conjugation is not an involution")),
-    (verify_t6, lambda p: SetPartition(p.n + 1, p.blocks + ((p.n + 1,),)),
-     None, "n=0", (SetPartition(0, ()), "image outside the class")),
+    # every map a transpose, which reverses the partition, and with it
+    # the block minima and maxima
+    (verify_t5, lambda shape, variant, swap:
+     lambda entries: {(r, c): v for (c, r), v in entries.items()}, "n=3",
+     (SetPartition(3, ((1,), (2, 3))), "image outside the class")),
+    (verify_t4, lambda shape, variant, swap:
+     lambda entries: rotated(entries, shape), "n=3",
+     (SetPartition(3, ((1, 3), (2,))), "map does not invert")),
+    (verify_t6, lambda shape, variant, swap:
+     lambda entries: {} if (shape, entries) == (HESITATING.shape,
+                                                HESITATING.entries)
+     else swap(entries), "n=3",
+     (SetPartition(3, ((1, 3), (2,))), "image outside the class")),
 ], ids=["exchange", "minima", "involution", "outside"])
-def test_partition_failures_are_found(monkeypatch, verify, conj, stats,
-                                      details, witness):
-    monkeypatch.setattr(enumeration, "conjugate_set_partition", conj)
-    monkeypatch.setattr(enumeration, "conjugate_set_partition_enhanced", conj)
-    if stats is not None:
-        monkeypatch.setattr(enumeration, "cross_nest", stats)
+def test_partition_failures_are_found(monkeypatch, verify, make, details,
+                                      witness):
+    """The set-partition verifiers check the standard swap of each
+    partition's filling with the swap verifiers' checks; the witness is
+    the failing partition's filling."""
+    patch_swap(monkeypatch, make)
     report = verify(4)
     assert report.passed is False
-    assert (report.details, report.witness) == (details, witness)
+    p, reason = witness
+    f = (_hesitating(p)[1] if verify is verify_t6
+         else setpartition_to_filling(p))
+    assert (report.details, report.witness) == (details,
+                                                (f.shape, f, reason))
 
 
 def test_each_map_runs_once_per_object(monkeypatch):
-    """The swap and the conjugation are each their own inverse, so every
-    image's image is looked up, not computed again."""
-    mapped, conjugated = Counter(), Counter()
+    """The swap is its own inverse, so every image's image is looked up,
+    not computed again: once per filling of T2's shapes, and once per
+    filling of a set partition."""
+    mapped = Counter()
 
     def counted_swap(shape, variant, swap):
         def counted(entries):
-            mapped[shape, frozenset(entries)] += 1
+            mapped[shape, frozenset(entries.items())] += 1
             return swap(entries)
         return counted
-
-    def counted_conjugate(p):
-        conjugated[p] += 1
-        return conjugate_set_partition(p)
     patch_swap(monkeypatch, counted_swap)
-    monkeypatch.setattr(enumeration, "conjugate_set_partition",
-                        counted_conjugate)
-    assert verify_t2(6).passed and verify_t4(6).passed
-    assert mapped.keys() == {(shape, frozenset(f.entries))
-                             for shape in all_shapes(6) for _, f in
-                             all_fillings(shape, "partial-permutation")}
-    assert conjugated.keys() == {p for n in range(7)
-                                 for p in all_set_partitions(n)}
-    assert set(mapped.values()) == set(conjugated.values()) == {1}
+    assert verify_t2(6).passed
+    swapped, mapped = mapped, Counter()
+    assert verify_t4(6).passed
+    assert swapped == Counter((shape, frozenset(f.entries.items()))
+                              for shape in all_shapes(6) for _, f in
+                              all_fillings(shape, "partial-permutation"))
+    # n = 0 and n = 1 both have the empty filling of the empty staircase
+    assert mapped == Counter((f.shape, frozenset(f.entries.items()))
+                             for f in map(setpartition_to_filling,
+                                          (p for n in range(7)
+                                           for p in all_set_partitions(n))))
+
+
+def test_every_verifier_checks_through_the_swap_harness(monkeypatch):
+    """Each verifier, at its smallest size, runs ``_check_swap``."""
+    smallest = {"max_cells": 1, "max_n": 0, "max_sum": 0, "max_ones": 0}
+    check_swap, calls = enumeration._check_swap, Counter()
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return check_swap(*args, **kwargs)
+    monkeypatch.setattr(enumeration, "_check_swap", counted)
+    for name, verify in VERIFIERS.items():
+        params = inspect.signature(verify).parameters
+        assert verify(**{k: v for k, v in smallest.items()
+                         if k in params}).passed, name
+    assert set(calls) == set(VERIFIERS)
 
 
 def test_verify_theorem_dispatch():
