@@ -1,6 +1,6 @@
 """Growth diagrams on Ferrers shapes.
 
-Local growth rules (standard plus four carry-rule variants), the
+Local growth rules (standard plus four strip-rule variants), the
 set-partition and matching bijections built on them, chain statistics
 (longest chains and Greene's k-chain totals), and exhaustive verifiers for
 the associated symmetry theorems.

@@ -166,8 +166,9 @@ def all_fillings(shape, cls: str, max_n: int | None = None):
 
 def _max_n(shape, cls: str, max_n: int | None) -> int:
     """The largest n of the class's fillings of the shape, or ``max_n``,
-    once checked, when that is smaller.  Arbitrary fillings have no
-    largest n, so ``max_n`` is needed and is taken as it is."""
+    once checked, when that is smaller.  Arbitrary fillings of a shape
+    with cells have no largest n, so ``max_n`` is needed and is taken as
+    it is; a shape with no cells has only the empty filling, at n = 0."""
     if cls == PARTIAL_PERMUTATION:
         top = min(shape.n_rows, shape.n_cols)
     elif cls == ZERO_ONE:
@@ -175,7 +176,8 @@ def _max_n(shape, cls: str, max_n: int | None) -> int:
     elif max_n is None:
         raise ValueError("arbitrary fillings need an explicit entry-sum bound")
     else:
-        return _check_bound(max_n, "max_n", 0)
+        bound = _check_bound(max_n, "max_n", 0)
+        return bound if shape.n_cells else 0
     return top if max_n is None else min(_check_bound(max_n, "max_n", 0), top)
 
 

@@ -8,10 +8,10 @@ The sweeps keep the labels in one flat list, column by column: corner
 left side's corners come first and the two corner lines of a cell's
 sides are consecutive runs of the list.  A ``GrowthDiagram`` shows the
 labels as a dict keyed by (x, y), which ``label_diagram``'s diagrams
-build from the list when it is first read.  Past the memo below, the
-sweeps test each edge of a diagram once and run the variant's carries
-directly; only a frame with a failing edge reaches the full rule, which
-raises.
+build from the list when it is first read.  The sweeps pass labels
+through themselves and hand every other frame to the variant's rules,
+memoised below for small diagrams, whose kernels check the frame's edges
+as they compute it; each edge a rule frame leaves is tested once.
 
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
@@ -48,8 +48,8 @@ EMPTY = ()
 # rule or its cache.  lru_cache stores no exception, so every distinct
 # input goes once through the full checked code; each cache and _PLANS
 # hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely repeat a
-# frame and bypass them all: their sweeps test each edge once and call the
-# carries.  The rules in local_rules.VARIANT_TABLE stay uncached.
+# frame and bypass them all: their sweeps call the rules themselves.  The
+# rules in local_rules.VARIANT_TABLE stay uncached.
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
@@ -176,14 +176,11 @@ def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
     checked them.  An empty cell with rho = mu (lam = nu) or rho = nu
     (lam = mu) passes its label through here: it tests the one edge it
     copies, unless that edge is verified or trivial, and both its new edges
-    are then verified too.  Any other frame is a rule frame.  On a small
-    diagram it goes to the memoised full rule.  Past the memo, one whose
-    edges pass goes straight to the variant's carry, and one whose edge
-    fails goes to the full rule, to raise.  A rule frame leaves its new
-    edges to the next cell that sees them."""
-    small = plan.small
-    forward, _, _, is_right, is_down = _rules(v, small)
-    rule = forward if small else v.forward_carry
+    are then verified too.  Any other frame is a rule frame, and goes to
+    the rule, memoised on a small diagram, which checks both its input
+    edges as it computes lam.  A rule frame leaves its new edges to the
+    next cell that sees them."""
+    forward, _, _, is_right, is_down = _rules(v, plan.small)
     start = plan.start
     left_ok = [True] * (len(plan.rows) + 1)
     for c in range(1, len(start) - 1):
@@ -201,11 +198,7 @@ def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
             elif not m and rho == nu and (below_ok or is_right(mu, rho)):
                 left_ok[r] = below_ok = True
             else:
-                if small or ((left_ok[r] or is_down(nu, rho))
-                             and (below_ok or is_right(mu, rho))):
-                    mu = rule(rho, mu, nu, m)
-                else:
-                    mu = forward(rho, mu, nu, m)
+                mu = forward(rho, mu, nu, m)
                 left_ok[r] = below_ok = False
             # mu now holds lam, the mu of the cell above
             labels[q + r] = mu
@@ -220,16 +213,14 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
     (c, r-1) comes from column c+1 and corner (c-1, r) from cell (c, r+1),
     so both are known at cell (c, r).  Going down a column, a cell's lam
     and nu are the mu and rho of the cell above.  As in _forward_sweep,
-    each edge is tested once unless it is verified, a cell with lam = mu
-    (rho = nu) or lam = nu (rho = mu) passes its label through here, and a
-    rule frame goes to the memoised rule on a small diagram and, past the
-    memo, to the carry or, when an edge fails, to the full rule.
-    right_ok[r] flags the right edge of row r, above_ok the top edge of the
-    cell; the border edges (the top of each column, and its right edges
-    above the next column) start verified, as their steps were checked."""
-    small = plan.small
-    _, backward, step_ok, is_right, is_down = _rules(v, small)
-    rule = backward if small else v.backward_carry
+    a cell with lam = mu (rho = nu) or lam = nu (rho = mu) passes its label
+    through here, testing the edge it copies unless that edge is verified,
+    and a rule frame goes to the rule, memoised on a small diagram, which
+    checks both its input edges.  right_ok[r] flags the right edge of row
+    r, above_ok the top edge of the cell; the border edges (the top of
+    each column, and its right edges above the next column) start
+    verified, as their steps were checked."""
+    _, backward, step_ok, is_right, is_down = _rules(v, plan.small)
     _check_steps(plan.word, seq, step_ok, v.name)
     start = plan.start
     labels = [EMPTY] * start[-1]
@@ -250,11 +241,7 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
                 nu = mu
                 right_ok[r] = above_ok = True
             else:
-                if small or ((right_ok[r] or is_down(lam, mu))
-                             and (above_ok or is_right(lam, nu))):
-                    nu, m = rule(mu, nu, lam)
-                else:
-                    nu, m = backward(mu, nu, lam)
+                nu, m = backward(mu, nu, lam)
                 if m:
                     entries[(c, r)] = m
                 right_ok[r] = above_ok = False

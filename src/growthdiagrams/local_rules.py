@@ -21,27 +21,27 @@ recovers (rho, m) from (mu, nu, lam).  Five rule sets are provided:
 
 Every variant's rules share one checked frame, built from its row of
 ``VARIANT_TABLE``: the entry is checked against the filling class (0 or 1
-for the two 0/1 classes, nonnegative for arbitrary fillings) and the frame
-against the row's step kinds (mu/rho and lam/nu are right steps, nu/rho
-and lam/mu down steps).  Every checked frame then goes to the variant's
-own carry, the frames that only pass a label through included.  A
-``Variant`` also exposes its carries and its right and down step tests,
-for the sweeps of ``growth``: they pass labels through themselves, and
-past their memo they test each edge of a diagram once and hand a frame
-whose edges pass straight to the carry.  Only a frame with a failing edge
-goes to the full rule, for the rule to raise.  The carry rules operate on
-one part index at a time, exactly as in their defining descriptions,
-rather than through bumping; each walks its corner labels in step,
-reading 0 past the end of a shorter one.
+for the two 0/1 classes, nonnegative for arbitrary fillings), and the
+frame goes to the variant's forward or backward kernel.  A kernel makes
+one walk over the parts of its three corner labels, reading 0 past the
+end of a shorter one: in that walk it checks both input edges against the
+variant's step kinds (mu/rho and lam/nu are right steps, nu/rho and
+lam/mu down steps), builds the result part by part, exactly as in the
+rule's defining description rather than through bumping, and checks that
+the result is a partition.  A kernel returns None when a check fails; only
+then does the rule run the step tests, to raise the message of the edge
+that fails.  A ``Variant`` also exposes its right and down step tests, for
+the sweeps of ``growth``: they pass labels through themselves, testing
+the edge they copy, and hand every other frame to the rule.
 """
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import inf
 
 from .fillings import ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE
-from .partitions import (add_square_in_row, checked_partition, diff_row,
-                         differs_by_one_square, intersect, is_horizontal_strip,
-                         is_vertical_strip, union)
+from .partitions import (differs_by_one_square, is_horizontal_strip,
+                         is_vertical_strip)
 
 VARIANTS = ("standard", "rsk", "dual-rsk", "rsk-prime", "dual-rsk-prime")
 
@@ -59,125 +59,267 @@ _STEP_NAMES = {"1": "a step of <= 1 square", "H": "a horizontal strip",
                "V": "a vertical strip"}
 
 
+# The kernels.  A forward kernel walks (rho, mu, nu) from the first row
+# down, a backward kernel (mu, nu, lam) from the last row of lam up.  In
+# each row they check the row's parts of both input edges: outer/inner is
+# a horizontal strip when inner_i <= outer_i <= inner_(i-1), a vertical
+# strip when inner_i <= outer_i <= inner_i + 1, and a step of at most one
+# square when it is a vertical strip that differs in one row at most.
+# The strip kernels build the result one part per row, each checked
+# against the part before it, so that it is weakly decreasing with no
+# trailing zero; the standard kernels build it from mu with one list edit,
+# checked against its neighbour.  A kernel returns None when a check
+# fails.  The standard forward kernel raises on a cross in a cell whose
+# corners differ, once its walk has found both edges valid.  Each kernel
+# returns the label it passes through when only one side grows:
+# forward, an empty cell with rho = mu gives lam = nu and one with rho =
+# nu gives lam = mu; backward, lam = nu gives (rho, m) = (mu, 0) and lam =
+# mu gives (nu, 0).
+
+def _forward_standard(rho, mu, nu, m):
+    # the one row (0-based) where mu, and the one where nu, exceeds rho
+    ka = kb = -1
+    for i, (r, a, b) in enumerate(zip_longest(rho, mu, nu, fillvalue=0)):
+        if a != r:
+            if a != r + 1 or ka >= 0:
+                return None
+            ka = i
+        if b != r:
+            if b != r + 1 or kb >= 0:
+                return None
+            kb = i
+    if m:
+        if ka >= 0 or kb >= 0:
+            raise ValueError("cross in a cell whose corners are not all equal")
+        return (rho[0] + 1,) + rho[1:] if rho else (1,)
+    if kb < 0:
+        return mu
+    if ka < 0:
+        return nu
+    # lam is mu plus the square nu added, or, when both added a square in
+    # the same row, plus a square in the row below it
+    k = kb if ka != kb else kb + 1
+    lam = list(mu)
+    if k < len(lam):
+        lam[k] += 1
+        if k and lam[k] > lam[k - 1]:
+            return None
+    else:
+        lam.append(1)
+    return tuple(lam)
+
+
+def _backward_standard(mu, nu, lam):
+    # the one row (0-based) where lam exceeds mu, and the one where it
+    # exceeds nu
+    ka = kb = -1
+    for i, (c, a, b) in enumerate(zip_longest(lam, mu, nu, fillvalue=0)):
+        if c != a:
+            if c != a + 1 or ka >= 0:
+                return None
+            ka = i
+        if c != b:
+            if c != b + 1 or kb >= 0:
+                return None
+            kb = i
+    if kb < 0:
+        return mu, 0
+    if ka < 0:
+        return nu, 0
+    if ka == kb == 0:
+        return mu, 1
+    # rho is mu less the square nu lost, or, when both lost a square in the
+    # same row, less a square in the row above it
+    k = kb if ka != kb else kb - 1
+    rho = list(mu)
+    rho[k] -= 1
+    if k + 1 < len(rho) and rho[k] < rho[k + 1]:
+        return None
+    if not rho[k]:
+        rho.pop()
+    return tuple(rho), 0
+
+
 def _rows_up(mu, nu, lam):
-    """The parts (lam_i, mu_i, nu_i) from the last row of lam up, for the
-    backward carries; mu and nu, both inside lam, read 0 past their ends."""
+    """The rows (lam_i, mu_i, nu_i) from the last row of lam up, mu and nu
+    read as 0 past their ends; None if mu or nu is longer than lam."""
     n = len(lam)
+    if len(mu) > n or len(nu) > n:
+        return None
     return zip(reversed(lam), reversed(mu + (0,) * (n - len(mu))),
                reversed(nu + (0,) * (n - len(nu))))
 
 
-# The carries.  Each gets a checked frame, and returns the label it passes
-# through when only one side grows: forward, an empty cell with rho = mu
-# gives lam = nu and one with rho = nu gives lam = mu; backward, lam = nu
-# gives (rho, m) = (mu, 0) and lam = mu gives (nu, 0).
-
-def _forward_standard_carry(rho, mu, nu, m):
-    if m:
-        if not (rho == mu == nu):
-            raise ValueError("cross in a cell whose corners are not all equal")
-        return add_square_in_row(rho, 1)
-    if mu != nu:
-        return union(mu, nu)
-    if rho == mu:
-        return checked_partition(mu)
-    # rho != mu = nu: both grew in the same row k; push to row k + 1
-    return add_square_in_row(mu, diff_row(mu, rho) + 1)
-
-
-def _backward_standard_carry(mu, nu, lam):
-    if mu != nu:
-        return intersect(mu, nu), 0
-    if lam == mu:
-        return checked_partition(mu), 0
-    # mu = nu, both strictly below lam
-    k = diff_row(lam, mu)
-    if k == 1:
-        return mu, 1
-    parts = list(mu)
-    parts[k - 2] -= 1
-    return checked_partition(parts), 0
-
-
-def _forward_rsk_carry(rho, mu, nu, m):
-    lam = []
-    carry = m
-    for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
-        if a < b:
-            a, b = b, a
-        lam.append(a + carry)
-        carry = b - r
-    # the carry left below the longer of mu and nu fills one more row
-    lam.append(carry)
-    return checked_partition(lam)
-
-
-def _backward_rsk_carry(mu, nu, lam):
-    rho = []
-    carry = 0
-    for c, a, b in _rows_up(mu, nu, lam):
-        if a < b:
-            a, b = b, a
-        rho.append(b - carry)
-        carry = c - a
+def _partition_up(rho):
+    """The partition whose parts ``rho`` lists from the last row up, once
+    each part is known to be at least the one before it and at least 0."""
+    del rho[:rho.count(0)]
     rho.reverse()
-    return checked_partition(rho), carry
+    return tuple(rho)
 
 
-def _forward_dual_carry(rho, mu, nu, m):
-    """The dual-rsk carry: mu/rho horizontal, nu/rho vertical."""
+def _forward_rsk(rho, mu, nu, m):
+    """mu/rho and nu/rho horizontal strips."""
     lam = []
     carry = m
+    above = top = inf   # the parts of rho and lam in the row above
     for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
+        if not (r <= a <= above and r <= b <= above):
+            return None
+        if a < b:
+            a, b = b, a
+        a += carry
+        if a > top:
+            return None
+        lam.append(a)
+        top, above, carry = a, r, b - r
+    # the carry left below the longer of mu and nu fills one more row
+    if carry > top:
+        return None
+    if carry:
+        lam.append(carry)
+    return tuple(lam)
+
+
+def _backward_rsk(mu, nu, lam):
+    """lam/mu and lam/nu horizontal strips."""
+    rows = _rows_up(mu, nu, lam)
+    if rows is None:
+        return None
+    rho = []
+    carry = below = low = 0   # the parts of lam and rho in the row below
+    for c, a, b in rows:
+        if not (below <= a <= c and below <= b <= c):
+            return None
+        if a < b:
+            a, b = b, a
+        b -= carry
+        if b < low:
+            return None
+        rho.append(b)
+        below, low, carry = c, b, c - a
+    return _partition_up(rho), carry
+
+
+def _forward_dual_rsk(rho, mu, nu, m):
+    """mu/rho a horizontal strip, nu/rho a vertical strip."""
+    lam = []
+    carry = m
+    above = top = inf
+    for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
+        if not (r <= a <= above and r <= b <= r + 1):
+            return None
         a += carry
         if a < b:
             a, b = b, a
+        if a > top:
+            return None
         lam.append(a)
-        carry = b - r
-    lam.append(carry)
-    return checked_partition(lam)
+        top, above, carry = a, r, b - r
+    if carry > top:
+        return None
+    if carry:
+        lam.append(carry)
+    return tuple(lam)
 
 
-def _backward_dual_carry(mu, nu, lam):
-    """The dual-rsk carry: lam/mu vertical, lam/nu horizontal."""
+def _backward_dual_rsk(mu, nu, lam):
+    """lam/mu a vertical strip, lam/nu a horizontal strip."""
+    rows = _rows_up(mu, nu, lam)
+    if rows is None:
+        return None
     rho = []
-    carry = 0
-    for c, a, b in _rows_up(mu, nu, lam):
+    carry = below = low = 0
+    for c, a, b in rows:
+        if not (a <= c <= a + 1 and below <= b <= c):
+            return None
         b -= carry
         if a < b:
             a, b = b, a
+        if b < low:
+            return None
         rho.append(b)
-        carry = c - a
-    rho.reverse()
-    return checked_partition(rho), carry
+        below, low, carry = c, b, c - a
+    return _partition_up(rho), carry
 
 
-def _forward_dual_rsk_prime_carry(rho, mu, nu, m):
+# rsk-prime is the reflection of dual-rsk in the diagonal: mu and nu swap
+# roles
+
+def _forward_rsk_prime(rho, mu, nu, m):
+    return _forward_dual_rsk(rho, nu, mu, m)
+
+
+def _backward_rsk_prime(mu, nu, lam):
+    return _backward_dual_rsk(nu, mu, lam)
+
+
+def _forward_dual_rsk_prime(rho, mu, nu, m):
+    """mu/rho and nu/rho vertical strips.  Where rho, mu and nu are equal
+    in a row, the carry, if any, puts one square there; in every other
+    row lam is one square longer than rho, and the carry grows by one
+    when both mu and nu are."""
     lam = []
     carry = m
+    top = inf
     for r, a, b in zip_longest(rho, mu, nu, fillvalue=0):
-        used = 1 if carry and r == a == b else 0
-        if a < b:
-            a, b = b, a
-        lam.append(a + used)
-        carry += b - r - used
+        if a == r == b:
+            if carry:
+                carry -= 1
+                r += 1
+        else:
+            if a == r:
+                if b != r + 1:
+                    return None
+            elif a != r + 1 or not r <= b <= a:
+                return None
+            elif b == a:
+                carry += 1
+            r += 1
+        # r is now lam's part
+        if r > top:
+            return None
+        lam.append(r)
+        top = r
     # below the longer of mu and nu all three corners are empty, so the
     # carry (which can exceed m) comes out one square per row
-    lam.extend([1] * carry)
-    return checked_partition(lam)
+    if carry:
+        if top < 1:
+            return None
+        lam.extend([1] * carry)
+    return tuple(lam)
 
 
-def _backward_dual_rsk_prime_carry(mu, nu, lam):
+def _backward_dual_rsk_prime(mu, nu, lam):
+    """lam/mu and lam/nu vertical strips.  Where mu, nu and lam are equal
+    in a row, a carry from below, if any, takes one square from rho there;
+    in every other row rho is one square shorter than lam, and the carry
+    grows by one when both mu and nu are."""
+    rows = _rows_up(mu, nu, lam)
+    if rows is None:
+        return None
     rho = []
-    carry = 0
-    for c, a, b in _rows_up(mu, nu, lam):
-        used = 1 if carry and a == b == c else 0
-        if a < b:
-            a, b = b, a
-        rho.append(b - used)
-        carry += c - a - used
-    rho.reverse()
-    return checked_partition(rho), carry
+    carry = low = 0
+    for c, a, b in rows:
+        if a == c == b:
+            if carry:
+                carry -= 1
+                c -= 1
+        else:
+            if a == c:
+                if b != c - 1:
+                    return None
+            elif a != c - 1 or not a <= b <= c:
+                return None
+            elif b == a:
+                carry += 1
+            c -= 1
+        # c is now rho's part
+        if c < low:
+            return None
+        rho.append(c)
+        low = c
+    return _partition_up(rho), carry
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,10 +330,9 @@ class Variant:
     grows its label, a down step shrinks it, by at most one square
     (``"1"``), a horizontal strip (``"H"``) or a vertical strip (``"V"``).
     ``conjugate`` names the variant whose tableaux are the conjugates of
-    this variant's.  ``forward`` and ``backward`` are the checked rules,
-    ``forward_carry`` and ``backward_carry`` the carries they run once the
-    frame is checked.  A variant equals and hashes as itself alone, so the
-    growth layer's caches find it without hashing its fields.
+    this variant's.  ``forward`` and ``backward`` are the checked rules.
+    A variant equals and hashes as itself alone, so the growth layer's
+    caches find it without hashing its fields.
     """
 
     name: str
@@ -201,8 +342,6 @@ class Variant:
     right: str
     down: str
     conjugate: str
-    forward_carry: object
-    backward_carry: object
 
     @property
     def right_ok(self):
@@ -221,49 +360,56 @@ class Variant:
         return self.down_ok(prev, nxt)
 
 
-def _variant(name, filling_class, right, down, conjugate, carries) -> Variant:
+def _variant(name, filling_class, right, down, conjugate, kernels) -> Variant:
     """The variant whose rules check the entry against ``filling_class``
-    and the frame against the step kinds ``right`` and ``down``, and then
-    run ``carries`` (the forward and the backward carry)."""
+    and run ``kernels`` (the forward and the backward kernel), which check
+    the frame against the step kinds ``right`` and ``down``.  Where a
+    kernel refuses a frame, the step tests find the edge it refuses."""
     zero_one = filling_class != ARBITRARY
     entry = "a 0/1" if zero_one else "a nonnegative"
     right_ok, down_ok = _STEP_TESTS[right], _STEP_TESTS[down]
     right_name, down_name = _STEP_NAMES[right], _STEP_NAMES[down]
-    forward_carry, backward_carry = carries
+    forward_kernel, backward_kernel = kernels
 
     def forward(rho, mu, nu, m):
         if (m not in (0, 1)) if zero_one else m < 0:
             raise ValueError(f"{name} rules need {entry} entry, got {m}")
+        lam = forward_kernel(rho, mu, nu, m)
+        if lam is not None:
+            return lam
         if not right_ok(mu, rho):
             raise ValueError(f"mu/rho = {mu}/{rho} is not {right_name}")
         if not down_ok(nu, rho):
             raise ValueError(f"nu/rho = {nu}/{rho} is not {down_name}")
-        return forward_carry(rho, mu, nu, m)
+        raise ValueError(f"{name} rules give no partition lam from "
+                         f"rho, mu, nu, m = {rho}, {mu}, {nu}, {m}")
 
     def backward(mu, nu, lam):
+        out = backward_kernel(mu, nu, lam)
+        if out is not None:
+            return out
         if not down_ok(lam, mu):
             raise ValueError(f"lam/mu = {lam}/{mu} is not {down_name}")
         if not right_ok(lam, nu):
             raise ValueError(f"lam/nu = {lam}/{nu} is not {right_name}")
-        return backward_carry(mu, nu, lam)
+        raise ValueError(f"{name} rules give no partition rho from "
+                         f"mu, nu, lam = {mu}, {nu}, {lam}")
 
     return Variant(name, forward, backward, filling_class, right, down,
-                   conjugate, forward_carry, backward_carry)
+                   conjugate)
 
 
 VARIANT_TABLE = {v.name: v for v in (
     _variant("standard", PARTIAL_PERMUTATION, "1", "1", "standard",
-             (_forward_standard_carry, _backward_standard_carry)),
+             (_forward_standard, _backward_standard)),
     _variant("rsk", ARBITRARY, "H", "H", "dual-rsk-prime",
-             (_forward_rsk_carry, _backward_rsk_carry)),
+             (_forward_rsk, _backward_rsk)),
     _variant("dual-rsk", ZERO_ONE, "H", "V", "rsk-prime",
-             (_forward_dual_carry, _backward_dual_carry)),
-    # the reflection of dual-rsk in the diagonal: mu and nu swap roles
+             (_forward_dual_rsk, _backward_dual_rsk)),
     _variant("rsk-prime", ZERO_ONE, "V", "H", "dual-rsk",
-             (lambda rho, mu, nu, m: _forward_dual_carry(rho, nu, mu, m),
-              lambda mu, nu, lam: _backward_dual_carry(nu, mu, lam))),
+             (_forward_rsk_prime, _backward_rsk_prime)),
     _variant("dual-rsk-prime", ARBITRARY, "V", "V", "rsk",
-             (_forward_dual_rsk_prime_carry, _backward_dual_rsk_prime_carry)),
+             (_forward_dual_rsk_prime, _backward_dual_rsk_prime)),
 )}
 
 

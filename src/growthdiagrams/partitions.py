@@ -1,8 +1,7 @@
 """Integer partitions as tuples of weakly decreasing positive parts.
 
 Partitions are stored without trailing zeros; reading a part beyond the
-length of the tuple yields 0.  Lattice operations (union, intersection,
-containment) are coordinatewise.
+length of the tuple yields 0.  Containment is coordinatewise.
 """
 
 from operator import ge, sub
@@ -66,18 +65,6 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
 
 
-def union(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinatewise maximum."""
-    if len(mu) < len(nu):
-        mu, nu = nu, mu
-    return checked_partition(tuple(map(max, mu, nu)) + mu[len(nu):])
-
-
-def intersect(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinatewise minimum."""
-    return checked_partition(tuple(map(min, mu, nu)))
-
-
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """True if the diagram of ``inner`` fits inside ``outer``."""
     return len(inner) <= len(outer) and all(map(ge, outer, inner))
@@ -106,25 +93,6 @@ def is_vertical_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 def differs_by_one_square(bigger: tuple[int, ...], smaller: tuple[int, ...]) -> bool:
     return contains(bigger, smaller) and size(bigger) == size(smaller) + 1
-
-
-def add_square_in_row(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Add one square to the k-th row; the result must still be a partition."""
-    parts = list(p) + [0] * (k - len(p))
-    parts[k - 1] += 1
-    return checked_partition(parts)
-
-
-def diff_row(bigger: tuple[int, ...], smaller: tuple[int, ...]) -> int:
-    """The unique row where two partitions differing by one square differ."""
-    if bigger == smaller:
-        raise ValueError(f"{bigger} and {smaller} are equal")
-    if not differs_by_one_square(bigger, smaller):
-        raise ValueError(f"{bigger} and {smaller} do not differ by one square")
-    for i, (a, b) in enumerate(zip(bigger, smaller), 1):
-        if a != b:
-            return i
-    return len(smaller) + 1
 
 
 def to_compact(p: tuple[int, ...]) -> str:

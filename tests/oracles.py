@@ -17,9 +17,43 @@ from growthdiagrams.fillings import (PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                                      longest_chain)
 from growthdiagrams.growth import GrowthTableau, reconstruct
 from growthdiagrams.local_rules import get_variant
-from growthdiagrams.partitions import (contains, differs_by_one_square,
-                                       parse_int)
+from growthdiagrams.partitions import (checked_partition, contains,
+                                       differs_by_one_square, parse_int)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
+
+
+# ---------------------------------------------------------------------------
+# partition operations that the tests use to build and compare labels
+
+def union(mu, nu):
+    """Coordinatewise maximum."""
+    if len(mu) < len(nu):
+        mu, nu = nu, mu
+    return checked_partition(tuple(map(max, mu, nu)) + mu[len(nu):])
+
+
+def intersect(mu, nu):
+    """Coordinatewise minimum."""
+    return checked_partition(tuple(map(min, mu, nu)))
+
+
+def add_square_in_row(p, k):
+    """Add one square to the k-th row; the result must still be a partition."""
+    parts = list(p) + [0] * (k - len(p))
+    parts[k - 1] += 1
+    return checked_partition(parts)
+
+
+def diff_row(bigger, smaller):
+    """The unique row where two partitions differing by one square differ."""
+    if bigger == smaller:
+        raise ValueError(f"{bigger} and {smaller} are equal")
+    if not differs_by_one_square(bigger, smaller):
+        raise ValueError(f"{bigger} and {smaller} do not differ by one square")
+    for i, (a, b) in enumerate(zip(bigger, smaller), 1):
+        if a != b:
+            return i
+    return len(smaller) + 1
 
 
 def enhanced_representation(p):

@@ -287,6 +287,17 @@ def test_max_n_past_the_largest_n_stops_there(capsys, fmt):
                "--format", fmt) == want
 
 
+@pytest.mark.parametrize("fmt, want", [
+    ("csv", "shape,class,n,s,t,count\n(empty),arbitrary,0,0,0,1\n"),
+    ("json", '{"shape": "(empty)", "class": "arbitrary", "chains": "NE,SE", '
+             '"counts": {"0": {"0,0": 1}}}\n')])
+def test_empty_shape_stops_at_n_zero(capsys, fmt, want):
+    """Arbitrary fillings of the empty shape have no n past 0, so a huge
+    --max-n prints the single n = 0 row."""
+    assert run(capsys, "count", "--shape", "", "--class", "arbitrary",
+               "--max-n", str(10 ** 12), "--format", fmt) == (0, want, "")
+
+
 def test_explore_is_evidence_only(capsys):
     code, out, _ = run(capsys, "explore", "--stack", "1,2,1", "--max-n", "2")
     assert code == 0

@@ -174,6 +174,13 @@ def test_max_n_stops_at_the_largest_n(monkeypatch, cls, top):
     assert walked == list(range(top + 1))
 
 
+def test_arbitrary_fillings_of_the_empty_shape_stop_at_zero():
+    """The empty shape has only the empty filling, at n = 0, so no larger
+    n is walked, whatever bound is asked for."""
+    fillings = list(all_fillings(FerrersShape(()), "arbitrary", 10 ** 12))
+    assert [(n, f.entries) for n, f in fillings] == [(0, {})]
+
+
 def test_count_table():
     shape = FerrersShape((2, 2))
     t = count_table(shape, "partial-permutation", chain_spec("NE"),

@@ -18,9 +18,9 @@ from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    tableau_from_json, tableau_to_json,
                                    trace_corners)
 from growthdiagrams.local_rules import VARIANTS, get_variant
-from growthdiagrams.partitions import add_square_in_row, part
+from growthdiagrams.partitions import part
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, parse_word
-from oracles import blow_up_oracle
+from oracles import add_square_in_row, blow_up_oracle
 
 
 def test_trace_corners():
@@ -277,20 +277,25 @@ def test_memo_holds_no_pass_through_frame():
 
 
 def corrupt_rsk(monkeypatch):
-    """Give rsk carries whose labels are no step from their neighbours: a
-    forward lam with a 2x2 block more than the carry's, a backward rho with
-    a first part longer than lam's, so that it fits in neither mu nor nu."""
-    def forward_carry(rho, mu, nu, m):
-        lam = local_rules._forward_rsk_carry(rho, mu, nu, m)
+    """Give rsk kernels whose labels are no step from their neighbours: a
+    forward lam with a 2x2 block more than the kernel's, a backward rho
+    with a first part longer than lam's, so that it fits in neither mu nor
+    nu.  A frame the kernel refuses is still refused."""
+    def forward_kernel(rho, mu, nu, m):
+        lam = local_rules._forward_rsk(rho, mu, nu, m)
+        if lam is None:
+            return None
         return (lam[0] + 2, lam[0] + 2) + lam[1:]
 
-    def backward_carry(mu, nu, lam):
-        _, m = local_rules._backward_rsk_carry(mu, nu, lam)
-        return (lam[0] + 1,), m
+    def backward_kernel(mu, nu, lam):
+        out = local_rules._backward_rsk(mu, nu, lam)
+        if out is None:
+            return None
+        return (lam[0] + 1,), out[1]
 
     monkeypatch.setitem(local_rules.VARIANT_TABLE, "rsk", local_rules._variant(
         "rsk", ARBITRARY, "H", "H", "dual-rsk-prime",
-        (forward_carry, backward_carry)))
+        (forward_kernel, backward_kernel)))
     # a new VARIANT_TABLE row gets memoised rules of its own, so nothing
     # the real rules gave is remembered for it
 
@@ -299,7 +304,7 @@ def corrupt_rsk(monkeypatch):
 # the order the sweep meets them, with the error of the cell after the
 # first entry: that cell (above or to the right going forward, below or to
 # the left going back) is the first to see the label of the corrupted
-# carry.  It passes a label through in the first two cases and holds an
+# kernel.  It passes a label through in the first two cases and holds an
 # entry in the last two.
 _CORRUPTED = [
     ("column", {(1, 1): 1}, "mu/rho = (3, 3)/() is not",
@@ -321,7 +326,7 @@ _CORRUPTED = [
 def test_sweeps_check_what_a_carry_leaves(monkeypatch, n, line,
                                           forward_entries, forward_error,
                                           backward_entries, backward_error):
-    """The sweeps skip only edges known to be good: a label that a carry
+    """The sweeps skip only edges known to be good: a label that a kernel
     got wrong is refused by the next cell that sees it, whether that cell
     passes a label through or runs its rule, on a line of n cells, through
     the memo or past it."""
@@ -351,8 +356,8 @@ def test_memo_skips_large_diagrams():
 
 def counted_row(monkeypatch, variant):
     """Rebuild the variant's VARIANT_TABLE row, as corrupt_rsk does, from
-    step tests and carries that count their calls: "step" counts the step
-    tests, "frames" the rule frames (each runs the carry once)."""
+    step tests and kernels that count their calls: "step" counts the step
+    tests, "frames" the rule frames (each runs the kernel once)."""
     counts = {"step": 0, "frames": 0}
 
     def counting(key, fn):
@@ -365,19 +370,21 @@ def counted_row(monkeypatch, variant):
         kind: counting("step", test)
         for kind, test in local_rules._STEP_TESTS.items()})
     v = get_variant(variant)
+    kernels = (getattr(local_rules, f"_{direction}_{variant.replace('-', '_')}")
+               for direction in ("forward", "backward"))
     monkeypatch.setitem(local_rules.VARIANT_TABLE, variant, local_rules._variant(
         variant, v.filling_class, v.right, v.down, v.conjugate,
-        (counting("frames", v.forward_carry),
-         counting("frames", v.backward_carry))))
+        [counting("frames", kernel) for kernel in kernels]))
     return counts
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_large_sweeps_test_each_edge_once(monkeypatch, variant):
-    """Past the memo each edge is tested at most once: a rule frame leaves
-    two new edges, and the boundary edges start verified, so the forward
-    sweep makes at most 2R step tests and the backward sweep, which first
-    checks the B border steps, at most B + 2R, for R rule frames."""
+    """Past the memo each edge is step-tested at most once: a rule frame
+    checks its input edges in its kernel and leaves two new edges, and the
+    boundary edges start verified, so the forward sweep makes at most 2R
+    step tests and the backward sweep, which first checks the B border
+    steps, at most B + 2R, for R rule frames (R kernel calls)."""
     rng = random.Random(20)
     cls = get_variant(variant).filling_class
     counts = counted_row(monkeypatch, variant)

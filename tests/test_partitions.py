@@ -5,13 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from growthdiagrams.growth import GrowthTableau
-from growthdiagrams.partitions import (add_square_in_row, conjugate, contains,
-                                       diff_row, differs_by_one_square,
-                                       intersect, is_horizontal_strip,
-                                       is_vertical_strip, make_partition,
-                                       parse_partition, part, partitions_of,
-                                       to_compact, union)
+from growthdiagrams.partitions import (conjugate, contains,
+                                       differs_by_one_square,
+                                       is_horizontal_strip, is_vertical_strip,
+                                       make_partition, parse_partition, part,
+                                       partitions_of, to_compact)
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
+from oracles import add_square_in_row, diff_row, intersect, union
 
 partitions = st.lists(st.integers(0, 8), max_size=6).map(
     lambda xs: make_partition(sorted(xs, reverse=True)))

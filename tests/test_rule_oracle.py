@@ -8,7 +8,10 @@ where the reference raises one.  Exhaustive over all partitions of size
 at most 6, then a Hypothesis property on long partitions.
 """
 
+import hashlib
+import json
 from itertools import count, product
+from pathlib import Path
 from types import FunctionType
 
 import pytest
@@ -317,6 +320,37 @@ def test_rules_match_reference_exhaustively(name):
         for m in ENTRIES:
             admissible += assert_forward_agrees(name, a, b, c, m) is not ValueError
     assert admissible > 0
+
+
+# Each rule's result or ValueError text on every frame of partitions of
+# size at most 5, entries -1..2 forward, as a digest per (variant,
+# direction).  The digests were recorded from the rules as they stood
+# before their one-walk kernels, so that the kernels keep every result and
+# every message of the rules they replaced.
+RULE_DIGESTS = Path(__file__).resolve().parent / "golden" / "rule_digests.json"
+DIGEST_PARTITIONS = [p for n in range(6) for p in partitions_of(n)]
+
+
+def rule_digest(name, direction):
+    rule = getattr(get_variant(name), direction)
+    h = hashlib.sha256()
+    for a, b, c in product(DIGEST_PARTITIONS, repeat=3):
+        for args in ([(a, b, c, m) for m in range(-1, 3)]
+                     if direction == "forward" else [(a, b, c)]):
+            try:
+                out = repr(rule(*args))
+            except ValueError as exc:
+                out = f"ValueError: {exc}"
+            h.update(f"{args!r} -> {out}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_rules_match_their_golden_digests(name):
+    golden = json.loads(RULE_DIGESTS.read_text())
+    for direction in ("forward", "backward"):
+        assert rule_digest(name, direction) == golden[name][direction], \
+            (name, direction)
 
 
 # ---------------------------------------------------------------------------
