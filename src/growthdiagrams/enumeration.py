@@ -22,7 +22,6 @@ The table is keyed by each filling's code, and the fillings are mapped
 with the shape's swap, set up once per shape and mode.
 """
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
@@ -36,29 +35,8 @@ from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        greene_totals)
 from .growth import _shape_swap, label_diagram
 from .partitions import conjugate, partitions_of
-from .shapes import FerrersShape, StackPolyomino
-
-DEFAULT_HARD_WALL = 10 ** 7
-
-
-class InstanceTooLarge(Exception):
-    """Raised when an enumeration generates more than ``budget_limit()``
-    items."""
-
-
-def budget_limit() -> int:
-    """The most fillings or set partitions one enumeration may generate
-    (``GROWTH_BUDGET``)."""
-    text = os.environ.get("GROWTH_BUDGET")
-    if text is None:
-        return DEFAULT_HARD_WALL
-    try:
-        limit = int(text)
-    except ValueError:
-        limit = 0
-    if limit <= 0:
-        raise ValueError(f"GROWTH_BUDGET must be a positive integer, got {text!r}")
-    return limit
+from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
+                     budget_limit)
 
 
 @dataclass

@@ -13,6 +13,19 @@ through themselves and hand every other frame to the variant's rules,
 memoised below for small diagrams, whose kernels check the frame's edges
 as they compute it; each edge a rule frame leaves is tested once.
 
+A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
+no sweep for its border.  The paper's equivalence of growth diagrams and
+Schensted insertion/deletion (Krattenthaler, arXiv:math/0510676;
+Chen-Deng-Du-Stanley-Yan, arXiv:math/0501230) gives the border by
+insertion and the filling back by deletion, in time that grows with the
+entries rather than the cells (see ``insertion``).  So ``label_diagram``
+takes such a diagram's border from ``insertion_border`` and runs the
+forward sweep only when the corner labels are first read (``labels``,
+``==``, ``label()``, ``shrink_back``); ``reconstruct`` and the swaps
+recover a filling by ``deletion_entries`` from a checked border that
+starts and ends at the empty partition, and run the backward sweep only
+for other borders.
+
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
 rows at the top and zero-height columns at the right, which contribute
@@ -28,6 +41,7 @@ from types import MappingProxyType
 
 from .fillings import (MEMO_MAX_CELLS, Filling, _trusted, filling_class,
                        in_class, int_lists)
+from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
 from .shapes import FerrersShape, parse_word
@@ -103,15 +117,20 @@ class _SweepPlan:
         return FerrersShape(self.rows)
 
     @cached_property
+    def heights(self) -> list:
+        """The height of each column, column 0 (the left side) holding one
+        cell per row, so that a zero-length top row of a padded word counts
+        there; a zero-height column of a padded word has height 0."""
+        shape = self.shape
+        return [len(self.rows), *shape.col_heights,
+                *(0,) * (self.n_cols - shape.n_cols)]
+
+    @cached_property
     def start(self) -> list:
         """The flat position of corner (x, 0) for x = 0..n_cols, then the
-        number of corners.  Column 0 holds a corner per row and one below
-        them, column x > 0 one per cell and one below, so a zero-height
-        column of a padded word holds its bottom corner only."""
-        shape = self.shape
-        heights = (len(self.rows), *shape.col_heights,
-                   *(0,) * (self.n_cols - shape.n_cols))
-        return list(accumulate((h + 1 for h in heights), initial=0))
+        number of corners: a column holds one corner per cell and one
+        below them."""
+        return list(accumulate((h + 1 for h in self.heights), initial=0))
 
     @cached_property
     def keys(self) -> tuple:
@@ -327,7 +346,9 @@ class GrowthDiagram:
     diagram of ``label_diagram`` builds its ``labels`` from that list the
     first time they are read, ``==`` and ``repr`` included, so that a
     diagram only passed on to ``border_tableau`` or ``shrink_back`` never
-    builds them.
+    builds them.  A diagram whose border ``label_diagram`` took from
+    insertion keeps that border, and fills the flat list by the forward
+    sweep when it is first read.
     """
 
     word: str
@@ -360,13 +381,20 @@ class GrowthDiagram:
 
     def __getattr__(self, name):
         # called only for an attribute the instance lacks: the labels of a
-        # diagram from label_diagram, until they are first read
-        if name != "labels":
+        # diagram from label_diagram, until they are first read, and the
+        # flat labels of one whose border came from insertion
+        if name == "labels":
+            value = MappingProxyType(dict(zip(self._plan.keys, self._flat)))
+        elif name == "_flat":
+            plan = self._plan
+            value = [EMPTY] * plan.start[-1]
+            _forward_sweep(plan, value, self.filling.entries,
+                           get_variant(self.variant))
+        else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels = MappingProxyType(dict(zip(self._plan.keys, self._flat)))
-        object.__setattr__(self, "labels", labels)
-        return labels
+        object.__setattr__(self, name, value)
+        return value
 
     def __hash__(self):
         # equal diagrams share these fields, and the labels are not built
@@ -405,6 +433,10 @@ def label_diagram(filling: Filling, variant: str = "standard",
     ``bottom`` and ``left`` give the labels of the corners along the bottom
     and left sides (defaulting to empty partitions everywhere); nontrivial
     boundary labels are only supported for the standard rules.
+
+    A plan of more than MEMO_MAX_CELLS cells with no boundary labels given
+    takes its border labels from ``insertion_border``, and its diagram
+    runs the forward sweep only when its corner labels are first read.
     """
     v = _checked_variant(filling, variant)
     shape = filling.shape
@@ -416,6 +448,13 @@ def label_diagram(filling: Filling, variant: str = "standard",
             raise ValueError(f"word {word!r} traces {plan.shape}, not {shape}")
 
     if bottom is None and left is None:
+        if not plan.small:
+            seq = tuple(insertion_border(plan.heights, filling.entries,
+                                         v.right, v.down))
+            return _trusted(GrowthDiagram, word=plan.word,
+                            row_lens=plan.rows, n_cols=plan.n_cols,
+                            variant=variant, filling=filling, _seq=seq,
+                            _plan=plan)
         flat = [EMPTY] * plan.start[-1]
     else:
         flat = _boundary_labels(filling, variant, plan, bottom, left)
@@ -472,7 +511,10 @@ def border_tableau(diagram: GrowthDiagram) -> GrowthTableau:
 
     The labels were checked when the diagram was made, and are not checked
     again."""
-    seq = tuple(map(diagram._flat.__getitem__, diagram._plan.border))
+    if "_seq" in diagram.__dict__:
+        seq = diagram._seq
+    else:
+        seq = tuple(map(diagram._flat.__getitem__, diagram._plan.border))
     return _trusted(GrowthTableau, word=diagram.word, seq=seq,
                     variant=diagram.variant, _plan=diagram._plan)
 
@@ -494,11 +536,22 @@ def reconstruct(word: str, tableau, variant: str | None = None):
     # a small word's plan is decoded and stored, for label_diagram to find;
     # a large one is the tableau's own
     plan = _sweep_plan(word) if t._plan.small else t._plan
-    labels, entries = _backward_sweep(plan, t.seq, get_variant(t.variant))
-    # the backward rules only write positive int entries into the shape
+    v, seq = get_variant(t.variant), t.seq
+    if plan.small or seq[0] or seq[-1]:
+        labels, entries = _backward_sweep(plan, seq, v)
+        bottom = [labels[i] for i in plan.start[:-1]]
+        left = labels[:len(plan.rows) + 1]
+    else:
+        # a valid border from and to the empty partition leaves empty
+        # boundary labels
+        _check_steps(plan.word, seq, v.step_ok, v.name)
+        entries = deletion_entries(plan.heights, seq, v.right, v.down)
+        bottom = [EMPTY] * len(plan.heights)
+        left = [EMPTY] * (len(plan.rows) + 1)
+    # the backward rules and deletion only write positive int entries into
+    # the shape
     filling = _trusted(Filling, shape=plan.shape, entries=entries)
-    bottom = [labels[i] for i in plan.start[:-1]]
-    return filling, bottom, labels[:len(plan.rows) + 1]
+    return filling, bottom, left
 
 
 def conjugate_swap(filling: Filling, variant: str) -> Filling:
@@ -516,22 +569,32 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
 def _shape_swap(shape: FerrersShape, variant: str):
     """``conjugate_swap`` on the fillings of one Ferrers shape, as a map
     from entries to entries.  The plan, the two variants, the conjugate
-    and the border positions are taken once; each call runs the two
-    sweeps, and step-checks the conjugated border.  The entries are not
-    checked against the variant's class: the caller hands over only
-    fillings known to be in it."""
+    and the border positions are taken once; each call computes the
+    border, conjugates it, step-checks it and recovers the entries: by the
+    two sweeps on a shape of at most MEMO_MAX_CELLS cells, by insertion and
+    deletion on a larger one.  The entries are not checked against the
+    variant's class: the caller hands over only fillings known to be in
+    it."""
     # the empty filling is in every class, so this checks the variant and
     # the shape
     v = _checked_variant(_trusted(Filling, shape=shape, entries={}), variant)
     back = get_variant(v.conjugate)
     plan = _sweep_plan(shape.word)
+    if not plan.small:
+        heights = plan.heights
+
+        def swap(entries):
+            seq = list(map(conjugate, insertion_border(heights, entries,
+                                                       v.right, v.down)))
+            _check_steps(plan.word, seq, back.step_ok, back.name)
+            return deletion_entries(heights, seq, back.right, back.down)
+        return swap
     size, border = plan.start[-1], plan.border
-    conj = _small_conjugate if plan.small else conjugate
 
     def swap(entries):
         labels = [EMPTY] * size
         _forward_sweep(plan, labels, entries, v)
-        seq = list(map(conj, map(labels.__getitem__, border)))
+        seq = list(map(_small_conjugate, map(labels.__getitem__, border)))
         return _backward_sweep(plan, seq, back)[1]
     return swap
 

@@ -9,10 +9,33 @@ from the top-left end to the bottom-right end: R moves one cell to the
 right, D moves one cell down.
 """
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .partitions import conjugate, int_tuple, make_partition, parse_int
+
+DEFAULT_HARD_WALL = 10 ** 7
+
+
+class InstanceTooLarge(Exception):
+    """Raised when an enumeration generates more than ``budget_limit()``
+    items, or a shape's text asks for a row longer than that."""
+
+
+def budget_limit() -> int:
+    """The most fillings or set partitions one enumeration may generate,
+    and the longest row a shape's text may ask for (``GROWTH_BUDGET``)."""
+    text = os.environ.get("GROWTH_BUDGET")
+    if text is None:
+        return DEFAULT_HARD_WALL
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise ValueError(f"GROWTH_BUDGET must be a positive integer, got {text!r}")
+    return limit
 
 
 def _column_cells(col_heights):
@@ -106,14 +129,22 @@ def shape_from_word(word: str) -> FerrersShape:
 
 
 def shape_from_text(text: str) -> FerrersShape:
-    """Read a shape given either as a boundary word or as 'h1,h2,...' row lengths."""
+    """Read a shape given either as a boundary word or as 'h1,h2,...' row
+    lengths; a row longer than ``budget_limit()`` cells is refused with
+    InstanceTooLarge before the shape is built."""
     text = text.strip()
     if not text:
         return FerrersShape(())
     if set(text) <= {"D", "R"}:
         return shape_from_word(text)
-    return FerrersShape(tuple(sorted((parse_int(x, text) for x in text.split(",")),
-                                     reverse=True)))
+    rows = sorted((parse_int(x, text) for x in text.split(",")), reverse=True)
+    # a row of k digits asks for up to 10 ** k columns, so the row length,
+    # not the text, bounds the work of building the shape
+    wall = budget_limit()
+    if rows[0] > wall:
+        raise InstanceTooLarge(f"shape {text!r} has a row of more than "
+                               f"{wall} cells")
+    return FerrersShape(tuple(rows))
 
 
 def staircase(n: int) -> FerrersShape:

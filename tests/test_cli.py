@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from growthdiagrams.cli import main
+from growthdiagrams.shapes import FerrersShape
 
 
 def run(capsys, *argv):
@@ -315,6 +316,19 @@ def test_oversize_instance_exits_3(capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == "error: more than 5 fillings generated\n"
+
+
+def test_oversize_shape_exits_3_before_it_is_built(capsys, monkeypatch):
+    """A row longer than the budget is refused before the shape is built,
+    at once and in one line."""
+    def refuse(shape):
+        raise AssertionError(f"built {shape.rows[:3]}...")
+    monkeypatch.setattr(FerrersShape, "__post_init__", refuse)
+    monkeypatch.setenv("GROWTH_BUDGET", "1000")
+    code, out, err = run(capsys, "count", "--shape", "1000000", "--max-n",
+                         "1")
+    assert (code, out) == (3, "")
+    assert err == "error: shape '1000000' has a row of more than 1000 cells\n"
 
 
 @pytest.mark.parametrize("theorem", ["T4", "T5", "T6"])

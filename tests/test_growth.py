@@ -13,12 +13,13 @@ from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
                                      longest_chain)
 from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
-                                   border_tableau, growth_tableau,
-                                   label_diagram, reconstruct, shrink_back,
-                                   tableau_from_json, tableau_to_json,
-                                   trace_corners)
+                                   border_tableau, conjugate_swap,
+                                   growth_tableau, label_diagram, reconstruct,
+                                   shrink_back, tableau_from_json,
+                                   tableau_to_json, trace_corners)
+from growthdiagrams.insertion import deletion_entries, insertion_border
 from growthdiagrams.local_rules import VARIANTS, get_variant
-from growthdiagrams.partitions import part
+from growthdiagrams.partitions import part, partitions_of
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, parse_word
 from oracles import add_square_in_row, blow_up_oracle
 
@@ -329,14 +330,15 @@ def test_sweeps_check_what_a_carry_leaves(monkeypatch, n, line,
     """The sweeps skip only edges known to be good: a label that a kernel
     got wrong is refused by the next cell that sees it, whether that cell
     passes a label through or runs its rule, on a line of n cells, through
-    the memo or past it."""
+    the memo or past it.  Past the memo, the forward sweep runs when the
+    diagram's labels are first read."""
     shape = FerrersShape((1,) * n if line == "column" else (n,))
     t = growth_tableau(Filling(shape, backward_entries), "rsk")
     corrupt_rsk(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(forward_error)):
-        label_diagram(Filling(shape, forward_entries), "rsk")
+        label_diagram(Filling(shape, forward_entries), "rsk").labels
     with pytest.raises(ValueError, match=re.escape(backward_error)):
-        reconstruct(t.word, t)
+        growth._backward_sweep(t._plan, t.seq, get_variant("rsk"))
 
 
 def test_memo_skips_large_diagrams():
@@ -384,7 +386,8 @@ def test_large_sweeps_test_each_edge_once(monkeypatch, variant):
     checks its input edges in its kernel and leaves two new edges, and the
     boundary edges start verified, so the forward sweep makes at most 2R
     step tests and the backward sweep, which first checks the B border
-    steps, at most B + 2R, for R rule frames (R kernel calls)."""
+    steps, at most B + 2R, for R rule frames (R kernel calls).  The forward
+    sweep runs when the diagram's labels are first read."""
     rng = random.Random(20)
     cls = get_variant(variant).filling_class
     counts = counted_row(monkeypatch, variant)
@@ -398,11 +401,13 @@ def test_large_sweeps_test_each_edge_once(monkeypatch, variant):
              for cell in cells}, cls))
         counts.update(step=0, frames=0)
         d = label_diagram(f, variant)
+        assert d.labels
         assert counts["frames"] > 0
         assert counts["step"] <= 2 * counts["frames"]
         t = border_tableau(d)
         counts.update(step=0, frames=0)
-        assert reconstruct(t.word, t)[0] == f
+        assert growth._backward_sweep(t._plan, t.seq,
+                                      get_variant(variant))[1] == f.entries
         assert counts["frames"] > 0
         assert counts["step"] <= len(t.word) + 2 * counts["frames"]
     assert memo_is_empty()
@@ -735,6 +740,86 @@ def test_large_greene_property(variant, data):
     f = data.draw(large_fillings(variant))
     report = check_greene(f, variant, 4)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_insertion_border_matches_the_sweep_exhaustive(variant):
+    """Every filling of every Ferrers shape of at most 7 cells (entry sum at
+    most 3 for arbitrary fillings), on the shape's word and on the word
+    padded with a leading D and a trailing R: insertion gives the border
+    that the forward sweep gives, and deletion gives the filling back."""
+    v = get_variant(variant)
+    max_n = 3 if v.filling_class == ARBITRARY else None
+    for shape in all_shapes(7):
+        for word in (shape.word, "D" + shape.word + "R"):
+            heights = growth._sweep_plan(word).heights
+            for _, f in all_fillings(shape, v.filling_class, max_n):
+                seq = growth_tableau(f, variant, word).seq
+                assert tuple(insertion_border(heights, f.entries, v.right,
+                                              v.down)) == seq
+                assert deletion_entries(heights, seq, v.right,
+                                        v.down) == f.entries
+
+
+# the labels of at most 4 squares
+_SMALL_LABELS = [p for n in range(5) for p in partitions_of(n)]
+
+
+def valid_sequences(word, step_ok):
+    """Every label sequence from the empty partition to the empty partition
+    along ``word``, of labels of at most 4 squares, whose steps pass
+    ``step_ok``, built step by step."""
+    seqs = [((),)]
+    for step in word:
+        seqs = [s + (p,) for s in seqs for p in _SMALL_LABELS
+                if p == s[-1] or step_ok(step, s[-1], p)]
+    return [s for s in seqs if s[-1] == ()]
+
+
+def test_deletion_matches_the_backward_sweep_on_every_sequence():
+    """Along the words of all shapes of at most 5 cells and their padded
+    words, every valid sequence from and to the empty partition, of labels
+    of at most 4 squares: the backward sweep, which reconstruct runs on so
+    small a word, gives what deletion gives, empty boundary labels
+    included, and neither raises."""
+    counts = {}
+    for variant in VARIANTS:
+        v = get_variant(variant)
+        counts[variant] = 0
+        for shape in all_shapes(5):
+            for word in (shape.word, "D" + shape.word + "R"):
+                plan = growth._sweep_plan(word)
+                empty = [()] * len(plan.heights), [()] * (len(plan.rows) + 1)
+                for seq in valid_sequences(word, v.step_ok):
+                    entries = deletion_entries(plan.heights, seq, v.right,
+                                               v.down)
+                    assert reconstruct(word, seq, variant) == (
+                        Filling(shape, entries), *empty)
+                    counts[variant] += 1
+    assert counts == {"standard": 224, "rsk": 4674, "dual-rsk": 672,
+                      "rsk-prime": 672, "dual-rsk-prime": 4674}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_large_insertion_border_property(variant, data):
+    """Past the memo, on 65 to 400 cells: the border that label_diagram
+    takes from insertion is the border of the labels that the forward
+    sweep gives when they are first read; reconstruct, by deletion, gives
+    the filling back; and conjugate_swap is the backward sweep of the
+    conjugated border."""
+    f = data.draw(large_fillings(variant, max_cells=400, max_entries=40))
+    d = label_diagram(f, variant)
+    t = border_tableau(d)
+    assert "_flat" not in vars(d)
+    assert t.seq == tuple(d.label(*xy)
+                          for xy in trace_corners(d.row_lens, d.n_cols))
+    assert reconstruct(t.word, t) == (f, [()] * (f.shape.n_cols + 1),
+                                      [()] * (f.shape.n_rows + 1))
+    conj = t.conjugate()
+    assert conjugate_swap(f, variant).entries == growth._backward_sweep(
+        t._plan, conj.seq, get_variant(conj.variant))[1]
 
 
 def grown_chain(draw, start, free):

@@ -1,6 +1,7 @@
 import pytest
 
-from growthdiagrams.shapes import (FerrersShape, StackPolyomino, parse_word,
+from growthdiagrams.shapes import (FerrersShape, InstanceTooLarge,
+                                   StackPolyomino, parse_word,
                                    shape_from_text, shape_from_word,
                                    stack_from_text, staircase)
 
@@ -54,6 +55,22 @@ def test_shape_from_text():
     assert shape_from_text("RRDD") == FerrersShape((2, 2))
     assert shape_from_text("2,3,1") == FerrersShape((3, 2, 1))
     assert shape_from_text("") == FerrersShape(())
+
+
+def test_shape_from_text_bounds_its_rows(monkeypatch):
+    """A row longer than the budget is refused, by default 10 ** 7 cells;
+    the budget bounds rows, not cells."""
+    monkeypatch.delenv("GROWTH_BUDGET", raising=False)
+    with pytest.raises(InstanceTooLarge, match="^shape '99999999' has a row "
+                       "of more than 10000000 cells$"):
+        shape_from_text("99999999")
+    monkeypatch.setenv("GROWTH_BUDGET", "5")
+    assert shape_from_text("5,3,3") == FerrersShape((5, 3, 3))
+    with pytest.raises(InstanceTooLarge, match="more than 5 cells"):
+        shape_from_text("1,6")
+    monkeypatch.setenv("GROWTH_BUDGET", "0")
+    with pytest.raises(ValueError, match="GROWTH_BUDGET must be a positive"):
+        shape_from_text("1")
 
 
 def test_stack_polyomino():
