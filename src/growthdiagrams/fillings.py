@@ -274,7 +274,8 @@ class ChainTable:
         cells = _sorted_cells(shape.cells(), spec)
         self.pos = {cell: bits * i for i, cell in enumerate(cells)}
         if shape.n_cells > MEMO_MAX_CELLS:
-            self.shape, self.pred, self._read = shape, None, self._decoded
+            self.shape, self.cells = shape, cells
+            self.pred, self._read = None, self._decoded
             return
         digit = {cell: ((1 << bits) - 1) << at for cell, at in self.pos.items()}
         # col_upto[c] and row_upto[r]: the digits of the cells in columns
@@ -332,10 +333,14 @@ class ChainTable:
 
     def _decoded(self, code: int) -> int:
         """``longest_chain`` of the filling ``code``, on a shape with no
-        masks."""
-        digit = (1 << self.bits) - 1
-        entries = {cell: code >> at & digit for cell, at in self.pos.items()
-                   if code >> at & digit}
+        masks.  Only the digits with a set bit are decoded, the top one
+        first, each in a few operations on the code."""
+        bits, cells, entries = self.bits, self.cells, {}
+        while code:
+            i = (code.bit_length() - 1) // bits
+            value = code >> i * bits
+            entries[cells[i]] = value
+            code ^= value << i * bits
         return longest_chain(_trusted(Filling, shape=self.shape,
                                       entries=entries), self.spec)
 

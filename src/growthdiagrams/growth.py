@@ -6,12 +6,15 @@ shape so that each cell obeys the local rules of its variant.  Corner
 The sweeps keep the labels in one flat list, column by column: corner
 (x, y) sits at position ``start[x] + y`` of the word's sweep plan, so the
 left side's corners come first and the two corner lines of a cell's
-sides are consecutive runs of the list.  A ``GrowthDiagram`` shows the
-labels as a dict keyed by (x, y), which ``label_diagram``'s diagrams
-build from the list when it is first read.  The sweeps pass labels
-through themselves and hand every other frame to the variant's rules,
-memoised below for small diagrams, whose kernels check the frame's edges
-as they compute it; each edge a rule frame leaves is tested once.
+sides are consecutive runs of the list.  Each sweep walks a per-plan
+table of columns, the columns' flat starts and the keys of their cells,
+and reads a cell's row and entry through the shared key.  A
+``GrowthDiagram`` shows the labels as a dict keyed by (x, y), which
+``label_diagram``'s diagrams build from the list when it is first read.
+The sweeps pass labels through themselves and hand every other frame to
+the variant's rules, memoised below for small diagrams, whose kernels
+check the frame's edges as they compute it; each edge a rule frame leaves
+is tested once.
 
 A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
 no sweep for its border.  The paper's equivalence of growth diagrams and
@@ -55,15 +58,16 @@ EMPTY = ()
 # conjugates and the sweep plans of the words (_PLANS), decoded or built
 # from a filling's shape, among them the words blow_up spells for its
 # refined shapes.  A plan keeps its word's flat layout: the column starts,
-# the border positions and the corner keys in flat order, whose (x, y)
-# tuples all small plans share from _COLUMN_KEYS, so a stored plan holds
-# ints and pointers but no key of its own.  The sweeps pass labels through
-# themselves, so a frame that only passes a label through never reaches a
-# rule or its cache.  lru_cache stores no exception, so every distinct
-# input goes once through the full checked code; each cache and _PLANS
-# hold at most MEMO_MAX_ENTRIES entries.  Larger diagrams rarely repeat a
-# frame and bypass them all: their sweeps call the rules themselves.  The
-# rules in local_rules.VARIANT_TABLE stay uncached.
+# the border positions, the sweeps' column walks and the corner keys in
+# flat order, whose (x, y) tuples all small plans share from _COLUMN_KEYS,
+# so a stored plan holds ints and pointers but no key of its own.  The
+# sweeps pass labels through themselves, so a frame that only passes a
+# label through never reaches a rule or its cache.  lru_cache stores no
+# exception, so every distinct input goes once through the full checked
+# code; each cache and _PLANS hold at most MEMO_MAX_ENTRIES entries.
+# Larger diagrams rarely repeat a frame and bypass them all: their sweeps
+# call the rules themselves.  The rules in local_rules.VARIANT_TABLE stay
+# uncached.
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
@@ -105,8 +109,11 @@ def trace_corners(rows, n_cols: int):
 
 class _SweepPlan:
     """Everything a sweep along one reading word needs that depends on the
-    word alone.  Only the decoded word is computed up front; the rest is
-    computed on first use and then kept with the plan."""
+    word alone: the flat layout and, per sweep, a walk of the columns with
+    their flat starts and cell keys.  Only the decoded word is computed up
+    front; the rest is computed on first use and then kept with the plan.
+    A sweep builds the walks but not ``keys``, which only the label dicts
+    read."""
 
     def __init__(self, word: str, rows, n_cols: int):
         self.word, self.rows, self.n_cols = word, rows, n_cols
@@ -132,16 +139,15 @@ class _SweepPlan:
         below them."""
         return list(accumulate((h + 1 for h in self.heights), initial=0))
 
-    @cached_property
-    def keys(self) -> tuple:
-        """The corner keys (x, y) in the order of the flat labels: from
-        _COLUMN_KEYS for a small plan, made anew for a large one, whose
-        plan lives for one call."""
-        start = self.start
-        sizes = [b - a for a, b in zip(start, start[1:])]
+    def _columns(self) -> list:
+        """The corner keys (x, 0), (x, 1), ... of each column x, going up:
+        prefixes of the shared _COLUMN_KEYS tuples for a small plan, which
+        extends them where they are too short, and made anew for a large
+        one, whose plan lives for one call."""
+        sizes = [h + 1 for h in self.heights]
         if not self.small:
-            return tuple((x, y) for x, n in enumerate(sizes)
-                         for y in range(n))
+            return [tuple((x, y) for y in range(n))
+                    for x, n in enumerate(sizes)]
         for x, n in enumerate(sizes):
             if x == len(_COLUMN_KEYS):
                 _COLUMN_KEYS.append(())
@@ -149,8 +155,31 @@ class _SweepPlan:
             if n > len(col):
                 _COLUMN_KEYS[x] = col + tuple((x, y)
                                               for y in range(len(col), n))
-        return tuple(chain.from_iterable(
-            col[:n] for col, n in zip(_COLUMN_KEYS, sizes)))
+        return [col[:n] for col, n in zip(_COLUMN_KEYS, sizes)]
+
+    @cached_property
+    def keys(self) -> tuple:
+        """The corner keys (x, y) in the order of the flat labels."""
+        return tuple(chain.from_iterable(self._columns()))
+
+    @cached_property
+    def forward_walk(self) -> list:
+        """The forward sweep's walk: for each column c from 1 to the right,
+        the flat starts of columns c - 1 and c and the keys of the column's
+        cells (c, 1), (c, 2), ..., going up."""
+        start, columns = self.start, self._columns()
+        return [(start[c - 1], start[c], columns[c][1:])
+                for c in range(1, len(columns))]
+
+    @cached_property
+    def backward_walk(self) -> list:
+        """The backward sweep's walk: for each column c from the right to 1,
+        the flat starts of columns c - 1 and c, the column's top row and the
+        keys of its cells (c, top), ..., (c, 1), going down."""
+        start, columns = self.start, self._columns()
+        return [(start[c - 1], start[c], len(columns[c]) - 1,
+                 columns[c][:0:-1])
+                for c in range(len(columns) - 1, 0, -1)]
 
     @cached_property
     def border(self) -> list:
@@ -186,30 +215,29 @@ def _forward_sweep(plan: _SweepPlan, labels: list, entries, v):
     whose bottom and left corners are set, from the filling's ``entries``
     with the rules of variant ``v``.
 
-    The cells go column by column, bottom to top; padding rows and columns
-    hold no cells.  Going up a column, a cell's rho and mu are the nu and
-    lam of the cell below.  Each edge is tested once, by the first cell
-    that sees it, unless it is verified: left_ok[r] flags the left edge of
-    row r, below_ok the bottom edge of the cell, and the left and bottom
-    boundaries start verified, as they are empty or _boundary_labels
-    checked them.  An empty cell with rho = mu (lam = nu) or rho = nu
-    (lam = mu) passes its label through here: it tests the one edge it
-    copies, unless that edge is verified or trivial, and both its new edges
-    are then verified too.  Any other frame is a rule frame, and goes to
-    the rule, memoised on a small diagram, which checks both its input
-    edges as it computes lam.  A rule frame leaves its new edges to the
-    next cell that sees them."""
+    The cells go column by column, bottom to top, along the plan's forward
+    walk; padding rows and columns hold no cells.  A cell's row is read off its
+    key and its entry looked up with it.  Going up a column, a cell's rho and
+    mu are the nu and lam of the cell below.  Each edge is tested once, by the
+    first cell that sees it, unless it is verified: left_ok[r] flags the left
+    edge of row r, below_ok the bottom edge of the cell, and the left and
+    bottom boundaries start verified, as they are empty or _boundary_labels
+    checked them.  An empty cell with rho = mu (lam = nu) or rho = nu (lam =
+    mu) passes its label through here: it tests the one edge it copies, unless
+    that edge is verified or trivial, and both its new edges are then verified
+    too.  Any other frame is a rule frame, and goes to the rule, memoised on a
+    small diagram, which checks both its input edges as it computes lam.  A
+    rule frame leaves its new edges to the next cell that sees them."""
     forward, _, _, is_right, is_down = _rules(v, plan.small)
-    start = plan.start
     left_ok = [True] * (len(plan.rows) + 1)
-    for c in range(1, len(start) - 1):
+    for p, q, cells in plan.forward_walk:
         # corner (c - 1, r) is at p + r and corner (c, r) at q + r
-        p, q = start[c - 1], start[c]
         rho, mu = labels[p], labels[q]
         below_ok = True
-        for r in range(1, start[c + 1] - q):
+        for cell in cells:
+            r = cell[1]
             nu = labels[p + r]
-            m = entries.get((c, r), 0)
+            m = entries.get(cell, 0)
             if not m and rho == mu and (left_ok[r] or nu == rho
                                          or is_down(nu, rho)):
                 mu = nu
@@ -228,31 +256,29 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
     """The flat labels and the entries that the rules of variant ``v``
     recover from ``seq``, the border labels, once its steps are checked.
 
-    The cells go column by column from the right, top to bottom: corner
-    (c, r-1) comes from column c+1 and corner (c-1, r) from cell (c, r+1),
-    so both are known at cell (c, r).  Going down a column, a cell's lam
-    and nu are the mu and rho of the cell above.  As in _forward_sweep,
-    a cell with lam = mu (rho = nu) or lam = nu (rho = mu) passes its label
-    through here, testing the edge it copies unless that edge is verified,
-    and a rule frame goes to the rule, memoised on a small diagram, which
-    checks both its input edges.  right_ok[r] flags the right edge of row
-    r, above_ok the top edge of the cell; the border edges (the top of
-    each column, and its right edges above the next column) start
-    verified, as their steps were checked."""
+    The cells go column by column from the right, top to bottom, along the
+    plan's backward walk, and an entry is stored under the cell's key: corner
+    (c, r-1) comes from column c+1 and corner (c-1, r) from cell (c, r+1), so
+    both are known at cell (c, r).  Going down a column, a cell's lam and nu
+    are the mu and rho of the cell above.  As in _forward_sweep, a cell with
+    lam = mu (rho = nu) or lam = nu (rho = mu) passes its label through here,
+    testing the edge it copies unless that edge is verified, and a rule frame
+    goes to the rule, memoised on a small diagram, which checks both its input
+    edges.  right_ok[r] flags the right edge of row r, above_ok the top edge of
+    the cell; the border edges (the top of each column, and its right edges
+    above the next column) start verified, as their steps were checked."""
     _, backward, step_ok, is_right, is_down = _rules(v, plan.small)
     _check_steps(plan.word, seq, step_ok, v.name)
-    start = plan.start
-    labels = [EMPTY] * start[-1]
+    labels = [EMPTY] * plan.start[-1]
     for i, p in zip(plan.border, seq):
         labels[i] = p
     entries = {}
     right_ok = [True] * (len(plan.rows) + 1)
-    for c in range(len(start) - 2, 0, -1):
-        p, q = start[c - 1], start[c]
-        top = start[c + 1] - q - 1
+    for p, q, top, cells in plan.backward_walk:
         lam, nu = labels[q + top], labels[p + top]
         above_ok = True
-        for r in range(top, 0, -1):
+        for cell in cells:
+            r = cell[1]
             mu = labels[q + r - 1]
             if lam == mu and (above_ok or lam == nu or is_right(lam, nu)):
                 right_ok[r] = above_ok = True
@@ -262,7 +288,7 @@ def _backward_sweep(plan: _SweepPlan, seq, v):
             else:
                 nu, m = backward(mu, nu, lam)
                 if m:
-                    entries[(c, r)] = m
+                    entries[cell] = m
                 right_ok[r] = above_ok = False
             # nu now holds rho, the nu of the cell below
             labels[p + r - 1] = nu

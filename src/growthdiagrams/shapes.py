@@ -20,12 +20,14 @@ DEFAULT_HARD_WALL = 10 ** 7
 
 class InstanceTooLarge(Exception):
     """Raised when an enumeration generates more than ``budget_limit()``
-    items, or a shape's text asks for a row longer than that."""
+    items, or a shape's text asks for a row, or a stack's text for a
+    column, longer than that."""
 
 
 def budget_limit() -> int:
     """The most fillings or set partitions one enumeration may generate,
-    and the longest row a shape's text may ask for (``GROWTH_BUDGET``)."""
+    and the longest row or column a shape's or stack's text may ask for
+    (``GROWTH_BUDGET``)."""
     text = os.environ.get("GROWTH_BUDGET")
     if text is None:
         return DEFAULT_HARD_WALL
@@ -202,5 +204,13 @@ class StackPolyomino:
 
 
 def stack_from_text(text: str) -> StackPolyomino:
-    return StackPolyomino(tuple(parse_int(x, text)
-                                for x in text.strip().split(",")))
+    """Read a stack polyomino given as 'h1,h2,...' column heights; a column
+    taller than ``budget_limit()`` cells is refused with InstanceTooLarge
+    before the polyomino is built."""
+    heights = tuple(parse_int(x, text) for x in text.strip().split(","))
+    # as for a shape's rows: a height of k digits asks for up to 10 ** k cells
+    wall = budget_limit()
+    if max(heights) > wall:
+        raise InstanceTooLarge(f"stack {text!r} has a column of more than "
+                               f"{wall} cells")
+    return StackPolyomino(heights)

@@ -8,6 +8,7 @@ own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
 `longest_chain` shows up here as a mismatch.
 """
 
+import random
 from collections import Counter
 from functools import partial
 
@@ -258,6 +259,32 @@ def test_count_table_past_the_table_shape_bound(monkeypatch):
     table = count_table(shape, ZERO_ONE, *specs, 2)
     assert table.counts == expected
     assert len(handed) == 2 * sum(map(table.total, table.counts))
+
+
+def test_decoded_reads_past_the_shape_bound(monkeypatch):
+    """On shapes of more than MEMO_MAX_CELLS cells a table decodes each
+    code back into its filling for longest_chain: every spec, a Ferrers
+    shape and a stack polyomino, entries of 1 to 3 bits, the empty
+    filling, and fillings with the largest entry in the first and in the
+    highest cell."""
+    handed = counting_fallback(monkeypatch)
+    rng = random.Random(26)
+    for shape in (FerrersShape((10, 9, 9, 9, 9, 8, 8, 4)),
+                  StackPolyomino((3, 8, 10, 10, 9, 9, 8, 7, 4))):
+        assert shape.n_cells > MEMO_MAX_CELLS
+        cells = shape.cells()
+        for bits in (1, 2, 3):
+            for spec in SPECS:
+                table = ChainTable(shape, spec, bits)
+                top = (1 << bits) - 1
+                for entries in (
+                        {}, {table.cells[-1]: top},
+                        {table.cells[0]: top, table.cells[-1]: 1},
+                        {cell: rng.randint(1, top)
+                         for cell in rng.sample(cells, 9)}):
+                    f = Filling(shape, entries)
+                    assert table(f) == longest_chain(f, spec)
+                    assert handed[-1] == f
 
 
 def test_asymmetric_ne_se_table():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from growthdiagrams.cli import main
-from growthdiagrams.shapes import FerrersShape
+from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
 
 def run(capsys, *argv):
@@ -329,6 +329,19 @@ def test_oversize_shape_exits_3_before_it_is_built(capsys, monkeypatch):
                          "1")
     assert (code, out) == (3, "")
     assert err == "error: shape '1000000' has a row of more than 1000 cells\n"
+
+
+def test_oversize_stack_exits_3_before_it_is_built(capsys, monkeypatch):
+    """A column taller than the budget is refused before the stack is
+    built, at once and in one line."""
+    def refuse(stack):
+        raise AssertionError(f"built {stack.col_heights[:3]}...")
+    monkeypatch.setattr(StackPolyomino, "__post_init__", refuse)
+    monkeypatch.setenv("GROWTH_BUDGET", "10")
+    code, out, err = run(capsys, "explore", "--stack", "1000000", "--max-n",
+                         "1")
+    assert (code, out) == (3, "")
+    assert err == "error: stack '1000000' has a column of more than 10 cells\n"
 
 
 @pytest.mark.parametrize("theorem", ["T4", "T5", "T6"])

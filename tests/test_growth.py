@@ -665,7 +665,11 @@ def keep_in_class(entries, cls):
 
 def padded_round_trip(f, word, variant):
     """The border tableau of f along word, after checking that it
-    reconstructs f and that the padding leaves the shape's labels alone."""
+    reconstructs f and that the padding leaves the shape's labels alone.
+    The padded diagram's labels are the direct rule calls' labels, with
+    empty labels on the corners of zero-length top rows and zero-height
+    columns, and the entries recovered are the direct backward rule
+    calls'."""
     t = growth_tableau(f, variant, word)
     f2, bottom, left = reconstruct(word, t, variant)
     assert f2 == f
@@ -673,6 +677,9 @@ def padded_round_trip(f, word, variant):
     padded = label_diagram(f, variant, word)
     plain = label_diagram(f, variant)
     assert all(padded.label(*xy) == plain.label(*xy) for xy in plain.corners())
+    assert dict(padded.labels) == {**dict.fromkeys(padded.corners(), ()),
+                                   **sweep_labels(f, variant)}
+    assert f2.entries == sweep_entries(f, padded.labels, variant)
     return t
 
 
@@ -885,6 +892,36 @@ def test_blow_up_equivalence_small(variant):
             direct = label_diagram(f, variant)
             for key, lam in direct.labels.items():
                 assert coarse[key] == lam, (variant, f, key)
+
+
+def test_walks_hold_the_shared_keys():
+    """A small plan's walks hold the key objects of _COLUMN_KEYS itself,
+    padded words included.  Labelling a blown-up filling and shrinking it
+    back walks the fine plan, small or large, but builds no plan keys, and
+    a large plan's walk leaves _COLUMN_KEYS as it was."""
+    f = Filling(FerrersShape((3, 2, 2)), {(1, 3): 1, (2, 1): 1, (3, 1): 2})
+    for word in (f.shape.word, "DD" + f.shape.word + "RR"):
+        t = growth_tableau(f, "rsk", word)
+        assert reconstruct(word, t)[0] == f
+        plan = t._plan
+        up = [cell for *_, cells in plan.forward_walk for cell in cells]
+        down = [cell for *_, cells in plan.backward_walk for cell in cells]
+        assert sorted(up) == sorted(down) == sorted(f.shape.cells())
+        assert all(cell is growth._COLUMN_KEYS[cell[0]][cell[1]]
+                   for cell in up + down)
+    for shape in (FerrersShape((4, 3, 3, 1)), FerrersShape((9,) * 8)):
+        f = Filling(shape, {(1, 4): 1, (2, 2): 2, (3, 1): 1, (4, 1): 1})
+        widths = list(map(len, growth._COLUMN_KEYS))
+        fine, row_blocks, col_blocks = blow_up(f, "rsk")
+        d = label_diagram(fine)
+        coarse = shrink_back(d, row_blocks, col_blocks)
+        assert coarse == {xy: lam for xy, lam
+                          in label_diagram(f, "rsk").labels.items()}
+        plan = d._plan
+        assert plan.small == (shape.n_cells <= growth.MEMO_MAX_CELLS)
+        assert "forward_walk" in vars(plan) and "keys" not in vars(plan)
+        if not plan.small:
+            assert list(map(len, growth._COLUMN_KEYS)) == widths
 
 
 _SQUARE = FerrersShape((2, 2))

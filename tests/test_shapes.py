@@ -73,6 +73,18 @@ def test_shape_from_text_bounds_its_rows(monkeypatch):
         shape_from_text("1")
 
 
+def test_stack_from_text_bounds_its_columns(monkeypatch):
+    """A column taller than the budget is refused, as a shape's row is."""
+    monkeypatch.delenv("GROWTH_BUDGET", raising=False)
+    with pytest.raises(InstanceTooLarge, match="^stack '1,99999999' has a "
+                       "column of more than 10000000 cells$"):
+        stack_from_text("1,99999999")
+    monkeypatch.setenv("GROWTH_BUDGET", "5")
+    assert stack_from_text("2,5,3") == StackPolyomino((2, 5, 3))
+    with pytest.raises(InstanceTooLarge, match="more than 5 cells"):
+        stack_from_text("6,1")
+
+
 def test_stack_polyomino():
     sp = StackPolyomino((1, 3, 2))
     assert sp.n_cells == 6
