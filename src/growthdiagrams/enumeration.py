@@ -18,8 +18,9 @@ one n.  The first pass reads each filling's statistics once; the second
 checks each filling's image against the table, so an image's statistics
 and, for a map that is its own inverse, its image are looked up rather
 than computed again.  An image that is not in the table fails the check.
-The table is keyed by each filling's code, and the fillings are mapped
-with the shape's swap, set up once per shape and mode.
+The table is keyed by each filling's code, and the codes are mapped to
+their images' codes with the shape's swaps (``growth._shape_swap``), set
+up once per shape for the map and its inverse.
 """
 
 from collections import Counter
@@ -342,7 +343,8 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     Each key is checked in two passes over one table of its fillings,
     keyed by code: the first codes each filling once in each cell order
     its chain tables read, and reads every statistic once; the second
-    checks each filling's image against the table.  With
+    checks each filling's image against the table.  The shape's two code
+    maps are set up once for all its keys.  With
     ``symmetric_only`` a filling that is not symmetric is skipped before it
     is read.
     """
@@ -356,6 +358,8 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
         keys, up = tables[0], tables[0].spec.upward
         flipped = next((t for t in tables if t.spec.upward != up), keys)
         reads = [(t._read, t.spec.upward != up) for t in tables]
+        swaps = None if modes is None else [
+            _shape_swap(shape, _SWAP_FORWARD[mode], bits, up) for mode in modes]
         for key, group in groupby(keyed, key=itemgetter(0)):
             table = {}      # code -> (filling, statistics, image side)
             counts = source.setdefault(key, Counter())
@@ -373,8 +377,8 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
                     swapped = stats[2], stats[3]
                     image_counts[swapped] += 1
                 table[codes[0]] = f, (s, t), swapped
-            if modes is not None and table:
-                witness = _swap_witness(shape, table, modes, keys,
+            if swaps is not None and table:
+                witness = _swap_witness(shape, table, modes, swaps, keys,
                                         symmetric_only)
                 if witness:
                     return False, witness
@@ -384,33 +388,31 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     return True, None
 
 
-def _swap_witness(shape, table, modes, keys: ChainTable, symmetric_only):
+def _swap_witness(shape, table, modes, swaps, keys: ChainTable,
+                  symmetric_only):
     """The first filling of the table, in enumeration order, whose image
     under ``modes[0]`` fails a check, as (shape, filling, reason); None if
-    there is none.  The table is keyed by the codes of ``keys``, and an
-    image with an entry too large for a digit has no key.  The shape's
-    swaps are set up once, and map only fillings in the table: the
-    enumerated ones, and an image once its key is found.  A map that is
-    its own inverse is applied once to each filling, and each image's
-    image is looked up."""
-    forward, backward = (_shape_swap(shape, _SWAP_FORWARD[mode])
-                         for mode in modes)
-    images = (forward(f.entries) for f, _, _ in table.values())
+    there is none.  The table is keyed by the codes of ``keys``, and the
+    shape's swaps, ``_shape_swap``'s code maps of the two modes, map a code
+    of the table to its image's code, or to None for an image with an entry
+    too large for a digit, which has no key.  A map that is its own inverse
+    is applied once to each filling, and each image's image is looked
+    up."""
+    forward, backward = swaps
+    images = map(forward, table)
     if modes[0] == modes[1]:
         images = list(images)
         image_of = dict(zip(table, images))
-    for (f, (s, t), _), g in zip(table.values(), images):
-        if symmetric_only and not _trusted(Filling, shape=shape,
-                                           entries=g).is_symmetric():
+    for (code, (f, (s, t), _)), key in zip(table.items(), images):
+        if symmetric_only and key is not None and not _trusted(
+                Filling, shape=shape, entries=keys._entries(key)).is_symmetric():
             return shape, f, "image not symmetric"
-        key = (keys._code(g) if max(g.values(), default=0) >> keys.bits == 0
-               else None)
         if key not in table:
             return shape, f, "image outside the class"
         if table[key][2] != (t, s):
             return shape, f, "statistics not exchanged"
-        back = image_of[key] if modes[0] == modes[1] else backward(g)
-        if back != f.entries:
+        back = image_of[key] if modes[0] == modes[1] else backward(key)
+        if back != code:
             return shape, f, "map does not invert"
     return None
 

@@ -271,10 +271,10 @@ class ChainTable:
     def __init__(self, shape, spec: ChainSpec, bits: int):
         self.spec, self.bits = spec, bits
         self.weighted = spec.length_mode == "entry-sum"
-        cells = _sorted_cells(shape.cells(), spec)
+        self.shape = shape
+        self.cells = cells = _sorted_cells(shape.cells(), spec)
         self.pos = {cell: bits * i for i, cell in enumerate(cells)}
         if shape.n_cells > MEMO_MAX_CELLS:
-            self.shape, self.cells = shape, cells
             self.pred, self._read = None, self._decoded
             return
         digit = {cell: ((1 << bits) - 1) << at for cell, at in self.pos.items()}
@@ -331,18 +331,15 @@ class ChainTable:
             code |= v << pos[cell]
         return code
 
+    def _entries(self, code: int) -> dict:
+        """The entries of the filling ``code``."""
+        return _code_entries(code, self.cells, self.bits)
+
     def _decoded(self, code: int) -> int:
         """``longest_chain`` of the filling ``code``, on a shape with no
-        masks.  Only the digits with a set bit are decoded, the top one
-        first, each in a few operations on the code."""
-        bits, cells, entries = self.bits, self.cells, {}
-        while code:
-            i = (code.bit_length() - 1) // bits
-            value = code >> i * bits
-            entries[cells[i]] = value
-            code ^= value << i * bits
+        masks."""
         return longest_chain(_trusted(Filling, shape=self.shape,
-                                      entries=entries), self.spec)
+                                      entries=self._entries(code)), self.spec)
 
     def _free(self, code: int) -> int:
         """L of the filling ``code``."""
@@ -405,6 +402,19 @@ class ChainTable:
                 bounded[::step], [free[code & after]
                                   for code in range(1 << first, size, step)])
         return bounded
+
+
+def _code_entries(code: int, cells, bits: int) -> dict:
+    """The entries of a code with the entry of ``cells[i]`` in its digit i,
+    ``bits`` bits each.  Only the digits with a set bit are decoded, the
+    top one first, each in a few operations on the code."""
+    entries = {}
+    while code:
+        i = (code.bit_length() - 1) // bits
+        value = code >> i * bits
+        entries[cells[i]] = value
+        code ^= value << i * bits
+    return entries
 
 
 def _max_plus_one(without, within) -> bytes:

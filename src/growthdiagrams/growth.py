@@ -14,7 +14,8 @@ and reads a cell's row and entry through the shared key.  A
 The sweeps pass labels through themselves and hand every other frame to
 the variant's rules, memoised below for small diagrams, whose kernels
 check the frame's edges as they compute it; each edge a rule frame leaves
-is tested once.
+is tested once.  A swap of a small filling runs no sweep: it folds
+memoised column steps over the filling's code (``_shape_swap``).
 
 A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
 no sweep for its border.  The paper's equivalence of growth diagrams and
@@ -24,10 +25,10 @@ insertion and the filling back by deletion, in time that grows with the
 entries rather than the cells (see ``insertion``).  So ``label_diagram``
 takes such a diagram's border from ``insertion_border`` and runs the
 forward sweep only when the corner labels are first read (``labels``,
-``==``, ``label()``, ``shrink_back``); ``reconstruct`` and the swaps
-recover a filling by ``deletion_entries`` from a checked border that
-starts and ends at the empty partition, and run the backward sweep only
-for other borders.
+``==``, ``label()``, ``shrink_back``); ``reconstruct`` and the large
+swaps recover a filling by ``deletion_entries`` from a checked border
+that starts and ends at the empty partition, and ``reconstruct`` runs the
+backward sweep only for other borders.
 
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
@@ -42,8 +43,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (MEMO_MAX_CELLS, Filling, _trusted, filling_class,
-                       in_class, int_lists)
+from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _trusted,
+                       filling_class, in_class, int_lists)
 from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
@@ -67,7 +68,7 @@ EMPTY = ()
 # code; each cache and _PLANS hold at most MEMO_MAX_ENTRIES entries.
 # Larger diagrams rarely repeat a frame and bypass them all: their sweeps
 # call the rules themselves.  The rules in local_rules.VARIANT_TABLE stay
-# uncached.
+# uncached.  The swaps keep a memo of whole columns (see _shape_swap).
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A
@@ -142,12 +143,10 @@ class _SweepPlan:
     def _columns(self) -> list:
         """The corner keys (x, 0), (x, 1), ... of each column x, going up:
         prefixes of the shared _COLUMN_KEYS tuples for a small plan, which
-        extends them where they are too short, and made anew for a large
-        one, whose plan lives for one call."""
-        sizes = [h + 1 for h in self.heights]
+        extends them where they are too short, and a large plan's own."""
         if not self.small:
-            return [tuple((x, y) for y in range(n))
-                    for x, n in enumerate(sizes)]
+            return self._own_columns
+        sizes = [h + 1 for h in self.heights]
         for x, n in enumerate(sizes):
             if x == len(_COLUMN_KEYS):
                 _COLUMN_KEYS.append(())
@@ -156,6 +155,13 @@ class _SweepPlan:
                 _COLUMN_KEYS[x] = col + tuple((x, y)
                                               for y in range(len(col), n))
         return [col[:n] for col, n in zip(_COLUMN_KEYS, sizes)]
+
+    @cached_property
+    def _own_columns(self) -> list:
+        """A large plan's corner keys, column by column, made once: the plan
+        lives for one call, and its walks and ``keys`` share them."""
+        return [tuple((x, y) for y in range(h + 1))
+                for x, h in enumerate(self.heights)]
 
     @cached_property
     def keys(self) -> tuple:
@@ -584,45 +590,227 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
     """The filling that the conjugate variant's backward rules reconstruct
     from the conjugate of ``filling``'s border tableau under ``variant``,
     ``reconstruct(t.word, t.conjugate())[0]`` for ``t = growth_tableau(
-    filling, variant)``, in one pass over one plan, the plan of the shape's
-    word.  The conjugated border is step-checked for the conjugate variant,
-    as ``reconstruct`` checks a tableau."""
-    _checked_variant(filling, variant)
-    entries = _shape_swap(filling.shape, variant)(filling.entries)
-    return _trusted(Filling, shape=filling.shape, entries=entries)
+    filling, variant)``: ``_shape_swap``'s map of its code on a shape of at
+    most MEMO_MAX_CELLS cells, insertion and deletion on a larger one."""
+    v = _checked_variant(filling, variant)
+    shape, entries = filling.shape, filling.entries
+    plan = _sweep_plan(shape.word)
+    if not plan.small:
+        entries = _large_swap(plan, v, get_variant(v.conjugate), entries)
+        return _trusted(Filling, shape=shape, entries=entries)
+    # an image entry is at most the entry sum below and left of it, the
+    # size of a border label
+    bits = max(sum(entries.values()), 1).bit_length()
+    starts = list(accumulate(shape.col_heights, initial=0))
+    code = _shape_swap(shape, variant, bits)(sum(
+        m << bits * (starts[c - 1] + r - 1) for (c, r), m in entries.items()))
+    return _trusted(Filling, shape=shape,
+                    entries=_code_entries(code, shape.cells(), bits))
 
 
-def _shape_swap(shape: FerrersShape, variant: str):
-    """``conjugate_swap`` on the fillings of one Ferrers shape, as a map
-    from entries to entries.  The plan, the two variants, the conjugate
-    and the border positions are taken once; each call computes the
-    border, conjugates it, step-checks it and recovers the entries: by the
-    two sweeps on a shape of at most MEMO_MAX_CELLS cells, by insertion and
-    deletion on a larger one.  The entries are not checked against the
-    variant's class: the caller hands over only fillings known to be in
-    it."""
-    # the empty filling is in every class, so this checks the variant and
-    # the shape
+def _large_swap(plan: _SweepPlan, v, back, entries) -> dict:
+    """The swap past the memo: insertion under ``v``, the conjugated border
+    step-checked for ``back``, deletion under ``back``."""
+    seq = list(map(conjugate, insertion_border(plan.heights, entries,
+                                               v.right, v.down)))
+    _check_steps(plan.word, seq, back.step_ok, back.name)
+    return deletion_entries(plan.heights, seq, back.right, back.down)
+
+
+def _shape_swap(shape: FerrersShape, variant: str, bits: int,
+                upward: bool = True):
+    """``conjugate_swap`` on the fillings of one Ferrers shape, as a map of
+    codes: a code holds each cell's entry in a digit of ``bits`` bits,
+    column by column, up each column, or down it if not ``upward`` (the
+    cell orders of ``fillings.ChainTable``).  An image with an entry too
+    large for a digit has no code (None).  The entries are not checked
+    against the variant's class: the callers map only fillings in it.
+
+    Up to MEMO_MAX_CELLS cells the map folds ``_fold_steps`` over the
+    columns, left to right and then right to left from an empty column
+    right of the shape.  A refused border step goes to ``_check_steps``
+    with the whole conjugated border, so that the error names the first
+    one, as ``reconstruct``'s does."""
+    # the empty filling is in every class: this checks the variant and shape
     v = _checked_variant(_trusted(Filling, shape=shape, entries={}), variant)
     back = get_variant(v.conjugate)
     plan = _sweep_plan(shape.word)
+    heights = shape.col_heights
     if not plan.small:
-        heights = plan.heights
+        cells = shape.cells() if upward else sorted(
+            shape.cells(), key=lambda cr: (cr[0], -cr[1]))
+        pos = {cell: bits * i for i, cell in enumerate(cells)}
 
-        def swap(entries):
-            seq = list(map(conjugate, insertion_border(heights, entries,
-                                                       v.right, v.down)))
-            _check_steps(plan.word, seq, back.step_ok, back.name)
-            return deletion_entries(heights, seq, back.right, back.down)
+        def swap(code):
+            image = _large_swap(plan, v, back, _code_entries(code, cells, bits))
+            if max(image.values(), default=0) >> bits == 0:
+                return sum(m << pos[cell] for cell, m in image.items())
         return swap
-    size, border = plan.start[-1], plan.border
 
-    def swap(entries):
-        labels = [EMPTY] * size
-        _forward_sweep(plan, labels, entries, v)
-        seq = list(map(_small_conjugate, map(labels.__getitem__, border)))
-        return _backward_sweep(plan, seq, back)[1]
+    forward, backward = _fold_steps(v, back, bits, upward)
+    conj, step_ok = _small_conjugate, _small_rules(back)[2]
+    cuts, id_bits, id_mask = _CUTS, _ID_BITS, _ID_MASK
+    starts = [bits * n for n in accumulate(heights, initial=0)]
+    # each column's (shift, mask, height), and the backward fold's shifts
+    columns = [(shift, (1 << bits * h) - 1, h)
+               for shift, h in zip(starts, heights)]
+    back_shifts = [0, *reversed(starts[:-1])]
+    # the empty column 0, and each column's lowest border row
+    first, lows = (heights[0] if heights else 0), [*heights, 0]
+
+    def swap(code):
+        vid, ids = first, [first]
+        for shift, mask, h in columns:
+            # a column without entries is keyed by the cut's id alone
+            cut, digits = cuts[vid][h], code >> shift & mask
+            vid = forward[digits << id_bits | cut if digits else cut]
+            ids.append(vid)
+        image = right = 0
+        try:
+            for left, shift in zip(reversed(ids), back_shifts):
+                value = backward[left << id_bits | right]
+                if value < 0:
+                    image = None
+                    break
+                right = value & id_mask
+                image |= value >> id_bits << shift
+        except _Refused:
+            _check_steps(plan.word, [conj(p) for vid, h in zip(ids, lows)
+                                     for p in _VECTORS[vid][h:][::-1]],
+                         step_ok, back.name)
+            raise
+        if _FULL:
+            _clear_fold_memo()
+        return image
     return swap
+
+
+# The fold's memo, which all small shapes share.  A vector, the labels of a
+# column from row 0 up, has an int id: _VECTORS[i] is vector i, _VECTOR_IDS
+# maps it back, and _CUTS[i][h], for a column of a forward fold, is the id
+# of its rows 0..h.  Ids 0 to MEMO_MAX_CELLS are the empty columns, which
+# stay.  _FOLD_STEPS holds each rule set's step tables, whose keys and
+# values are ints with an id in the low _ID_BITS bits.  A swap that fills a
+# table, the vectors included, to FOLD_MAX_ENTRIES entries empties them
+# all when it is done.  An entry keeps about 100 bytes, so the bound is
+# below MEMO_MAX_ENTRIES: a verify-count pass fills a few tables about once.
+FOLD_MAX_ENTRIES = 1536
+_SEEDS = MEMO_MAX_CELLS + 1
+_VECTORS = [(EMPTY,) * (h + 1) for h in range(_SEEDS)]
+_VECTOR_IDS = {vector: i for i, vector in enumerate(_VECTORS)}
+_CUTS = [range(h + 1) for h in range(_SEEDS)]
+_FOLD_STEPS = {}
+_FULL = set()
+# one swap adds fewer than 8 * _SEEDS vectors
+_ID_BITS = (FOLD_MAX_ENTRIES + 9 * _SEEDS).bit_length()
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+class _Refused(ValueError):
+    """The conjugate variant refuses a step of the conjugated border."""
+
+
+def _clear_fold_memo():
+    """Empty every table of the fold's memo but the empty columns."""
+    del _VECTORS[_SEEDS:], _CUTS[_SEEDS:]
+    _VECTOR_IDS.clear()
+    _VECTOR_IDS.update(zip(_VECTORS, range(_SEEDS)))
+    for tables in _FOLD_STEPS.values():
+        for table in tables:
+            table.clear()
+    _FULL.clear()
+
+
+def _vector_id(labels: tuple) -> int:
+    """The id of a vector, given to it if it has none."""
+    i = _VECTOR_IDS.get(labels)
+    if i is None:
+        i = _VECTOR_IDS[labels] = len(_VECTORS)
+        _VECTORS.append(labels)
+        _CUTS.append(None)
+        if i + 1 - _SEEDS >= FOLD_MAX_ENTRIES:
+            _FULL.add(id(_VECTORS))
+    return i
+
+
+def _column_id(labels: tuple) -> int:
+    """The id of a column of a forward fold, with the ids of its cuts."""
+    i = _vector_id(labels)
+    if _CUTS[i] is None:
+        _CUTS[i] = tuple(_vector_id(labels[:h])
+                         for h in range(1, len(labels) + 1))
+    return i
+
+
+class _Steps(dict):
+    """A step table, which computes a missing value with ``step``."""
+
+    def __init__(self, step):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, key):
+        value = self[key] = self.step(key)
+        if len(self) >= FOLD_MAX_ENTRIES:
+            _FULL.add(id(self))
+        return value
+
+
+def _fold_steps(v, back, bits: int, upward: bool):
+    """The forward and backward step tables of the fold from variant ``v``
+    to its conjugate ``back``, kept per rule set and conjugate function, as
+    ``_small_rules`` keeps the rules.  A missing step runs the memoised
+    rules on every frame of its column, which check both input edges."""
+    conj = _small_conjugate
+    rule_set = v, back, conj, bits, upward
+    if rule_set in _FOLD_STEPS:
+        return _FOLD_STEPS[rule_set]
+    forward_rule = _small_rules(v)[0]
+    _, backward_rule, step_ok = _small_rules(back)[:3]
+    digit = (1 << bits) - 1
+
+    def at(r, h):
+        """The lowest bit of row r's digit in a column of height h."""
+        return bits * (r - 1 if upward else h - r)
+
+    def forward_step(key):
+        """The column's id from the left column's id, cut to the column's
+        height h, and the column's digits."""
+        left, digits = _VECTORS[key & _ID_MASK], key >> _ID_BITS
+        h, column = len(left) - 1, [EMPTY]
+        for r in range(1, h + 1):
+            column.append(forward_rule(left[r - 1], column[-1], left[r],
+                                       digits >> at(r, h) & digit))
+        return _column_id(tuple(column))
+
+    def backward_step(key):
+        """The left column's id in the conjugate diagram and the right
+        column's digits (-1 if one overflows), from the left column's id
+        in the forward diagram and the right column's in the conjugate one.
+        The left column's rows from the right column's height h up are on
+        the border: they are conjugated and step-checked first."""
+        left, right = _VECTORS[key >> _ID_BITS], _VECTORS[key & _ID_MASK]
+        h = len(right) - 1
+        column = [EMPTY] * h + list(map(conj, left[h:]))
+        border = [*column[h:][::-1], right[h]]
+        if any(p != q and not step_ok(step, p, q) for step, p, q in zip(
+                "D" * (len(border) - 2) + "R", border, border[1:])):
+            raise _Refused("the conjugated border has a refused step")
+        lam, nu, digits = right[h], column[h], 0
+        for r in range(h, 0, -1):
+            mu = right[r - 1]
+            nu, m = backward_rule(mu, nu, lam)
+            if m > digit:
+                return -1
+            column[r - 1], lam = nu, mu
+            digits |= m << at(r, h)
+        i = _vector_id(tuple(column))
+        # a column without entries gives the id itself, which the memo holds
+        return digits << _ID_BITS | i if digits else i
+
+    tables = _FOLD_STEPS[rule_set] = (_Steps(forward_step),
+                                      _Steps(backward_step))
+    return tables
 
 
 def growth_tableau(filling: Filling, variant: str = "standard",

@@ -10,3 +10,5 @@ def empty_growth_memo():
     growth._PLANS.clear()
     growth._small_rules.cache_clear()
     growth._small_conjugate.cache_clear()
+    growth._clear_fold_memo()
+    growth._FOLD_STEPS.clear()

@@ -15,7 +15,8 @@ from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shape
 from growthdiagrams.fillings import (PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                                      Filling, _sorted_cells, chain_spec,
                                      longest_chain)
-from growthdiagrams.growth import GrowthTableau, reconstruct
+from growthdiagrams import growth
+from growthdiagrams.growth import GrowthTableau, growth_tableau, reconstruct
 from growthdiagrams.local_rules import get_variant
 from growthdiagrams.partitions import (checked_partition, contains,
                                        differs_by_one_square, parse_int)
@@ -61,6 +62,20 @@ def enhanced_representation(p):
     rep = standard_representation(p)
     rep.extend((b[0], b[0]) for b in p.blocks if len(b) == 1)
     return sorted(rep)
+
+
+def swap_by_definition(f: Filling, variant: str) -> Filling:
+    """``conjugate_swap`` by its definition: label the filling, read the
+    border, conjugate it, and reconstruct with the conjugate variant's
+    backward rules.  Past the memo, where ``reconstruct`` deletes, the
+    backward sweep recovers the filling, so that the oracle does not rest
+    on insertion and deletion."""
+    t = growth_tableau(f, variant)
+    conj = t.conjugate()
+    if t._plan.small:
+        return reconstruct(t.word, conj)[0]
+    return Filling(f.shape, growth._backward_sweep(
+        t._plan, conj.seq, get_variant(conj.variant))[1])
 
 
 # ---------------------------------------------------------------------------

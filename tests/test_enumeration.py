@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from growthdiagrams import enumeration
+from growthdiagrams import enumeration, growth
 from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             all_set_partitions,
                                             filling_to_setpartition,
@@ -241,11 +241,22 @@ def test_swap_counts_differ_is_found(monkeypatch):
 def patch_swap(monkeypatch, make):
     """Replace the verifiers' per-shape swap: the shape's map under a
     variant becomes ``make(shape, variant, swap)``, given the real map
-    ``swap`` from entries to entries."""
-    monkeypatch.setattr(
-        enumeration, "_shape_swap",
-        lambda shape, variant: make(shape, variant,
-                                    _shape_swap(shape, variant)))
+    ``swap`` from entries to entries.  The verifiers map codes, so the
+    patched map reads a code's entries and codes its image, which has no
+    code (None) when an entry is too large for a digit."""
+    def code_swap(shape, variant, bits, upward):
+        real = _shape_swap(shape, variant, bits, upward)
+        coder = ChainTable(shape, chain_spec("NE" if upward else "se"), bits)
+        swap = make(shape, variant,
+                    lambda entries: coder._entries(real(coder._code(entries))))
+
+        def mapped(code):
+            image = swap(coder._entries(code))
+            if max(image.values(), default=0) >> bits:
+                return None
+            return coder._code(image)
+        return mapped
+    monkeypatch.setattr(enumeration, "_shape_swap", code_swap)
 
 
 def test_swap_statistics_not_exchanged_is_found(monkeypatch):
@@ -394,6 +405,39 @@ def test_each_map_runs_once_per_object(monkeypatch):
                              for f in map(setpartition_to_filling,
                                           (p for n in range(7)
                                            for p in all_set_partitions(n))))
+
+
+def test_each_shape_sets_up_its_swaps_once(monkeypatch):
+    """The harness sets up a shape's two maps once per shape, not once per
+    key of its fillings."""
+    set_up = Counter()
+
+    def counted(shape, variant, bits, upward):
+        set_up[shape] += 1
+        return _shape_swap(shape, variant, bits, upward)
+    monkeypatch.setattr(enumeration, "_shape_swap", counted)
+    assert verify_t2a_nes1(5, 2).passed
+    assert set_up == Counter({shape: 2 for shape in all_shapes(5)})
+
+
+def test_corrupted_fold_memo_fails_the_verdict():
+    """The verifiers trust the fold's memo: a forward step that remembers
+    another column makes the NES1 certificate fail."""
+    assert verify_t2a_nes1(4, 2).passed
+    forward = next(tables[0] for key, tables in growth._FOLD_STEPS.items()
+                   if key[0].name == "rsk")
+    # one entry now gives another column of the same height
+    by_height = {}
+    for key, vid in forward.items():
+        by_height.setdefault(len(growth._VECTORS[vid]), {})[vid] = key
+    columns = next(c for c in by_height.values() if len(c) > 1)
+    (_, key), (other, _) = list(columns.items())[:2]
+    forward[key] = other
+    report = verify_t2a_nes1(4, 2)
+    assert report.passed is False
+    assert report.witness[-1] in ("image outside the class",
+                                  "statistics not exchanged",
+                                  "map does not invert")
 
 
 def test_every_verifier_checks_through_the_swap_harness(monkeypatch):

@@ -11,7 +11,7 @@ from growthdiagrams import growth, local_rules
 from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
                                         check_greene)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
-                                     longest_chain)
+                                     _code_entries, longest_chain)
 from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    border_tableau, conjugate_swap,
                                    growth_tableau, label_diagram, reconstruct,
@@ -21,7 +21,7 @@ from growthdiagrams.insertion import deletion_entries, insertion_border
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.partitions import part, partitions_of
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, parse_word
-from oracles import add_square_in_row, blow_up_oracle
+from oracles import add_square_in_row, blow_up_oracle, swap_by_definition
 
 
 def test_trace_corners():
@@ -814,8 +814,8 @@ def test_large_insertion_border_property(variant, data):
     """Past the memo, on 65 to 400 cells: the border that label_diagram
     takes from insertion is the border of the labels that the forward
     sweep gives when they are first read; reconstruct, by deletion, gives
-    the filling back; and conjugate_swap is the backward sweep of the
-    conjugated border."""
+    the filling back; and conjugate_swap and the code maps of both cell
+    orders give the backward sweep of the conjugated border."""
     f = data.draw(large_fillings(variant, max_cells=400, max_entries=40))
     d = label_diagram(f, variant)
     t = border_tableau(d)
@@ -824,9 +824,7 @@ def test_large_insertion_border_property(variant, data):
                           for xy in trace_corners(d.row_lens, d.n_cols))
     assert reconstruct(t.word, t) == (f, [()] * (f.shape.n_cols + 1),
                                       [()] * (f.shape.n_rows + 1))
-    conj = t.conjugate()
-    assert conjugate_swap(f, variant).entries == growth._backward_sweep(
-        t._plan, conj.seq, get_variant(conj.variant))[1]
+    assert_swap_is_the_definition(f, variant)
 
 
 def grown_chain(draw, start, free):
@@ -1036,3 +1034,134 @@ def test_growth_diagrams_need_ferrers_shapes():
         with pytest.raises(ValueError,
                            match="need a Ferrers shape, not StackPolyomino"):
             call()
+
+
+def fold_sizes():
+    """The number of entries of each table of the fold's memo, the vectors
+    first."""
+    return [len(growth._VECTORS) - growth._SEEDS,
+            *(len(table) for tables in growth._FOLD_STEPS.values()
+              for table in tables)]
+
+
+def code_cells(shape, upward):
+    """The cells of a shape in the order of its codes' digits: column by
+    column, going up each column, or down it if not ``upward``."""
+    cells = shape.cells()
+    return cells if upward else sorted(cells, key=lambda cr: (cr[0], -cr[1]))
+
+
+def fold_images(f, variant, bits):
+    """The image entries of the code map of f's shape, on f's code in each
+    cell order; None for an image that overflows a digit."""
+    images = []
+    for upward in (True, False):
+        cells = code_cells(f.shape, upward)
+        code = sum(m << bits * cells.index(cell)
+                   for cell, m in f.entries.items())
+        image = growth._shape_swap(f.shape, variant, bits, upward)(code)
+        images.append(None if image is None
+                      else _code_entries(image, cells, bits))
+    return images
+
+
+def assert_swap_is_the_definition(f, variant):
+    """conjugate_swap and the code map, in both cell orders, give the swap
+    by its definition."""
+    want = swap_by_definition(f, variant)
+    assert conjugate_swap(f, variant) == want, (variant, f)
+    bits = max(f.entry_sum, 1).bit_length()
+    assert fold_images(f, variant, bits) == [want.entries] * 2, (variant, f)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fold_swap_is_the_definition_exhaustive(variant):
+    """Every filling of every shape of at most 6 cells (arbitrary ones up
+    to entry sum 3), in both cell orders, with the fold's memo as the
+    fillings before left it."""
+    cls = get_variant(variant).filling_class
+    for shape in all_shapes(6):
+        for _, f in all_fillings(shape, cls, 3 if cls == ARBITRARY else None):
+            assert_swap_is_the_definition(f, variant)
+    assert all(0 < size <= growth.FOLD_MAX_ENTRIES for size in fold_sizes())
+
+
+@st.composite
+def memo_fillings(draw, variant):
+    """A filling of a Ferrers shape of at most MEMO_MAX_CELLS cells in the
+    variant's class: at most 12 nonzero entries, each at most 3."""
+    rows = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=12)),
+                  reverse=True)
+    assume(sum(rows) <= growth.MEMO_MAX_CELLS)
+    shape = FerrersShape(tuple(rows))
+    cls = get_variant(variant).filling_class
+    cells = draw(st.lists(st.sampled_from(shape.cells()), max_size=12,
+                          unique=True))
+    values = draw(st.lists(st.integers(1, 3 if cls == ARBITRARY else 1),
+                           min_size=len(cells), max_size=len(cells)))
+    return Filling(shape, keep_in_class(dict(zip(cells, values)), cls))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_swap_is_the_definition_property(variant, data):
+    """Up to MEMO_MAX_CELLS cells, the fold gives the swap by its
+    definition, in both cell orders."""
+    assert_swap_is_the_definition(data.draw(memo_fillings(variant)), variant)
+
+
+def test_fold_swap_refuses_an_overflowing_digit():
+    """The rsk swap of three 1's in the 2x2 square puts a 2 in one cell:
+    with one bit a digit the code map has no image, and with two it has."""
+    f = Filling(FerrersShape((2, 2)), {(1, 1): 1, (1, 2): 1, (2, 1): 1})
+    image = conjugate_swap(f, "rsk").entries
+    assert image == {(1, 1): 2, (2, 2): 1}
+    assert fold_images(f, "rsk", 1) == [None, None]
+    assert fold_images(f, "rsk", 2) == [image, image]
+
+
+def memo_sizes_within(bound):
+    """Whether every table of the fold's memo holds at most ``bound``
+    entries."""
+    return all(size <= bound for size in fold_sizes())
+
+
+def test_fold_memo_bound_keeps_images(monkeypatch):
+    """With every memo bounded by 8 entries, the fold's tables fill again
+    and again, and are emptied after each swap that fills one, also one
+    that needs more than 8 entries itself: the verdicts and the images
+    stay, and no table is left over the bound."""
+    from growthdiagrams.enumeration import verify_t2, verify_t2a_nes1
+    fillings = [f for shape in all_shapes(5)
+                for _, f in all_fillings(shape, ARBITRARY, 2)]
+    want = [swap_by_definition(f, "rsk") for f in fillings]
+    reports = [str(verify_t2(5)), str(verify_t2a_nes1(4, 2))]
+    growth._clear_fold_memo()
+    monkeypatch.setattr(growth, "MEMO_MAX_ENTRIES", 8)
+    monkeypatch.setattr(growth, "FOLD_MAX_ENTRIES", 8)
+    for f, g in zip(fillings, want):
+        assert conjugate_swap(f, "rsk") == g
+        assert memo_sizes_within(8)
+    assert [str(verify_t2(5)), str(verify_t2a_nes1(4, 2))] == reports
+    assert memo_sizes_within(8)
+    # a row of nine 1's has nine different columns: one swap needs more
+    # than 8 entries
+    f = Filling(FerrersShape((9,)), {(c, 1): 1 for c in range(1, 10)})
+    assert conjugate_swap(f, "rsk") == swap_by_definition(f, "rsk")
+    assert memo_sizes_within(8)
+
+
+def test_large_plan_keys_are_shared():
+    """Past the memo a plan makes its corner keys once: the forward walk of
+    a read diagram and its ``keys`` hold the same tuples."""
+    shape = FerrersShape((40,) * 20)
+    f = Filling(shape, {(1, 1): 1, (17, 9): 2, (40, 20): 1})
+    d = label_diagram(f, "rsk")
+    assert d.labels == sweep_labels(f, "rsk")
+    plan = d._plan
+    assert not plan.small and "forward_walk" in vars(plan)
+    keys = {key: key for key in plan.keys}
+    assert all(keys[cell] is cell
+               for *_, cells in plan.forward_walk + plan.backward_walk
+               for cell in cells)
