@@ -28,10 +28,6 @@ from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
 from .growth import (GrowthDiagram, GrowthTableau, blow_up, border_tableau,
                      growth_tableau, label_diagram, reconstruct, shrink_back,
                      tableau_from_json, tableau_to_json)
-from .insertion import (TwoRowedArray, biword_from_filling, border_pair,
-                        column_insert, dual_rsk_insert, dual_rsk_prime_insert,
-                        row_insert, rsk_insert, rsk_prime_insert,
-                        transpose_tableau)
 from .local_rules import VARIANTS, Variant, get_variant
 from .partitions import (conjugate, make_partition, parse_partition,
                          partitions_of, to_compact)

@@ -190,9 +190,10 @@ def chain_spec(code: str, length_mode: str = "count",
     return ChainSpec(code, length_mode, require_rectangle)
 
 
-def _sorted_cells(cells, spec: ChainSpec):
-    """The cells in an order of which every chain is a subsequence."""
-    if spec.upward:
+def _sorted_cells(cells, upward: bool):
+    """The cells in an order of which every chain is a subsequence: column
+    by column, up each column for an ``upward`` chain, else down it."""
+    if upward:
         return sorted(cells)
     return sorted(cells, key=lambda cr: (cr[0], -cr[1]))
 
@@ -208,7 +209,7 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     pass decides it: for each cell, the longest chain to it from each
     earlier start cell.  O(k^3) in the k nonzero cells.
     """
-    cells = _sorted_cells(f.entries, spec)
+    cells = _sorted_cells(f.entries, spec.upward)
     entry_sum = spec.length_mode == "entry-sum"
     upward, min_rise, min_run = spec.upward, spec.min_rise, spec.min_run
     # both shape kinds are bottom-justified columns, so a box fits when
@@ -272,7 +273,7 @@ class ChainTable:
         self.spec, self.bits = spec, bits
         self.weighted = spec.length_mode == "entry-sum"
         self.shape = shape
-        self.cells = cells = _sorted_cells(shape.cells(), spec)
+        self.cells = cells = _sorted_cells(shape.cells(), spec.upward)
         self.pos = {cell: bits * i for i, cell in enumerate(cells)}
         if shape.n_cells > MEMO_MAX_CELLS:
             self.pred, self._read = None, self._decoded
@@ -441,7 +442,8 @@ def greene_totals(f: Filling, spec: ChainSpec, k_max: int, corner=None) -> list:
     the labels are checked against.
     """
     cells = _sorted_cells([(c, r) for c, r in f.entries if corner is None
-                           or (c <= corner[0] and r <= corner[1])], spec)
+                           or (c <= corner[0] and r <= corner[1])],
+                          spec.upward)
     # node 2i is cell i's in-node and 2i + 1 its out-node; -2 is the
     # source and -1 the sink
     cap, gain, out = {}, {}, defaultdict(list)

@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _trusted,
-                       filling_class, in_class, int_lists)
+from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _sorted_cells,
+                       _trusted, filling_class, in_class, int_lists)
 from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
@@ -622,8 +622,8 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int,
     """``conjugate_swap`` on the fillings of one Ferrers shape, as a map of
     codes: a code holds each cell's entry in a digit of ``bits`` bits,
     column by column, up each column, or down it if not ``upward`` (the
-    cell orders of ``fillings.ChainTable``).  An image with an entry too
-    large for a digit has no code (None).  The entries are not checked
+    two cell orders of ``fillings._sorted_cells``).  An image with an entry
+    too large for a digit has no code (None).  The entries are not checked
     against the variant's class: the callers map only fillings in it.
 
     Up to MEMO_MAX_CELLS cells the map folds ``_fold_steps`` over the
@@ -637,8 +637,7 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int,
     plan = _sweep_plan(shape.word)
     heights = shape.col_heights
     if not plan.small:
-        cells = shape.cells() if upward else sorted(
-            shape.cells(), key=lambda cr: (cr[0], -cr[1]))
+        cells = _sorted_cells(shape.cells(), upward)
         pos = {cell: bits * i for i, cell in enumerate(cells)}
 
         def swap(code):

@@ -363,7 +363,7 @@ def greene_oracle(f: Filling, spec: ChainSpec, k: int, corner=None) -> int:
         raise InstanceTooLarge(
             f"oracle budget exceeded (cells={f.shape.n_cells}, "
             f"sum={f.entry_sum}, k={k})")
-    cells = _sorted_cells(region, spec)
+    cells = _sorted_cells(region, spec.upward)
 
     if spec.length_mode == "entry-multiplicity":
         caps = [min(f.entry(c, r), k) for c, r in cells]

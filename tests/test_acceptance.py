@@ -15,13 +15,10 @@ from growthdiagrams.enumeration import (all_fillings, all_shapes, check_greene,
                                         verify_t6)
 from growthdiagrams.growth import (blow_up, growth_tableau, label_diagram,
                                    reconstruct, shrink_back)
-from growthdiagrams.insertion import (biword_from_filling, border_pair,
-                                      dual_rsk_insert, dual_rsk_prime_insert,
-                                      rsk_insert, rsk_prime_insert,
-                                      transpose_tableau)
 from growthdiagrams.local_rules import VARIANTS, get_variant
 from growthdiagrams.shapes import FerrersShape, staircase
 
+import rsk_oracle
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
                      random_fillings, stack_polyominoes)
 
@@ -108,25 +105,20 @@ def test_criterion_7_symmetric_fillings():
 
 
 def test_criterion_8_insertion_equivalence():
-    table = {"rsk": (rsk_insert, "weak", "arbitrary", False),
-             "dual-rsk": (dual_rsk_insert, "weak", "zero-one", True),
-             "rsk-prime": (rsk_prime_insert, "dec", "zero-one", False),
-             "dual-rsk-prime": (dual_rsk_prime_insert, "dec", "arbitrary",
-                                True)}
+    """The border of every rectangle filling's growth diagram, by the
+    sweeps, is the chain of the textbook insertion pair (P, Q)."""
     checked = failures = 0
-    for variant, (insert, ordering, cls, dual) in sorted(table.items()):
+    for variant in sorted(rsk_oracle.VARIANTS):
+        cls = get_variant(variant).filling_class
         for q_cols in range(1, 4):
             for p_rows in range(1, 5):
                 shape = FerrersShape((q_cols,) * p_rows)
                 word = "R" * q_cols + "D" * p_rows
                 for _, f in all_fillings(shape, cls, 5):
                     t = growth_tableau(f, variant, word=word)
-                    gp, gq = border_pair(t.seq, q_cols)
-                    if dual:
-                        gp = transpose_tableau(gp)
-                        gq = transpose_tableau(gq)
                     checked += 1
-                    if (gp, gq) != insert(biword_from_filling(f, ordering)):
+                    if list(t.seq) != rsk_oracle.border_chain(
+                            f.entries, variant, q_cols, p_rows):
                         failures += 1
     report(8, failures == 0, f"{checked} rectangle fillings, "
            f"{failures} failures")

@@ -163,3 +163,12 @@ def test_chain_statistics_import_no_growth_code():
     source = (ROOT / "src" / "growthdiagrams" / "fillings.py").read_text()
     assert not imported_modules(source) & {"growth", "local_rules",
                                            "correspondences", "enumeration"}
+
+
+def test_rsk_oracle_imports_no_library_code():
+    """The insertion engine's oracle shares no code with it: rsk_oracle.py
+    imports no module of the growthdiagrams package, nor the package."""
+    package = ROOT / "src" / "growthdiagrams"
+    library = {path.stem for path in package.glob("*.py")} | {package.name}
+    source = (ROOT / "tests" / "rsk_oracle.py").read_text()
+    assert not imported_modules(source) & library
