@@ -6,6 +6,8 @@ set-partition and matching bijections built on them, chain statistics
 the associated symmetry theorems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .correspondences import (Matching, PartialTableau, SetPartition,
                               all_set_partitions, conjugate_set_partition,
                               conjugate_set_partition_enhanced, cross,
@@ -34,5 +36,6 @@ from .partitions import (conjugate, make_partition, parse_partition,
 from .shapes import (FerrersShape, StackPolyomino, shape_from_text,
                      shape_from_word, stack_from_text, staircase)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

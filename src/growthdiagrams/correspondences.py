@@ -18,7 +18,7 @@ and a singleton puts a cross in its diagonal cell.  There the rectangle's
 top-right cell is in the shape exactly when i_k <= j_1, the enhanced
 crossing condition.  No statistic reads a growth label, so the
 statistic-swapping bijections are checked against them; the T4-T6
-verifiers read the same two chains of the fillings from chain tables.
+verifiers read the same chains as T2's ``NE`` and ``SE`` specs do.
 
 Each tableau is the border of its filling read along one D/R word, with
 one step pair per element i of 1..n: "DR" (delete, then add) except where
@@ -42,18 +42,11 @@ from dataclasses import dataclass
 from .fillings import Filling, _trusted, chain_spec, longest_chain
 from .growth import (GrowthTableau, _sweep_plan, border_tableau,
                      conjugate_swap, growth_tableau, label_diagram)
-from .partitions import make_partition, parse_int
+from .partitions import _check_n, make_partition, parse_int
 
 # the chains of a k-crossing and of a k-nesting, in either filling
 _CROSSING = chain_spec("se", require_rectangle=True)
 _NESTING = chain_spec("ne")
-
-
-def _check_n(n, needs: str):
-    """Raise unless n is an int, by ``partitions.int_tuple``'s rule (a
-    bool is not), and n >= 0."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"{needs} an integer n >= 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +108,12 @@ def nest(p: SetPartition) -> int:
 
 def enhanced_cross(p: SetPartition) -> int:
     """The largest k of an enhanced k-crossing of p."""
-    return longest_chain(_hesitating(p)[1], _CROSSING)
+    return longest_chain(_hesitating(p.n, _crosses(p))[1], _CROSSING)
 
 
 def enhanced_nest(p: SetPartition) -> int:
     """The largest k of an enhanced k-nesting of p."""
-    return longest_chain(_hesitating(p)[1], _NESTING)
+    return longest_chain(_hesitating(p.n, _crosses(p))[1], _NESTING)
 
 
 def min_max_blocks(p: SetPartition):
@@ -131,16 +124,16 @@ def min_max_blocks(p: SetPartition):
 # ---------------------------------------------------------------------------
 # vacillating tableaux
 
-def _crosses(n: int, pairs) -> dict:
-    """A cross in column i, row n + 1 - j for each pair (i, j)."""
-    return {(i, n + 1 - j): 1 for i, j in pairs}
+def _crosses(p: SetPartition) -> dict:
+    """A cross in column i, row n + 1 - j for each pair (i, j) of p."""
+    return {(i, p.n + 1 - j): 1 for i, j in standard_representation(p)}
 
 
 def setpartition_to_filling(p: SetPartition) -> Filling:
     # the staircase is the shape of its word's sweep plan, which is stored
     # for a small n, so one shape serves every partition of that n
     return _trusted(Filling, shape=_sweep_plan(_tableau_word(p.n)).shape,
-                    entries=_crosses(p.n, standard_representation(p)))
+                    entries=_crosses(p))
 
 
 def filling_to_setpartition(f: Filling, n: int) -> SetPartition:
@@ -238,22 +231,22 @@ def pair_to_vacillating(p: SetPartition, t: PartialTableau) -> GrowthTableau:
 # ---------------------------------------------------------------------------
 # hesitating tableaux
 
-def _hesitating(p: SetPartition):
-    """The hesitating word of p and its filling: the staircase extended by
-    the diagonal cell of every singleton and every middle element of a
-    block, with a cross in the diagonal cell of each singleton."""
-    singletons = [b[0] for b in p.blocks if len(b) == 1]
-    middles = [x for b in p.blocks for x in b[1:-1]]
-    word = _tableau_word(p.n, {*singletons, *middles})
-    pairs = standard_representation(p) + [(i, i) for i in singletons]
-    # as for the staircase, a small word's stored plan gives one shape to
-    # every partition with that word
+def _hesitating(n: int, crosses):
+    """The hesitating word and filling of the partition of 1..n with the
+    staircase ``crosses``, each of which links a head i to a tail j: a
+    singleton (neither) adds a filled diagonal cell (i, n + 1 - i), and a
+    middle element (both) an empty one."""
+    heads, tails = {c for c, _ in crosses}, {n + 1 - r for _, r in crosses}
+    extended = {i for i in range(1, n + 1) if (i in heads) == (i in tails)}
+    word = _tableau_word(n, extended)
+    entries = {**crosses, **{(i, n + 1 - i): 1 for i in extended - heads}}
+    # as for the staircase, a small word's stored plan shares its shape
     return word, _trusted(Filling, shape=_sweep_plan(word).shape,
-                          entries=_crosses(p.n, pairs))
+                          entries=entries)
 
 
 def setpartition_to_hesitating(p: SetPartition) -> GrowthTableau:
-    word, f = _hesitating(p)
+    word, f = _hesitating(p.n, _crosses(p))
     return growth_tableau(f, word=word)
 
 
@@ -328,5 +321,5 @@ def conjugate_set_partition(p: SetPartition) -> SetPartition:
 def conjugate_set_partition_enhanced(p: SetPartition) -> SetPartition:
     """Exchange enhanced cross and nest by the standard swap of p's
     hesitating filling, which conjugates its hesitating tableau."""
-    f = swap_chain_statistics(_hesitating(p)[1])
+    f = swap_chain_statistics(_hesitating(p.n, _crosses(p))[1])
     return filling_to_setpartition(f, p.n)

@@ -10,17 +10,18 @@ the one exception: it reads the tables' statistics over the whole code
 space, one byte per filling, and makes no filling.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
-partitions of each n come as their staircase or hesitating fillings, and
-their conjugation is the standard swap of those fillings.  A certificate
-takes two passes over one table, kept for one key of one shape at a time.
-The key is n, or for T5 the block minima and maxima of the partitions of
-one n.  The first pass reads each filling's statistics once; the second
-checks each filling's image against the table, so an image's statistics
-and, for a map that is its own inverse, its image are looked up rather
-than computed again.  An image that is not in the table fails the check.
-The table is keyed by each filling's code, and the codes are mapped to
-their images' codes with the shape's swaps (``growth._shape_swap``), set
-up once per shape for the map and its inverse.
+partitions of n are its staircase's rook placements (for T6 their
+hesitating fillings), conjugated by the standard swap with T2's specs.
+A certificate takes two passes over one table, kept for one key of one
+shape at a time: the fillings' n (for T4 the crosses, for T6 the
+partitions' n), or for T5 the columns and rows that hold a cross.  The
+first pass reads each filling's statistics once; the second checks each
+filling's image against the table, so an image's statistics and, for a
+map that is its own inverse, its image are looked up rather than
+computed again.  An image that is not in the table fails the check.  The
+table is keyed by each filling's code, and the codes are mapped to their
+images' codes with the shape's swaps (``growth._shape_swap``), set up
+once per shape for the map and its inverse.
 """
 
 from collections import Counter
@@ -28,13 +29,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .correspondences import (_CROSSING, _NESTING, _SWAP_FORWARD,
-                              _hesitating, all_set_partitions,
-                              min_max_blocks, setpartition_to_filling)
+from .correspondences import _SWAP_FORWARD, _hesitating, _tableau_word
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        ChainTable, Filling, _trusted, chain_spec,
                        greene_totals)
-from .growth import _shape_swap, label_diagram
+from .growth import _shape_swap, _sweep_plan, label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
                      budget_limit)
@@ -344,22 +343,20 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     keyed by code: the first codes each filling once in each cell order
     its chain tables read, and reads every statistic once; the second
     checks each filling's image against the table.  The shape's two code
-    maps are set up once for all its keys.  With
-    ``symmetric_only`` a filling that is not symmetric is skipped before it
-    is read.
+    maps are set up once for all its keys.  With ``symmetric_only`` a
+    filling that is not symmetric is skipped before it is read.
     """
     for shape, keyed in groups:
         source = {}     # key -> {(s, t): count}
         image = source if image_specs == specs else {}
         tables = [ChainTable(shape, spec, bits) for spec in
                   (specs if image is source else specs + image_specs)]
-        # the key is the code in the first table's cell order, and each
-        # table reads the key or the code in the other order
-        keys, up = tables[0], tables[0].spec.upward
-        flipped = next((t for t in tables if t.spec.upward != up), keys)
-        reads = [(t._read, t.spec.upward != up) for t in tables]
+        # keys are codes in an upward table's cell order, which swaps map
+        keys = next(t for t in tables if t.spec.upward)
+        flipped = next((t for t in tables if not t.spec.upward), keys)
+        reads = [(t._read, not t.spec.upward) for t in tables]
         swaps = None if modes is None else [
-            _shape_swap(shape, _SWAP_FORWARD[mode], bits, up) for mode in modes]
+            _shape_swap(shape, _SWAP_FORWARD[mode], bits) for mode in modes]
         for key, group in groupby(keyed, key=itemgetter(0)):
             table = {}      # code -> (filling, statistics, image side)
             counts = source.setdefault(key, Counter())
@@ -478,38 +475,39 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
                   f"{len(shapes)} symmetric shapes", w1 or w2)
 
 
-def _partition_verdict(name, max_n, filling_of, key_of, kind=""):
-    """The standard swap of the set partitions' fillings, checked by
-    ``_check_swap`` for each n up to ``max_n``: each filling by
-    ``filling_of``, grouped by its shape and then by ``key_of``, each in
-    the order of ``all_set_partitions``."""
+def _partition_verdict(name, max_n, groups, kind=""):
+    """The standard swap of the set partitions of each n up to ``max_n``,
+    the rook placements of the staircase, checked with T2's specs on
+    ``groups(n, staircase, (crosses, placement) pairs)``."""
     _check_bound(max_n, "max_n", 0)
     for n in range(max_n + 1):
-        groups = {}     # shape -> key -> fillings
-        for p in _metered(all_set_partitions(n), "set partitions"):
-            f = filling_of(p)
-            groups.setdefault(f.shape, {}).setdefault(key_of(p), []).append(f)
-        # (cross, nest), or the enhanced pair in a hesitating filling
-        specs = _CROSSING, _NESTING
-        ok, witness = _check_swap(
-            [(shape, [(key, f) for key, fs in by_key.items() for f in fs])
-             for shape, by_key in groups.items()],
-            specs, specs, ("standard", "standard"))
+        shape = _sweep_plan(_tableau_word(n)).shape
+        placements = _metered(((k, f) for k in range(max(n, 1)) for f in
+                               generate_fillings(shape, PARTIAL_PERMUTATION, k)),
+                              "set partitions")
+        ok, witness = _check_swap(groups(n, shape, placements), T2_SPECS,
+                                  T2_SPECS, ("standard", "standard"))
         if not ok:
             return Report(name, False, f"n={n}", witness)
     return Report(name, True, f"set partitions up to n={max_n}{kind}")
 
 
+def _occupied(f: Filling):
+    """The columns and the rows of f's crosses.  In n's staircase column i
+    has none when i is a block maximum, row n + 1 - j when j is a minimum."""
+    return (tuple(sorted(c for c, _ in f.entries)),
+            tuple(sorted(r for _, r in f.entries)))
+
+
 def verify_t4(max_n: int = 5) -> Report:
-    return _partition_verdict("T4", max_n, setpartition_to_filling,
-                              lambda p: p.n)
+    # T2 on the staircase, keyed by crosses: n minus the number of blocks
+    return _partition_verdict("T4", max_n, lambda n, shape, fs: [(shape, fs)])
 
 
 def verify_t5(max_n: int = 5) -> Report:
-    # the swap keeps which rows and columns of the staircase are empty:
-    # they are the block minima and maxima
-    return _partition_verdict("T5", max_n, setpartition_to_filling,
-                              min_max_blocks, ", refined")
+    # the swap keeps which columns and rows of the staircase hold a cross
+    return _partition_verdict("T5", max_n, lambda n, shape, fs: [(shape, sorted(
+        ((_occupied(f), f) for _, f in fs), key=itemgetter(0)))], ", refined")
 
 
 def verify_t6(max_n: int = 4) -> Report:
@@ -518,8 +516,12 @@ def verify_t6(max_n: int = 4) -> Report:
     # not preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
-    return _partition_verdict("T6", max_n, lambda p: _hesitating(p)[1],
-                              lambda p: p.n, ", enhanced")
+    def groups(n, shape, placements):
+        by_shape = {}
+        for g in (_hesitating(n, f.entries)[1] for _, f in placements):
+            by_shape.setdefault(g.shape, []).append((n, g))
+        return by_shape.items()
+    return _partition_verdict("T6", max_n, groups, ", enhanced")
 
 
 VERIFIERS = {"T2": verify_t2, "T2a-NES1": verify_t2a_nes1,

@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _sorted_cells,
-                       _trusted, filling_class, in_class, int_lists)
+from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _trusted,
+                       filling_class, in_class, int_lists)
 from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
@@ -617,14 +617,12 @@ def _large_swap(plan: _SweepPlan, v, back, entries) -> dict:
     return deletion_entries(plan.heights, seq, back.right, back.down)
 
 
-def _shape_swap(shape: FerrersShape, variant: str, bits: int,
-                upward: bool = True):
+def _shape_swap(shape: FerrersShape, variant: str, bits: int):
     """``conjugate_swap`` on the fillings of one Ferrers shape, as a map of
-    codes: a code holds each cell's entry in a digit of ``bits`` bits,
-    column by column, up each column, or down it if not ``upward`` (the
-    two cell orders of ``fillings._sorted_cells``).  An image with an entry
-    too large for a digit has no code (None).  The entries are not checked
-    against the variant's class: the callers map only fillings in it.
+    codes: a code holds each cell's entry in a digit of ``bits`` bits, in
+    the order of ``shape.cells()``.  An image with an entry too large for a
+    digit has no code (None).  The entries are not checked against the
+    variant's class: the callers map only fillings in it.
 
     Up to MEMO_MAX_CELLS cells the map folds ``_fold_steps`` over the
     columns, left to right and then right to left from an empty column
@@ -637,7 +635,7 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int,
     plan = _sweep_plan(shape.word)
     heights = shape.col_heights
     if not plan.small:
-        cells = _sorted_cells(shape.cells(), upward)
+        cells = shape.cells()
         pos = {cell: bits * i for i, cell in enumerate(cells)}
 
         def swap(code):
@@ -646,7 +644,7 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int,
                 return sum(m << pos[cell] for cell, m in image.items())
         return swap
 
-    forward, backward = _fold_steps(v, back, bits, upward)
+    forward, backward = _fold_steps(v, back, bits)
     conj, step_ok = _small_conjugate, _small_rules(back)[2]
     cuts, id_bits, id_mask = _CUTS, _ID_BITS, _ID_MASK
     starts = [bits * n for n in accumulate(heights, initial=0)]
@@ -755,22 +753,18 @@ class _Steps(dict):
         return value
 
 
-def _fold_steps(v, back, bits: int, upward: bool):
+def _fold_steps(v, back, bits: int):
     """The forward and backward step tables of the fold from variant ``v``
     to its conjugate ``back``, kept per rule set and conjugate function, as
     ``_small_rules`` keeps the rules.  A missing step runs the memoised
     rules on every frame of its column, which check both input edges."""
     conj = _small_conjugate
-    rule_set = v, back, conj, bits, upward
+    rule_set = v, back, conj, bits
     if rule_set in _FOLD_STEPS:
         return _FOLD_STEPS[rule_set]
     forward_rule = _small_rules(v)[0]
     _, backward_rule, step_ok = _small_rules(back)[:3]
     digit = (1 << bits) - 1
-
-    def at(r, h):
-        """The lowest bit of row r's digit in a column of height h."""
-        return bits * (r - 1 if upward else h - r)
 
     def forward_step(key):
         """The column's id from the left column's id, cut to the column's
@@ -779,7 +773,7 @@ def _fold_steps(v, back, bits: int, upward: bool):
         h, column = len(left) - 1, [EMPTY]
         for r in range(1, h + 1):
             column.append(forward_rule(left[r - 1], column[-1], left[r],
-                                       digits >> at(r, h) & digit))
+                                       digits >> bits * (r - 1) & digit))
         return _column_id(tuple(column))
 
     def backward_step(key):
@@ -802,7 +796,7 @@ def _fold_steps(v, back, bits: int, upward: bool):
             if m > digit:
                 return -1
             column[r - 1], lam = nu, mu
-            digits |= m << at(r, h)
+            digits |= m << bits * (r - 1)
         i = _vector_id(tuple(column))
         # a column without entries gives the id itself, which the memo holds
         return digits << _ID_BITS | i if digits else i

@@ -19,6 +19,12 @@ def int_tuple(values) -> tuple[int, ...]:
     return t
 
 
+def _check_n(n, needs: str):
+    """Raise unless n is an int >= 0 (a bool is not, by int_tuple's rule)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{needs} an integer n >= 0, got {n!r}")
+
+
 def parse_int(token: str, text: str) -> int:
     """The integer ``token`` of the input ``text``."""
     try:

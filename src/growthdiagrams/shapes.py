@@ -13,7 +13,8 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .partitions import conjugate, int_tuple, make_partition, parse_int
+from .partitions import (_check_n, conjugate, int_tuple, make_partition,
+                         parse_int)
 
 DEFAULT_HARD_WALL = 10 ** 7
 
@@ -151,6 +152,7 @@ def shape_from_text(text: str) -> FerrersShape:
 
 def staircase(n: int) -> FerrersShape:
     """Triangular shape with n-1 cells in the bottom row down to 1 at the top."""
+    _check_n(n, "a staircase needs")
     return FerrersShape(tuple(range(n - 1, 0, -1)))
 
 

@@ -64,6 +64,25 @@ def enhanced_representation(p):
     return sorted(rep)
 
 
+def hesitating_by_definition(p):
+    """The hesitating word and filling of p, built from its blocks: the
+    staircase of p.n with the diagonal cell (i, n + 1 - i) added for each
+    singleton and each middle element i of a block, a cross in column i,
+    row n + 1 - j for consecutive elements i < j of a block, and a cross in
+    the diagonal cell of each singleton.  The word has "RD" for each
+    element with a diagonal cell and "DR" for each other one."""
+    n = p.n
+    singletons = {b[0] for b in p.blocks if len(b) == 1}
+    extended = singletons | {x for b in p.blocks for x in b[1:-1]}
+    word = "".join("RD" if i in extended else "DR" for i in range(1, n + 1))
+    # row n + 1 - i has the staircase's i - 1 cells, then the diagonal cell
+    shape = FerrersShape(tuple(i - 1 + (i in extended)
+                               for i in range(n, 0, -1)))
+    entries = {(i, n + 1 - j): 1 for b in p.blocks for i, j in zip(b, b[1:])}
+    entries.update({(i, n + 1 - i): 1 for i in singletons})
+    return word, Filling(shape, entries)
+
+
 def swap_by_definition(f: Filling, variant: str) -> Filling:
     """``conjugate_swap`` by its definition: label the filling, read the
     border, conjugate it, and reconstruct with the conjugate variant's

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import correspondences, growth
-from growthdiagrams.correspondences import (_CROSSING, _NESTING,
-                                            _SWAP_FORWARD, Matching,
+from growthdiagrams.correspondences import (_SWAP_FORWARD, Matching,
                                             PartialTableau, SetPartition,
                                             _hesitating, all_set_partitions,
                                             conjugate_set_partition,
@@ -111,15 +110,17 @@ def test_cross_nest_small():
 
 
 def test_statistics_match_the_k_subset_oracle():
-    """The statistics, and the chain tables that the T4-T6 verifiers read
-    them from, on the staircase and the hesitating fillings."""
+    """The statistics, and the chain tables of T2's specs that the T4-T6
+    verifiers read them from, on the staircase and the hesitating
+    fillings: nest is the longest NE chain and cross the longest
+    rectangle-bounded SE chain of a partial permutation."""
     start = time.perf_counter()
-    tables = {}     # shape -> its (cross, nest) chain tables
+    tables = {}     # shape -> its (cross, nest) chain tables, SE then NE
 
     def read(f):
         if f.shape not in tables:
             tables[f.shape] = [ChainTable(f.shape, spec, 1)
-                               for spec in (_CROSSING, _NESTING)]
+                               for spec in reversed(T2_SPECS)]
         return tuple(table(f) for table in tables[f.shape])
     for n in range(9):
         for p in all_set_partitions(n):
@@ -131,8 +132,8 @@ def test_statistics_match_the_k_subset_oracle():
                     _max_k(enhanced, "nesting", True))
             assert (cross(p), nest(p), enhanced_cross(p),
                     enhanced_nest(p)) == want, str(p)
-            assert (read(setpartition_to_filling(p))
-                    + read(_hesitating(p)[1])) == want, str(p)
+            f = setpartition_to_filling(p)
+            assert read(f) + read(_hesitating(n, f.entries)[1]) == want, str(p)
     assert time.perf_counter() - start < 5
 
 
@@ -413,7 +414,8 @@ def test_conjugations_on_large_partitions(seed):
 
 def test_hesitating_shapes_are_shared():
     p, q = parse_set_partition("1 3 | 2 | 4"), parse_set_partition("1 2 3 | 4")
-    (word, f), (other, g) = _hesitating(p), _hesitating(q)
+    (word, f), (other, g) = (_hesitating(x.n, setpartition_to_filling(x).entries)
+                             for x in (p, q))
     assert word == other == "DRRDDRRD"
     assert f.shape is g.shape
     assert f.shape == shape_from_word(word)

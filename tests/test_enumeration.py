@@ -10,10 +10,11 @@ from growthdiagrams import enumeration, growth
 from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             all_set_partitions,
                                             filling_to_setpartition,
+                                            min_max_blocks,
                                             setpartition_to_filling)
 from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
                                         InstanceTooLarge, Report,
-                                        _densest_bounded_ne,
+                                        _densest_bounded_ne, _occupied,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
                                         count_table, generate_fillings,
@@ -29,7 +30,8 @@ from growthdiagrams.growth import _shape_swap
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
-                     greene_oracle, max_ones_with_bounded_ne, random_fillings,
+                     greene_oracle, hesitating_by_definition,
+                     max_ones_with_bounded_ne, random_fillings,
                      stack_polyominoes)
 
 SQUARE = FerrersShape((2, 2))
@@ -101,6 +103,30 @@ def test_partial_permutations_of_staircase_9():
     total = sum(1 for n in range(9) for _ in
                 generate_fillings(staircase(9), "partial-permutation", n))
     assert total == bell_number(9) == 21147
+
+
+def test_staircase_placements_are_the_set_partitions():
+    """The set-partition verifiers' one source against the partitions, for
+    every n <= 8: the staircase's rook placements are the partitions'
+    staircase fillings, each placement's T5 key is its partition's block
+    maxima and minima as the columns and rows that are not empty, and its
+    hesitating filling is the one built from the blocks."""
+    for n in range(9):
+        partitions = {setpartition_to_filling(p): p
+                      for p in all_set_partitions(n)}
+        placements = [f for _, f in
+                      all_fillings(staircase(n), "partial-permutation")]
+        assert len(placements) == len(partitions) == bell_number(n)
+        assert set(placements) == set(partitions)
+        for f in placements:
+            p = partitions[f]
+            minima, maxima = min_max_blocks(p)
+            assert _occupied(f) == (
+                tuple(i for i in range(1, n + 1) if i not in maxima),
+                tuple(sorted(n + 1 - j for j in range(1, n + 1)
+                             if j not in minima))), str(p)
+            assert _hesitating(n, f.entries) == hesitating_by_definition(p), (
+                str(p))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -244,9 +270,9 @@ def patch_swap(monkeypatch, make):
     ``swap`` from entries to entries.  The verifiers map codes, so the
     patched map reads a code's entries and codes its image, which has no
     code (None) when an entry is too large for a digit."""
-    def code_swap(shape, variant, bits, upward):
-        real = _shape_swap(shape, variant, bits, upward)
-        coder = ChainTable(shape, chain_spec("NE" if upward else "se"), bits)
+    def code_swap(shape, variant, bits):
+        real = _shape_swap(shape, variant, bits)
+        coder = ChainTable(shape, chain_spec("NE"), bits)
         swap = make(shape, variant,
                     lambda entries: coder._entries(real(coder._code(entries))))
 
@@ -345,19 +371,24 @@ def rotated(entries, shape):
     ).entries
 
 
+def hesitating(p):
+    """The filling of p's hesitating shape."""
+    return _hesitating(p.n, setpartition_to_filling(p).entries)[1]
+
+
 # the hesitating filling of 1 3 | 2, which the injection sends outside
-HESITATING = _hesitating(SetPartition(3, ((1, 3), (2,))))[1]
+HESITATING = hesitating(SetPartition(3, ((1, 3), (2,))))
 
 
 @pytest.mark.parametrize("verify, make, details, witness", [
     # every map the identity: the first partition with cross != nest
     (verify_t4, lambda shape, variant, swap: dict, "n=4",
-     (SetPartition(4, ((1, 3), (2, 4))), "statistics not exchanged")),
+     (SetPartition(4, ((1, 4), (2, 3))), "statistics not exchanged")),
     # every map a transpose, which reverses the partition, and with it
     # the block minima and maxima
     (verify_t5, lambda shape, variant, swap:
      lambda entries: {(r, c): v for (c, r), v in entries.items()}, "n=3",
-     (SetPartition(3, ((1,), (2, 3))), "image outside the class")),
+     (SetPartition(3, ((1, 2), (3,))), "image outside the class")),
     (verify_t4, lambda shape, variant, swap:
      lambda entries: rotated(entries, shape), "n=3",
      (SetPartition(3, ((1, 3), (2,))), "map does not invert")),
@@ -376,8 +407,7 @@ def test_partition_failures_are_found(monkeypatch, verify, make, details,
     report = verify(4)
     assert report.passed is False
     p, reason = witness
-    f = (_hesitating(p)[1] if verify is verify_t6
-         else setpartition_to_filling(p))
+    f = hesitating(p) if verify is verify_t6 else setpartition_to_filling(p)
     assert (report.details, report.witness) == (details,
                                                 (f.shape, f, reason))
 
@@ -412,9 +442,9 @@ def test_each_shape_sets_up_its_swaps_once(monkeypatch):
     key of its fillings."""
     set_up = Counter()
 
-    def counted(shape, variant, bits, upward):
+    def counted(shape, variant, bits):
         set_up[shape] += 1
-        return _shape_swap(shape, variant, bits, upward)
+        return _shape_swap(shape, variant, bits)
     monkeypatch.setattr(enumeration, "_shape_swap", counted)
     assert verify_t2a_nes1(5, 2).passed
     assert set_up == Counter({shape: 2 for shape in all_shapes(5)})

@@ -7,6 +7,9 @@ re-exports; those imports still count as reads."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
+
+import growthdiagrams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -172,3 +175,24 @@ def test_rsk_oracle_imports_no_library_code():
     library = {path.stem for path in package.glob("*.py")} | {package.name}
     source = (ROOT / "tests" / "rsk_oracle.py").read_text()
     assert not imported_modules(source) & library
+
+
+def test_verifiers_read_no_set_partition():
+    """The set-partition verifiers walk the staircase's rook placements:
+    enumeration.py reads neither the set partitions' generator nor their
+    class."""
+    source = (ROOT / "src" / "growthdiagrams" / "enumeration.py").read_text()
+    assert not names_read(source) & {"all_set_partitions", "SetPartition"}
+
+
+def test_package_exports_its_names_and_no_module():
+    """``__all__`` holds every name the package imports from its modules,
+    and none of the submodules that those imports bind."""
+    tree = ast.parse((ROOT / "src" / "growthdiagrams" / "__init__.py")
+                     .read_text())
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert set(growthdiagrams.__all__) == imported
+    assert not [name for name in growthdiagrams.__all__
+                if isinstance(getattr(growthdiagrams, name), ModuleType)]

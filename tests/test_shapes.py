@@ -51,6 +51,13 @@ def test_staircase():
     assert staircase(0).rows == ()
 
 
+@pytest.mark.parametrize("n", [-3, True, 2.5, "4"])
+def test_staircase_refuses_a_bad_n(n):
+    with pytest.raises(ValueError,
+                       match=r"^a staircase needs an integer n >= 0, got "):
+        staircase(n)
+
+
 def test_shape_from_text():
     assert shape_from_text("RRDD") == FerrersShape((2, 2))
     assert shape_from_text("2,3,1") == FerrersShape((3, 2, 1))
