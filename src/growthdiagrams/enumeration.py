@@ -3,37 +3,38 @@
 Everything here is deliberately brute force: fillings are generated in a
 deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
-one exists.  The chain statistics of the enumerated fillings come from one
-:class:`fillings.ChainTable` per shape and spec, which reads any filling
-from two smaller ones.  A count table of every 0-1 filling of a shape is
-the one exception: it reads the tables' statistics over the whole code
-space, one byte per filling, and makes no filling.
+one exists.  One walk (``_codes``) gives the fillings as ints, each the
+sum of its entries times per-cell weights; ``generate_fillings`` decodes
+them into fillings, and the verifiers and the Jonsson search keep the
+ints.  The chain statistics come from one :class:`fillings.ChainTable`
+per shape and spec, which reads a filling's code from two smaller ones.
+A count table of every 0-1 filling of a shape reads them over the whole
+code space instead, one byte per filling.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
 hesitating fillings), conjugated by the standard swap with T2's specs.
-A certificate takes two passes over one table, kept for one key of one
-shape at a time: the fillings' n (for T4 the crosses, for T6 the
-partitions' n), or for T5 the columns and rows that hold a cross.  The
-first pass reads each filling's statistics once; the second checks each
-filling's image against the table, so an image's statistics and, for a
-map that is its own inverse, its image are looked up rather than
-computed again.  An image that is not in the table fails the check.  The
-table is keyed by each filling's code, and the codes are mapped to their
-images' codes with the shape's swaps (``growth._shape_swap``), set up
-once per shape for the map and its inverse.
+A certificate takes two passes over one table of code pairs, kept for
+one key of one shape at a time: the fillings' n (for T4 the crosses, for
+T6 the partitions' n), or for T5 the columns and rows that hold a cross.
+The first pass reads each filling's statistics once; the second maps
+each code to its image's with the shape's swaps (``growth._shape_swap``)
+and checks the image against the table, so an image's statistics and,
+for a map that is its own inverse, its image are looked up rather than
+computed again.  Only a failing filling, the witness, is decoded.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from functools import lru_cache
+from itertools import combinations, groupby, islice
 from operator import itemgetter
 
 from .correspondences import _SWAP_FORWARD, _hesitating, _tableau_word
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       ChainTable, Filling, _trusted, chain_spec,
-                       greene_totals)
-from .growth import _shape_swap, _sweep_plan, label_diagram
+                       ChainTable, Filling, _code_entries, _sorted_cells,
+                       _trusted, chain_spec, greene_totals)
+from .growth import MEMO_MAX_ENTRIES, _shape_swap, _sweep_plan, label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
                      budget_limit)
@@ -74,64 +75,102 @@ def generate_fillings(shape, cls: str, n: int):
 
     For the 0-1 classes ``n`` is the number of 1's; for arbitrary fillings
     it is the sum of the entries.  Generation order is lexicographic over
-    the column-major cell list.  The entries are positive ints in cells of
-    the shape by construction, so the fillings are not checked again.
+    the column-major cell list.  Each filling is decoded from its code in
+    ``_codes``' walk, so its entries are positive ints in cells of the
+    shape by construction and are not checked again.
+    """
+    bits = n.bit_length() if cls == ARBITRARY and n > 0 else 1
+    weights, backward = _generation_order(shape, bits)
+    for code in _codes(weights, cls, n):
+        yield _trusted(Filling, shape=shape,
+                       entries=_code_entries(code, backward, bits))
+
+
+@lru_cache(MEMO_MAX_ENTRIES)
+def _generation_order(shape, bits: int):
+    """``generate_fillings``' weights of the shape's cells, and the cells
+    last first: the last cell is the lowest digit, so that decoding top
+    digit first gives the entries in cell order.  Callers only read them.
     """
     cells = shape.cells()
+    top = len(cells) - 1
+    return ({cell: 1 << bits * (top - i) for i, cell in enumerate(cells)},
+            cells[::-1])
+
+
+def _codes(weights: dict, cls: str, n: int):
+    """The one walk over the class's fillings with n of the shape whose
+    column-major cells key ``weights``: each, in ``generate_fillings``'
+    order, as the sum of its entries times their cells' weights."""
     if cls == ZERO_ONE:
-        for chosen in combinations(cells, n):
-            yield _trusted(Filling, shape=shape,
-                           entries=dict.fromkeys(chosen, 1))
-    elif cls == PARTIAL_PERMUTATION:
-        for chosen in _rook_placements(cells, n):
-            yield _trusted(Filling, shape=shape,
-                           entries=dict.fromkeys(chosen, 1))
-    elif cls == ARBITRARY:
-        def spread(i, left):
-            if left == 0:
-                yield {}
-                return
-            if i == len(cells):
-                return
-            for here in range(left + 1):
-                for rest in spread(i + 1, left - here):
-                    if here:
-                        d = {cells[i]: here}
-                        d.update(rest)
-                        yield d
-                    else:
-                        yield rest
-        for entries in spread(0, n):
-            yield _trusted(Filling, shape=shape, entries=entries)
-    else:
-        raise ValueError(f"unknown filling class {cls!r}")
+        return map(sum, combinations(weights.values(), n))
+    if cls == PARTIAL_PERMUTATION:
+        return _rook_codes(weights, n)
+    if cls == ARBITRARY:
+        return _composition_codes(n, list(weights.values()))
+    raise ValueError(f"unknown filling class {cls!r}")
 
 
-def _rook_placements(cells, n: int):
-    """The n-subsets of the column-major cell list with no two cells in a
-    row or a column, in the order of ``combinations(cells, n)``.
+def _rook_codes(weights: dict, n: int):
+    """The codes of the n-subsets of the column-major cells with no two in
+    a row or a column, in the order of ``combinations(cells, n)``.
 
     Column by column, each column is skipped or given one cell in a free
     row, lowest row first; a column is tried only while enough columns are
-    left to place the rest.
-    """
-    columns = [list(group) for _, group in groupby(cells, key=itemgetter(0))]
-    chosen, used_rows = [], set()
+    left to place the rest."""
+    columns = [[(1 << r, w) for (_, r), w in group] for _, group in
+               groupby(weights.items(), key=lambda item: item[0][0])]
 
-    def place(first):
-        if len(chosen) == n:
-            yield tuple(chosen)
+    def place(first, left, code, used):
+        if left == 1:
+            # the last cell, in a free row of any column left
+            for column in columns[first:]:
+                for row, w in column:
+                    if not used & row:
+                        yield code + w
             return
-        for i in range(first, len(columns) - (n - len(chosen)) + 1):
-            for cell in columns[i]:
-                if cell[1] not in used_rows:
-                    chosen.append(cell)
-                    used_rows.add(cell[1])
-                    yield from place(i + 1)
-                    chosen.pop()
-                    used_rows.remove(cell[1])
+        for i in range(first, len(columns) - left + 1):
+            for row, w in columns[i]:
+                if not used & row:
+                    yield from place(i + 1, left - 1, code + w, used | row)
 
-    return place(0)
+    return place(0, n, 0, 0) if n else iter((0,))
+
+
+def _composition_codes(n: int, weights):
+    """The codes of the fillings with entry sum n, ascending in the
+    lexicographic order of their entries.  From all of n in the last cell,
+    each next one moves one unit from the last nonzero cell t to t - 1 and
+    the rest of t's entry to the last cell, until all of n is in the first.
+    """
+    if not n:
+        yield 0
+    if n <= 0 or not weights:
+        return
+    last = len(weights) - 1
+    entries = [0] * last + [n]
+    t, code = last, n * weights[last]
+    while True:
+        yield code
+        if not t:
+            return
+        rest = entries[t] - 1
+        entries[t], entries[last] = 0, rest
+        entries[t - 1] += 1
+        code += weights[t - 1] - (rest + 1) * weights[t] + rest * weights[last]
+        t = last if rest else t - 1
+
+
+def _code_weights(shape, bits: int) -> dict:
+    """Each cell's weight in a code pair, in the order of ``shape.cells()``:
+    the filling's code in ``ChainTable``'s upward cell order in the low
+    ``bits * shape.n_cells`` bits, and in the downward order above them."""
+    cells = shape.cells()
+    shift = bits * len(cells)
+    down = {cell: bits * i + shift
+            for i, cell in enumerate(_sorted_cells(cells, False))}
+    return {cell: 1 << bits * i | 1 << down[cell]
+            for i, cell in enumerate(cells)}
 
 
 def all_fillings(shape, cls: str, max_n: int | None = None):
@@ -197,6 +236,19 @@ def _metered(items, what="fillings"):
         if produced > wall:
             raise _too_large(wall, what)
         yield item
+
+
+def _metered_groups(keyed, what="fillings"):
+    """(key, list of codes) for each (key, codes) group, raising
+    InstanceTooLarge, before passing it on, at the group that takes the
+    codes of all the groups past ``budget_limit()``."""
+    wall = left = budget_limit()
+    for key, codes in keyed:
+        codes = list(islice(codes, left + 1))
+        left -= len(codes)
+        if left < 0:
+            raise _too_large(wall, what)
+        yield key, codes
 
 
 def _too_large(wall: int, what="fillings") -> InstanceTooLarge:
@@ -333,90 +385,113 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     """Count identity plus, given the map's (mode, inverse mode), a
     bijection certificate for one swap identity.
 
-    ``groups`` holds (shape, fillings) pairs, the fillings (key, filling)
-    pairs of that shape with each key's fillings together, and entries
-    below ``2 ** bits``.  Over each key's fillings, as many have
-    statistics (s, t) under ``specs`` as have (t, s) under
+    ``groups`` holds (shape, keyed) pairs, ``keyed`` one (key, codes)
+    group per key, ``codes`` its fillings' code pairs (``_code_weights``)
+    with entries below ``2 ** bits``.  Over each key's fillings, as many
+    have statistics (s, t) under ``specs`` as have (t, s) under
     ``image_specs``.  The map must carry statistics (s, t) on the source
     side to (t, s) on the image side, keep the key, and invert cleanly.
     Each key is checked in two passes over one table of its fillings,
-    keyed by code: the first codes each filling once in each cell order
-    its chain tables read, and reads every statistic once; the second
-    checks each filling's image against the table.  The shape's two code
-    maps are set up once for all its keys.  With ``symmetric_only`` a
-    filling that is not symmetric is skipped before it is read.
+    keyed by upward code: the first reads every statistic once, each chain
+    table from the code of its cell order; the second checks each
+    filling's image against the table.  The shape's two code maps are set
+    up once for all its keys.  With ``symmetric_only`` a filling that is
+    not symmetric is skipped before it is read.  Only a witness is
+    decoded into a filling.
     """
     for shape, keyed in groups:
         source = {}     # key -> {(s, t): count}
         image = source if image_specs == specs else {}
         tables = [ChainTable(shape, spec, bits) for spec in
                   (specs if image is source else specs + image_specs)]
-        # keys are codes in an upward table's cell order, which swaps map
-        keys = next(t for t in tables if t.spec.upward)
-        flipped = next((t for t in tables if not t.spec.upward), keys)
+        # a code pair's low ``shift`` bits are its upward code, codes[0],
+        # and the rest its downward one, codes[1]; each table reads the code
+        # of its cell order
+        shift = bits * shape.n_cells
+        low = (1 << shift) - 1
         reads = [(t._read, not t.spec.upward) for t in tables]
+        (x, i), (y, j) = reads[:2]      # the source side's (s, t)
+        (u, k), (v, m) = reads[-2:]     # the image side's
+        symmetric = _symmetric(shape, bits) if symmetric_only else None
         swaps = None if modes is None else [
             _shape_swap(shape, _SWAP_FORWARD[mode], bits) for mode in modes]
-        for key, group in groupby(keyed, key=itemgetter(0)):
-            table = {}      # code -> (filling, statistics, image side)
+        for key, pairs in keyed:
+            table = {}      # upward code -> ((s, t), image side)
             counts = source.setdefault(key, Counter())
             image_counts = image.setdefault(key, Counter())
-            for _, f in group:
-                if symmetric_only and not f.is_symmetric():
+            for pair in pairs:
+                codes = pair & low, pair >> shift
+                if symmetric and not symmetric(codes[0]):
                     continue
-                codes = keys._code(f.entries), flipped._code(f.entries)
-                stats = [read(codes[flip]) for read, flip in reads]
-                s, t = stats[:2]
-                counts[s, t] += 1
+                st = x(codes[i]), y(codes[j])
+                counts[st] += 1
                 if image is source:
-                    swapped = s, t
+                    swapped = st
                 else:
-                    swapped = stats[2], stats[3]
+                    swapped = u(codes[k]), v(codes[m])
                     image_counts[swapped] += 1
-                table[codes[0]] = f, (s, t), swapped
+                table[codes[0]] = st, swapped
             if swaps is not None and table:
-                witness = _swap_witness(shape, table, modes, swaps, keys,
-                                        symmetric_only)
+                witness = _swap_witness(table, modes, swaps, symmetric)
                 if witness:
-                    return False, witness
+                    code, reason = witness
+                    return False, (shape, _trusted(
+                        Filling, shape=shape,
+                        entries=_code_entries(code, shape.cells(), bits)),
+                        reason)
         bad = _mirror_mismatch(source, image)
         if bad:
             return False, (shape, *bad, "counts differ")
     return True, None
 
 
-def _swap_witness(shape, table, modes, swaps, keys: ChainTable,
-                  symmetric_only):
-    """The first filling of the table, in enumeration order, whose image
-    under ``modes[0]`` fails a check, as (shape, filling, reason); None if
-    there is none.  The table is keyed by the codes of ``keys``, and the
-    shape's swaps, ``_shape_swap``'s code maps of the two modes, map a code
-    of the table to its image's code, or to None for an image with an entry
-    too large for a digit, which has no key.  A map that is its own inverse
-    is applied once to each filling, and each image's image is looked
-    up."""
+def _swap_witness(table, modes, swaps, symmetric):
+    """The first upward code of the table, in enumeration order, whose
+    image under ``modes[0]`` fails a check, with the reason; None if there
+    is none.  The shape's swaps, ``_shape_swap``'s code maps of the two
+    modes, map a code to its image's code, or to None for an image with an
+    entry too large for a digit, which has no key.  A map that is its own
+    inverse is applied once to each filling, and each image's image is
+    looked up.  When ``symmetric`` tests codes the table holds only
+    symmetric fillings, so only an image outside it is tested."""
     forward, backward = swaps
     images = map(forward, table)
     if modes[0] == modes[1]:
         images = list(images)
         image_of = dict(zip(table, images))
-    for (code, (f, (s, t), _)), key in zip(table.items(), images):
-        if symmetric_only and key is not None and not _trusted(
-                Filling, shape=shape, entries=keys._entries(key)).is_symmetric():
-            return shape, f, "image not symmetric"
+    for (code, ((s, t), _)), key in zip(table.items(), images):
         if key not in table:
-            return shape, f, "image outside the class"
-        if table[key][2] != (t, s):
-            return shape, f, "statistics not exchanged"
+            if symmetric and key is not None and not symmetric(key):
+                return code, "image not symmetric"
+            return code, "image outside the class"
+        if table[key][1] != (t, s):
+            return code, "statistics not exchanged"
         back = image_of[key] if modes[0] == modes[1] else backward(key)
         if back != code:
-            return shape, f, "map does not invert"
+            return code, "map does not invert"
     return None
 
 
-def _shape_groups(shapes, cls, max_n):
-    """_check_swap's groups of the shapes' fillings, keyed by n."""
-    return ((shape, all_fillings(shape, cls, max_n)) for shape in shapes)
+def _symmetric(shape, bits: int):
+    """The test of whether the filling of an upward code of the shape
+    equals its transpose: its code with each entry moved across the
+    diagonal is its own."""
+    if not shape.is_symmetric():
+        return lambda code: False
+    cells = shape.cells()
+    at = {cell: bits * i for i, cell in enumerate(cells)}
+    return lambda code: code == sum(v << at[r, c] for (c, r), v in
+                                    _code_entries(code, cells, bits).items())
+
+
+def _shape_groups(shapes, cls, max_n, bits=1):
+    """_check_swap's groups of the shapes' fillings, keyed by n and
+    metered shape by shape."""
+    for shape in shapes:
+        weights = _code_weights(shape, bits)
+        yield shape, _metered_groups(
+            (n, _codes(weights, cls, n))
+            for n in range(_max_n(shape, cls, max_n) + 1))
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
@@ -431,9 +506,10 @@ def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report
     _check_bound(max_sum, "max_sum", 0)
     shapes = _shapes_to_check(shapes if shapes is not None
                               else all_shapes(max_cells))
-    ok, witness = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum),
+    bits = max_sum.bit_length()
+    ok, witness = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
                               NES1_SPECS, NES1_IMAGE_SPECS,
-                              ("nes1", "nes1-inverse"), max_sum.bit_length())
+                              ("nes1", "nes1-inverse"), bits)
     return Report("T2a-NES1", ok, f"{len(shapes)} shapes, entry sum <= {max_sum}",
                   witness)
 
@@ -465,10 +541,10 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # are reflections of each other rather than self-reflective, so it is
     # checked by counting over the symmetric fillings directly.
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
-    ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum),
+    bits = max_sum.bit_length()
+    ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
                           NES1_SPECS, NES1_IMAGE_SPECS,
-                          ("nes1", "nes1-inverse"), max_sum.bit_length(),
-                          symmetric_only=True)
+                          ("nes1", "nes1-inverse"), bits, symmetric_only=True)
     ok2, w2 = _check_swap(_shape_groups(shapes, ZERO_ONE, max_sum),
                           NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
     return Report("T2asym", ok1 and ok2,
@@ -478,36 +554,53 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
 def _partition_verdict(name, max_n, groups, kind=""):
     """The standard swap of the set partitions of each n up to ``max_n``,
     the rook placements of the staircase, checked with T2's specs on
-    ``groups(n, staircase, (crosses, placement) pairs)``."""
+    ``groups(n, staircase)``."""
     _check_bound(max_n, "max_n", 0)
     for n in range(max_n + 1):
         shape = _sweep_plan(_tableau_word(n)).shape
-        placements = _metered(((k, f) for k in range(max(n, 1)) for f in
-                               generate_fillings(shape, PARTIAL_PERMUTATION, k)),
-                              "set partitions")
-        ok, witness = _check_swap(groups(n, shape, placements), T2_SPECS,
-                                  T2_SPECS, ("standard", "standard"))
+        ok, witness = _check_swap(groups(n, shape), T2_SPECS, T2_SPECS,
+                                  ("standard", "standard"))
         if not ok:
             return Report(name, False, f"n={n}", witness)
     return Report(name, True, f"set partitions up to n={max_n}{kind}")
 
 
-def _occupied(f: Filling):
-    """The columns and the rows of f's crosses.  In n's staircase column i
-    has none when i is a block maximum, row n + 1 - j when j is a minimum."""
-    return (tuple(sorted(c for c, _ in f.entries)),
-            tuple(sorted(r for _, r in f.entries)))
+def _placements(n: int, weights: dict):
+    """(k, codes) for k = 0, 1, ...: the codes of the rook placements of
+    k crosses on n's staircase, whose cells ``weights`` weighs, metered
+    as set partitions."""
+    return _metered_groups(((k, _codes(weights, PARTIAL_PERMUTATION, k))
+                            for k in range(max(n, 1))), "set partitions")
+
+
+def _occupied(n: int, shape) -> dict:
+    """T5's weight of each cell of n's staircase ``shape``: its code-pair
+    weight and, above the pair, bit n + c for its column c and bit r for
+    its row r.  So a placement's code carries the columns and the rows that
+    hold a cross above its code pair.  Column i holds none when i is a
+    block maximum, row n + 1 - j none when j is a block minimum."""
+    at = 2 * shape.n_cells
+    return {(c, r): w | (1 << n + c | 1 << r) << at
+            for (c, r), w in _code_weights(shape, 1).items()}
 
 
 def verify_t4(max_n: int = 5) -> Report:
     # T2 on the staircase, keyed by crosses: n minus the number of blocks
-    return _partition_verdict("T4", max_n, lambda n, shape, fs: [(shape, fs)])
+    return _partition_verdict("T4", max_n, lambda n, shape: [
+        (shape, _placements(n, _code_weights(shape, 1)))])
 
 
 def verify_t5(max_n: int = 5) -> Report:
-    # the swap keeps which columns and rows of the staircase hold a cross
-    return _partition_verdict("T5", max_n, lambda n, shape, fs: [(shape, sorted(
-        ((_occupied(f), f) for _, f in fs), key=itemgetter(0)))], ", refined")
+    # the swap keeps which columns and rows of the staircase hold a cross:
+    # each placement's (key, code pair) is its code's divmod
+    def groups(n, shape):
+        placements = _placements(n, _occupied(n, shape))
+        pairs = sorted((divmod(code, 1 << 2 * shape.n_cells)
+                        for _, codes in placements for code in codes),
+                       key=itemgetter(0))
+        return [(shape, ((key, map(itemgetter(1), group)) for key, group
+                         in groupby(pairs, key=itemgetter(0))))]
+    return _partition_verdict("T5", max_n, groups, ", refined")
 
 
 def verify_t6(max_n: int = 4) -> Report:
@@ -516,11 +609,19 @@ def verify_t6(max_n: int = 4) -> Report:
     # not preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
-    def groups(n, shape, placements):
-        by_shape = {}
-        for g in (_hesitating(n, f.entries)[1] for _, f in placements):
-            by_shape.setdefault(g.shape, []).append((n, g))
-        return by_shape.items()
+    def groups(n, shape):
+        cells = shape.cells()
+        by_shape = {}   # hesitating shape -> (its code weights, code pairs)
+        for _, codes in _placements(n, {cell: 1 << i for i, cell in
+                                        enumerate(cells)}):
+            for code in codes:
+                g = _hesitating(n, _code_entries(code, cells, 1))[1]
+                if g.shape not in by_shape:
+                    by_shape[g.shape] = _code_weights(g.shape, 1), []
+                weights, pairs = by_shape[g.shape]
+                # every entry is a 1
+                pairs.append(sum(map(weights.__getitem__, g.entries)))
+        return ((s, [(n, pairs)]) for s, (_, pairs) in by_shape.items())
     return _partition_verdict("T6", max_n, groups, ", enhanced")
 
 
@@ -551,16 +652,18 @@ def _densest_bounded_ne(shape, s: int):
     all rectangle-bounded ne-chains at length <= s, and how many fillings
     with n_max 1's have a longest such chain of exactly s.
 
-    One metered pass from the fullest fillings down, ending at the first
-    filling below n_max, read through one chain table.
+    One metered pass over the walk's codes from the fullest fillings down,
+    ending at the first filling below n_max, read through one chain table,
+    whose upward cell order is that of ``shape.cells()``.
     """
     bounded_ne, = _chain_tables(shape, ZERO_ONE, None, NE_SE_SPECS[:1])
+    weights = {cell: 1 << i for i, cell in enumerate(shape.cells())}
     n_max, count = None, 0
-    for n, f in _metered((n, f) for n in range(shape.n_cells, -1, -1)
-                         for f in generate_fillings(shape, ZERO_ONE, n)):
+    for n, code in _metered((n, code) for n in range(shape.n_cells, -1, -1)
+                            for code in _codes(weights, ZERO_ONE, n)):
         if n_max is not None and n < n_max:
             break
-        ne = bounded_ne(f)
+        ne = bounded_ne._read(code)
         if ne <= s:
             n_max = n
             count += ne == s

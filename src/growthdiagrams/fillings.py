@@ -408,8 +408,15 @@ class ChainTable:
 def _code_entries(code: int, cells, bits: int) -> dict:
     """The entries of a code with the entry of ``cells[i]`` in its digit i,
     ``bits`` bits each.  Only the digits with a set bit are decoded, the
-    top one first, each in a few operations on the code."""
+    top one first, each in a few operations on the code, fewer for a 0-1
+    filling."""
     entries = {}
+    if bits == 1:
+        while code:
+            i = code.bit_length() - 1
+            entries[cells[i]] = 1
+            code ^= 1 << i
+        return entries
     while code:
         i = (code.bit_length() - 1) // bits
         value = code >> i * bits

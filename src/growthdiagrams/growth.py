@@ -125,6 +125,11 @@ class _SweepPlan:
         return FerrersShape(self.rows)
 
     @cached_property
+    def swaps(self) -> dict:
+        """The maps ``conjugate_swap`` has set up for the shape."""
+        return {}
+
+    @cached_property
     def heights(self) -> list:
         """The height of each column, column 0 (the left side) holding one
         cell per row, so that a zero-length top row of a padded word counts
@@ -601,8 +606,14 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
     # an image entry is at most the entry sum below and left of it, the
     # size of a border label
     bits = max(sum(entries.values()), 1).bit_length()
+    # the plan keeps each map it sets up, by the fold's rule set (see
+    # _fold_steps) and digit width
+    key = v, get_variant(v.conjugate), _small_conjugate, bits
+    swap = plan.swaps.get(key)
+    if swap is None:
+        swap = plan.swaps[key] = _shape_swap(shape, variant, bits)
     starts = list(accumulate(shape.col_heights, initial=0))
-    code = _shape_swap(shape, variant, bits)(sum(
+    code = swap(sum(
         m << bits * (starts[c - 1] + r - 1) for (c, r), m in entries.items()))
     return _trusted(Filling, shape=shape,
                     entries=_code_entries(code, shape.cells(), bits))
@@ -629,8 +640,7 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int):
     right of the shape.  A refused border step goes to ``_check_steps``
     with the whole conjugated border, so that the error names the first
     one, as ``reconstruct``'s does."""
-    # the empty filling is in every class: this checks the variant and shape
-    v = _checked_variant(_trusted(Filling, shape=shape, entries={}), variant)
+    v = get_variant(variant)
     back = get_variant(v.conjugate)
     plan = _sweep_plan(shape.word)
     heights = shape.col_heights

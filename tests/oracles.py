@@ -2,7 +2,8 @@
 library against; nothing in ``src/`` calls them."""
 
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
+from operator import itemgetter
 
 from growthdiagrams.correspondences import (Matching, SetPartition,
                                             _tableau_word,
@@ -12,9 +13,9 @@ from growthdiagrams.correspondences import (Matching, SetPartition,
                                             setpartition_to_vacillating,
                                             standard_representation)
 from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shapes
-from growthdiagrams.fillings import (PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                                     Filling, _sorted_cells, chain_spec,
-                                     longest_chain)
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
+                                     ChainSpec, Filling, _sorted_cells,
+                                     chain_spec, longest_chain)
 from growthdiagrams import growth
 from growthdiagrams.growth import GrowthTableau, growth_tableau, reconstruct
 from growthdiagrams.local_rules import get_variant
@@ -81,6 +82,63 @@ def hesitating_by_definition(p):
     entries = {(i, n + 1 - j): 1 for b in p.blocks for i, j in zip(b, b[1:])}
     entries.update({(i, n + 1 - i): 1 for i in singletons})
     return word, Filling(shape, entries)
+
+
+def fillings_by_dicts(shape, cls: str, n: int):
+    """The fillings of the class with n, as entries dicts built cell by
+    cell in lexicographic order over the column-major cell list: the
+    generators that ``enumeration.generate_fillings`` had before it read
+    its fillings off the code walk."""
+    cells = shape.cells()
+    if cls == ZERO_ONE:
+        for chosen in combinations(cells, n):
+            yield Filling(shape, dict.fromkeys(chosen, 1))
+    elif cls == PARTIAL_PERMUTATION:
+        for chosen in _rook_placements(cells, n):
+            yield Filling(shape, dict.fromkeys(chosen, 1))
+    elif cls == ARBITRARY:
+        def spread(i, left):
+            if left == 0:
+                yield {}
+                return
+            if i == len(cells):
+                return
+            for here in range(left + 1):
+                for rest in spread(i + 1, left - here):
+                    if here:
+                        d = {cells[i]: here}
+                        d.update(rest)
+                        yield d
+                    else:
+                        yield rest
+        for entries in spread(0, n):
+            yield Filling(shape, entries)
+    else:
+        raise ValueError(f"unknown filling class {cls!r}")
+
+
+def _rook_placements(cells, n: int):
+    """The n-subsets of the column-major cell list with no two cells in a
+    row or a column, in the order of ``combinations(cells, n)``: column by
+    column, each column skipped or given one cell in a free row, lowest
+    row first, while enough columns are left to place the rest."""
+    columns = [list(group) for _, group in groupby(cells, key=itemgetter(0))]
+    chosen, used_rows = [], set()
+
+    def place(first):
+        if len(chosen) == n:
+            yield tuple(chosen)
+            return
+        for i in range(first, len(columns) - (n - len(chosen)) + 1):
+            for cell in columns[i]:
+                if cell[1] not in used_rows:
+                    chosen.append(cell)
+                    used_rows.add(cell[1])
+                    yield from place(i + 1)
+                    chosen.pop()
+                    used_rows.remove(cell[1])
+
+    return place(0)
 
 
 def swap_by_definition(f: Filling, variant: str) -> Filling:

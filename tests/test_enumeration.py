@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from growthdiagrams import enumeration, growth
+from growthdiagrams import correspondences, enumeration, fillings, growth
 from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             all_set_partitions,
                                             filling_to_setpartition,
@@ -14,6 +14,7 @@ from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             setpartition_to_filling)
 from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
                                         InstanceTooLarge, Report,
+                                        _code_weights, _codes,
                                         _densest_bounded_ne, _occupied,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
@@ -24,15 +25,16 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
-from growthdiagrams.fillings import (ChainTable, Filling, chain_spec,
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
+                                     ChainTable, Filling, chain_spec,
                                      greene_totals, longest_chain)
 from growthdiagrams.growth import _shape_swap
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
 from oracles import (bell_number, catalan_number, count_noncrossing_matchings,
-                     greene_oracle, hesitating_by_definition,
-                     max_ones_with_bounded_ne, random_fillings,
-                     stack_polyominoes)
+                     fillings_by_dicts, greene_oracle,
+                     hesitating_by_definition, max_ones_with_bounded_ne,
+                     random_fillings, stack_polyominoes)
 
 SQUARE = FerrersShape((2, 2))
 
@@ -98,6 +100,32 @@ def test_partial_permutations_match_filter():
             assert got == want, (shape, n)
 
 
+def test_walk_is_the_dict_generators_exhaustive():
+    """The code walk gives the dict generators' fillings in their order,
+    on the empty shape and every shape of at most 7 cells, for each class
+    and every n (arbitrary fillings up to entry sum 4), one past the
+    largest included.  ``generate_fillings`` decodes them with the same
+    entries in the same order, and the walk's code pairs are the chain
+    tables' codes of those fillings in the upward and the downward cell
+    order."""
+    for shape in [FerrersShape(()), *all_shapes(7)]:
+        rooks = min(shape.n_rows, shape.n_cols)
+        for cls, top in ((ZERO_ONE, shape.n_cells),
+                         (PARTIAL_PERMUTATION, rooks), (ARBITRARY, 4)):
+            for n in range(top + 2):
+                want = [f.entries for f in fillings_by_dicts(shape, cls, n)]
+                assert [list(f.entries.items()) for f in generate_fillings(
+                    shape, cls, n)] == [list(e.items()) for e in want], (
+                    shape, cls, n)
+                bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
+                up, down = (ChainTable(shape, chain_spec(code), bits)
+                            for code in ("NE", "SE"))
+                weights = _code_weights(shape, bits)
+                assert list(_codes(weights, cls, n)) == [
+                    up._code(e) | down._code(e) << bits * shape.n_cells
+                    for e in want], (shape, cls, n)
+
+
 def test_partial_permutations_of_staircase_9():
     # sum over k of the Stirling numbers S(9, 9 - k): the Bell number B(9)
     total = sum(1 for n in range(9) for _ in
@@ -114,17 +142,21 @@ def test_staircase_placements_are_the_set_partitions():
     for n in range(9):
         partitions = {setpartition_to_filling(p): p
                       for p in all_set_partitions(n)}
-        placements = [f for _, f in
-                      all_fillings(staircase(n), "partial-permutation")]
+        shape = staircase(n)
+        placements = [f for _, f in all_fillings(shape, "partial-permutation")]
         assert len(placements) == len(partitions) == bell_number(n)
         assert set(placements) == set(partitions)
+        # T5's key sits above the code pair: bit n + i for column i, bit
+        # r for row r
+        occupied = _occupied(n, shape)
         for f in placements:
             p = partitions[f]
             minima, maxima = min_max_blocks(p)
-            assert _occupied(f) == (
-                tuple(i for i in range(1, n + 1) if i not in maxima),
-                tuple(sorted(n + 1 - j for j in range(1, n + 1)
-                             if j not in minima))), str(p)
+            code = sum(occupied[cell] for cell in f.entries)
+            assert code >> 2 * len(occupied) == sum(
+                [1 << n + i for i in range(1, n + 1) if i not in maxima]
+                + [1 << n + 1 - j for j in range(1, n + 1) if j not in minima]
+            ), str(p)
             assert _hesitating(n, f.entries) == hesitating_by_definition(p), (
                 str(p))
 
@@ -448,6 +480,31 @@ def test_each_shape_sets_up_its_swaps_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_shape_swap", counted)
     assert verify_t2a_nes1(5, 2).passed
     assert set_up == Counter({shape: 2 for shape in all_shapes(5)})
+
+
+def count_fillings(monkeypatch) -> list:
+    """The fillings built from here on, checked or trusted, in any
+    module."""
+    built = []
+    for module in (fillings, growth, correspondences, enumeration):
+        monkeypatch.setattr(module, "_trusted", lambda cls, _trusted=(
+            module._trusted), **values: built.append(cls) or _trusted(
+                cls, **values))
+    check = Filling.__post_init__
+    monkeypatch.setattr(Filling, "__post_init__",
+                        lambda self: built.append(Filling) or check(self))
+    return built
+
+
+def test_a_pass_builds_no_filling(monkeypatch):
+    """The swap verifiers run on codes from the walk to the verdict: their
+    PASS builds no filling, and a FAIL decodes its witness once."""
+    built = count_fillings(monkeypatch)
+    assert verify_t2a_nes1(4, 2).passed and verify_t5(5).passed
+    assert Filling not in built
+    patch_swap(monkeypatch, lambda shape, variant, swap: dict)
+    assert verify_t2a_nes1(4, 2).passed is False
+    assert built.count(Filling) == 1
 
 
 def test_corrupted_fold_memo_fails_the_verdict():
