@@ -5,11 +5,11 @@ deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
 one exists.  One walk (``_codes``) gives the fillings as ints, each the
 sum of its entries times per-cell weights; ``generate_fillings`` decodes
-them into fillings, and the verifiers and the Jonsson search keep the
-ints.  The chain statistics come from one :class:`fillings.ChainTable`
-per shape and spec, which reads a filling's code from two smaller ones.
-A count table of every 0-1 filling of a shape reads them over the whole
-code space instead, one byte per filling.
+them into fillings, and every count reads the ints as code pairs
+(``_code_weights``) through ``_pair_reads``: one :class:`ChainTable` per
+shape and spec, which reads a filling's code from two smaller ones.  A
+count table of every 0-1 filling of a shape reads the tables over the
+whole code space instead, one byte per filling.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
@@ -31,9 +31,9 @@ from itertools import combinations, groupby, islice
 from operator import itemgetter
 
 from .correspondences import _SWAP_FORWARD, _hesitating, _tableau_word
-from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
-                       ChainTable, Filling, _code_entries, _sorted_cells,
-                       _trusted, chain_spec, greene_totals)
+from .fillings import (ARBITRARY, MEMO_MAX_CELLS, PARTIAL_PERMUTATION,
+                       ZERO_ONE, ChainSpec, ChainTable, Filling, _code_entries,
+                       _sorted_cells, _trusted, chain_spec, greene_totals)
 from .growth import MEMO_MAX_ENTRIES, _shape_swap, _sweep_plan, label_diagram
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
@@ -214,13 +214,6 @@ def _check_bound(value, name: str, least: int) -> int:
     return value
 
 
-def _chain_tables(shape, cls: str, max_n: int | None, specs):
-    """A ChainTable of the shape for each spec, sized for the class's
-    fillings of entry sum at most ``max_n``."""
-    bits = _max_n(shape, cls, max_n).bit_length() if cls == ARBITRARY else 1
-    return [ChainTable(shape, spec, bits) for spec in specs]
-
-
 def _shapes_to_check(shapes):
     """The verifier's shapes, of which there must be at least one."""
     if not shapes:
@@ -228,13 +221,13 @@ def _shapes_to_check(shapes):
     return shapes
 
 
-def _metered(items, what="fillings"):
+def _metered(items):
     """Pass items through, raising InstanceTooLarge once more than
     ``budget_limit()`` of them have been generated."""
     wall = budget_limit()
     for produced, item in enumerate(items, 1):
         if produced > wall:
-            raise _too_large(wall, what)
+            raise _too_large(wall)
         yield item
 
 
@@ -275,10 +268,6 @@ class CountTable:
     spec_y: ChainSpec
     counts: dict = field(default_factory=dict)   # n -> {(s, t): count}
 
-    def add(self, n, s, t):
-        self.counts.setdefault(n, {})
-        self.counts[n][(s, t)] = self.counts[n].get((s, t), 0) + 1
-
     def is_symmetric(self):
         """Whether every per-n table equals its (s, t) transpose; returns
         (ok, witness)."""
@@ -302,24 +291,43 @@ def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
                 max_n: int | None = None) -> CountTable:
     """The number of fillings of the class with each (n, s, t): n their
     entry sum, s and t their statistics under ``spec_x`` and ``spec_y``.
-    Each n's (s, t) keys come in the order the fillings are generated.
+    An n with no filling has no key, and each n's (s, t) keys come in the
+    order the fillings are generated.
 
     A table of every 0-1 filling of a shape with chain-table masks is
-    counted over the code space; every other table enumerates."""
+    counted over the code space; every other one reads the walk's code
+    pairs, metered n by n."""
     table = CountTable(str(shape), cls, spec_x, spec_y)
-    x, y = _chain_tables(shape, cls, max_n, (spec_x, spec_y))
-    if (cls == ZERO_ONE and x.pred is not None
-            and _max_n(shape, cls, max_n) >= shape.n_cells):
-        table.counts = _code_space_counts(shape, x, y)
+    top = _max_n(shape, cls, max_n)
+    if (cls == ZERO_ONE and shape.n_cells <= MEMO_MAX_CELLS
+            and top >= shape.n_cells):
+        table.counts = _code_space_counts(shape, spec_x, spec_y)
         return table
-    for n, f in all_fillings(shape, cls, max_n):
-        table.add(n, x(f), y(f))
+    bits = top.bit_length() if cls == ARBITRARY else 1
+    (_, groups), = _shape_groups([shape], cls, max_n, bits)
+    shift, low, ((x, i), (y, j)) = _pair_reads(shape, (spec_x, spec_y), bits)
+    for n, pairs in groups:
+        counts = Counter()
+        for pair in pairs:
+            codes = pair & low, pair >> shift
+            counts[x(codes[i]), y(codes[j])] += 1
+        if counts:
+            table.counts[n] = dict(counts)
     return table
 
 
-def _code_space_counts(shape, x: ChainTable, y: ChainTable) -> dict:
+def _pair_reads(shape, specs, bits: int):
+    """(shift, low, reads): ``pair & low`` is a code pair's upward code and
+    ``pair >> shift`` its downward one; ``reads`` holds each spec's
+    ChainTable read and the index of its cell order's code in the two."""
+    shift = bits * shape.n_cells
+    return shift, (1 << shift) - 1, [(ChainTable(shape, spec, bits)._read,
+                                      not spec.upward) for spec in specs]
+
+
+def _code_space_counts(shape, spec_x: ChainSpec, spec_y: ChainSpec) -> dict:
     """count_table's counts of all 2 ** N 0-1 fillings of the N-cell
-    shape, read from one byte array of each table's statistic.
+    shape, read from one byte array of each spec's chain table.
 
     One pass walks the fillings as the codes with cell i of
     ``shape.cells()`` at bit N - 1 - i, from 2 ** N - 1 down to 0: each n's
@@ -331,6 +339,7 @@ def _code_space_counts(shape, x: ChainTable, y: ChainTable) -> dict:
     size, wall = 1 << len(cells), budget_limit()
     if size > wall:
         raise _too_large(wall)
+    x, y = (ChainTable(shape, spec, 1) for spec in (spec_x, spec_y))
     stat_x, stat_y = x._code_space(), y._code_space()
     low = min(len(cells), 8)
     bytes_x, bytes_y = _byte_tables(x.pos, cells), _byte_tables(y.pos, cells)
@@ -402,14 +411,8 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     for shape, keyed in groups:
         source = {}     # key -> {(s, t): count}
         image = source if image_specs == specs else {}
-        tables = [ChainTable(shape, spec, bits) for spec in
-                  (specs if image is source else specs + image_specs)]
-        # a code pair's low ``shift`` bits are its upward code, codes[0],
-        # and the rest its downward one, codes[1]; each table reads the code
-        # of its cell order
-        shift = bits * shape.n_cells
-        low = (1 << shift) - 1
-        reads = [(t._read, not t.spec.upward) for t in tables]
+        shift, low, reads = _pair_reads(
+            shape, specs if image is source else specs + image_specs, bits)
         (x, i), (y, j) = reads[:2]      # the source side's (s, t)
         (u, k), (v, m) = reads[-2:]     # the image side's
         symmetric = _symmetric(shape, bits) if symmetric_only else None
@@ -652,22 +655,18 @@ def _densest_bounded_ne(shape, s: int):
     all rectangle-bounded ne-chains at length <= s, and how many fillings
     with n_max 1's have a longest such chain of exactly s.
 
-    One metered pass over the walk's codes from the fullest fillings down,
-    ending at the first filling below n_max, read through one chain table,
-    whose upward cell order is that of ``shape.cells()``.
+    The walk's code pairs, metered n by n from the fullest fillings down
+    to the first n with a filling within the bound, at the latest n = 0.
     """
-    bounded_ne, = _chain_tables(shape, ZERO_ONE, None, NE_SE_SPECS[:1])
-    weights = {cell: 1 << i for i, cell in enumerate(shape.cells())}
-    n_max, count = None, 0
-    for n, code in _metered((n, code) for n in range(shape.n_cells, -1, -1)
-                            for code in _codes(weights, ZERO_ONE, n)):
-        if n_max is not None and n < n_max:
-            break
-        ne = bounded_ne._read(code)
-        if ne <= s:
-            n_max = n
-            count += ne == s
-    return (0, 0) if n_max is None else (n_max, count)
+    weights = _code_weights(shape, 1)
+    shift, low, ((ne, i),) = _pair_reads(shape, NE_SE_SPECS[:1], 1)
+    for n, pairs in _metered_groups((n, _codes(weights, ZERO_ONE, n))
+                                    for n in range(shape.n_cells, -1, -1)):
+        # each pair's code of the spec's cell order
+        lengths = map(ne, (pair >> shift * i & low for pair in pairs))
+        within = [length for length in lengths if length <= s]
+        if within:
+            return n, within.count(s)
 
 
 def jonsson_check(poly: StackPolyomino, s: int) -> Report:

@@ -261,8 +261,8 @@ class ChainTable:
     tables of one cell order code each filling once.  The table keeps every
     filling it reads, in any order, and reads a smaller filling it lacks by
     the same recurrence: a nested read drops a nonzero cell, so at most
-    MEMO_MAX_CELLS reads are nested.  Read in the order of
-    ``all_fillings``, each memo holds at most the fillings read.
+    MEMO_MAX_CELLS reads are nested.  Read in order of entry sum, as the
+    enumeration walk gives them, each memo holds at most the fillings read.
     ``_code_space`` fills the statistic of every 0-1 filling, by the same
     recurrences in increasing code order, into one byte per code.  A shape
     of more than MEMO_MAX_CELLS cells gets no masks (``pred`` is None), and

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import enumeration, fillings
-from growthdiagrams.enumeration import (NE_SE_SPECS, T2_SPECS,
+from growthdiagrams.enumeration import (NE_SE_SPECS, NES1_SPECS, T2_SPECS,
                                         InstanceTooLarge, all_fillings,
                                         all_shapes, count_table,
                                         generate_fillings, problem2_evidence)
@@ -236,6 +236,39 @@ def ordered(counts):
     return [(n, list(table.items())) for n, table in counts.items()]
 
 
+def test_walk_counts_match_longest_chain(monkeypatch):
+    """count_table's walk, which serves every table but a full 0-1 one,
+    gives longest_chain's counts, n's and each n's (s, t) in the same
+    order: every partial permutation, every arbitrary filling of entry sum
+    at most 3 and every 0-1 filling with fewer 1's than cells of the empty
+    shape, of every Ferrers shape of at most 7 cells and of every stack
+    polyomino of at most 6, for three spec pairs.  An n with no filling
+    has no key, as n = 3 of the hooks of at most 7 cells with at least
+    three rows and three columns."""
+    shapes = [FerrersShape(())] + all_shapes(7) + stack_polyominoes(6)
+    cases = [(shape, cls, max_n) for shape in shapes
+             for cls, max_n in ((PARTIAL_PERMUTATION, None), (ARBITRARY, 3),
+                                (ZERO_ONE, shape.n_cells - 1))
+             if max_n is None or max_n >= 0]
+    expected = {(case, specs): counts_by_longest_chain(case[0], case[1],
+                                                       specs, case[2])
+                for case in cases
+                for specs in (NE_SE_SPECS, NES1_SPECS, MIXED_SPECS)}
+
+    def refuse(*args):
+        raise AssertionError("count_table counted over the code space")
+    monkeypatch.setattr(enumeration, "_code_space_counts", refuse)
+    for ((shape, cls, max_n), specs), counts in expected.items():
+        assert (ordered(count_table(shape, cls, *specs, max_n).counts)
+                == ordered(counts)), (shape, cls, specs)
+    for rows in ((3, 1, 1), (4, 1, 1), (5, 1, 1), (3, 1, 1, 1), (4, 1, 1, 1),
+                 (3, 1, 1, 1, 1)):
+        # three rows and columns or more, but no three cells in distinct
+        # rows and columns
+        assert list(count_table(FerrersShape(rows), PARTIAL_PERMUTATION,
+                                *T2_SPECS).counts) == [0, 1, 2], rows
+
+
 def test_count_table_past_the_table_memo(monkeypatch):
     """A table's memos have no cap: past MEMO_MAX_ENTRIES fillings every
     filling is still read from its smaller fillings, and none goes to
@@ -317,10 +350,10 @@ MIXED_SPECS = (chain_spec("Se", require_rectangle=True), chain_spec("nE"))
 
 
 def refuse_enumeration(monkeypatch):
-    """Make count_table fail if it enumerates the fillings."""
+    """Make count_table fail if it walks the fillings."""
     def refuse(*args):
         raise AssertionError("count_table enumerated the fillings")
-    monkeypatch.setattr(enumeration, "all_fillings", refuse)
+    monkeypatch.setattr(enumeration, "_codes", refuse)
 
 
 def test_code_space_counts_match_longest_chain(monkeypatch):

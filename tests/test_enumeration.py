@@ -247,7 +247,7 @@ def test_count_table():
     ok, witness = t.is_symmetric()
     assert ok, witness
     rows = list(t.csv_rows())
-    t.add(1, 5, 0)
+    t.counts[1][5, 0] = 1
     assert t.is_symmetric() == (False, (1, 5, 0))
     assert rows[0] == (str(shape), "partial-permutation", 0, 0, 0, 1)
 
@@ -498,9 +498,15 @@ def count_fillings(monkeypatch) -> list:
 
 def test_a_pass_builds_no_filling(monkeypatch):
     """The swap verifiers run on codes from the walk to the verdict: their
-    PASS builds no filling, and a FAIL decodes its witness once."""
+    PASS builds no filling, and a FAIL decodes its witness once.  Nor does
+    count_table build one when it reads the walk, in any class."""
     built = count_fillings(monkeypatch)
     assert verify_t2a_nes1(4, 2).passed and verify_t5(5).passed
+    shape = FerrersShape((3, 2, 1))
+    for cls, max_n in ((PARTIAL_PERMUTATION, None), (ARBITRARY, 3),
+                       (ZERO_ONE, 5)):
+        table = count_table(shape, cls, *NE_SE_SPECS, max_n)
+        assert max(table.counts) == (max_n or 3)
     assert Filling not in built
     patch_swap(monkeypatch, lambda shape, variant, swap: dict)
     assert verify_t2a_nes1(4, 2).passed is False

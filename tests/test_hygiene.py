@@ -185,6 +185,20 @@ def test_verifiers_read_no_set_partition():
     assert not names_read(source) & {"all_set_partitions", "SetPartition"}
 
 
+def test_counts_read_the_walk_not_fillings():
+    """Every count in enumeration.py reads the walk's codes: of its
+    top-level statements only ``all_fillings`` reads ``generate_fillings``,
+    and none reads ``all_fillings``."""
+    source = (ROOT / "src" / "growthdiagrams" / "enumeration.py").read_text()
+    readers = {"generate_fillings": set(), "all_fillings": set()}
+    for node in ast.parse(source).body:
+        for name in names_read(ast.get_source_segment(source, node)) & set(
+                readers):
+            readers[name].add(getattr(node, "name", node.lineno))
+    assert readers == {"generate_fillings": {"all_fillings"},
+                       "all_fillings": set()}
+
+
 def test_package_exports_its_names_and_no_module():
     """``__all__`` holds every name the package imports from its modules,
     and none of the submodules that those imports bind."""
