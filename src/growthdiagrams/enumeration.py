@@ -4,12 +4,12 @@ Everything here is deliberately brute force: fillings are generated in a
 deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
 one exists.  One walk (``_codes``) gives the fillings as ints, each the
-sum of its entries times per-cell weights; ``generate_fillings`` decodes
-them into fillings, and every count reads the ints as code pairs
-(``_code_weights``) through ``_pair_reads``: one :class:`ChainTable` per
-shape and spec, which reads a filling's code from two smaller ones.  A
-count table of every 0-1 filling of a shape reads the tables over the
-whole code space instead, one byte per filling.
+sum of its entries times per-cell weights (``fillings._weights``);
+``generate_fillings`` decodes them, and every count reads the ints as
+code pairs (``_code_weights``) through ``_pair_reads``: one
+:class:`ChainTable` per shape and spec, which reads a filling's code from
+two smaller ones.  A count table of every 0-1 filling of a shape reads
+the tables over the whole code space instead, one byte per filling.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
@@ -26,15 +26,16 @@ computed again.  Only a failing filling, the witness, is decoded.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, groupby, islice
 from operator import itemgetter
 
 from .correspondences import _SWAP_FORWARD, _hesitating, _tableau_word
 from .fillings import (ARBITRARY, MEMO_MAX_CELLS, PARTIAL_PERMUTATION,
-                       ZERO_ONE, ChainSpec, ChainTable, Filling, _code_entries,
-                       _sorted_cells, _trusted, chain_spec, greene_totals)
-from .growth import MEMO_MAX_ENTRIES, _shape_swap, _sweep_plan, label_diagram
+                       ZERO_ONE, ChainSpec, ChainTable, Filling, _code,
+                       _code_entries, _sorted_cells, _trusted, _weights,
+                       chain_spec, greene_totals)
+from .growth import (_cell_weights, _check_ferrers, _shape_swap,
+                     _sweep_plan, label_diagram)
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
                      budget_limit)
@@ -79,23 +80,12 @@ def generate_fillings(shape, cls: str, n: int):
     ``_codes``' walk, so its entries are positive ints in cells of the
     shape by construction and are not checked again.
     """
-    bits = n.bit_length() if cls == ARBITRARY and n > 0 else 1
-    weights, backward = _generation_order(shape, bits)
+    _check_bound(n, "n", 0)
+    bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
+    cells, weights = _cell_weights(shape, bits)
     for code in _codes(weights, cls, n):
         yield _trusted(Filling, shape=shape,
-                       entries=_code_entries(code, backward, bits))
-
-
-@lru_cache(MEMO_MAX_ENTRIES)
-def _generation_order(shape, bits: int):
-    """``generate_fillings``' weights of the shape's cells, and the cells
-    last first: the last cell is the lowest digit, so that decoding top
-    digit first gives the entries in cell order.  Callers only read them.
-    """
-    cells = shape.cells()
-    top = len(cells) - 1
-    return ({cell: 1 << bits * (top - i) for i, cell in enumerate(cells)},
-            cells[::-1])
+                       entries=_code_entries(code, cells, bits))
 
 
 def _codes(weights: dict, cls: str, n: int):
@@ -166,11 +156,9 @@ def _code_weights(shape, bits: int) -> dict:
     the filling's code in ``ChainTable``'s upward cell order in the low
     ``bits * shape.n_cells`` bits, and in the downward order above them."""
     cells = shape.cells()
-    shift = bits * len(cells)
-    down = {cell: bits * i + shift
-            for i, cell in enumerate(_sorted_cells(cells, False))}
-    return {cell: 1 << bits * i | 1 << down[cell]
-            for i, cell in enumerate(cells)}
+    down = _weights(_sorted_cells(cells, False), bits)
+    return {cell: weight | down[cell] << bits * len(cells)
+            for cell, weight in _weights(cells, bits).items()}
 
 
 def all_fillings(shape, cls: str, max_n: int | None = None):
@@ -215,9 +203,11 @@ def _check_bound(value, name: str, least: int) -> int:
 
 
 def _shapes_to_check(shapes):
-    """The verifier's shapes, of which there must be at least one."""
+    """The verifier's shapes: at least one, and each a Ferrers shape."""
     if not shapes:
         raise ValueError("no shape to check: max_cells must be at least 1")
+    for shape in shapes:
+        _check_ferrers(shape)
     return shapes
 
 
@@ -342,7 +332,8 @@ def _code_space_counts(shape, spec_x: ChainSpec, spec_y: ChainSpec) -> dict:
     x, y = (ChainTable(shape, spec, 1) for spec in (spec_x, spec_y))
     stat_x, stat_y = x._code_space(), y._code_space()
     low = min(len(cells), 8)
-    bytes_x, bytes_y = _byte_tables(x.pos, cells), _byte_tables(y.pos, cells)
+    bytes_x, bytes_y = (_byte_tables(_weights(table.cells, 1), cells)
+                        for table in (x, y))
     # the low byte's (n << 16, x digits, y digits), highest byte first
     lows = list(zip([v.bit_count() << 16 for v in range(1 << low)],
                     bytes_x[0], bytes_y[0]))[::-1]
@@ -363,15 +354,15 @@ def _code_space_counts(shape, spec_x: ChainSpec, spec_y: ChainSpec) -> dict:
     return counts
 
 
-def _byte_tables(pos, cells) -> list:
+def _byte_tables(weights, cells) -> list:
     """For each byte of a code with cell i of ``cells`` at bit N - 1 - i,
-    the table of the byte's values with each digit moved to the cell's bit
-    in the cell order ``pos``."""
+    the table of the byte's values with each digit moved to the cell's
+    bit, its one-bit weight in ``weights``."""
     tables, order = [], cells[::-1]
     for at in range(0, max(len(order), 1), 8):
         table = [0]
         for cell in order[at:at + 8]:
-            table += [v | 1 << pos[cell] for v in table]
+            table += [v | weights[cell] for v in table]
         tables.append(table)
     return tables
 
@@ -482,9 +473,8 @@ def _symmetric(shape, bits: int):
     if not shape.is_symmetric():
         return lambda code: False
     cells = shape.cells()
-    at = {cell: bits * i for i, cell in enumerate(cells)}
-    return lambda code: code == sum(v << at[r, c] for (c, r), v in
-                                    _code_entries(code, cells, bits).items())
+    across = {(r, c): w for (c, r), w in _weights(cells, bits).items()}
+    return lambda code: code == _code(_code_entries(code, cells, bits), across)
 
 
 def _shape_groups(shapes, cls, max_n, bits=1):
@@ -615,15 +605,13 @@ def verify_t6(max_n: int = 4) -> Report:
     def groups(n, shape):
         cells = shape.cells()
         by_shape = {}   # hesitating shape -> (its code weights, code pairs)
-        for _, codes in _placements(n, {cell: 1 << i for i, cell in
-                                        enumerate(cells)}):
+        for _, codes in _placements(n, _weights(cells, 1)):
             for code in codes:
                 g = _hesitating(n, _code_entries(code, cells, 1))[1]
                 if g.shape not in by_shape:
                     by_shape[g.shape] = _code_weights(g.shape, 1), []
                 weights, pairs = by_shape[g.shape]
-                # every entry is a 1
-                pairs.append(sum(map(weights.__getitem__, g.entries)))
+                pairs.append(_code(g.entries, weights))
         return ((s, [(n, pairs)]) for s, (_, pairs) in by_shape.items())
     return _partition_verdict("T6", max_n, groups, ", enhanced")
 

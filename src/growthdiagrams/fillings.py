@@ -8,6 +8,10 @@ nested classes of fillings appear throughout:
 * ``zero-one``           -- entries 0/1,
 * ``partial-permutation``-- entries 0/1 with at most one 1 per row and column.
 
+The fast paths hold a filling as an int code, laid out here alone: with
+the weights ``_weights(cells, bits)``, digit i of ``bits`` bits holds the
+entry of ``cells[i]``.  ``_code`` codes entries, ``_code_entries`` decodes.
+
 Chains are described by a :class:`ChainSpec`, keyed by its two-letter
 compass code.  The first letter gives the vertical relation (N = weakly
 above, n = strictly above, S = weakly below, s = strictly below), the
@@ -242,12 +246,13 @@ class ChainTable:
     entries are below ``2 ** bits``, each read from two fillings of smaller
     entry sum.
 
-    A filling is coded as an int, ``bits`` bits per cell in the spec's cell
-    order, so its last cell x is its top digit and its first cell s its
-    lowest.  Every chain runs in that order, and steps compose: a cell that
-    may follow b may follow every cell that b may follow.  So with pred(x)
-    the cells that may precede x, succ(s) those that may follow s, and w
-    the entry for ``entry-sum`` chains and 1 otherwise,
+    A filling is read by its code with the weights ``_weights(cells,
+    bits)`` of the spec's cell order ``cells``, so its last cell x is its
+    top digit and its first cell s its lowest.  Every chain runs in that
+    order, and steps compose: a cell that may follow b may follow every
+    cell that b may follow.  So with pred(x) the cells that may precede x,
+    succ(s) those that may follow s, and w the entry for ``entry-sum``
+    chains and 1 otherwise,
 
         L(f) = max(L(f - x), w(x) + L(f & pred(x))).
 
@@ -274,11 +279,11 @@ class ChainTable:
         self.weighted = spec.length_mode == "entry-sum"
         self.shape = shape
         self.cells = cells = _sorted_cells(shape.cells(), spec.upward)
-        self.pos = {cell: bits * i for i, cell in enumerate(cells)}
         if shape.n_cells > MEMO_MAX_CELLS:
             self.pred, self._read = None, self._decoded
             return
-        digit = {cell: ((1 << bits) - 1) << at for cell, at in self.pos.items()}
+        digit = {cell: ((1 << bits) - 1) * weight
+                 for cell, weight in _weights(cells, bits).items()}
         # col_upto[c] and row_upto[r]: the digits of the cells in columns
         # 1..c and in rows 1..r
         heights = shape.col_heights
@@ -321,26 +326,12 @@ class ChainTable:
             self.bounded = {0: 0}
             self._read = self._bounded
 
-    def __call__(self, f: Filling) -> int:
-        return self._read(self._code(f.entries))
-
-    def _code(self, entries) -> int:
-        """The code of a filling's entries, each below ``2 ** bits``."""
-        pos = self.pos
-        code = 0
-        for cell, v in entries.items():
-            code |= v << pos[cell]
-        return code
-
-    def _entries(self, code: int) -> dict:
-        """The entries of the filling ``code``."""
-        return _code_entries(code, self.cells, self.bits)
-
     def _decoded(self, code: int) -> int:
         """``longest_chain`` of the filling ``code``, on a shape with no
         masks."""
+        entries = _code_entries(code, self.cells, self.bits)
         return longest_chain(_trusted(Filling, shape=self.shape,
-                                      entries=self._entries(code)), self.spec)
+                                      entries=entries), self.spec)
 
     def _free(self, code: int) -> int:
         """L of the filling ``code``."""
@@ -405,23 +396,35 @@ class ChainTable:
         return bounded
 
 
+def _weights(cells, bits: int) -> dict:
+    """Each cell's weight in a filling's code: ``cells[i]`` weighs
+    ``1 << bits * i``, so digit i of ``bits`` bits holds its entry."""
+    return {cell: 1 << bits * i for i, cell in enumerate(cells)}
+
+
+def _code(entries, weights) -> int:
+    """The code of a filling's entries: each times its cell's weight."""
+    return sum(v * weights[cell] for cell, v in entries.items())
+
+
 def _code_entries(code: int, cells, bits: int) -> dict:
     """The entries of a code with the entry of ``cells[i]`` in its digit i,
-    ``bits`` bits each.  Only the digits with a set bit are decoded, the
-    top one first, each in a few operations on the code, fewer for a 0-1
-    filling."""
+    ``bits`` bits each, in the order of ``cells``.  Only the digits with a
+    set bit are decoded, the lowest one first, each in a few operations on
+    the code, fewer for a 0-1 filling."""
     entries = {}
     if bits == 1:
         while code:
-            i = code.bit_length() - 1
-            entries[cells[i]] = 1
-            code ^= 1 << i
+            low = code & -code
+            entries[cells[low.bit_length() - 1]] = 1
+            code ^= low
         return entries
+    digit = (1 << bits) - 1
     while code:
-        i = (code.bit_length() - 1) // bits
-        value = code >> i * bits
+        i = ((code & -code).bit_length() - 1) // bits
+        value = code >> bits * i & digit
         entries[cells[i]] = value
-        code ^= value << i * bits
+        code ^= value << bits * i
     return entries
 
 

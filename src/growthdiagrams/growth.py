@@ -15,7 +15,7 @@ The sweeps pass labels through themselves and hand every other frame to
 the variant's rules, memoised below for small diagrams, whose kernels
 check the frame's edges as they compute it; each edge a rule frame leaves
 is tested once.  A swap of a small filling runs no sweep: it folds
-memoised column steps over the filling's code (``_shape_swap``).
+memoised column steps over its ``fillings._weights`` code (``_shape_swap``).
 
 A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
 no sweep for its border.  The paper's equivalence of growth diagrams and
@@ -25,8 +25,8 @@ insertion and the filling back by deletion, in time that grows with the
 entries rather than the cells (see ``insertion``).  So ``label_diagram``
 takes such a diagram's border from ``insertion_border`` and runs the
 forward sweep only when the corner labels are first read (``labels``,
-``==``, ``label()``, ``shrink_back``); ``reconstruct`` and the large
-swaps recover a filling by ``deletion_entries`` from a checked border
+``==``, ``label()``, ``shrink_back``); ``reconstruct`` and a swap past
+the memo recover a filling by ``deletion_entries`` from a checked border
 that starts and ends at the empty partition, and ``reconstruct`` runs the
 backward sweep only for other borders.
 
@@ -43,8 +43,9 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (MEMO_MAX_CELLS, Filling, _code_entries, _trusted,
-                       filling_class, in_class, int_lists)
+from .fillings import (ARBITRARY, MEMO_MAX_CELLS, Filling, _code,
+                       _code_entries, _trusted, _weights, filling_class,
+                       in_class, int_lists)
 from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
@@ -452,14 +453,19 @@ def _checked_variant(filling: Filling, variant: str):
     """The variant, once the filling is known to be of a Ferrers shape and
     in the variant's class."""
     v = get_variant(variant)
-    if not isinstance(filling.shape, FerrersShape):
-        raise ValueError(f"growth diagrams need a Ferrers shape, not "
-                         f"{type(filling.shape).__name__} {filling.shape}")
+    _check_ferrers(filling.shape)
     if not in_class(filling, v.filling_class):
         raise ValueError(
             f"{variant} rules need a {v.filling_class} filling, got "
             f"{filling_class(filling)}")
     return v
+
+
+def _check_ferrers(shape):
+    """Refuse a shape that is not a Ferrers shape, with one line."""
+    if not isinstance(shape, FerrersShape):
+        raise ValueError(f"growth diagrams need a Ferrers shape, not "
+                         f"{type(shape).__name__} {shape}")
 
 
 def label_diagram(filling: Filling, variant: str = "standard",
@@ -600,58 +606,60 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
     v = _checked_variant(filling, variant)
     shape, entries = filling.shape, filling.entries
     plan = _sweep_plan(shape.word)
+    back = get_variant(v.conjugate)
     if not plan.small:
-        entries = _large_swap(plan, v, get_variant(v.conjugate), entries)
-        return _trusted(Filling, shape=shape, entries=entries)
-    # an image entry is at most the entry sum below and left of it, the
-    # size of a border label
-    bits = max(sum(entries.values()), 1).bit_length()
-    # the plan keeps each map it sets up, by the fold's rule set (see
-    # _fold_steps) and digit width
-    key = v, get_variant(v.conjugate), _small_conjugate, bits
+        seq = list(map(conjugate, insertion_border(plan.heights, entries,
+                                                   v.right, v.down)))
+        _check_steps(plan.word, seq, back.step_ok, back.name)
+        return _trusted(Filling, shape=shape, entries=deletion_entries(
+            plan.heights, seq, back.right, back.down))
+    # an image entry is at most the entry sum below and left of it, the size
+    # of a border label, and at most 1 in a 0-1 class, which the swap keeps.
+    # The plan keeps each map by the fold's rule set and width.
+    bits = (max(sum(entries.values()), 1).bit_length()
+            if v.filling_class == ARBITRARY else 1)
+    key = v, back, _small_conjugate, bits
     swap = plan.swaps.get(key)
     if swap is None:
-        swap = plan.swaps[key] = _shape_swap(shape, variant, bits)
-    starts = list(accumulate(shape.col_heights, initial=0))
-    code = swap(sum(
-        m << bits * (starts[c - 1] + r - 1) for (c, r), m in entries.items()))
-    return _trusted(Filling, shape=shape,
-                    entries=_code_entries(code, shape.cells(), bits))
+        swap = plan.swaps[key] = _shape_swap(shape, variant, bits, plan)
+    cells, weights = _cell_weights(shape, bits)
+    return _trusted(Filling, shape=shape, entries=_code_entries(
+        swap(_code(entries, weights)), cells, bits))
 
 
-def _large_swap(plan: _SweepPlan, v, back, entries) -> dict:
-    """The swap past the memo: insertion under ``v``, the conjugated border
-    step-checked for ``back``, deletion under ``back``."""
-    seq = list(map(conjugate, insertion_border(plan.heights, entries,
-                                               v.right, v.down)))
-    _check_steps(plan.word, seq, back.step_ok, back.name)
-    return deletion_entries(plan.heights, seq, back.right, back.down)
+@lru_cache(MEMO_MAX_ENTRIES)
+def _cell_weights(shape, bits: int):
+    """The shape's cells and their ``_weights``, kept for the callers that
+    code one shape's fillings call after call; callers only read them."""
+    cells = shape.cells()
+    return cells, _weights(cells, bits)
 
 
-def _shape_swap(shape: FerrersShape, variant: str, bits: int):
-    """``conjugate_swap`` on the fillings of one Ferrers shape, as a map of
-    codes: a code holds each cell's entry in a digit of ``bits`` bits, in
-    the order of ``shape.cells()``.  An image with an entry too large for a
-    digit has no code (None).  The entries are not checked against the
-    variant's class: the callers map only fillings in it.
+def _shape_swap(shape: FerrersShape, variant: str, bits: int, plan=None):
+    """``conjugate_swap`` on the fillings of one Ferrers shape, whose sweep
+    plan the caller may give, as a map of codes with the weights
+    ``_weights(shape.cells(), bits)``.  An image with an entry too large
+    for a digit has no code (None).  The entries are not checked against
+    the variant's class: the callers map only fillings in it.
 
     Up to MEMO_MAX_CELLS cells the map folds ``_fold_steps`` over the
     columns, left to right and then right to left from an empty column
     right of the shape.  A refused border step goes to ``_check_steps``
     with the whole conjugated border, so that the error names the first
-    one, as ``reconstruct``'s does."""
+    one, as ``reconstruct``'s does.  A larger filling goes to
+    ``conjugate_swap``."""
     v = get_variant(variant)
     back = get_variant(v.conjugate)
-    plan = _sweep_plan(shape.word)
+    plan = plan or _sweep_plan(shape.word)
     heights = shape.col_heights
     if not plan.small:
-        cells = shape.cells()
-        pos = {cell: bits * i for i, cell in enumerate(cells)}
+        cells, weights = _cell_weights(shape, bits)
 
         def swap(code):
-            image = _large_swap(plan, v, back, _code_entries(code, cells, bits))
+            image = conjugate_swap(_trusted(Filling, shape=shape, entries=(
+                _code_entries(code, cells, bits))), variant).entries
             if max(image.values(), default=0) >> bits == 0:
-                return sum(m << pos[cell] for cell, m in image.items())
+                return _code(image, weights)
         return swap
 
     forward, backward = _fold_steps(v, back, bits)

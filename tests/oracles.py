@@ -14,8 +14,9 @@ from growthdiagrams.correspondences import (Matching, SetPartition,
                                             standard_representation)
 from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shapes
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     ChainSpec, Filling, _sorted_cells,
-                                     chain_spec, longest_chain)
+                                     ChainSpec, Filling, _code,
+                                     _sorted_cells, _weights, chain_spec,
+                                     longest_chain)
 from growthdiagrams import growth
 from growthdiagrams.growth import GrowthTableau, growth_tableau, reconstruct
 from growthdiagrams.local_rules import get_variant
@@ -285,6 +286,17 @@ def random_set_partition(rng: random.Random, n: int):
         else:
             blocks[k].append(x)
     return SetPartition(n, tuple(map(tuple, blocks)))
+
+
+# ---------------------------------------------------------------------------
+# a chain table's read of a Filling, which the tests check against
+# longest_chain
+
+def filling_reads(table):
+    """The statistic of a filling under ``table``: its code, with the
+    weights of the table's cell order, read by the table."""
+    weights = _weights(table.cells, table.bits)
+    return lambda f: table._read(_code(f.entries, weights))
 
 
 # ---------------------------------------------------------------------------

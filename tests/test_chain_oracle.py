@@ -27,7 +27,7 @@ from growthdiagrams.fillings import (ARBITRARY, MEMO_MAX_CELLS,
 from growthdiagrams.growth import MEMO_MAX_ENTRIES
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
-from oracles import stack_polyominoes
+from oracles import filling_reads, stack_polyominoes
 
 CODES = ("NE", "Ne", "nE", "ne", "SE", "Se", "sE", "se")
 SPECS = tuple(chain_spec(code, mode, rect) for code in CODES
@@ -158,9 +158,10 @@ def test_chain_table_matches_longest_chain(monkeypatch):
                            (PARTIAL_PERMUTATION, None)):
             group = [f for _, f in all_fillings(shape, cls, max_n)]
             for spec in SPECS:
-                table = ChainTable(shape, spec, 2 if cls == ARBITRARY else 1)
+                read = filling_reads(
+                    ChainTable(shape, spec, 2 if cls == ARBITRARY else 1))
                 mismatches += [(f, spec) for f in group
-                               if table(f) != longest_chain(f, spec)]
+                               if read(f) != longest_chain(f, spec)]
     assert mismatches == []
     assert handed == []
 
@@ -173,8 +174,8 @@ def test_chain_table_property(shape, cls_n, spec):
     """Shapes of up to 36 cells: the table gives longest_chain's value on
     every filling of up to two or three entries."""
     cls, max_n = cls_n
-    table = ChainTable(shape, spec, max_n.bit_length())
-    assert all(table(f) == longest_chain(f, spec)
+    read = filling_reads(ChainTable(shape, spec, max_n.bit_length()))
+    assert all(read(f) == longest_chain(f, spec)
                for _, f in all_fillings(shape, cls, max_n))
 
 
@@ -188,8 +189,8 @@ def test_chain_table_reads_out_of_order(monkeypatch):
         group = [f for _, f in all_fillings(shape, ZERO_ONE)][::-1]
         for spec in NE_SE_SPECS:
             table = ChainTable(shape, spec, 1)
-            assert [table(f) for f in group] == [longest_chain(f, spec)
-                                                 for f in group]
+            assert list(map(filling_reads(table), group)) == [
+                longest_chain(f, spec) for f in group]
             assert len(table.bounded) == len(group)
     assert len(group) > MEMO_MAX_ENTRIES
     assert handed == []
@@ -206,8 +207,9 @@ def test_chain_table_memos_hold_at_most_the_fillings_read():
             group = [f for _, f in all_fillings(shape, cls, max_n)]
             for spec in SPECS:
                 table = ChainTable(shape, spec, 2 if cls == ARBITRARY else 1)
+                read = filling_reads(table)
                 for f in group:
-                    table(f)
+                    read(f)
                 oversize += [(shape, cls, spec)
                              for memo in (table.free, table.bounded or {})
                              if len(memo) > len(group)]
@@ -309,14 +311,14 @@ def test_decoded_reads_past_the_shape_bound(monkeypatch):
         for bits in (1, 2, 3):
             for spec in SPECS:
                 table = ChainTable(shape, spec, bits)
-                top = (1 << bits) - 1
+                read, top = filling_reads(table), (1 << bits) - 1
                 for entries in (
                         {}, {table.cells[-1]: top},
                         {table.cells[0]: top, table.cells[-1]: 1},
                         {cell: rng.randint(1, top)
                          for cell in rng.sample(cells, 9)}):
                     f = Filling(shape, entries)
-                    assert table(f) == longest_chain(f, spec)
+                    assert read(f) == longest_chain(f, spec)
                     assert handed[-1] == f
 
 
@@ -395,7 +397,8 @@ def _shapes_of_9_to_16_cells(draw):
 def test_code_space_counts_property(shape, spec_x, spec_y):
     """Shapes of 9 to 16 cells: the code-space counts are those of the
     enumerated fillings, each read by a chain table, in the same order."""
-    reads = [ChainTable(shape, spec, 1) for spec in (spec_x, spec_y)]
+    reads = [filling_reads(ChainTable(shape, spec, 1))
+             for spec in (spec_x, spec_y)]
     assert (ordered(count_table(shape, ZERO_ONE, spec_x, spec_y).counts)
             == ordered(enumerated_counts(shape, ZERO_ONE, reads)))
 

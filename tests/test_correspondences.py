@@ -42,7 +42,8 @@ from growthdiagrams.shapes import FerrersShape, shape_from_word
 
 from oracles import (_max_k, all_matchings, conjugate_by_hesitating,
                      conjugate_by_oscillating, conjugate_by_vacillating,
-                     enhanced_representation, hesitating_to_setpartition,
+                     enhanced_representation, filling_reads,
+                     hesitating_to_setpartition,
                      is_hesitating, is_oscillating, is_vacillating,
                      oscillating_to_matching, parse_matching,
                      random_set_partition, vacillating_to_setpartition)
@@ -115,11 +116,11 @@ def test_statistics_match_the_k_subset_oracle():
     fillings: nest is the longest NE chain and cross the longest
     rectangle-bounded SE chain of a partial permutation."""
     start = time.perf_counter()
-    tables = {}     # shape -> its (cross, nest) chain tables, SE then NE
+    tables = {}     # shape -> its (cross, nest) chain-table reads, SE then NE
 
     def read(f):
         if f.shape not in tables:
-            tables[f.shape] = [ChainTable(f.shape, spec, 1)
+            tables[f.shape] = [filling_reads(ChainTable(f.shape, spec, 1))
                                for spec in reversed(T2_SPECS)]
         return tuple(table(f) for table in tables[f.shape])
     for n in range(9):

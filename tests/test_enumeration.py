@@ -12,7 +12,7 @@ from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             filling_to_setpartition,
                                             min_max_blocks,
                                             setpartition_to_filling)
-from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
+from growthdiagrams.enumeration import (NE_SE_SPECS, VERIFIERS,
                                         InstanceTooLarge, Report,
                                         _code_weights, _codes,
                                         _densest_bounded_ne, _occupied,
@@ -26,8 +26,9 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, NES2_SPECS, VERIFIERS,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     ChainTable, Filling, chain_spec,
-                                     greene_totals, longest_chain)
+                                     ChainTable, Filling, _code, _code_entries,
+                                     _weights, chain_spec, greene_totals,
+                                     longest_chain)
 from growthdiagrams.growth import _shape_swap
 from growthdiagrams.shapes import FerrersShape, StackPolyomino, staircase
 
@@ -77,6 +78,19 @@ def test_generate_fillings_counts():
     assert len(list(generate_fillings(shape, "arbitrary", 2))) == 10
 
 
+@pytest.mark.parametrize("cls", [PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY])
+@pytest.mark.parametrize("n, message", [
+    (-1, "n must be at least 0, got -1"),
+    (1.0, "n must be an integer, got 1.0"),
+    (True, "n must be an integer, got True")])
+def test_generate_fillings_checks_n(cls, n, message):
+    """n is refused before the first filling, in every class, with one line
+    that names it."""
+    with pytest.raises(ValueError) as raised:
+        next(generate_fillings(SQUARE, cls, n))
+    assert str(raised.value) == message
+
+
 def partial_permutations_by_filter(shape, n):
     """Reference: every n-subset of the column-major cells, in
     ``combinations`` order, kept when no two share a row or a column."""
@@ -118,11 +132,12 @@ def test_walk_is_the_dict_generators_exhaustive():
                     shape, cls, n)] == [list(e.items()) for e in want], (
                     shape, cls, n)
                 bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
-                up, down = (ChainTable(shape, chain_spec(code), bits)
+                up, down = (_weights(ChainTable(shape, chain_spec(code),
+                                                bits).cells, bits)
                             for code in ("NE", "SE"))
                 weights = _code_weights(shape, bits)
                 assert list(_codes(weights, cls, n)) == [
-                    up._code(e) | down._code(e) << bits * shape.n_cells
+                    _code(e, up) | _code(e, down) << bits * shape.n_cells
                     for e in want], (shape, cls, n)
 
 
@@ -185,6 +200,20 @@ def test_empty_ranges_rejected(call, message):
 
 
 POLY = StackPolyomino((1, 3, 2))
+
+
+@pytest.mark.parametrize("verify", [verify_t2, verify_t2a_nes1,
+                                    verify_t2a_nes2],
+                         ids=["T2", "NES1", "NES2"])
+@pytest.mark.parametrize("shape", [StackPolyomino((1, 2, 1)), (2, 1)],
+                         ids=["stack", "tuple"])
+def test_swap_verifiers_refuse_other_shapes(verify, shape):
+    """A swap verifier checks Ferrers shapes only, and refuses any other
+    shape before it walks a filling, with growth diagrams' one line."""
+    with pytest.raises(ValueError) as raised:
+        verify(shapes=[SQUARE, shape])
+    assert str(raised.value) == ("growth diagrams need a Ferrers shape, not "
+                                 f"{type(shape).__name__} {shape}")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -304,15 +333,16 @@ def patch_swap(monkeypatch, make):
     code (None) when an entry is too large for a digit."""
     def code_swap(shape, variant, bits):
         real = _shape_swap(shape, variant, bits)
-        coder = ChainTable(shape, chain_spec("NE"), bits)
-        swap = make(shape, variant,
-                    lambda entries: coder._entries(real(coder._code(entries))))
+        cells = shape.cells()
+        weights = _weights(cells, bits)
+        swap = make(shape, variant, lambda entries: _code_entries(
+            real(_code(entries, weights)), cells, bits))
 
         def mapped(code):
-            image = swap(coder._entries(code))
+            image = swap(_code_entries(code, cells, bits))
             if max(image.values(), default=0) >> bits:
                 return None
-            return coder._code(image)
+            return _code(image, weights)
         return mapped
     monkeypatch.setattr(enumeration, "_shape_swap", code_swap)
 
@@ -375,8 +405,8 @@ def test_swap_image_key_does_not_collide(monkeypatch):
     cell, so an image with a 2 in the cell below (1,2) would carry the
     key of the filling with a 1 at (1,2), which the table holds.  It is
     outside the class all the same."""
-    pos = ChainTable(SQUARE, NES2_SPECS[0], 1).pos
-    assert 2 << pos[1, 1] == 1 << pos[1, 2]
+    weights = _weights(SQUARE.cells(), 1)
+    assert 2 * weights[1, 1] == weights[1, 2]
     patch_swap(monkeypatch, swap_except({(1, 1): {(1, 1): 2}}))
     report = verify_t2a_nes2(shapes=[SQUARE], max_ones=1)
     assert report.witness == (SQUARE, Filling(SQUARE, {(1, 1): 1}),

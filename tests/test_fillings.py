@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 
 from growthdiagrams.enumeration import (InstanceTooLarge, all_fillings,
                                         all_shapes)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     Filling, chain_spec, filling_class,
+                                     Filling, _code, _code_entries, _weights,
+                                     chain_spec, filling_class,
                                      filling_from_json, filling_to_json,
                                      in_class, longest_chain,
                                      transpose_filling)
@@ -54,6 +57,28 @@ def test_in_class_agrees_with_the_class_order():
     assert {filling_class(f) for f in fillings} == set(order)
     with pytest.raises(ValueError, match="unknown filling class"):
         in_class(fillings[0], "rook")
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_code_round_trip(bits):
+    """The one filling code, on the empty shape and every shape of at most
+    7 cells, for every filling with entries 0, 1 and the largest digit:
+    digit i holds the entry of cell i, and decoding gives the nonzero
+    entries back in cell order."""
+    top = (1 << bits) - 1
+    for shape in [FerrersShape(()), *all_shapes(7)]:
+        cells = shape.cells()
+        weights = _weights(cells, bits)
+        assert list(weights.items()) == [(cell, 1 << bits * i)
+                                         for i, cell in enumerate(cells)]
+        for values in product(sorted({0, 1, top}), repeat=len(cells)):
+            entries = {cell: v for cell, v in zip(cells, values) if v}
+            code = _code(entries, weights)
+            assert [code >> bits * i & top
+                    for i in range(len(cells))] == list(values)
+            assert code >> bits * len(cells) == 0
+            assert list(_code_entries(code, cells, bits).items()) == list(
+                entries.items()), (shape, values)
 
 
 def test_json_round_trip():

@@ -11,7 +11,8 @@ from growthdiagrams import growth, local_rules
 from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
                                         check_greene)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
-                                     _code_entries, longest_chain)
+                                     _code, _code_entries, _weights,
+                                     longest_chain)
 from growthdiagrams.growth import (GrowthDiagram, GrowthTableau, blow_up,
                                    border_tableau, conjugate_swap,
                                    growth_tableau, label_diagram, reconstruct,
@@ -1049,7 +1050,7 @@ def fold_image(f, variant, bits):
     digits go column by column, up each column; None for an image that
     overflows a digit."""
     cells = f.shape.cells()
-    code = sum(m << bits * cells.index(cell) for cell, m in f.entries.items())
+    code = _code(f.entries, _weights(cells, bits))
     image = growth._shape_swap(f.shape, variant, bits)(code)
     return None if image is None else _code_entries(image, cells, bits)
 
