@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby, islice
 from operator import itemgetter
 
-from .correspondences import _SWAP_FORWARD, _hesitating, _tableau_word
+from .correspondences import _hesitating, _tableau_word
 from .fillings import (ARBITRARY, MEMO_MAX_CELLS, PARTIAL_PERMUTATION,
                        ZERO_ONE, ChainSpec, ChainTable, Filling, _code,
                        _code_entries, _sorted_cells, _trusted, _weights,
                        chain_spec, greene_totals)
 from .growth import (_cell_weights, _check_ferrers, _shape_swap,
                      _sweep_plan, label_diagram)
+from .local_rules import get_variant
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
                      budget_limit)
@@ -178,6 +179,8 @@ def _max_n(shape, cls: str, max_n: int | None) -> int:
         top = min(shape.n_rows, shape.n_cols)
     elif cls == ZERO_ONE:
         top = shape.n_cells
+    elif cls != ARBITRARY:
+        raise ValueError(f"unknown filling class {cls!r}")
     elif max_n is None:
         raise ValueError("arbitrary fillings need an explicit entry-sum bound")
     else:
@@ -202,8 +205,10 @@ def _check_bound(value, name: str, least: int) -> int:
     return value
 
 
-def _shapes_to_check(shapes):
-    """The verifier's shapes: at least one, and each a Ferrers shape."""
+def _shapes_to_check(shapes, max_cells=None):
+    """The verifier's shapes, unless given every shape of at most
+    ``max_cells`` cells: at least one, and each a Ferrers shape."""
+    shapes = all_shapes(max_cells) if shapes is None else shapes
     if not shapes:
         raise ValueError("no shape to check: max_cells must be at least 1")
     for shape in shapes:
@@ -380,25 +385,24 @@ NES2_SPECS = (chain_spec("nE"), chain_spec("Se", require_rectangle=True))
 NES2_IMAGE_SPECS = (chain_spec("Ne"), chain_spec("sE", require_rectangle=True))
 
 
-def _check_swap(groups, specs, image_specs, modes=None, bits=1,
+def _check_swap(groups, specs, image_specs, variant=None, bits=1,
                 symmetric_only=False):
-    """Count identity plus, given the map's (mode, inverse mode), a
-    bijection certificate for one swap identity.
+    """Count identity plus, given the map's forward variant, a bijection
+    certificate for one swap identity, whose inverse is the swap under the
+    variant's conjugate.
 
-    ``groups`` holds (shape, keyed) pairs, ``keyed`` one (key, codes)
-    group per key, ``codes`` its fillings' code pairs (``_code_weights``)
-    with entries below ``2 ** bits``.  Over each key's fillings, as many
-    have statistics (s, t) under ``specs`` as have (t, s) under
-    ``image_specs``.  The map must carry statistics (s, t) on the source
-    side to (t, s) on the image side, keep the key, and invert cleanly.
-    Each key is checked in two passes over one table of its fillings,
-    keyed by upward code: the first reads every statistic once, each chain
-    table from the code of its cell order; the second checks each
-    filling's image against the table.  The shape's two code maps are set
-    up once for all its keys.  With ``symmetric_only`` a filling that is
-    not symmetric is skipped before it is read.  Only a witness is
-    decoded into a filling.
-    """
+    ``groups`` holds (shape, keyed) pairs, ``keyed`` one (key, codes) group
+    per key, ``codes`` its fillings' code pairs (``_code_weights``) with
+    entries below ``2 ** bits``.  Over each key's fillings, as many have
+    statistics (s, t) under ``specs`` as have (t, s) under ``image_specs``.
+    The map must carry (s, t) on the source side to (t, s) on the image
+    side, keep the key, and invert cleanly.  Each key is checked in two
+    passes over one table of its fillings, keyed by upward code: the first
+    reads every statistic once, each chain table from the code of its cell
+    order; the second checks each filling's image against the table.  The
+    shape's code maps are set up once for all its keys.  With
+    ``symmetric_only`` a filling that is not symmetric is skipped before it
+    is read.  Only a witness is decoded into a filling."""
     for shape, keyed in groups:
         source = {}     # key -> {(s, t): count}
         image = source if image_specs == specs else {}
@@ -407,8 +411,11 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
         (x, i), (y, j) = reads[:2]      # the source side's (s, t)
         (u, k), (v, m) = reads[-2:]     # the image side's
         symmetric = _symmetric(shape, bits) if symmetric_only else None
-        swaps = None if modes is None else [
-            _shape_swap(shape, _SWAP_FORWARD[mode], bits) for mode in modes]
+        if variant is not None:
+            inverse = get_variant(variant).conjugate
+            swaps = _shape_swap(shape, variant, bits), (
+                None if inverse == variant
+                else _shape_swap(shape, inverse, bits))
         for key, pairs in keyed:
             table = {}      # upward code -> ((s, t), image side)
             counts = source.setdefault(key, Counter())
@@ -425,8 +432,8 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
                     swapped = u(codes[k]), v(codes[m])
                     image_counts[swapped] += 1
                 table[codes[0]] = st, swapped
-            if swaps is not None and table:
-                witness = _swap_witness(table, modes, swaps, symmetric)
+            if variant is not None and table:
+                witness = _swap_witness(table, *swaps, symmetric)
                 if witness:
                     code, reason = witness
                     return False, (shape, _trusted(
@@ -439,20 +446,19 @@ def _check_swap(groups, specs, image_specs, modes=None, bits=1,
     return True, None
 
 
-def _swap_witness(table, modes, swaps, symmetric):
+def _swap_witness(table, forward, backward, symmetric):
     """The first upward code of the table, in enumeration order, whose
-    image under ``modes[0]`` fails a check, with the reason; None if there
-    is none.  The shape's swaps, ``_shape_swap``'s code maps of the two
-    modes, map a code to its image's code, or to None for an image with an
-    entry too large for a digit, which has no key.  A map that is its own
-    inverse is applied once to each filling, and each image's image is
-    looked up.  When ``symmetric`` tests codes the table holds only
-    symmetric fillings, so only an image outside it is tested."""
-    forward, backward = swaps
+    image under ``forward`` fails a check, with the reason; None if there
+    is none.  The maps, ``_shape_swap``'s, send a code to its image's code,
+    or to None for an image with an entry too large for a digit, which has
+    no key.  With no ``backward`` map the swap is its own inverse: it maps
+    each filling once, and each image's image is looked up.  When
+    ``symmetric`` tests codes the table holds only symmetric fillings, so
+    only an image outside it is tested."""
     images = map(forward, table)
-    if modes[0] == modes[1]:
+    if backward is None:
         images = list(images)
-        image_of = dict(zip(table, images))
+        backward = dict(zip(table, images)).__getitem__
     for (code, ((s, t), _)), key in zip(table.items(), images):
         if key not in table:
             if symmetric and key is not None and not symmetric(key):
@@ -460,8 +466,7 @@ def _swap_witness(table, modes, swaps, symmetric):
             return code, "image outside the class"
         if table[key][1] != (t, s):
             return code, "statistics not exchanged"
-        back = image_of[key] if modes[0] == modes[1] else backward(key)
-        if back != code:
+        if backward(key) != code:
             return code, "map does not invert"
     return None
 
@@ -478,42 +483,38 @@ def _symmetric(shape, bits: int):
 
 
 def _shape_groups(shapes, cls, max_n, bits=1):
-    """_check_swap's groups of the shapes' fillings, keyed by n and
-    metered shape by shape."""
-    for shape in shapes:
-        weights = _code_weights(shape, bits)
-        yield shape, _metered_groups(
-            (n, _codes(weights, cls, n))
-            for n in range(_max_n(shape, cls, max_n) + 1))
+    """_check_swap's groups of the shapes' fillings, keyed by n and charged
+    to one budget; each shape's groups are read before the next shape's."""
+    tops = [_max_n(shape, cls, max_n) for shape in shapes]
+    metered = _metered_groups(
+        (n, _codes(weights, cls, n)) for shape, top in zip(shapes, tops)
+        for weights in [_code_weights(shape, bits)] for n in range(top + 1))
+    for shape, top in zip(shapes, tops):
+        yield shape, islice(metered, top + 1)
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
-    shapes = _shapes_to_check(shapes if shapes is not None
-                              else all_shapes(max_cells))
+    shapes = _shapes_to_check(shapes, max_cells)
     ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
-                              T2_SPECS, T2_SPECS, ("standard", "standard"))
+                              T2_SPECS, T2_SPECS, "standard")
     return Report("T2", ok, f"{len(shapes)} shapes", witness)
 
 
 def verify_t2a_nes1(max_cells: int = 8, max_sum: int = 4, shapes=None) -> Report:
     _check_bound(max_sum, "max_sum", 0)
-    shapes = _shapes_to_check(shapes if shapes is not None
-                              else all_shapes(max_cells))
+    shapes = _shapes_to_check(shapes, max_cells)
     bits = max_sum.bit_length()
     ok, witness = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
-                              NES1_SPECS, NES1_IMAGE_SPECS,
-                              ("nes1", "nes1-inverse"), bits)
+                              NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits)
     return Report("T2a-NES1", ok, f"{len(shapes)} shapes, entry sum <= {max_sum}",
                   witness)
 
 
 def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Report:
     _check_bound(max_ones, "max_ones", 0)
-    shapes = _shapes_to_check(shapes if shapes is not None
-                              else all_shapes(max_cells))
+    shapes = _shapes_to_check(shapes, max_cells)
     ok, witness = _check_swap(_shape_groups(shapes, ZERO_ONE, max_ones),
-                              NES2_SPECS, NES2_IMAGE_SPECS,
-                              ("nes2", "nes2-inverse"))
+                              NES2_SPECS, NES2_IMAGE_SPECS, "dual-rsk")
     return Report("T2a-NES2", ok, f"{len(shapes)} shapes, <= {max_ones} ones",
                   witness)
 
@@ -521,7 +522,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 def verify_t2sym(max_cells: int = 9) -> Report:
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
     ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
-                              T2_SPECS, T2_SPECS, ("standard", "standard"),
+                              T2_SPECS, T2_SPECS, "standard",
                               symmetric_only=True)
     return Report("T2sym", ok, f"{len(shapes)} symmetric shapes", witness)
 
@@ -536,8 +537,8 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     shapes = _shapes_to_check(symmetric_shapes(max_cells))
     bits = max_sum.bit_length()
     ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
-                          NES1_SPECS, NES1_IMAGE_SPECS,
-                          ("nes1", "nes1-inverse"), bits, symmetric_only=True)
+                          NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits,
+                          symmetric_only=True)
     ok2, w2 = _check_swap(_shape_groups(shapes, ZERO_ONE, max_sum),
                           NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
     return Report("T2asym", ok1 and ok2,
@@ -552,7 +553,7 @@ def _partition_verdict(name, max_n, groups, kind=""):
     for n in range(max_n + 1):
         shape = _sweep_plan(_tableau_word(n)).shape
         ok, witness = _check_swap(groups(n, shape), T2_SPECS, T2_SPECS,
-                                  ("standard", "standard"))
+                                  "standard")
         if not ok:
             return Report(name, False, f"n={n}", witness)
     return Report(name, True, f"set partitions up to n={max_n}{kind}")

@@ -67,10 +67,6 @@ class Filling:
     def entry_sum(self) -> int:
         return sum(self.entries.values())
 
-    def cells(self):
-        """Cells carrying a nonzero entry, in column-major order."""
-        return sorted(self.entries)
-
     def is_symmetric(self) -> bool:
         """Whether the filling equals its transpose, which is not built: its
         shape is self-conjugate and each entry equals the one across the

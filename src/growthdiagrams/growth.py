@@ -27,8 +27,8 @@ takes such a diagram's border from ``insertion_border`` and runs the
 forward sweep only when the corner labels are first read (``labels``,
 ``==``, ``label()``, ``shrink_back``); ``reconstruct`` and a swap past
 the memo recover a filling by ``deletion_entries`` from a checked border
-that starts and ends at the empty partition, and ``reconstruct`` runs the
-backward sweep only for other borders.
+that starts and ends at the empty partition (a swap in ``_swap_entries``),
+and ``reconstruct`` runs the backward sweep only for other borders.
 
 The reading word may carry extra leading D steps and trailing R steps
 beyond the normalized boundary word of the shape; these encode zero-length
@@ -127,7 +127,7 @@ class _SweepPlan:
 
     @cached_property
     def swaps(self) -> dict:
-        """The maps ``conjugate_swap`` has set up for the shape."""
+        """The code maps ``_shape_swap`` has set up for the shape."""
         return {}
 
     @cached_property
@@ -442,11 +442,8 @@ class GrowthDiagram:
         return self.labels[(x, y)]
 
     def corners(self):
-        out = []
-        for y in range(len(self.row_lens) + 1):
-            width = self.n_cols if y == 0 else self.row_lens[y - 1]
-            out.extend((x, y) for x in range(width + 1))
-        return out
+        return [(x, y) for y, width in enumerate((self.n_cols, *self.row_lens))
+                for x in range(width + 1)]
 
 
 def _checked_variant(filling: Filling, variant: str):
@@ -602,29 +599,31 @@ def conjugate_swap(filling: Filling, variant: str) -> Filling:
     from the conjugate of ``filling``'s border tableau under ``variant``,
     ``reconstruct(t.word, t.conjugate())[0]`` for ``t = growth_tableau(
     filling, variant)``: ``_shape_swap``'s map of its code on a shape of at
-    most MEMO_MAX_CELLS cells, insertion and deletion on a larger one."""
+    most MEMO_MAX_CELLS cells, ``_swap_entries`` of its entries past it."""
     v = _checked_variant(filling, variant)
     shape, entries = filling.shape, filling.entries
     plan = _sweep_plan(shape.word)
-    back = get_variant(v.conjugate)
     if not plan.small:
-        seq = list(map(conjugate, insertion_border(plan.heights, entries,
-                                                   v.right, v.down)))
-        _check_steps(plan.word, seq, back.step_ok, back.name)
-        return _trusted(Filling, shape=shape, entries=deletion_entries(
-            plan.heights, seq, back.right, back.down))
+        return _trusted(Filling, shape=shape, entries=_swap_entries(
+            plan, v, get_variant(v.conjugate), entries))
     # an image entry is at most the entry sum below and left of it, the size
-    # of a border label, and at most 1 in a 0-1 class, which the swap keeps.
-    # The plan keeps each map by the fold's rule set and width.
+    # of a border label, and at most 1 in a 0-1 class, which the swap keeps
     bits = (max(sum(entries.values()), 1).bit_length()
             if v.filling_class == ARBITRARY else 1)
-    key = v, back, _small_conjugate, bits
-    swap = plan.swaps.get(key)
-    if swap is None:
-        swap = plan.swaps[key] = _shape_swap(shape, variant, bits, plan)
     cells, weights = _cell_weights(shape, bits)
-    return _trusted(Filling, shape=shape, entries=_code_entries(
-        swap(_code(entries, weights)), cells, bits))
+    image = _shape_swap(shape, variant, bits, plan)(_code(entries, weights))
+    return _trusted(Filling, shape=shape,
+                    entries=_code_entries(image, cells, bits))
+
+
+def _swap_entries(plan: _SweepPlan, v, back, entries) -> dict:
+    """The swap past the memo: what deletion under ``back``, the conjugate
+    of variant ``v``, recovers from the conjugated border that insertion
+    under ``v`` gives ``entries``, once its steps are checked."""
+    seq = list(map(conjugate, insertion_border(plan.heights, entries,
+                                               v.right, v.down)))
+    _check_steps(plan.word, seq, back.step_ok, back.name)
+    return deletion_entries(plan.heights, seq, back.right, back.down)
 
 
 @lru_cache(MEMO_MAX_ENTRIES)
@@ -638,30 +637,37 @@ def _cell_weights(shape, bits: int):
 def _shape_swap(shape: FerrersShape, variant: str, bits: int, plan=None):
     """``conjugate_swap`` on the fillings of one Ferrers shape, whose sweep
     plan the caller may give, as a map of codes with the weights
-    ``_weights(shape.cells(), bits)``.  An image with an entry too large
-    for a digit has no code (None).  The entries are not checked against
-    the variant's class: the callers map only fillings in it.
-
-    Up to MEMO_MAX_CELLS cells the map folds ``_fold_steps`` over the
-    columns, left to right and then right to left from an empty column
-    right of the shape.  A refused border step goes to ``_check_steps``
-    with the whole conjugated border, so that the error names the first
-    one, as ``reconstruct``'s does.  A larger filling goes to
-    ``conjugate_swap``."""
+    ``_weights(shape.cells(), bits)``; an image with an entry too large for
+    a digit has no code (None).  The entries are not checked against the
+    variant's class: the callers map only fillings in it.  Only this
+    function reads and sets up the maps the plan keeps (``plan.swaps``)."""
     v = get_variant(variant)
     back = get_variant(v.conjugate)
     plan = plan or _sweep_plan(shape.word)
-    heights = shape.col_heights
+    swaps, key = plan.swaps, (v, back, _small_conjugate, bits)
+    swap = swaps.get(key)
+    if swap is None:
+        swap = swaps[key] = _code_map(shape, plan, v, back, bits)
+    return swap
+
+
+def _code_map(shape, plan, v, back, bits: int):
+    """A new code map of ``_shape_swap``.  Up to MEMO_MAX_CELLS cells it
+    folds ``_fold_steps`` over the columns, left to right, then right to
+    left from an empty column right of the shape; a refused border step
+    goes to ``_check_steps`` with the whole conjugated border, so that the
+    error names the first one.  Past them it calls ``_swap_entries``."""
     if not plan.small:
         cells, weights = _cell_weights(shape, bits)
 
         def swap(code):
-            image = conjugate_swap(_trusted(Filling, shape=shape, entries=(
-                _code_entries(code, cells, bits))), variant).entries
+            image = _swap_entries(plan, v, back,
+                                  _code_entries(code, cells, bits))
             if max(image.values(), default=0) >> bits == 0:
                 return _code(image, weights)
         return swap
 
+    heights = shape.col_heights
     forward, backward = _fold_steps(v, back, bits)
     conj, step_ok = _small_conjugate, _small_rules(back)[2]
     cuts, id_bits, id_mask = _CUTS, _ID_BITS, _ID_MASK

@@ -186,9 +186,6 @@ class StackPolyomino:
     def n_cells(self) -> int:
         return sum(self.col_heights)
 
-    def col_height(self, c: int) -> int:
-        return self.col_heights[c - 1] if 1 <= c <= len(self.col_heights) else 0
-
     def __contains__(self, cell) -> bool:
         c, r = cell
         return 1 <= c <= self.n_cols and 1 <= r <= self.col_heights[c - 1]

@@ -458,6 +458,16 @@ def test_swap_equals_the_tableau_composition(mode):
                 t.word, t.conjugate())[0], (mode, f)
 
 
+@pytest.mark.parametrize("mode", list(_SWAP_FORWARD))
+def test_inverse_mode_runs_the_conjugate_variant(mode):
+    """A mode's inverse runs the conjugate of the mode's forward variant,
+    which is how the swap verifiers find a map's inverse."""
+    inverse = {"standard": "standard", "nes1": "nes1-inverse",
+               "nes1-inverse": "nes1", "nes2": "nes2-inverse",
+               "nes2-inverse": "nes2"}[mode]
+    assert get_variant(_SWAP_FORWARD[mode]).conjugate == _SWAP_FORWARD[inverse]
+
+
 @pytest.mark.parametrize("shape", [FerrersShape((1,)), FerrersShape((13,) * 5)],
                          ids=["memoised", "past-the-memo"])
 def test_swap_step_checks_the_conjugated_border(monkeypatch, shape):

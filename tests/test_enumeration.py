@@ -302,6 +302,40 @@ def test_problem2_evidence_respects_budget(monkeypatch):
         problem2_evidence(FerrersShape((3, 3, 2)))
 
 
+@pytest.mark.parametrize("verify, total", [
+    (lambda: verify_t2(7), 478),
+    (lambda: verify_t2a_nes1(4, 2), 120),
+    (lambda: verify_t2a_nes2(5, 2), 198),
+], ids=["T2", "NES1", "NES2"])
+def test_swap_verdict_charges_its_shapes_to_one_budget(monkeypatch, verify,
+                                                       total):
+    """A swap verdict charges the fillings of all its shapes to one budget:
+    it passes within a budget of its total, and refuses one less, although
+    no shape has more than 20 fillings."""
+    monkeypatch.setenv("GROWTH_BUDGET", str(total))
+    assert verify().passed
+    monkeypatch.setenv("GROWTH_BUDGET", str(total - 1))
+    with pytest.raises(InstanceTooLarge) as raised:
+        verify()
+    assert str(raised.value) == f"more than {total - 1} fillings generated"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: all_fillings(SQUARE, "bogus"),
+    lambda: all_fillings(SQUARE, "bogus", 2),
+    lambda: count_table(SQUARE, "bogus", *NE_SE_SPECS),
+    lambda: count_table(SQUARE, "bogus", *NE_SE_SPECS, 2),
+    lambda: next(generate_fillings(SQUARE, "bogus", 1)),
+], ids=["all-fillings", "all-fillings-bound", "count-table",
+        "count-table-bound", "generate"])
+def test_unknown_class_is_named(call):
+    """An unknown filling class is refused by name, with or without a
+    bound, before any filling is walked."""
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == "unknown filling class 'bogus'"
+
+
 def test_verify_t2_small():
     report = verify_t2(5)
     assert report.passed is True

@@ -1110,6 +1110,38 @@ def test_fold_swap_refuses_an_overflowing_digit():
     assert fold_image(f, "rsk", 2) == image
 
 
+def test_large_code_map_builds_one_plan(monkeypatch):
+    """Past the memo a shape's code map reads the plan it was set up with:
+    mapping 50 fillings of the 9 x 9 square, entries 2, 1 and 1 in three
+    rows and columns, under rsk builds one plan, and gives the swap by its
+    definition."""
+    shape, rng = FerrersShape((9,) * 9), random.Random(0)
+    fillings = [Filling(shape, dict(zip(zip(
+        rng.sample(range(1, 10), 3), rng.sample(range(1, 10), 3)), (2, 1, 1))))
+        for _ in range(50)]
+    cells = shape.cells()
+    weights = _weights(cells, 3)
+    built = count_plans(monkeypatch)
+    swap = growth._shape_swap(shape, "rsk", 3)
+    images = [swap(_code(f.entries, weights)) for f in fillings]
+    assert len(built) == 1
+    assert [_code_entries(image, cells, 3) for image in images] == [
+        swap_by_definition(f, "rsk").entries for f in fillings]
+
+
+def test_conjugate_swap_maps_with_the_shape_swap(monkeypatch):
+    """On a small shape conjugate_swap maps the filling's code with the
+    very map that ``_shape_swap`` set up and the shape's plan keeps."""
+    monkeypatch.setattr(growth, "_PLANS", {})
+    f = Filling(FerrersShape((3, 2)), {(1, 1): 2, (2, 2): 1})
+    swap, shape_swap, used = growth._shape_swap(f.shape, "rsk", 2), (
+        growth._shape_swap), []
+    monkeypatch.setattr(growth, "_shape_swap", lambda *args: used.append(
+        shape_swap(*args)) or used[-1])
+    assert conjugate_swap(f, "rsk") == swap_by_definition(f, "rsk")
+    assert len(used) == 1 and used[0] is swap
+
+
 def memo_sizes_within(bound):
     """Whether every table of the fold's memo holds at most ``bound``
     entries."""

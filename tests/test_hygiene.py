@@ -3,7 +3,8 @@ read somewhere in that module, every top-level definition in ``src/`` is
 read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and so is every
 method and property of a class in ``src/``, as an attribute.  Package
 ``__init__.py`` files are exempt, as their imports are the package's
-re-exports; those imports still count as reads."""
+re-exports; those imports still count as reads.  No two top-level
+definitions in ``src/`` call each other."""
 
 import ast
 from pathlib import Path
@@ -210,3 +211,58 @@ def test_package_exports_its_names_and_no_module():
     assert set(growthdiagrams.__all__) == imported
     assert not [name for name in growthdiagrams.__all__
                 if isinstance(getattr(growthdiagrams, name), ModuleType)]
+
+
+def mutual_calls(sources: dict):
+    """The pairs of top-level functions and classes of the modules, each
+    ``(module, name)``, that call each other by name: in their own module,
+    or imported from a sibling module (``from .m import name``).  Sources
+    are keyed by module name."""
+    calls = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined = [node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        known = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names}
+        known.update((node.name, (module, node.name)) for node in defined)
+        for node in defined:
+            calls[module, node.name] = {
+                known[call.func.id] for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id in known}
+    return sorted((a, b) for a, called in calls.items() for b in called
+                  if a < b and a in calls.get(b, ()))
+
+
+def test_mutual_calls_are_found():
+    sources = {"a": "from .b import g\ndef f(): return g()\n"
+                    "def h(): return k()\ndef k(): return h\ndef r(): r()\n",
+               "b": "from .a import f as e\ndef g(): return e()\n"}
+    assert mutual_calls(sources) == [(("a", "f"), ("b", "g"))]
+
+
+def test_no_definitions_call_each_other():
+    """Each job has one way of being done, so no two top-level definitions
+    in ``src/`` hand a job back and forth."""
+    package = ROOT / "src" / "growthdiagrams"
+    assert mutual_calls({path.stem: path.read_text()
+                         for path in package.glob("*.py")}) == []
+
+
+def test_swaps_are_named_by_their_forward_variant():
+    """The swap verifiers name a swap by its forward variant, not by
+    ``swap_chain_statistics``' modes, and only ``growth._shape_swap``
+    touches a plan's stored code maps."""
+    package = ROOT / "src" / "growthdiagrams"
+    assert "_SWAP_FORWARD" not in names_read(
+        (package / "enumeration.py").read_text())
+    touching = set()
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if any(isinstance(n, ast.Attribute) and n.attr == "swaps"
+                   for n in ast.walk(node)):
+                touching.add(f"{path.stem}.{getattr(node, 'name', '')}")
+    assert touching == {"growth._shape_swap"}
