@@ -11,6 +11,10 @@ code pairs (``_code_weights``) through ``_pair_reads``: one
 two smaller ones.  A count table of every 0-1 filling of a shape reads
 the tables over the whole code space instead, one byte per filling.
 
+One meter, a ``_Budget``, bounds each verdict, count table, Jonsson side
+and ``all_fillings`` call over all its shapes and n: its walk charges
+each n's codes before passing them on, and a code-space count its 2 ** N.
+
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
 hesitating fillings), conjugated by the standard swap with T2's specs.
@@ -34,8 +38,7 @@ from .fillings import (ARBITRARY, MEMO_MAX_CELLS, PARTIAL_PERMUTATION,
                        ZERO_ONE, ChainSpec, ChainTable, Filling, _code,
                        _code_entries, _sorted_cells, _trusted, _weights,
                        chain_spec, greene_totals)
-from .growth import (_cell_weights, _check_ferrers, _shape_swap,
-                     _sweep_plan, label_diagram)
+from .growth import _check_ferrers, _shape_swap, _sweep_plan, label_diagram
 from .local_rules import get_variant
 from .partitions import conjugate, partitions_of
 from .shapes import (FerrersShape, InstanceTooLarge, StackPolyomino,
@@ -83,8 +86,8 @@ def generate_fillings(shape, cls: str, n: int):
     """
     _check_bound(n, "n", 0)
     bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
-    cells, weights = _cell_weights(shape, bits)
-    for code in _codes(weights, cls, n):
+    cells = shape.cells()
+    for code in _codes(_weights(cells, bits), cls, n):
         yield _trusted(Filling, shape=shape,
                        entries=_code_entries(code, cells, bits))
 
@@ -163,11 +166,16 @@ def _code_weights(shape, bits: int) -> dict:
 
 
 def all_fillings(shape, cls: str, max_n: int | None = None):
-    """(n, filling) for every feasible n in ascending order, with the hard
-    generation wall applied.  The bound is checked here, before the first
-    filling is asked for."""
-    return _metered((n, f) for n in range(_max_n(shape, cls, max_n) + 1)
-                    for f in generate_fillings(shape, cls, n))
+    """(n, filling) for every feasible n in ascending order, decoded from
+    the walk's codes on one budget.  The bound is checked here, before the
+    first filling is asked for."""
+    top = _max_n(shape, cls, max_n)
+    bits = max(top, 1).bit_length() if cls == ARBITRARY else 1
+    cells = shape.cells()
+    walk = _Budget().walk(_weights(cells, bits), cls, range(top + 1))
+    return ((n, _trusted(Filling, shape=shape,
+                         entries=_code_entries(code, cells, bits)))
+            for n, codes in walk for code in codes)
 
 
 def _max_n(shape, cls: str, max_n: int | None) -> int:
@@ -216,31 +224,28 @@ def _shapes_to_check(shapes, max_cells=None):
     return shapes
 
 
-def _metered(items):
-    """Pass items through, raising InstanceTooLarge once more than
-    ``budget_limit()`` of them have been generated."""
-    wall = budget_limit()
-    for produced, item in enumerate(items, 1):
-        if produced > wall:
-            raise _too_large(wall)
-        yield item
+class _Budget:
+    """One enumeration's meter: the budget (``GROWTH_BUDGET``), read once,
+    bounds the items that all its walks generate together."""
 
+    def __init__(self, what="fillings"):
+        self.wall = self.left = budget_limit()
+        self.what = what
 
-def _metered_groups(keyed, what="fillings"):
-    """(key, list of codes) for each (key, codes) group, raising
-    InstanceTooLarge, before passing it on, at the group that takes the
-    codes of all the groups past ``budget_limit()``."""
-    wall = left = budget_limit()
-    for key, codes in keyed:
-        codes = list(islice(codes, left + 1))
-        left -= len(codes)
-        if left < 0:
-            raise _too_large(wall, what)
-        yield key, codes
+    def charge(self, count: int):
+        """Take ``count`` items off the budget, or raise InstanceTooLarge."""
+        self.left -= count
+        if self.left < 0:
+            raise InstanceTooLarge(
+                f"more than {self.wall} {self.what} generated")
 
-
-def _too_large(wall: int, what="fillings") -> InstanceTooLarge:
-    return InstanceTooLarge(f"more than {wall} {what} generated")
+    def walk(self, weights: dict, cls: str, ns):
+        """(n, list of ``_codes(weights, cls, n)``) for each n of ``ns``,
+        charged before it is passed on; a list stops one past the budget."""
+        for n in ns:
+            codes = list(islice(_codes(weights, cls, n), self.left + 1))
+            self.charge(len(codes))
+            yield n, codes
 
 
 def _mirror_mismatch(source, image):
@@ -299,9 +304,9 @@ def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
         table.counts = _code_space_counts(shape, spec_x, spec_y)
         return table
     bits = top.bit_length() if cls == ARBITRARY else 1
-    (_, groups), = _shape_groups([shape], cls, max_n, bits)
     shift, low, ((x, i), (y, j)) = _pair_reads(shape, (spec_x, spec_y), bits)
-    for n, pairs in groups:
+    for n, pairs in _Budget().walk(_code_weights(shape, bits), cls,
+                                   range(top + 1)):
         counts = Counter()
         for pair in pairs:
             codes = pair & low, pair >> shift
@@ -331,9 +336,8 @@ def _code_space_counts(shape, spec_x: ChainSpec, spec_y: ChainSpec) -> dict:
     order through one lookup table per byte, the low byte's read in the
     inner loop."""
     cells = shape.cells()
-    size, wall = 1 << len(cells), budget_limit()
-    if size > wall:
-        raise _too_large(wall)
+    size = 1 << len(cells)
+    _Budget().charge(size)
     x, y = (ChainTable(shape, spec, 1) for spec in (spec_x, spec_y))
     stat_x, stat_y = x._code_space(), y._code_space()
     low = min(len(cells), 8)
@@ -485,12 +489,10 @@ def _symmetric(shape, bits: int):
 def _shape_groups(shapes, cls, max_n, bits=1):
     """_check_swap's groups of the shapes' fillings, keyed by n and charged
     to one budget; each shape's groups are read before the next shape's."""
-    tops = [_max_n(shape, cls, max_n) for shape in shapes]
-    metered = _metered_groups(
-        (n, _codes(weights, cls, n)) for shape, top in zip(shapes, tops)
-        for weights in [_code_weights(shape, bits)] for n in range(top + 1))
-    for shape, top in zip(shapes, tops):
-        yield shape, islice(metered, top + 1)
+    budget = _Budget()
+    for shape in shapes:
+        yield shape, budget.walk(_code_weights(shape, bits), cls,
+                                 range(_max_n(shape, cls, max_n) + 1))
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
@@ -548,23 +550,20 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
 def _partition_verdict(name, max_n, groups, kind=""):
     """The standard swap of the set partitions of each n up to ``max_n``,
     the rook placements of the staircase, checked with T2's specs on
-    ``groups(n, staircase)``."""
+    ``groups(n, staircase, place)``: ``place(weights)`` walks the rook
+    placements of the weighed staircase on the verdict's one budget."""
     _check_bound(max_n, "max_n", 0)
+    budget = _Budget("set partitions")
     for n in range(max_n + 1):
         shape = _sweep_plan(_tableau_word(n)).shape
-        ok, witness = _check_swap(groups(n, shape), T2_SPECS, T2_SPECS,
+
+        def place(weights):
+            return budget.walk(weights, PARTIAL_PERMUTATION, range(max(n, 1)))
+        ok, witness = _check_swap(groups(n, shape, place), T2_SPECS, T2_SPECS,
                                   "standard")
         if not ok:
             return Report(name, False, f"n={n}", witness)
     return Report(name, True, f"set partitions up to n={max_n}{kind}")
-
-
-def _placements(n: int, weights: dict):
-    """(k, codes) for k = 0, 1, ...: the codes of the rook placements of
-    k crosses on n's staircase, whose cells ``weights`` weighs, metered
-    as set partitions."""
-    return _metered_groups(((k, _codes(weights, PARTIAL_PERMUTATION, k))
-                            for k in range(max(n, 1))), "set partitions")
 
 
 def _occupied(n: int, shape) -> dict:
@@ -580,15 +579,15 @@ def _occupied(n: int, shape) -> dict:
 
 def verify_t4(max_n: int = 5) -> Report:
     # T2 on the staircase, keyed by crosses: n minus the number of blocks
-    return _partition_verdict("T4", max_n, lambda n, shape: [
-        (shape, _placements(n, _code_weights(shape, 1)))])
+    return _partition_verdict("T4", max_n, lambda n, shape, place: [
+        (shape, place(_code_weights(shape, 1)))])
 
 
 def verify_t5(max_n: int = 5) -> Report:
     # the swap keeps which columns and rows of the staircase hold a cross:
     # each placement's (key, code pair) is its code's divmod
-    def groups(n, shape):
-        placements = _placements(n, _occupied(n, shape))
+    def groups(n, shape, place):
+        placements = place(_occupied(n, shape))
         pairs = sorted((divmod(code, 1 << 2 * shape.n_cells)
                         for _, codes in placements for code in codes),
                        key=itemgetter(0))
@@ -603,10 +602,10 @@ def verify_t6(max_n: int = 4) -> Report:
     # not preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
     # the tables are checked without the minima/maxima refinement.
-    def groups(n, shape):
+    def groups(n, shape, place):
         cells = shape.cells()
         by_shape = {}   # hesitating shape -> (its code weights, code pairs)
-        for _, codes in _placements(n, _weights(cells, 1)):
+        for _, codes in place(_weights(cells, 1)):
             for code in codes:
                 g = _hesitating(n, _code_entries(code, cells, 1))[1]
                 if g.shape not in by_shape:
@@ -644,13 +643,12 @@ def _densest_bounded_ne(shape, s: int):
     all rectangle-bounded ne-chains at length <= s, and how many fillings
     with n_max 1's have a longest such chain of exactly s.
 
-    The walk's code pairs, metered n by n from the fullest fillings down
-    to the first n with a filling within the bound, at the latest n = 0.
+    The walk's code pairs on one budget, n by n from the fullest fillings
+    down to the first n with one within the bound, at the latest n = 0.
     """
-    weights = _code_weights(shape, 1)
     shift, low, ((ne, i),) = _pair_reads(shape, NE_SE_SPECS[:1], 1)
-    for n, pairs in _metered_groups((n, _codes(weights, ZERO_ONE, n))
-                                    for n in range(shape.n_cells, -1, -1)):
+    for n, pairs in _Budget().walk(_code_weights(shape, 1), ZERO_ONE,
+                                   range(shape.n_cells, -1, -1)):
         # each pair's code of the spec's cell order
         lengths = map(ne, (pair >> shift * i & low for pair in pairs))
         within = [length for length in lengths if length <= s]

@@ -628,8 +628,8 @@ def _swap_entries(plan: _SweepPlan, v, back, entries) -> dict:
 
 @lru_cache(MEMO_MAX_ENTRIES)
 def _cell_weights(shape, bits: int):
-    """The shape's cells and their ``_weights``, kept for the callers that
-    code one shape's fillings call after call; callers only read them."""
+    """A small shape's cells and their ``_weights``, kept for
+    ``conjugate_swap``; callers only read them."""
     cells = shape.cells()
     return cells, _weights(cells, bits)
 
@@ -658,7 +658,8 @@ def _code_map(shape, plan, v, back, bits: int):
     goes to ``_check_steps`` with the whole conjugated border, so that the
     error names the first one.  Past them it calls ``_swap_entries``."""
     if not plan.small:
-        cells, weights = _cell_weights(shape, bits)
+        cells = shape.cells()
+        weights = _weights(cells, bits)
 
         def swap(code):
             image = _swap_entries(plan, v, back,

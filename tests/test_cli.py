@@ -353,6 +353,22 @@ def test_set_partition_verifiers_obey_the_budget(capsys, monkeypatch, theorem):
     assert err == "error: more than 10 set partitions generated\n"
 
 
+@pytest.mark.parametrize("theorem", ["T4", "T5", "T6"])
+def test_set_partition_verifiers_charge_every_n_to_one_budget(
+        capsys, monkeypatch, theorem):
+    """Every n of one set-partition verdict is charged to one budget: up to
+    n = 9 it walks Bell(0) + ... + Bell(9) = 26,443 set partitions, and
+    refuses one less, although no n has more than Bell(9) = 21,147."""
+    monkeypatch.setenv("GROWTH_BUDGET", "26443")
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--max-n", "9")
+    assert code == 0 and "PASS" in out
+    monkeypatch.setenv("GROWTH_BUDGET", "26442")
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--max-n",
+                         "9")
+    assert (code, out) == (3, "")
+    assert err == "error: more than 26442 set partitions generated\n"
+
+
 def test_bad_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("GROWTH_BUDGET", "abc")
     code, _, err = run(capsys, "verify", "--theorem", "T2", "--max-cells", "3")

@@ -255,8 +255,8 @@ def test_max_n_stops_at_the_largest_n(monkeypatch, cls, top):
     """n runs up to the cell count of 0-1 fillings and up to the smaller
     side of partial permutations, whatever larger bound is asked for."""
     walked = []
-    monkeypatch.setattr(enumeration, "generate_fillings",
-                        lambda shape, cls, n: walked.append(n) or iter(()))
+    monkeypatch.setattr(enumeration, "_codes",
+                        lambda weights, cls, n: walked.append(n) or iter(()))
     list(all_fillings(SQUARE, cls, 10))
     assert walked == list(range(top + 1))
 
@@ -286,6 +286,17 @@ def test_budget_env_override(monkeypatch):
     assert budget_limit() == 10
     with pytest.raises(InstanceTooLarge):
         list(all_fillings(FerrersShape((4, 4, 4)), "zero-one"))
+
+
+def test_all_fillings_refuses_before_the_n_past_the_budget(monkeypatch):
+    """Within a budget of 10, the 1 + 4 0-1 fillings of the 2 x 2 square
+    with n <= 1 are yielded, and none of the 6 with n = 2, which would take
+    the total past it."""
+    monkeypatch.setenv("GROWTH_BUDGET", "10")
+    yielded = []
+    with pytest.raises(InstanceTooLarge):
+        yielded.extend(all_fillings(SQUARE, ZERO_ONE))
+    assert [n for n, _ in yielded] == [0, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("text", ["abc", "0", "-3"])
@@ -318,6 +329,35 @@ def test_swap_verdict_charges_its_shapes_to_one_budget(monkeypatch, verify,
     with pytest.raises(InstanceTooLarge) as raised:
         verify()
     assert str(raised.value) == f"more than {total - 1} fillings generated"
+
+
+@pytest.mark.parametrize("enumerate_, total, what", [
+    (lambda: list(all_fillings(SQUARE, ZERO_ONE)), 16, "fillings"),
+    (lambda: count_table(SQUARE, PARTIAL_PERMUTATION, *NE_SE_SPECS), 7,
+     "fillings"),
+    (lambda: count_table(SQUARE, ZERO_ONE, *NE_SE_SPECS), 16, "fillings"),
+    (lambda: verify_t2sym(7).passed, 56, "fillings"),
+    (lambda: verify_t4(5).passed, 76, "set partitions"),
+    (lambda: verify_t5(5).passed, 76, "set partitions"),
+    (lambda: verify_t6(5).passed, 76, "set partitions"),
+    (lambda: jonsson_check(StackPolyomino((1, 3, 2)), 1).passed, 7,
+     "fillings"),
+], ids=["all-fillings", "count-table-walk", "count-table-code-space",
+        "T2sym", "T4", "T5", "T6", "jonsson-side"])
+def test_one_meter_per_enumeration(monkeypatch, enumerate_, total, what):
+    """Each enumeration is charged to one meter, which passes it within a
+    budget of its total and refuses it, with the one message, at one less:
+    the 16 0-1 fillings and 7 rook placements of the 2 x 2 square, the
+    partial permutations of every symmetric shape of at most 7 cells, the
+    set partitions of every n <= 5 (Bell(0) + ... + Bell(5)) for each of
+    T4-T6, and each side of a Jonsson check on its own (the 1 + 6 fillings
+    of 6 and 5 ones of each 6-cell shape)."""
+    monkeypatch.setenv("GROWTH_BUDGET", str(total))
+    assert enumerate_()
+    monkeypatch.setenv("GROWTH_BUDGET", str(total - 1))
+    with pytest.raises(InstanceTooLarge) as raised:
+        enumerate_()
+    assert str(raised.value) == f"more than {total - 1} {what} generated"
 
 
 @pytest.mark.parametrize("call", [

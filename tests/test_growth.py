@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from growthdiagrams import growth, local_rules
 from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
-                                        check_greene)
+                                        check_greene, generate_fillings)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
                                      _code, _code_entries, _weights,
                                      longest_chain)
@@ -1140,6 +1140,23 @@ def test_conjugate_swap_maps_with_the_shape_swap(monkeypatch):
         shape_swap(*args)) or used[-1])
     assert conjugate_swap(f, "rsk") == swap_by_definition(f, "rsk")
     assert len(used) == 1 and used[0] is swap
+
+
+def test_large_shapes_keep_no_cell_weights():
+    """Past the memo nothing keeps a shape's weights, whose O(cells ** 2)
+    bits would stay after the call: enumerating the 0-1 fillings of a
+    1,000-cell row with at most one 1, and mapping one of them with the
+    row's code map, leave ``_cell_weights`` empty."""
+    row = FerrersShape((1000,))
+    growth._cell_weights.cache_clear()
+    fillings = [f for _, f in all_fillings(row, "zero-one", 1)]
+    assert fillings[1:] == list(generate_fillings(row, "zero-one", 1))
+    weights = _weights(row.cells(), 1)
+    f = fillings[500]
+    assert growth._shape_swap(row, "dual-rsk", 1)(
+        _code(f.entries, weights)) == _code(
+            conjugate_swap(f, "dual-rsk").entries, weights)
+    assert growth._cell_weights.cache_info().currsize == 0
 
 
 def memo_sizes_within(bound):

@@ -4,7 +4,8 @@ read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and so is every
 method and property of a class in ``src/``, as an attribute.  Package
 ``__init__.py`` files are exempt, as their imports are the package's
 re-exports; those imports still count as reads.  No two top-level
-definitions in ``src/`` call each other."""
+definitions in ``src/`` call each other, and one meter in
+``enumeration.py`` reads the budget of every enumeration."""
 
 import ast
 from pathlib import Path
@@ -187,17 +188,19 @@ def test_verifiers_read_no_set_partition():
 
 
 def test_counts_read_the_walk_not_fillings():
-    """Every count in enumeration.py reads the walk's codes: of its
-    top-level statements only ``all_fillings`` reads ``generate_fillings``,
-    and none reads ``all_fillings``."""
+    """Every count in enumeration.py reads the walk's codes through the
+    meter: of its top-level statements only ``generate_fillings`` and
+    ``_Budget`` read ``_codes``, and none reads ``generate_fillings`` or
+    ``all_fillings``."""
     source = (ROOT / "src" / "growthdiagrams" / "enumeration.py").read_text()
-    readers = {"generate_fillings": set(), "all_fillings": set()}
+    readers = {"_codes": set(), "generate_fillings": set(),
+               "all_fillings": set()}
     for node in ast.parse(source).body:
         for name in names_read(ast.get_source_segment(source, node)) & set(
                 readers):
             readers[name].add(getattr(node, "name", node.lineno))
-    assert readers == {"generate_fillings": {"all_fillings"},
-                       "all_fillings": set()}
+    assert readers == {"_codes": {"generate_fillings", "_Budget"},
+                       "generate_fillings": set(), "all_fillings": set()}
 
 
 def test_package_exports_its_names_and_no_module():
@@ -266,3 +269,36 @@ def test_swaps_are_named_by_their_forward_variant():
                    for n in ast.walk(node)):
                 touching.add(f"{path.stem}.{getattr(node, 'name', '')}")
     assert touching == {"growth._shape_swap"}
+
+
+def calls_to(source: str, name: str) -> int:
+    """How many calls in ``source`` call ``name``, by name or as an
+    attribute."""
+    return sum(isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_calls_are_counted():
+    source = ("from m import f\nimport m\ndef g(): return f(1) + m.f(2)\n"
+              "h = f\nf.x()\n")
+    assert (calls_to(source, "f"), calls_to(source, "h")) == (2, 0)
+
+
+def test_one_budget():
+    """Every enumeration is charged to the one meter of enumeration.py,
+    which reads ``budget_limit()`` and builds ``InstanceTooLarge`` once
+    each; besides it only shapes.py, whose text readers refuse a row or a
+    column longer than the budget, calls ``budget_limit()``.  The meters it
+    replaced are gone."""
+    package = ROOT / "src" / "growthdiagrams"
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    enumeration = sources["enumeration"]
+    assert calls_to(enumeration, "budget_limit") == 1
+    assert calls_to(enumeration, "InstanceTooLarge") == 1
+    assert {stem for stem, source in sources.items()
+            if calls_to(source, "budget_limit")} == {"enumeration", "shapes"}
+    defined = {name for source in sources.values()
+               for _, name in top_level_definitions(source)}
+    assert not defined & {"_metered", "_metered_groups", "_too_large",
+                          "_placements"}
