@@ -20,9 +20,8 @@ from .correspondences import (Matching, PartialTableau, SetPartition,
                               setpartition_to_vacillating,
                               swap_chain_statistics)
 from .enumeration import (InstanceTooLarge, Report, all_fillings, all_shapes,
-                          check_greene, count_table, generate_fillings,
-                          jonsson_check, problem2_evidence, symmetric_shapes,
-                          verify_theorem)
+                          check_greene, count_table, jonsson_check,
+                          problem2_evidence, symmetric_shapes, verify_theorem)
 from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
                        Filling, chain_spec, filling_class, filling_from_json,
                        filling_to_json, greene_totals, in_class,

@@ -4,16 +4,19 @@ Everything here is deliberately brute force: fillings are generated in a
 deterministic lexicographic order, by entry sum, and each verifier checks
 a counting identity together with a pointwise bijection certificate where
 one exists.  One walk (``_codes``) gives the fillings as ints, each the
-sum of its entries times per-cell weights (``fillings._weights``);
-``generate_fillings`` decodes them, and every count reads the ints as
-code pairs (``_code_weights``) through ``_pair_reads``: one
-:class:`ChainTable` per shape and spec, which reads a filling's code from
-two smaller ones.  A count table of every 0-1 filling of a shape reads
-the tables over the whole code space instead, one byte per filling.
+sum of its entries times per-cell weights (``fillings._weights``), and
+only the meter reads it.  ``all_fillings`` is the one enumeration that
+decodes the ints into fillings; every count reads them as code pairs
+(``_code_weights``) through ``_pair_reads``: one :class:`ChainTable` per
+shape and spec, which reads a filling's code from two smaller ones.  A
+count table of every 0-1 filling of a shape reads the tables over the
+whole code space instead, one byte per filling.
 
 One meter, a ``_Budget``, bounds each verdict, count table, Jonsson side
 and ``all_fillings`` call over all its shapes and n: its walk charges
 each n's codes before passing them on, and a code-space count its 2 ** N.
+A swap verifier walks its default shapes as it checks them, so the meter
+refuses an oversize verdict before its shapes are all built.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
@@ -30,7 +33,7 @@ computed again.  Only a failing filling, the witness, is decoded.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice
+from itertools import chain, combinations, groupby, islice
 from operator import itemgetter
 
 from .correspondences import _hesitating, _tableau_word
@@ -64,38 +67,21 @@ class Report:
 
 
 def all_shapes(max_cells: int, min_cells: int = 1):
-    """Every Ferrers shape with the given cell-count range."""
-    out = []
-    for n in range(min_cells, _check_int(max_cells, "max_cells") + 1):
-        out.extend(FerrersShape(p) for p in sorted(partitions_of(n)))
-    return out
+    """Every Ferrers shape with the given cell-count range, walked by cell
+    count; ``max_cells`` is checked at the call."""
+    return (FerrersShape(p)
+            for n in range(min_cells, _check_int(max_cells, "max_cells") + 1)
+            for p in sorted(partitions_of(n)))
 
 
 def symmetric_shapes(max_cells: int):
-    return [s for s in all_shapes(max_cells) if s.is_symmetric()]
-
-
-def generate_fillings(shape, cls: str, n: int):
-    """All fillings of the shape in the given class.
-
-    For the 0-1 classes ``n`` is the number of 1's; for arbitrary fillings
-    it is the sum of the entries.  Generation order is lexicographic over
-    the column-major cell list.  Each filling is decoded from its code in
-    ``_codes``' walk, so its entries are positive ints in cells of the
-    shape by construction and are not checked again.
-    """
-    _check_bound(n, "n", 0)
-    bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
-    cells = shape.cells()
-    for code in _codes(_weights(cells, bits), cls, n):
-        yield _trusted(Filling, shape=shape,
-                       entries=_code_entries(code, cells, bits))
+    return (s for s in all_shapes(max_cells) if s.is_symmetric())
 
 
 def _codes(weights: dict, cls: str, n: int):
     """The one walk over the class's fillings with n of the shape whose
-    column-major cells key ``weights``: each, in ``generate_fillings``'
-    order, as the sum of its entries times their cells' weights."""
+    column-major cells key ``weights``: each as the sum of its entries
+    times their cells' weights, in lexicographic order over the cells."""
     if cls == ZERO_ONE:
         return map(sum, combinations(weights.values(), n))
     if cls == PARTIAL_PERMUTATION:
@@ -215,13 +201,36 @@ def _check_bound(value, name: str, least: int) -> int:
 
 def _shapes_to_check(shapes, max_cells=None):
     """The verifier's shapes, unless given every shape of at most
-    ``max_cells`` cells: at least one, and each a Ferrers shape."""
-    shapes = all_shapes(max_cells) if shapes is None else shapes
-    if not shapes:
-        raise ValueError("no shape to check: max_cells must be at least 1")
+    ``max_cells`` cells: given ones are each checked up front to be a
+    Ferrers shape, and the default ones are walked as the verdict reads
+    them."""
+    if shapes is None:
+        return _Shapes(all_shapes(max_cells))
     for shape in shapes:
         _check_ferrers(shape)
-    return shapes
+    return _Shapes(shapes)
+
+
+class _Shapes:
+    """A verdict's walk of its shapes, at least one, with a count of those
+    walked.  Its length walks what the verdict left, so that a verdict that
+    stops at a witness still counts every shape."""
+
+    def __init__(self, shapes):
+        shapes = iter(shapes)
+        first = next(shapes, None)
+        if first is None:
+            raise ValueError("no shape to check: max_cells must be at least 1")
+        self._rest, self._count = chain((first,), shapes), 0
+
+    def __iter__(self):
+        for shape in self._rest:
+            self._count += 1
+            yield shape
+
+    def __len__(self):
+        self._count += sum(1 for _ in self._rest)
+        return self._count
 
 
 class _Budget:
@@ -522,7 +531,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 
 
 def verify_t2sym(max_cells: int = 9) -> Report:
-    shapes = _shapes_to_check(symmetric_shapes(max_cells))
+    shapes = _Shapes(symmetric_shapes(max_cells))
     ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
                               T2_SPECS, T2_SPECS, "standard",
                               symmetric_only=True)
@@ -536,12 +545,14 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # palindromic border sequences).  The second does not: its rule sets
     # are reflections of each other rather than self-reflective, so it is
     # checked by counting over the symmetric fillings directly.
-    shapes = _shapes_to_check(symmetric_shapes(max_cells))
+    shapes = _Shapes(symmetric_shapes(max_cells))
     bits = max_sum.bit_length()
     ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
                           NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits,
                           symmetric_only=True)
-    ok2, w2 = _check_swap(_shape_groups(shapes, ZERO_ONE, max_sum),
+    # the second count walks the shapes again
+    ok2, w2 = _check_swap(_shape_groups(symmetric_shapes(max_cells), ZERO_ONE,
+                                        max_sum),
                           NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
     return Report("T2asym", ok1 and ok2,
                   f"{len(shapes)} symmetric shapes", w1 or w2)

@@ -86,8 +86,9 @@ class Filling:
 def _trusted(cls, **values):
     """An instance of a frozen dataclass made of values that are valid by
     construction (a filling's entries are positive ints in cells of its
-    shape, labels are partitions that match the word); outside input goes
-    through the checking constructor instead."""
+    shape, a diagram's labels are its filling's growth); outside input goes
+    through the checking constructor instead, and a growth diagram, which
+    only ``label_diagram`` makes, has none."""
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj

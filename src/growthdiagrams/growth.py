@@ -3,19 +3,22 @@
 A growth diagram assigns a partition label to every lattice corner of a
 shape so that each cell obeys the local rules of its variant.  Corner
 (x, y) is the point x cells from the left and y cells up from the bottom.
+``label_diagram`` alone makes a ``GrowthDiagram``, from a filling by the
+local rules, so a diagram's labels are always its filling's growth.
 The sweeps keep the labels in one flat list, column by column: corner
 (x, y) sits at position ``start[x] + y`` of the word's sweep plan, so the
 left side's corners come first and the two corner lines of a cell's
 sides are consecutive runs of the list.  Each sweep walks a per-plan
 table of columns, the columns' flat starts and the keys of their cells,
-and reads a cell's row and entry through the shared key.  A
-``GrowthDiagram`` shows the labels as a dict keyed by (x, y), which
-``label_diagram``'s diagrams build from the list when it is first read.
-The sweeps pass labels through themselves and hand every other frame to
-the variant's rules, memoised below for small diagrams, whose kernels
-check the frame's edges as they compute it; each edge a rule frame leaves
-is tested once.  A swap of a small filling runs no sweep: it folds
-memoised column steps over its ``fillings._weights`` code (``_shape_swap``).
+and reads a cell's row and entry through the shared key.  A diagram
+shows the labels as a dict keyed by (x, y), which it builds from the
+list when it is first read.  The sweeps pass labels through themselves
+and hand every other frame to the variant's rules, memoised below for
+small diagrams, whose kernels check the frame's edges as they compute
+it; each edge a rule frame leaves is tested once.  A swap of a small
+filling runs no sweep: it folds memoised column steps over its
+``fillings._weights`` code with a code map that the fold's memo keeps
+until it is emptied (``_shape_swap``).
 
 A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
 no sweep for its border.  The paper's equivalence of growth diagrams and
@@ -38,7 +41,7 @@ length 2n).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
@@ -124,11 +127,6 @@ class _SweepPlan:
     @cached_property
     def shape(self) -> FerrersShape:
         return FerrersShape(self.rows)
-
-    @cached_property
-    def swaps(self) -> dict:
-        """The code maps ``_shape_swap`` has set up for the shape."""
-        return {}
 
     @cached_property
     def heights(self) -> list:
@@ -372,21 +370,19 @@ def tableau_from_json(text: str, variant: str = "standard") -> GrowthTableau:
                          data.get("variant", variant))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GrowthDiagram:
     """Corner labels of a labelled filling; ``labels`` is read-only.
 
-    The constructor checks that ``row_lens``, ``n_cols`` and the filling's
-    shape are what ``word`` traces, that ``labels`` holds exactly the
-    corners of ``corners()``, and every label; ``label_diagram`` builds its
-    diagrams without checking again.  The growth layer reads the labels
-    from a private flat list in the plan's corner layout instead, and a
-    diagram of ``label_diagram`` builds its ``labels`` from that list the
-    first time they are read, ``==`` and ``repr`` included, so that a
-    diagram only passed on to ``border_tableau`` or ``shrink_back`` never
-    builds them.  A diagram whose border ``label_diagram`` took from
-    insertion keeps that border, and fills the flat list by the forward
-    sweep when it is first read.
+    Only ``label_diagram`` makes diagrams, so the labels are always the
+    growth of the filling under the variant's rules; the class has no
+    public constructor.  The growth layer reads the labels from a private
+    flat list in the plan's corner layout, and a diagram builds its
+    ``labels`` from that list the first time they are read, ``==`` and
+    ``repr`` included, so that a diagram only passed on to
+    ``border_tableau`` or ``shrink_back`` never builds them.  A diagram
+    whose border ``label_diagram`` took from insertion keeps that border,
+    and fills the flat list by the forward sweep when it is first read.
     """
 
     word: str
@@ -394,28 +390,7 @@ class GrowthDiagram:
     n_cols: int
     variant: str
     filling: Filling
-    labels: MappingProxyType = field(default_factory=dict)
-
-    def __post_init__(self):
-        get_variant(self.variant)
-        plan = _sweep_plan(self.word)
-        if (tuple(self.row_lens), self.n_cols) != (plan.rows, plan.n_cols):
-            raise ValueError(
-                f"word {self.word!r} traces rows {plan.rows} and "
-                f"{plan.n_cols} columns, not {tuple(self.row_lens)} and "
-                f"{self.n_cols}")
-        if self.filling.shape != plan.shape:
-            raise ValueError(f"word {self.word!r} traces {plan.shape}, not "
-                             f"{self.filling.shape}")
-        if self.labels.keys() != set(self.corners()):
-            raise ValueError(f"labels must cover exactly the corners of "
-                             f"word {self.word!r}")
-        labels = {xy: make_partition(p) for xy, p in self.labels.items()}
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_flat", list(map(labels.__getitem__,
-                                                   plan.keys)))
-        object.__setattr__(self, "row_lens", plan.rows)
-        object.__setattr__(self, "labels", MappingProxyType(labels))
+    labels: MappingProxyType
 
     def __getattr__(self, name):
         # called only for an attribute the instance lacks: the labels of a
@@ -639,15 +614,18 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int, plan=None):
     plan the caller may give, as a map of codes with the weights
     ``_weights(shape.cells(), bits)``; an image with an entry too large for
     a digit has no code (None).  The entries are not checked against the
-    variant's class: the callers map only fillings in it.  Only this
-    function reads and sets up the maps the plan keeps (``plan.swaps``)."""
+    variant's class: the callers map only fillings in it.  A small shape's
+    map is kept in the fold's memo (``_SWAPS``), which only this function
+    fills; past the memo each call sets up a new one."""
     v = get_variant(variant)
     back = get_variant(v.conjugate)
     plan = plan or _sweep_plan(shape.word)
-    swaps, key = plan.swaps, (v, back, _small_conjugate, bits)
-    swap = swaps.get(key)
+    if not plan.small:
+        return _code_map(shape, plan, v, back, bits)
+    key = plan.word, v, back, _small_conjugate, bits
+    swap = _SWAPS.get(key)
     if swap is None:
-        swap = swaps[key] = _code_map(shape, plan, v, back, bits)
+        swap = _SWAPS[key] = _code_map(shape, plan, v, back, bits)
     return swap
 
 
@@ -712,16 +690,19 @@ def _code_map(shape, plan, v, back, bits: int):
 # maps it back, and _CUTS[i][h], for a column of a forward fold, is the id
 # of its rows 0..h.  Ids 0 to MEMO_MAX_CELLS are the empty columns, which
 # stay.  _FOLD_STEPS holds each rule set's step tables, whose keys and
-# values are ints with an id in the low _ID_BITS bits.  A swap that fills a
+# values are ints with an id in the low _ID_BITS bits, and _SWAPS the code
+# maps of _shape_swap, keyed by word and rule set.  A swap that fills a
 # table, the vectors included, to FOLD_MAX_ENTRIES entries empties them
-# all when it is done.  An entry keeps about 100 bytes, so the bound is
-# below MEMO_MAX_ENTRIES: a verify-count pass fills a few tables about once.
+# all, the maps included, when it is done.  An entry keeps about 100 bytes,
+# so the bound is below MEMO_MAX_ENTRIES: a verify-count pass fills a few
+# tables about once.
 FOLD_MAX_ENTRIES = 1536
 _SEEDS = MEMO_MAX_CELLS + 1
 _VECTORS = [(EMPTY,) * (h + 1) for h in range(_SEEDS)]
 _VECTOR_IDS = {vector: i for i, vector in enumerate(_VECTORS)}
 _CUTS = [range(h + 1) for h in range(_SEEDS)]
 _FOLD_STEPS = {}
+_SWAPS = {}
 _FULL = set()
 # one swap adds fewer than 8 * _SEEDS vectors
 _ID_BITS = (FOLD_MAX_ENTRIES + 9 * _SEEDS).bit_length()
@@ -733,8 +714,10 @@ class _Refused(ValueError):
 
 
 def _clear_fold_memo():
-    """Empty every table of the fold's memo but the empty columns."""
+    """Empty every table of the fold's memo but the empty columns, and
+    drop the code maps."""
     del _VECTORS[_SEEDS:], _CUTS[_SEEDS:]
+    _SWAPS.clear()
     _VECTOR_IDS.clear()
     _VECTOR_IDS.update(zip(_VECTORS, range(_SEEDS)))
     for tables in _FOLD_STEPS.values():

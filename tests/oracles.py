@@ -88,8 +88,8 @@ def hesitating_by_definition(p):
 def fillings_by_dicts(shape, cls: str, n: int):
     """The fillings of the class with n, as entries dicts built cell by
     cell in lexicographic order over the column-major cell list: the
-    generators that ``enumeration.generate_fillings`` had before it read
-    its fillings off the code walk."""
+    generators that the library's enumeration had before it read its
+    fillings off the code walk."""
     cells = shape.cells()
     if cls == ZERO_ONE:
         for chosen in combinations(cells, n):
@@ -500,7 +500,7 @@ def random_fillings(variant: str, count: int, seed: int = 20060828,
     """Deterministic pseudo-random fillings in the variant's class, of
     entry sum within the exhaustive Greene oracle's cap."""
     rng = random.Random(seed)
-    shapes = all_shapes(max_cells)
+    shapes = list(all_shapes(max_cells))
     cls = get_variant(variant).filling_class
     out = []
     while len(out) < count:

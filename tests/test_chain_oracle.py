@@ -20,7 +20,7 @@ from growthdiagrams import enumeration, fillings
 from growthdiagrams.enumeration import (NE_SE_SPECS, NES1_SPECS, T2_SPECS,
                                         InstanceTooLarge, all_fillings,
                                         all_shapes, count_table,
-                                        generate_fillings, problem2_evidence)
+                                        problem2_evidence)
 from growthdiagrams.fillings import (ARBITRARY, MEMO_MAX_CELLS,
                                      PARTIAL_PERMUTATION, ZERO_ONE, ChainTable,
                                      Filling, chain_spec, longest_chain)
@@ -153,7 +153,7 @@ def test_chain_table_matches_longest_chain(monkeypatch):
     filling from its smaller ones."""
     handed = counting_fallback(monkeypatch)
     mismatches = []
-    for shape in all_shapes(6) + stack_polyominoes(6):
+    for shape in list(all_shapes(6)) + stack_polyominoes(6):
         for cls, max_n in ((ARBITRARY, 3), (ZERO_ONE, None),
                            (PARTIAL_PERMUTATION, None)):
             group = [f for _, f in all_fillings(shape, cls, max_n)]
@@ -201,7 +201,7 @@ def test_chain_table_memos_hold_at_most_the_fillings_read():
     most as many fillings as were read, for every class and spec on the
     Ferrers shapes and stack polyominoes of at most 6 cells."""
     oversize = []
-    for shape in all_shapes(6) + stack_polyominoes(6):
+    for shape in list(all_shapes(6)) + stack_polyominoes(6):
         for cls, max_n in ((ARBITRARY, 3), (ZERO_ONE, None),
                            (PARTIAL_PERMUTATION, None)):
             group = [f for _, f in all_fillings(shape, cls, max_n)]
@@ -247,7 +247,7 @@ def test_walk_counts_match_longest_chain(monkeypatch):
     polyomino of at most 6, for three spec pairs.  An n with no filling
     has no key, as n = 3 of the hooks of at most 7 cells with at least
     three rows and three columns."""
-    shapes = [FerrersShape(())] + all_shapes(7) + stack_polyominoes(6)
+    shapes = [FerrersShape(())] + list(all_shapes(7)) + stack_polyominoes(6)
     cases = [(shape, cls, max_n) for shape in shapes
              for cls, max_n in ((PARTIAL_PERMUTATION, None), (ARBITRARY, 3),
                                 (ZERO_ONE, shape.n_cells - 1))
@@ -331,7 +331,7 @@ def test_asymmetric_ne_se_table():
     shape = FerrersShape((4, 4, 4, 3))
     table = count_table(shape, ZERO_ONE, *NE_SE_SPECS, 6)
     assert (table.counts[6][1, 2], table.counts[6][2, 1]) == (43, 42)
-    group = list(generate_fillings(shape, ZERO_ONE, 6))
+    group = [f for n, f in all_fillings(shape, ZERO_ONE, 6) if n == 6]
     assert len(group) == 5005
     assert Counter(tuple(oracle_longest_chain(f, spec) for spec in NE_SE_SPECS)
                    for f in group) == table.counts[6]
@@ -363,7 +363,7 @@ def test_code_space_counts_match_longest_chain(monkeypatch):
     most 8 cells and of every stack polyomino of at most 7, counted over
     the code space: the counts of longest_chain, n's and each n's (s, t) in
     the same order, for three spec pairs."""
-    shapes = [FerrersShape(())] + all_shapes(8) + stack_polyominoes(7)
+    shapes = [FerrersShape(())] + list(all_shapes(8)) + stack_polyominoes(7)
     expected = {(shape, specs): counts_by_longest_chain(shape, ZERO_ONE, specs)
                 for shape in shapes
                 for specs in (NE_SE_SPECS, T2_SPECS, MIXED_SPECS)}

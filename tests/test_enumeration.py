@@ -18,9 +18,8 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, VERIFIERS,
                                         _densest_bounded_ne, _occupied,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
-                                        count_table, generate_fillings,
-                                        jonsson_check, problem2_evidence,
-                                        symmetric_shapes,
+                                        count_table, jonsson_check,
+                                        problem2_evidence, symmetric_shapes,
                                         verify_t2, verify_t2a_nes1,
                                         verify_t2a_nes2, verify_t2asym,
                                         verify_t2sym, verify_t4, verify_t5,
@@ -69,13 +68,18 @@ def test_stack_polyominoes():
     assert all(p.n_cells <= 3 for p in polys)
 
 
+def fillings_of(shape, cls, n):
+    """The fillings of the class with n, read off ``all_fillings``."""
+    return [f for m, f in all_fillings(shape, cls, n) if m == n]
+
+
 def test_generate_fillings_counts():
     shape = FerrersShape((2, 2))
-    assert len(list(generate_fillings(shape, "zero-one", 2))) == 6
+    assert len(fillings_of(shape, "zero-one", 2)) == 6
     # two non-attacking rooks on a 2x2 board
-    assert len(list(generate_fillings(shape, "partial-permutation", 2))) == 2
+    assert len(fillings_of(shape, "partial-permutation", 2)) == 2
     # weak compositions of 2 over 4 cells
-    assert len(list(generate_fillings(shape, "arbitrary", 2))) == 10
+    assert len(fillings_of(shape, "arbitrary", 2)) == 10
 
 
 @pytest.mark.parametrize("cls", [PARTIAL_PERMUTATION, ZERO_ONE, ARBITRARY])
@@ -84,11 +88,12 @@ def test_generate_fillings_counts():
     (1.0, "n must be an integer, got 1.0"),
     (True, "n must be an integer, got True")])
 def test_generate_fillings_checks_n(cls, n, message):
-    """n is refused before the first filling, in every class, with one line
-    that names it."""
+    """A bad bound n is refused before the first filling is generated, in
+    every class, with one line that names it: ``all_fillings`` refuses it
+    as ``max_n`` at the call."""
     with pytest.raises(ValueError) as raised:
-        next(generate_fillings(SQUARE, cls, n))
-    assert str(raised.value) == message
+        all_fillings(SQUARE, cls, n)
+    assert str(raised.value) == f"max_{message}"
 
 
 def partial_permutations_by_filter(shape, n):
@@ -108,7 +113,7 @@ def test_partial_permutations_match_filter():
     for shape in all_shapes(8):
         for n in range(min(shape.n_rows, shape.n_cols) + 2):
             got = [tuple(f.entries.items())
-                   for f in generate_fillings(shape, "partial-permutation", n)]
+                   for f in fillings_of(shape, "partial-permutation", n)]
             want = [tuple(f.entries.items())
                     for f in partial_permutations_by_filter(shape, n)]
             assert got == want, (shape, n)
@@ -118,7 +123,7 @@ def test_walk_is_the_dict_generators_exhaustive():
     """The code walk gives the dict generators' fillings in their order,
     on the empty shape and every shape of at most 7 cells, for each class
     and every n (arbitrary fillings up to entry sum 4), one past the
-    largest included.  ``generate_fillings`` decodes them with the same
+    largest included.  ``all_fillings`` decodes them with the same
     entries in the same order, and the walk's code pairs are the chain
     tables' codes of those fillings in the upward and the downward cell
     order."""
@@ -128,7 +133,7 @@ def test_walk_is_the_dict_generators_exhaustive():
                          (PARTIAL_PERMUTATION, rooks), (ARBITRARY, 4)):
             for n in range(top + 2):
                 want = [f.entries for f in fillings_by_dicts(shape, cls, n)]
-                assert [list(f.entries.items()) for f in generate_fillings(
+                assert [list(f.entries.items()) for f in fillings_of(
                     shape, cls, n)] == [list(e.items()) for e in want], (
                     shape, cls, n)
                 bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
@@ -143,8 +148,7 @@ def test_walk_is_the_dict_generators_exhaustive():
 
 def test_partial_permutations_of_staircase_9():
     # sum over k of the Stirling numbers S(9, 9 - k): the Bell number B(9)
-    total = sum(1 for n in range(9) for _ in
-                generate_fillings(staircase(9), "partial-permutation", n))
+    total = sum(1 for _ in all_fillings(staircase(9), "partial-permutation"))
     assert total == bell_number(9) == 21147
 
 
@@ -331,6 +335,32 @@ def test_swap_verdict_charges_its_shapes_to_one_budget(monkeypatch, verify,
     assert str(raised.value) == f"more than {total - 1} fillings generated"
 
 
+def test_default_shapes_are_walked_not_listed(monkeypatch):
+    """A swap verdict builds its default shapes as it reads them: under a
+    budget of 100, T2 up to 40 cells builds fewer than 100 shapes before
+    the meter refuses it, where a list would build all 215,307 first."""
+    built = []
+    init = FerrersShape.__post_init__
+    monkeypatch.setattr(FerrersShape, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    monkeypatch.setenv("GROWTH_BUDGET", "100")
+    with pytest.raises(InstanceTooLarge) as raised:
+        verify_t2(40)
+    assert str(raised.value) == "more than 100 fillings generated"
+    assert 0 < len(built) < 100
+
+
+def test_a_failing_verdict_counts_every_shape(monkeypatch):
+    """A verdict that stops at a witness still reports every shape it was
+    given to check: the identity is no standard swap, and T2 fails on an
+    early shape of at most 5 cells, but names all 18."""
+    patch_swap(monkeypatch, lambda shape, variant, swap: dict)
+    report = verify_t2(5)
+    assert report.passed is False
+    assert report.witness[0].n_cells < 5
+    assert report.details == "18 shapes"
+
+
 @pytest.mark.parametrize("enumerate_, total, what", [
     (lambda: list(all_fillings(SQUARE, ZERO_ONE)), 16, "fillings"),
     (lambda: count_table(SQUARE, PARTIAL_PERMUTATION, *NE_SE_SPECS), 7,
@@ -365,9 +395,8 @@ def test_one_meter_per_enumeration(monkeypatch, enumerate_, total, what):
     lambda: all_fillings(SQUARE, "bogus", 2),
     lambda: count_table(SQUARE, "bogus", *NE_SE_SPECS),
     lambda: count_table(SQUARE, "bogus", *NE_SE_SPECS, 2),
-    lambda: next(generate_fillings(SQUARE, "bogus", 1)),
 ], ids=["all-fillings", "all-fillings-bound", "count-table",
-        "count-table-bound", "generate"])
+        "count-table-bound"])
 def test_unknown_class_is_named(call):
     """An unknown filling class is refused by name, with or without a
     bound, before any filling is walked."""
@@ -669,11 +698,11 @@ def test_max_ones_with_bounded_ne():
     # many densest fillings with a longest chain of exactly s as
     # longest_chain does
     ne = NE_SE_SPECS[0]
-    for shape in all_shapes(5) + stack_polyominoes(6):
+    for shape in list(all_shapes(5)) + stack_polyominoes(6):
         for s in (1, 2):
             n_max = max_ones_with_bounded_ne(shape, s)
             count = sum(longest_chain(f, ne) == s
-                        for f in generate_fillings(shape, "zero-one", n_max))
+                        for f in fillings_of(shape, "zero-one", n_max))
             assert _densest_bounded_ne(shape, s) == (n_max, count)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from growthdiagrams import growth, local_rules
 from growthdiagrams.enumeration import (GREENE_SPECS, all_fillings, all_shapes,
-                                        check_greene, generate_fillings)
+                                        check_greene)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, Filling,
                                      _code, _code_entries, _weights,
                                      longest_chain)
@@ -502,8 +502,6 @@ def test_malformed_word_is_never_stored():
             reconstruct("RXD", [(), (1,), (), ()])
         with pytest.raises(ValueError, match="only contain D and R"):
             label_diagram(f, word="RXD")
-        with pytest.raises(ValueError, match="only contain D and R"):
-            GrowthDiagram("RX", (1,), 1, "standard", f)
         # a well-formed word of another shape is kept, and still refused
         with pytest.raises(ValueError, match="traces RRD"):
             label_diagram(f, word="RRDD")
@@ -529,52 +527,52 @@ def test_bad_step_rejected_on_every_call():
 
 
 def test_growth_diagram_is_read_only_and_checked():
+    """A diagram's labels are read-only, and they are the growth of its
+    filling: the labels of the rules called directly on every cell."""
     f = Filling(FerrersShape((1,)), {})
     d = label_diagram(f)
     with pytest.raises(TypeError):
         d.labels[(1, 1)] = (1, 2)
     with pytest.raises(FrozenInstanceError):
         d.labels = {}
-    labels = dict(d.labels)
-    built = GrowthDiagram("RD", [1], 1, "standard", f, labels)
-    assert built == d and built.labels == labels
-    assert border_tableau(built) == border_tableau(d)
-    with pytest.raises(ValueError, match="not weakly decreasing"):
-        GrowthDiagram("RD", (1,), 1, "standard", f, {**labels, (1, 1): (1, 2)})
-    with pytest.raises(ValueError, match="traces rows"):
-        GrowthDiagram("RD", (2,), 2, "standard", f, labels)
-    with pytest.raises(ValueError, match="unknown variant"):
-        GrowthDiagram("RD", (1,), 1, "bogus", f, labels)
-    # the labels cover exactly the corners, and the filling fits the word
-    with pytest.raises(ValueError, match="exactly the corners"):
-        GrowthDiagram("RD", (1,), 1, "standard", f, {})
-    with pytest.raises(ValueError, match="exactly the corners"):
-        GrowthDiagram("RD", (1,), 1, "standard", f, {**labels, (2, 2): ()})
-    del labels[(1, 1)]
-    with pytest.raises(ValueError, match="exactly the corners"):
+    assert d.labels == sweep_labels(f, "standard")
+    g = Filling(FerrersShape((2, 1)), {(2, 1): 1})
+    for variant in VARIANTS:
+        assert label_diagram(g, variant).labels == sweep_labels(g, variant)
+
+
+def test_only_label_diagram_makes_diagrams():
+    """GrowthDiagram has no public constructor, so no diagram carries
+    labels that are not its filling's growth: one cross in the one-cell
+    shape, with all four corners labelled (), is refused, and
+    label_diagram's diagram of it has the border (), (1,), () that
+    reconstruct turns back into the cross."""
+    f = Filling(FerrersShape((1,)), {(1, 1): 1})
+    labels = dict.fromkeys([(0, 0), (1, 0), (0, 1), (1, 1)], ())
+    with pytest.raises(TypeError):
         GrowthDiagram("RD", (1,), 1, "standard", f, labels)
-    with pytest.raises(ValueError, match="traces RD, not RDRD"):
-        GrowthDiagram("RD", (1,), 1, "standard",
-                      Filling(FerrersShape((2, 1)), {}), dict(d.labels))
+    d = label_diagram(f)
+    assert d.labels == sweep_labels(f, "standard") == {**labels, (1, 1): (1,)}
+    t = border_tableau(d)
+    assert t.seq == ((), (1,), ())
+    assert reconstruct(t.word, t)[0] == f
 
 
 @pytest.mark.parametrize("rows", [(3, 2), (13,) * 5])
 def test_labels_are_built_on_first_read(rows):
-    """A diagram of label_diagram builds its labels when they are first
-    read, ==, repr and label() included, and they are the labels that the
-    checking constructor accepts; a large diagram only passed on to
-    border_tableau and reconstruct never makes its plan's corner keys."""
+    """A diagram builds its labels when they are first read, ==, repr and
+    label() included, and they are the labels of the rules called on every
+    cell; a large diagram only passed on to border_tableau and reconstruct
+    never makes its plan's corner keys."""
     shape = FerrersShape(rows)
     f = Filling(shape, {(1, 1): 1, (2, 2): 1})
     labels = sweep_labels(f, "standard")
-    built = GrowthDiagram(shape.word, rows, shape.n_cols, "standard", f,
-                          labels)
     d = label_diagram(f)
     assert "labels" not in vars(d)
-    assert d == built and "labels" in vars(d)
+    assert d == label_diagram(f) and "labels" in vars(d)
     assert repr(label_diagram(f)) == repr(d)
     assert label_diagram(f).label(2, 2) == labels[(2, 2)] == (2,)
-    assert label_diagram(f).labels == built.labels == labels
+    assert label_diagram(f).labels == d.labels == labels
     with pytest.raises(AttributeError, match="no attribute 'lables'"):
         label_diagram(f).lables
     passed_on = label_diagram(f)
@@ -587,16 +585,17 @@ def test_labels_are_built_on_first_read(rows):
 
 @pytest.mark.parametrize("rows", [(2, 2), (9,) * 8])
 def test_diagrams_hash_as_they_compare(rows):
-    """A diagram of label_diagram and an equal one of the checking
-    constructor hash alike, and hashing builds no labels."""
+    """Two diagrams of one filling hash alike, and hashing builds no
+    labels; they compare equal, with the labels of the rules called on
+    every cell."""
     shape = FerrersShape(rows)
     f = Filling(shape, {(1, 1): 1, (2, 2): 1})
-    built = GrowthDiagram(shape.word, rows, shape.n_cols, "standard", f,
-                          sweep_labels(f, "standard"))
-    d = label_diagram(f)
-    assert hash(d) == hash(built)
-    assert "labels" not in vars(d)
-    assert d == built and len({d, built}) == 1
+    d, e = label_diagram(f), label_diagram(f)
+    assert hash(d) == hash(e)
+    assert "labels" not in vars(d) and "labels" not in vars(e)
+    assert d == e and len({d, e}) == 1
+    assert d.labels == sweep_labels(f, "standard")
+    assert label_diagram(f, "rsk") != d
 
 
 def test_reconstruct_checks_outside_tableaux():
@@ -639,7 +638,7 @@ def test_padded_word_round_trip():
 def padded_fillings(draw, variant):
     """A filling of at most 10 cells in the variant's class, entries <= 2,
     and its shape's word with 0-3 leading D and 0-3 trailing R steps."""
-    shape = draw(st.sampled_from(all_shapes(10, min_cells=0)))
+    shape = draw(st.sampled_from(list(all_shapes(10, min_cells=0))))
     cls = get_variant(variant).filling_class
     cells = shape.cells()
     values = draw(st.lists(st.integers(0, 2 if cls == ARBITRARY else 1),
@@ -1150,13 +1149,32 @@ def test_large_shapes_keep_no_cell_weights():
     row = FerrersShape((1000,))
     growth._cell_weights.cache_clear()
     fillings = [f for _, f in all_fillings(row, "zero-one", 1)]
-    assert fillings[1:] == list(generate_fillings(row, "zero-one", 1))
+    assert [f.entries for f in fillings[1:]] == [
+        {(c, 1): 1} for c in range(1, 1001)]
     weights = _weights(row.cells(), 1)
     f = fillings[500]
     assert growth._shape_swap(row, "dual-rsk", 1)(
         _code(f.entries, weights)) == _code(
             conjugate_swap(f, "dual-rsk").entries, weights)
     assert growth._cell_weights.cache_info().currsize == 0
+
+
+def test_code_maps_are_emptied_with_the_fold_memo():
+    """The fold's memo keeps a small shape's code map, set up once, until
+    the memo is emptied: the maps go with the tables, a map a caller holds
+    still maps, and the next call sets up a new map with the same images.
+    A large shape's map is not kept."""
+    shape = FerrersShape((3, 2))
+    swap = growth._shape_swap(shape, "rsk", 2)
+    assert growth._shape_swap(shape, "rsk", 2) is swap
+    assert len(growth._SWAPS) == 1
+    growth._clear_fold_memo()
+    assert growth._SWAPS == {}
+    again = growth._shape_swap(shape, "rsk", 2)
+    assert again is not swap
+    assert list(map(swap, range(1 << 10))) == list(map(again, range(1 << 10)))
+    growth._shape_swap(FerrersShape((13,) * 5), "rsk", 1)
+    assert len(growth._SWAPS) == 1
 
 
 def memo_sizes_within(bound):

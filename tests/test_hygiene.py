@@ -4,8 +4,9 @@ read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and so is every
 method and property of a class in ``src/``, as an attribute.  Package
 ``__init__.py`` files are exempt, as their imports are the package's
 re-exports; those imports still count as reads.  No two top-level
-definitions in ``src/`` call each other, and one meter in
-``enumeration.py`` reads the budget of every enumeration."""
+definitions in ``src/`` call each other, one meter in ``enumeration.py``
+reads the budget of every enumeration, and only ``label_diagram`` makes a
+growth diagram."""
 
 import ast
 from pathlib import Path
@@ -187,20 +188,36 @@ def test_verifiers_read_no_set_partition():
     assert not names_read(source) & {"all_set_partitions", "SetPartition"}
 
 
-def test_counts_read_the_walk_not_fillings():
-    """Every count in enumeration.py reads the walk's codes through the
-    meter: of its top-level statements only ``generate_fillings`` and
-    ``_Budget`` read ``_codes``, and none reads ``generate_fillings`` or
-    ``all_fillings``."""
-    source = (ROOT / "src" / "growthdiagrams" / "enumeration.py").read_text()
-    readers = {"_codes": set(), "generate_fillings": set(),
-               "all_fillings": set()}
+def readers_of(source: str, names) -> dict:
+    """For each of ``names``, the top-level statements of ``source`` that
+    read it, each by its name or, without one, its line."""
+    readers = {name: set() for name in names}
     for node in ast.parse(source).body:
         for name in names_read(ast.get_source_segment(source, node)) & set(
                 readers):
             readers[name].add(getattr(node, "name", node.lineno))
-    assert readers == {"_codes": {"generate_fillings", "_Budget"},
-                       "generate_fillings": set(), "all_fillings": set()}
+    return readers
+
+
+def test_counts_read_the_walk_not_fillings():
+    """Every enumeration in enumeration.py reads the walk's codes through
+    the meter: of its top-level statements only ``_Budget`` reads
+    ``_codes``, and none reads ``all_fillings``, the one enumeration that
+    decodes fillings.  The unmetered generator of decoded fillings is
+    gone."""
+    source = (ROOT / "src" / "growthdiagrams" / "enumeration.py").read_text()
+    assert readers_of(source, ("_codes", "all_fillings")) == {
+        "_codes": {"_Budget"}, "all_fillings": set()}
+    assert not hasattr(growthdiagrams.enumeration, "generate_fillings")
+
+
+def test_no_module_makes_a_growth_diagram():
+    """``label_diagram`` is the only maker of a GrowthDiagram: no module in
+    ``src/`` or ``perfbench/`` calls the class."""
+    found = [str(path.relative_to(ROOT)) for folder in ("src", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if calls_to(path.read_text(), "GrowthDiagram")]
+    assert found == []
 
 
 def test_package_exports_its_names_and_no_module():
@@ -257,18 +274,17 @@ def test_no_definitions_call_each_other():
 
 def test_swaps_are_named_by_their_forward_variant():
     """The swap verifiers name a swap by its forward variant, not by
-    ``swap_chain_statistics``' modes, and only ``growth._shape_swap``
-    touches a plan's stored code maps."""
+    ``swap_chain_statistics``' modes.  The code maps are kept in the fold's
+    memo, which only ``growth._shape_swap`` fills and only
+    ``growth._clear_fold_memo`` empties; no plan keeps maps of its own."""
     package = ROOT / "src" / "growthdiagrams"
-    assert "_SWAP_FORWARD" not in names_read(
-        (package / "enumeration.py").read_text())
-    touching = set()
-    for path in package.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if any(isinstance(n, ast.Attribute) and n.attr == "swaps"
-                   for n in ast.walk(node)):
-                touching.add(f"{path.stem}.{getattr(node, 'name', '')}")
-    assert touching == {"growth._shape_swap"}
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    assert "_SWAP_FORWARD" not in names_read(sources["enumeration"])
+    touching = {f"{stem}.{name}" for stem, source in sources.items()
+                for name in readers_of(source, ("_SWAPS",))["_SWAPS"]}
+    assert touching == {"growth._shape_swap", "growth._clear_fold_memo"}
+    assert not [stem for stem, source in sources.items()
+                if "swaps" in attributes_read(source)]
 
 
 def calls_to(source: str, name: str) -> int:
