@@ -16,7 +16,8 @@ One meter, a ``_Budget``, bounds each verdict, count table, Jonsson side
 and ``all_fillings`` call over all its shapes and n: its walk charges
 each n's codes before passing them on, and a code-space count its 2 ** N.
 A swap verifier walks its default shapes as it checks them, so the meter
-refuses an oversize verdict before its shapes are all built.
+refuses an oversize verdict before its shapes are all built, and counts
+them for its report without building them.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
@@ -33,6 +34,7 @@ computed again.  Only a failing filling, the witness, is decoded.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations, groupby, islice
 from operator import itemgetter
 
@@ -205,32 +207,53 @@ def _shapes_to_check(shapes, max_cells=None):
     Ferrers shape, and the default ones are walked as the verdict reads
     them."""
     if shapes is None:
-        return _Shapes(all_shapes(max_cells))
+        return _default_shapes(max_cells)
+    shapes = list(shapes)
     for shape in shapes:
         _check_ferrers(shape)
-    return _Shapes(shapes)
+    return _Shapes(shapes, shapes.__len__)
+
+
+def _default_shapes(max_cells: int, symmetric: bool = False):
+    """Every shape of at most ``max_cells`` cells, or every symmetric one,
+    walked as the verdict reads them and counted by ``_shape_count``."""
+    walk = symmetric_shapes if symmetric else all_shapes
+    return _Shapes(walk(max_cells), partial(_shape_count, max_cells, symmetric))
+
+
+def _shape_count(max_cells: int, symmetric: bool) -> int:
+    """How many shapes ``_default_shapes`` walks, none of them built: the
+    partitions of each n up to ``max_cells``, or the symmetric ones, which
+    are as many as the partitions of n into distinct odd parts (one part
+    per diagonal hook)."""
+    counts = [1] + [0] * max_cells
+    for part in range(1, max_cells + 1, 1 + symmetric):
+        # a part is used at most once going down n, any number of times
+        # going up
+        for n in (range(max_cells, part - 1, -1) if symmetric
+                  else range(part, max_cells + 1)):
+            counts[n] += counts[n - part]
+    return sum(counts) - 1
 
 
 class _Shapes:
-    """A verdict's walk of its shapes, at least one, with a count of those
-    walked.  Its length walks what the verdict left, so that a verdict that
-    stops at a witness still counts every shape."""
+    """A verdict's walk of its shapes, at least one, and their number,
+    which ``count()`` gives when the verdict reads it, so that a verdict
+    that stops at a witness still counts every shape without building the
+    rest."""
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, count):
         shapes = iter(shapes)
         first = next(shapes, None)
         if first is None:
             raise ValueError("no shape to check: max_cells must be at least 1")
-        self._rest, self._count = chain((first,), shapes), 0
+        self._walk, self._count = chain((first,), shapes), count
 
     def __iter__(self):
-        for shape in self._rest:
-            self._count += 1
-            yield shape
+        return self._walk
 
     def __len__(self):
-        self._count += sum(1 for _ in self._rest)
-        return self._count
+        return self._count()
 
 
 class _Budget:
@@ -531,7 +554,7 @@ def verify_t2a_nes2(max_cells: int = 8, max_ones: int = 4, shapes=None) -> Repor
 
 
 def verify_t2sym(max_cells: int = 9) -> Report:
-    shapes = _Shapes(symmetric_shapes(max_cells))
+    shapes = _default_shapes(max_cells, symmetric=True)
     ok, witness = _check_swap(_shape_groups(shapes, PARTIAL_PERMUTATION, None),
                               T2_SPECS, T2_SPECS, "standard",
                               symmetric_only=True)
@@ -545,7 +568,7 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # palindromic border sequences).  The second does not: its rule sets
     # are reflections of each other rather than self-reflective, so it is
     # checked by counting over the symmetric fillings directly.
-    shapes = _Shapes(symmetric_shapes(max_cells))
+    shapes = _default_shapes(max_cells, symmetric=True)
     bits = max_sum.bit_length()
     ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
                           NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits,

@@ -17,8 +17,8 @@ and hand every other frame to the variant's rules, memoised below for
 small diagrams, whose kernels check the frame's edges as they compute
 it; each edge a rule frame leaves is tested once.  A swap of a small
 filling runs no sweep: it folds memoised column steps over its
-``fillings._weights`` code with a code map that the fold's memo keeps
-until it is emptied (``_shape_swap``).
+``fillings._weights`` code with a code map that ``_shape_swap`` sets
+up.
 
 A plan of more than MEMO_MAX_CELLS cells with empty boundary labels needs
 no sweep for its border.  The paper's equivalence of growth diagrams and
@@ -615,8 +615,9 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int, plan=None):
     ``_weights(shape.cells(), bits)``; an image with an entry too large for
     a digit has no code (None).  The entries are not checked against the
     variant's class: the callers map only fillings in it.  A small shape's
-    map is kept in the fold's memo (``_SWAPS``), which only this function
-    fills; past the memo each call sets up a new one."""
+    map is stored in ``_SWAPS``, which only this function reads, and which
+    is emptied before it would hold more than SWAPS_MAX_MAPS maps; past the
+    memo each call sets up a new one."""
     v = get_variant(variant)
     back = get_variant(v.conjugate)
     plan = plan or _sweep_plan(shape.word)
@@ -625,6 +626,8 @@ def _shape_swap(shape: FerrersShape, variant: str, bits: int, plan=None):
     key = plan.word, v, back, _small_conjugate, bits
     swap = _SWAPS.get(key)
     if swap is None:
+        if len(_SWAPS) >= SWAPS_MAX_MAPS:
+            _SWAPS.clear()
         swap = _SWAPS[key] = _code_map(shape, plan, v, back, bits)
     return swap
 
@@ -690,23 +693,33 @@ def _code_map(shape, plan, v, back, bits: int):
 # maps it back, and _CUTS[i][h], for a column of a forward fold, is the id
 # of its rows 0..h.  Ids 0 to MEMO_MAX_CELLS are the empty columns, which
 # stay.  _FOLD_STEPS holds each rule set's step tables, whose keys and
-# values are ints with an id in the low _ID_BITS bits, and _SWAPS the code
-# maps of _shape_swap, keyed by word and rule set.  A swap that fills a
-# table, the vectors included, to FOLD_MAX_ENTRIES entries empties them
-# all, the maps included, when it is done.  An entry keeps about 100 bytes,
-# so the bound is below MEMO_MAX_ENTRIES: a verify-count pass fills a few
-# tables about once.
-FOLD_MAX_ENTRIES = 1536
+# values are ints with an id in the low _ID_BITS bits.  One count,
+# _FOLD_ENTRIES, holds the entries of them all, the vectors and every rule
+# set's forward and backward steps; only _vector_id and _Steps add to it.
+# A swap that brings it to FOLD_MAX_ENTRIES empties the memo when it is
+# done.  An entry stands for a whole column and keeps about 100 bytes; a
+# verify-count pass of the benchmark adds about 14,700 (13,388 steps and
+# 1,338 vectors), so the bound lets a whole pass fit.
+FOLD_MAX_ENTRIES = 16384
 _SEEDS = MEMO_MAX_CELLS + 1
 _VECTORS = [(EMPTY,) * (h + 1) for h in range(_SEEDS)]
 _VECTOR_IDS = {vector: i for i, vector in enumerate(_VECTORS)}
 _CUTS = [range(h + 1) for h in range(_SEEDS)]
 _FOLD_STEPS = {}
-_SWAPS = {}
-_FULL = set()
+_FOLD_ENTRIES = 0
+_FULL = False
 # one swap adds fewer than 8 * _SEEDS vectors
 _ID_BITS = (FOLD_MAX_ENTRIES + 9 * _SEEDS).bit_length()
 _ID_MASK = (1 << _ID_BITS) - 1
+# The code maps of _shape_swap, keyed by word and rule set, live apart from
+# the tables they read, which a held map refills.  A verify-count pass sets
+# up about 400 maps and reads most of them for one shape; storing them all
+# kept about 1 MB more at its peak, so _SWAPS holds at most 64.  It is
+# emptied when full rather than closed: a closed dict would set up a new
+# map on every call for a shape that came after the 64th, 4 us of a 12 us
+# conjugate_swap on a 21-cell staircase.
+SWAPS_MAX_MAPS = 64
+_SWAPS = {}
 
 
 class _Refused(ValueError):
@@ -714,27 +727,28 @@ class _Refused(ValueError):
 
 
 def _clear_fold_memo():
-    """Empty every table of the fold's memo but the empty columns, and
-    drop the code maps."""
+    """Empty every table of the fold's memo but the empty columns, and its
+    count."""
+    global _FOLD_ENTRIES, _FULL
     del _VECTORS[_SEEDS:], _CUTS[_SEEDS:]
-    _SWAPS.clear()
     _VECTOR_IDS.clear()
     _VECTOR_IDS.update(zip(_VECTORS, range(_SEEDS)))
     for tables in _FOLD_STEPS.values():
         for table in tables:
             table.clear()
-    _FULL.clear()
+    _FOLD_ENTRIES, _FULL = 0, False
 
 
 def _vector_id(labels: tuple) -> int:
-    """The id of a vector, given to it if it has none."""
+    """The id of a vector, given to it, and counted, if it has none."""
+    global _FOLD_ENTRIES, _FULL
     i = _VECTOR_IDS.get(labels)
     if i is None:
         i = _VECTOR_IDS[labels] = len(_VECTORS)
         _VECTORS.append(labels)
         _CUTS.append(None)
-        if i + 1 - _SEEDS >= FOLD_MAX_ENTRIES:
-            _FULL.add(id(_VECTORS))
+        _FOLD_ENTRIES += 1
+        _FULL = _FOLD_ENTRIES >= FOLD_MAX_ENTRIES
     return i
 
 
@@ -748,16 +762,18 @@ def _column_id(labels: tuple) -> int:
 
 
 class _Steps(dict):
-    """A step table, which computes a missing value with ``step``."""
+    """A step table, which computes a missing value with ``step`` and
+    counts it."""
 
     def __init__(self, step):
         super().__init__()
         self.step = step
 
     def __missing__(self, key):
+        global _FOLD_ENTRIES, _FULL
         value = self[key] = self.step(key)
-        if len(self) >= FOLD_MAX_ENTRIES:
-            _FULL.add(id(self))
+        _FOLD_ENTRIES += 1
+        _FULL = _FOLD_ENTRIES >= FOLD_MAX_ENTRIES
         return value
 
 
@@ -792,12 +808,17 @@ def _fold_steps(v, back, bits: int):
         the border: they are conjugated and step-checked first."""
         left, right = _VECTORS[key >> _ID_BITS], _VECTORS[key & _ID_MASK]
         h = len(right) - 1
-        column = [EMPTY] * h + list(map(conj, left[h:]))
-        border = [*column[h:][::-1], right[h]]
-        if any(p != q and not step_ok(step, p, q) for step, p, q in zip(
-                "D" * (len(border) - 2) + "R", border, border[1:])):
+        lam, nu = right[h], conj(left[h])
+        if nu != lam and not step_ok("R", nu, lam):
             raise _Refused("the conjugated border has a refused step")
-        lam, nu, digits = right[h], column[h], 0
+        column = [EMPTY] * h
+        column.append(nu)
+        for p in left[h + 1:]:
+            p = conj(p)
+            if p != column[-1] and not step_ok("D", p, column[-1]):
+                raise _Refused("the conjugated border has a refused step")
+            column.append(p)
+        digits = 0
         for r in range(h, 0, -1):
             mu = right[r - 1]
             nu, m = backward_rule(mu, nu, lam)

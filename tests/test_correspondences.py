@@ -468,19 +468,34 @@ def test_inverse_mode_runs_the_conjugate_variant(mode):
     assert get_variant(_SWAP_FORWARD[mode]).conjugate == _SWAP_FORWARD[inverse]
 
 
-@pytest.mark.parametrize("shape", [FerrersShape((1,)), FerrersShape((13,) * 5)],
-                         ids=["memoised", "past-the-memo"])
-def test_swap_step_checks_the_conjugated_border(monkeypatch, shape):
+@pytest.mark.parametrize("shape, entries, step", [
+    (FerrersShape((1,)), {(1, 1): 2}, "step 1 (R) from () to (2,)"),
+    (FerrersShape((13,) * 5), {(1, 1): 2}, "step 1 (R) from () to (2,)"),
+    (FerrersShape((2, 2)), {(1, 1): 1, (2, 1): 1}, "step 4 (D) from (2,) to ()"),
+], ids=["memoised", "past-the-memo", "memoised-down-step"])
+def test_swap_step_checks_the_conjugated_border(monkeypatch, shape, entries,
+                                                step):
     """With the label conjugation replaced by the identity, the rsk border
     of an entry 2 makes a horizontal step of two squares, which the
-    dual-rsk-prime backward rules refuse before they run."""
-    f = Filling(shape, {(1, 1): 2})
+    dual-rsk-prime backward rules refuse before they run.  They also
+    refuse the D step that takes off the two 1's in the bottom row of the
+    2 x 2 square, after R steps of one square each.  The error names the
+    first refused step as ``_check_steps`` does on the whole border; up to
+    MEMO_MAX_CELLS cells the fold refuses it on a backward miss."""
+    f = Filling(shape, entries)
     swap_chain_statistics(f, "nes1")
+    t = growth_tableau(f, "rsk")
+    with pytest.raises(ValueError) as want:
+        growth._check_steps(t.word, t.seq, get_variant("dual-rsk-prime")
+                            .step_ok, "dual-rsk-prime")
+    assert str(want.value) == f"{step} is not a valid dual-rsk-prime step"
     monkeypatch.setattr(growth, "conjugate", lambda p: p)
     monkeypatch.setattr(growth, "_small_conjugate", lambda p: p)
-    with pytest.raises(ValueError, match=r"from \(\) to \(2,\) is not a "
-                                         r"valid dual-rsk-prime step"):
+    with pytest.raises(ValueError) as got:
         swap_chain_statistics(f, "nes1")
+    assert str(got.value) == str(want.value)
+    assert isinstance(got.value.__context__, growth._Refused) == (
+        shape.n_cells <= MEMO_MAX_CELLS)
 
 
 def test_one_large_conjugation_builds_at_most_two_plans(monkeypatch):

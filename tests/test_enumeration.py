@@ -361,6 +361,34 @@ def test_a_failing_verdict_counts_every_shape(monkeypatch):
     assert report.details == "18 shapes"
 
 
+def test_given_shapes_may_be_a_generator():
+    """The shapes a verifier is given are read once: a generator of them
+    is checked up front to hold Ferrers shapes and then verified, where the
+    check used to leave nothing to verify."""
+    report = verify_t2(shapes=(FerrersShape(rows) for rows in [(2, 1), (2, 2)]))
+    assert (report.passed, report.details) == (True, "2 shapes")
+
+
+@pytest.mark.parametrize("verify, details", [
+    (lambda: verify_t2(40), "215307 shapes"),
+    (lambda: verify_t2sym(40), "495 symmetric shapes")], ids=["T2", "T2sym"])
+def test_a_failing_verdict_counts_shapes_it_does_not_build(
+        monkeypatch, verify, details):
+    """A verdict that stops at a witness counts the default shapes it did
+    not check without building them: with the identity for the swap, T2
+    and T2sym up to 40 cells fail on an early shape and name all 215,307
+    shapes (the partitions of 1 to 40) or all 495 symmetric ones (the
+    partitions into distinct odd parts), having built fewer than 100."""
+    patch_swap(monkeypatch, lambda shape, variant, swap: dict)
+    built = []
+    init = FerrersShape.__post_init__
+    monkeypatch.setattr(FerrersShape, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    report = verify()
+    assert (report.verdict, report.details) == ("FAIL", details)
+    assert 0 < len(built) < 100
+
+
 @pytest.mark.parametrize("enumerate_, total, what", [
     (lambda: list(all_fillings(SQUARE, ZERO_ONE)), 16, "fillings"),
     (lambda: count_table(SQUARE, PARTIAL_PERMUTATION, *NE_SE_SPECS), 7,

@@ -1159,22 +1159,30 @@ def test_large_shapes_keep_no_cell_weights():
     assert growth._cell_weights.cache_info().currsize == 0
 
 
-def test_code_maps_are_emptied_with_the_fold_memo():
-    """The fold's memo keeps a small shape's code map, set up once, until
-    the memo is emptied: the maps go with the tables, a map a caller holds
-    still maps, and the next call sets up a new map with the same images.
-    A large shape's map is not kept."""
+def test_code_maps_outlive_the_fold_memo(monkeypatch):
+    """``_shape_swap`` keeps a small shape's code map, set up once, apart
+    from the fold's tables: emptying the fold's memo keeps the map, which
+    fills the tables again with the same images.  It keeps no large
+    shape's map, and empties its maps before it would hold more than
+    SWAPS_MAX_MAPS, so the new map is kept; a map it dropped still maps."""
     shape = FerrersShape((3, 2))
     swap = growth._shape_swap(shape, "rsk", 2)
+    images = list(map(swap, range(1 << 10)))
     assert growth._shape_swap(shape, "rsk", 2) is swap
-    assert len(growth._SWAPS) == 1
     growth._clear_fold_memo()
-    assert growth._SWAPS == {}
-    again = growth._shape_swap(shape, "rsk", 2)
-    assert again is not swap
-    assert list(map(swap, range(1 << 10))) == list(map(again, range(1 << 10)))
+    assert growth._shape_swap(shape, "rsk", 2) is swap
+    assert list(map(swap, range(1 << 10))) == images
     growth._shape_swap(FerrersShape((13,) * 5), "rsk", 1)
     assert len(growth._SWAPS) == 1
+    monkeypatch.setattr(growth, "SWAPS_MAX_MAPS", 2)
+    square = growth._shape_swap(FerrersShape((2, 2)), "rsk", 2)
+    assert growth._shape_swap(FerrersShape((2, 2)), "rsk", 2) is square
+    assert len(growth._SWAPS) == 2
+    hook = growth._shape_swap(FerrersShape((2, 1)), "rsk", 2)
+    assert list(growth._SWAPS.values()) == [hook]
+    assert growth._shape_swap(FerrersShape((2, 1)), "rsk", 2) is hook
+    assert growth._shape_swap(shape, "rsk", 2) is not swap
+    assert list(map(swap, range(1 << 10))) == images
 
 
 def memo_sizes_within(bound):
@@ -1206,6 +1214,42 @@ def test_fold_memo_bound_keeps_images(monkeypatch):
     f = Filling(FerrersShape((9,)), {(c, 1): 1 for c in range(1, 10)})
     assert conjugate_swap(f, "rsk") == swap_by_definition(f, "rsk")
     assert memo_sizes_within(8)
+
+
+def test_a_verify_count_pass_fits_the_fold_memo(monkeypatch):
+    """FOLD_MAX_ENTRIES is sized so that the benchmark's verify-count
+    verdicts fit the fold's memo: from an empty memo, T2 on each shape of
+    at most 9 cells, NES1 (entry sum at most 3) and NES2 (at most 4 ones)
+    on each shape of at most 8 cells, T4 for n up to 7 and T6 for n up to
+    6 never empty it, and after every swap its one count is within the
+    bound."""
+    from growthdiagrams import enumeration
+    from growthdiagrams.enumeration import (verify_t2, verify_t2a_nes1,
+                                            verify_t2a_nes2, verify_t4,
+                                            verify_t6)
+    clears, counts = [], []
+    clear, shape_swap = growth._clear_fold_memo, enumeration._shape_swap
+    monkeypatch.setattr(growth, "_clear_fold_memo",
+                        lambda: clears.append(1) or clear())
+
+    def counted_swap(*args):
+        swap = shape_swap(*args)
+
+        def mapped(code):
+            image = swap(code)
+            counts.append(growth._FOLD_ENTRIES)
+            return image
+        return mapped
+    monkeypatch.setattr(enumeration, "_shape_swap", counted_swap)
+    verdicts = [verify_t2(shapes=[s]) for s in all_shapes(9)]
+    for s in all_shapes(8):
+        verdicts += [verify_t2a_nes1(max_sum=3, shapes=[s]),
+                     verify_t2a_nes2(max_ones=4, shapes=[s])]
+    verdicts += [verify_t4(n) for n in range(1, 8)]
+    verdicts += [verify_t6(n) for n in range(1, 7)]
+    assert all(report.passed for report in verdicts)
+    assert clears == []
+    assert 0 < max(counts) <= growth.FOLD_MAX_ENTRIES
 
 
 def test_large_plan_keys_are_shared():

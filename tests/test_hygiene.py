@@ -5,8 +5,8 @@ method and property of a class in ``src/``, as an attribute.  Package
 ``__init__.py`` files are exempt, as their imports are the package's
 re-exports; those imports still count as reads.  No two top-level
 definitions in ``src/`` call each other, one meter in ``enumeration.py``
-reads the budget of every enumeration, and only ``label_diagram`` makes a
-growth diagram."""
+reads the budget of every enumeration, one count in ``growth.py`` bounds
+the fold's memo, and only ``label_diagram`` makes a growth diagram."""
 
 import ast
 from pathlib import Path
@@ -274,17 +274,58 @@ def test_no_definitions_call_each_other():
 
 def test_swaps_are_named_by_their_forward_variant():
     """The swap verifiers name a swap by its forward variant, not by
-    ``swap_chain_statistics``' modes.  The code maps are kept in the fold's
-    memo, which only ``growth._shape_swap`` fills and only
-    ``growth._clear_fold_memo`` empties; no plan keeps maps of its own."""
+    ``swap_chain_statistics``' modes.  The code maps are kept in
+    ``growth._SWAPS``, which only ``growth._shape_swap`` reads; no plan
+    keeps maps of its own."""
     package = ROOT / "src" / "growthdiagrams"
     sources = {path.stem: path.read_text() for path in package.glob("*.py")}
     assert "_SWAP_FORWARD" not in names_read(sources["enumeration"])
     touching = {f"{stem}.{name}" for stem, source in sources.items()
                 for name in readers_of(source, ("_SWAPS",))["_SWAPS"]}
-    assert touching == {"growth._shape_swap", "growth._clear_fold_memo"}
+    assert touching == {"growth._shape_swap"}
     assert not [stem for stem, source in sources.items()
                 if "swaps" in attributes_read(source)]
+
+
+def touching(source: str, name: str) -> set:
+    """The top-level statements of ``source`` that read, write or declare
+    global ``name``: a function by its name, a class's method as
+    ``Class.method``, any other statement by its line."""
+    def uses(node):
+        return any(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   or isinstance(n, ast.Global) and name in n.names
+                   for n in ast.walk(node))
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{node.name}.{getattr(item, 'name', item.lineno)}"
+                         for item in node.body if uses(item))
+        elif uses(node):
+            found.add(getattr(node, "name", node.lineno))
+    return found
+
+
+def test_touching_is_found():
+    source = ("n = 0\ndef f():\n    global n\n    n = 1\n"
+              "class C:\n    def g(self): return m.n\n    def h(self): pass\n"
+              "def k(): return 2\n")
+    assert touching(source, "n") == {1, "f", "C.g"}
+
+
+def test_one_fold_count():
+    """The fold's memo has one count of its entries, and, like the one
+    meter ``_Budget``, only the fold's own functions touch it: ``_vector_id``
+    and ``_Steps.__missing__`` add to it and ``_clear_fold_memo`` resets
+    it.  No other module touches it."""
+    package = ROOT / "src" / "growthdiagrams"
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    defined = {name: line for line, name in
+               top_level_definitions(sources["growth"])}
+    found = {f"{stem}.{label}" for stem, source in sources.items()
+             for label in touching(source, "_FOLD_ENTRIES")}
+    assert found == {f"growth.{defined['_FOLD_ENTRIES']}", "growth._vector_id",
+                     "growth._Steps.__missing__", "growth._clear_fold_memo"}
 
 
 def calls_to(source: str, name: str) -> int:
