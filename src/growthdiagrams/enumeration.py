@@ -6,43 +6,46 @@ a counting identity together with a pointwise bijection certificate where
 one exists.  One walk (``_codes``) gives the fillings as ints, each the
 sum of its entries times per-cell weights (``fillings._weights``), and
 only the meter reads it.  ``all_fillings`` is the one enumeration that
-decodes the ints into fillings; every count reads them as code pairs
-(``_code_weights``) through ``_pair_reads``: one :class:`ChainTable` per
-shape and spec, which reads a filling's code from two smaller ones.  A
-count table of every 0-1 filling of a shape reads the tables over the
-whole code space instead, one byte per filling.
+decodes the ints into fillings; every count reads each filling's chain
+statistics from the walk, which carries the patience states of
+``fillings._Chains`` down column by column, so a filling costs its last
+column's inserts and nothing is memoised.  A count table of every 0-1
+filling of a shape reads the statistics over the whole code space
+instead, one byte per filling.
 
 One meter, a ``_Budget``, bounds each verdict, count table, Jonsson side
 and ``all_fillings`` call over all its shapes and n: its walk charges
-each n's codes before passing them on, and a code-space count its 2 ** N.
-A swap verifier walks its default shapes as it checks them, so the meter
-refuses an oversize verdict before its shapes are all built, and counts
-them for its report without building them.
+each list of codes the walk hands on before one is read, ``all_fillings``
+each n's codes before it decodes one, and a code-space count its 2 ** N
+before it builds anything.  A swap verifier walks its default shapes as it checks them,
+so the meter refuses an oversize verdict before its shapes are all
+built, and counts them for its report without building them.
 
 Every verifier checks one swap of fillings in ``_check_swap``.  The set
 partitions of n are its staircase's rook placements (for T6 their
 hesitating fillings), conjugated by the standard swap with T2's specs.
-A certificate takes two passes over one table of code pairs, kept for
-one key of one shape at a time: the fillings' n (for T4 the crosses, for
-T6 the partitions' n), or for T5 the columns and rows that hold a cross.
-The first pass reads each filling's statistics once; the second maps
-each code to its image's with the shape's swaps (``growth._shape_swap``)
-and checks the image against the table, so an image's statistics and,
-for a map that is its own inverse, its image are looked up rather than
-computed again.  Only a failing filling, the witness, is decoded.
+A certificate takes two passes over one table of codes and their
+statistics, kept for one key of one shape at a time: the fillings' n
+(for T4 the crosses, for T6 the partitions' n), or for T5 the columns
+and rows that hold a cross.  The first pass counts each filling's
+statistics; the second maps each code to its image's with the shape's
+swaps (``growth._shape_swap``) and checks the image against the table,
+so an image's statistics and, for a map that is its own inverse, its
+image are looked up by code rather than computed.  Only a failing
+filling, the witness, is decoded.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .correspondences import _hesitating, _tableau_word
-from .fillings import (ARBITRARY, MEMO_MAX_CELLS, PARTIAL_PERMUTATION,
-                       ZERO_ONE, ChainSpec, ChainTable, Filling, _code,
-                       _code_entries, _sorted_cells, _trusted, _weights,
-                       chain_spec, greene_totals)
+from .fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE, ChainSpec,
+                       Filling, _Chains, _code, _code_entries, _code_space,
+                       _sorted_cells, _trusted, _weights, chain_spec,
+                       greene_totals)
 from .growth import _check_ferrers, _shape_swap, _sweep_plan, label_diagram
 from .local_rules import get_variant
 from .partitions import conjugate, partitions_of
@@ -80,90 +83,107 @@ def symmetric_shapes(max_cells: int):
     return (s for s in all_shapes(max_cells) if s.is_symmetric())
 
 
-def _codes(weights: dict, cls: str, n: int):
-    """The one walk over the class's fillings with n of the shape whose
-    column-major cells key ``weights``: each as the sum of its entries
-    times their cells' weights, in lexicographic order over the cells."""
-    if cls == ZERO_ONE:
-        return map(sum, combinations(weights.values(), n))
-    if cls == PARTIAL_PERMUTATION:
-        return _rook_codes(weights, n)
-    if cls == ARBITRARY:
-        return _composition_codes(n, list(weights.values()))
-    raise ValueError(f"unknown filling class {cls!r}")
+def _codes(weights: dict, cls: str, ns, chains=None):
+    """The one walk over the class's fillings of the shape whose
+    column-major cells key ``weights``: (n, lists of the fillings with n)
+    for each n of ``ns``, each the sum of its entries times their cells'
+    weights, with its statistics given the shape's ``fillings._Chains``,
+    in lexicographic order over the cells (``combinations``' for 0-1
+    fillings and partial permutations, entries ascending for arbitrary
+    ones).  Depth first on a stack of ``steps``, a nonzero cell a step: up
+    the cells after the last, entry 1, while enough cells (columns, in a
+    free row, for a partial permutation) are left, or for arbitrary
+    fillings down to it, entries ascending.  A column's cells go into the
+    state list when the walk leaves it: a filling costs its last column."""
+    if cls not in (ZERO_ONE, PARTIAL_PERMUTATION, ARBITRARY):
+        raise ValueError(f"unknown filling class {cls!r}")
+    arbitrary, rook = cls == ARBITRARY, cls == PARTIAL_PERMUTATION
+    ws, size = list(weights.values()), len(weights)
+    cols, rows = [c for c, _ in weights], [r for _, r in weights]
+    row_bits = [rook << r for r in rows]    # a partial permutation's rows
+    # each column's first cell, and each cell's next column's
+    starts = [j for j in range(size) if not j or cols[j] != cols[j - 1]]
+    starts.append(size)
+    ends = [b for a, b in zip(starts, starts[1:]) for _ in range(a, b)]
+    update, count = chains and chains.update, chains and chains.count
 
+    def steps(first, left, used, code, st, column, chosen):
+        """The walk on from a filling with ``left`` > 1 more to place: lists
+        of the fillings it completes and the walks on from the others."""
+        done = None if chosen else st
+        for j in (range(size - 1, first - 1, -1) if arbitrary else range(
+                first, starts[len(starts) - left] if rook else size + 1 - left)):
+            c = cols[j]
+            if chains and c != column and done is None:
+                done = update(st, column, chosen)
+            for v in (range(1, left + 1) if j < size - 1 else (left,)) \
+                    if arbitrary else () if used & row_bits[j] else (1,):
+                here, chose = (None, None) if not chains else (
+                    (st, chosen + ((rows[j], v),)) if c == column
+                    else (done, ((rows[j], v),)))
+                on = ones if v == left - 1 else steps
+                if v < left:
+                    yield on(ends[j] if rook else j + 1, left - v,
+                             used | row_bits[j], code + v * ws[j], here, c,
+                             chose)
+                else:
+                    yield [(code + v * ws[j], tuple(update(here, c, chose)
+                                                    [:count]))
+                           if chains else code + v * ws[j]]
 
-def _rook_codes(weights: dict, n: int):
-    """The codes of the n-subsets of the column-major cells with no two in
-    a row or a column, in the order of ``combinations(cells, n)``.
+    def ones(first, left, used, code, st, column, chosen):
+        """The list of the fillings one cell of entry 1 (``left``) short,
+        from cell ``first`` on: one in the same column joins the chosen."""
+        js = range(size - 1, first - 1, -1) if arbitrary else range(first, size)
+        if not chains:
+            return [code + ws[j] for j in js if not used & row_bits[j]]
+        done, batch = None if chosen else st, []
+        for j in js:
+            c = cols[j]
+            if used & row_bits[j]:
+                continue
+            if c == column:
+                batch.append((code + ws[j], tuple(
+                    update(st, c, chosen + ((rows[j], 1),))[:count])))
+            else:
+                if done is None:
+                    done = update(st, column, chosen)
+                batch.append((code + ws[j], chains.last(done, c, rows[j])))
+        return batch
 
-    Column by column, each column is skipped or given one cell in a free
-    row, lowest row first; a column is tried only while enough columns are
-    left to place the rest."""
-    columns = [[(1 << r, w) for (_, r), w in group] for _, group in
-               groupby(weights.items(), key=lambda item: item[0][0])]
+    def walk(n):
+        """The lists of the fillings with n, as the stack reaches them."""
+        start = chains and chains.start
+        if n < 2:
+            yield (ones(0, 1, 0, 0, start, 0, ()) if n else
+                   [(0, chains.stats({})) if chains else 0])
+        stack = ([steps(0, n, 0, 0, start, 0, ())]
+                 if 1 < n and (n < len(starts) or not rook) else [])
+        while stack:
+            for step in stack[-1]:
+                if type(step) is list:
+                    yield step
+                else:
+                    stack.append(step)
+                    break
+            else:
+                stack.pop()
 
-    def place(first, left, code, used):
-        if left == 1:
-            # the last cell, in a free row of any column left
-            for column in columns[first:]:
-                for row, w in column:
-                    if not used & row:
-                        yield code + w
-            return
-        for i in range(first, len(columns) - left + 1):
-            for row, w in columns[i]:
-                if not used & row:
-                    yield from place(i + 1, left - 1, code + w, used | row)
-
-    return place(0, n, 0, 0) if n else iter((0,))
-
-
-def _composition_codes(n: int, weights):
-    """The codes of the fillings with entry sum n, ascending in the
-    lexicographic order of their entries.  From all of n in the last cell,
-    each next one moves one unit from the last nonzero cell t to t - 1 and
-    the rest of t's entry to the last cell, until all of n is in the first.
-    """
-    if not n:
-        yield 0
-    if n <= 0 or not weights:
-        return
-    last = len(weights) - 1
-    entries = [0] * last + [n]
-    t, code = last, n * weights[last]
-    while True:
-        yield code
-        if not t:
-            return
-        rest = entries[t] - 1
-        entries[t], entries[last] = 0, rest
-        entries[t - 1] += 1
-        code += weights[t - 1] - (rest + 1) * weights[t] + rest * weights[last]
-        t = last if rest else t - 1
-
-
-def _code_weights(shape, bits: int) -> dict:
-    """Each cell's weight in a code pair, in the order of ``shape.cells()``:
-    the filling's code in ``ChainTable``'s upward cell order in the low
-    ``bits * shape.n_cells`` bits, and in the downward order above them."""
-    cells = shape.cells()
-    down = _weights(_sorted_cells(cells, False), bits)
-    return {cell: weight | down[cell] << bits * len(cells)
-            for cell, weight in _weights(cells, bits).items()}
+    return ((n, walk(n)) for n in ns)
 
 
 def all_fillings(shape, cls: str, max_n: int | None = None):
     """(n, filling) for every feasible n in ascending order, decoded from
-    the walk's codes on one budget.  The bound is checked here, before the
-    first filling is asked for."""
+    the walk's codes on one budget, each n's codes charged before its first
+    filling is passed on.  The bound is checked here, before the first
+    filling is asked for."""
     top = _max_n(shape, cls, max_n)
     bits = max(top, 1).bit_length() if cls == ARBITRARY else 1
     cells = shape.cells()
     walk = _Budget().walk(_weights(cells, bits), cls, range(top + 1))
     return ((n, _trusted(Filling, shape=shape,
                          entries=_code_entries(code, cells, bits)))
-            for n, codes in walk for code in codes)
+            for n, codes in walk for code in list(codes))
 
 
 def _max_n(shape, cls: str, max_n: int | None) -> int:
@@ -271,13 +291,17 @@ class _Budget:
             raise InstanceTooLarge(
                 f"more than {self.wall} {self.what} generated")
 
-    def walk(self, weights: dict, cls: str, ns):
-        """(n, list of ``_codes(weights, cls, n)``) for each n of ``ns``,
-        charged before it is passed on; a list stops one past the budget."""
-        for n in ns:
-            codes = list(islice(_codes(weights, cls, n), self.left + 1))
-            self.charge(len(codes))
-            yield n, codes
+    def walk(self, weights: dict, cls: str, ns, chains=None):
+        """(n, its codes) for each n of ``_codes(weights, cls, ns, chains)``,
+        each list of codes charged before its first is read: a list that
+        passes the budget raises, and no code is kept."""
+        for n, lists in _codes(weights, cls, ns, chains):
+            yield n, chain.from_iterable(map(self.charged, lists))
+
+    def charged(self, codes: list) -> list:
+        """``codes``, charged."""
+        self.charge(len(codes))
+        return codes
 
 
 def _mirror_mismatch(source, image):
@@ -326,55 +350,42 @@ def count_table(shape, cls: str, spec_x: ChainSpec, spec_y: ChainSpec,
     An n with no filling has no key, and each n's (s, t) keys come in the
     order the fillings are generated.
 
-    A table of every 0-1 filling of a shape with chain-table masks is
-    counted over the code space; every other one reads the walk's code
-    pairs, metered n by n."""
+    A table of every 0-1 filling of a shape is counted over the code
+    space, whose 2 ** N codes are charged first; every other one reads the
+    statistics the walk carries, metered n by n."""
     table = CountTable(str(shape), cls, spec_x, spec_y)
     top = _max_n(shape, cls, max_n)
-    if (cls == ZERO_ONE and shape.n_cells <= MEMO_MAX_CELLS
-            and top >= shape.n_cells):
+    if cls == ZERO_ONE and top >= shape.n_cells:
         table.counts = _code_space_counts(shape, spec_x, spec_y)
         return table
     bits = top.bit_length() if cls == ARBITRARY else 1
-    shift, low, ((x, i), (y, j)) = _pair_reads(shape, (spec_x, spec_y), bits)
-    for n, pairs in _Budget().walk(_code_weights(shape, bits), cls,
-                                   range(top + 1)):
-        counts = Counter()
-        for pair in pairs:
-            codes = pair & low, pair >> shift
-            counts[x(codes[i]), y(codes[j])] += 1
+    chains = _Chains(shape, (spec_x, spec_y), bits)
+    for n, items in _Budget().walk(_weights(shape.cells(), bits), cls,
+                                   range(top + 1), chains):
+        counts = Counter(map(itemgetter(1), items))
         if counts:
             table.counts[n] = dict(counts)
     return table
 
 
-def _pair_reads(shape, specs, bits: int):
-    """(shift, low, reads): ``pair & low`` is a code pair's upward code and
-    ``pair >> shift`` its downward one; ``reads`` holds each spec's
-    ChainTable read and the index of its cell order's code in the two."""
-    shift = bits * shape.n_cells
-    return shift, (1 << shift) - 1, [(ChainTable(shape, spec, bits)._read,
-                                      not spec.upward) for spec in specs]
-
-
 def _code_space_counts(shape, spec_x: ChainSpec, spec_y: ChainSpec) -> dict:
     """count_table's counts of all 2 ** N 0-1 fillings of the N-cell
-    shape, read from one byte array of each spec's chain table.
+    shape, read from each spec's statistics over the code space.
 
     One pass walks the fillings as the codes with cell i of
     ``shape.cells()`` at bit N - 1 - i, from 2 ** N - 1 down to 0: each n's
     fillings come in generation order, as codes of ``combinations`` in
-    lexicographic order fall.  A code's digits go to each table's cell
+    lexicographic order fall.  A code's digits go to each spec's cell
     order through one lookup table per byte, the low byte's read in the
     inner loop."""
     cells = shape.cells()
     size = 1 << len(cells)
     _Budget().charge(size)
-    x, y = (ChainTable(shape, spec, 1) for spec in (spec_x, spec_y))
-    stat_x, stat_y = x._code_space(), y._code_space()
+    stat_x, stat_y = (_code_space(shape, spec) for spec in (spec_x, spec_y))
     low = min(len(cells), 8)
-    bytes_x, bytes_y = (_byte_tables(_weights(table.cells, 1), cells)
-                        for table in (x, y))
+    bytes_x, bytes_y = (_byte_tables(_weights(_sorted_cells(cells, spec.upward),
+                                              1), cells)
+                        for spec in (spec_x, spec_y))
     # the low byte's (n << 16, x digits, y digits), highest byte first
     lows = list(zip([v.bit_count() << 16 for v in range(1 << low)],
                     bytes_x[0], bytes_y[0]))[::-1]
@@ -427,47 +438,41 @@ def _check_swap(groups, specs, image_specs, variant=None, bits=1,
     certificate for one swap identity, whose inverse is the swap under the
     variant's conjugate.
 
-    ``groups`` holds (shape, keyed) pairs, ``keyed`` one (key, codes) group
-    per key, ``codes`` its fillings' code pairs (``_code_weights``) with
-    entries below ``2 ** bits``.  Over each key's fillings, as many have
-    statistics (s, t) under ``specs`` as have (t, s) under ``image_specs``.
-    The map must carry (s, t) on the source side to (t, s) on the image
-    side, keep the key, and invert cleanly.  Each key is checked in two
-    passes over one table of its fillings, keyed by upward code: the first
-    reads every statistic once, each chain table from the code of its cell
-    order; the second checks each filling's image against the table.  The
-    shape's code maps are set up once for all its keys.  With
-    ``symmetric_only`` a filling that is not symmetric is skipped before it
-    is read.  Only a witness is decoded into a filling."""
+    ``groups`` holds (shape, keyed) pairs, ``keyed(chains=...)`` one (key,
+    items) group per key, ``items`` its fillings' codes (the weights
+    ``_weights(shape.cells(), bits)``) with their statistics under the
+    shape's ``_Chains`` of ``specs`` and, unless the same, ``image_specs``.
+    Over each key's fillings, as many have (s, t) under ``specs`` as have
+    (t, s) under ``image_specs``; the map must carry (s, t) to (t, s), keep
+    the key, and invert cleanly.  Each key takes two passes over one table
+    of its fillings, keyed by code: one counts them, one checks each image
+    against the table, which gives its statistics.  The shape's code maps
+    are set up once.  With ``symmetric_only`` a filling that is not
+    symmetric is skipped.  Only a witness is decoded into a filling."""
+    reads = specs if image_specs == specs else specs + image_specs
     for shape, keyed in groups:
         source = {}     # key -> {(s, t): count}
-        image = source if image_specs == specs else {}
-        shift, low, reads = _pair_reads(
-            shape, specs if image is source else specs + image_specs, bits)
-        (x, i), (y, j) = reads[:2]      # the source side's (s, t)
-        (u, k), (v, m) = reads[-2:]     # the image side's
+        image = source if reads == specs else {}
         symmetric = _symmetric(shape, bits) if symmetric_only else None
         if variant is not None:
             inverse = get_variant(variant).conjugate
             swaps = _shape_swap(shape, variant, bits), (
                 None if inverse == variant
                 else _shape_swap(shape, inverse, bits))
-        for key, pairs in keyed:
-            table = {}      # upward code -> ((s, t), image side)
+        for key, items in keyed(chains=_Chains(shape, reads, bits)):
+            table = {}      # code -> ((s, t), image side)
             counts = source.setdefault(key, Counter())
             image_counts = image.setdefault(key, Counter())
-            for pair in pairs:
-                codes = pair & low, pair >> shift
-                if symmetric and not symmetric(codes[0]):
+            for code, stats in items:
+                if symmetric and not symmetric(code):
                     continue
-                st = x(codes[i]), y(codes[j])
-                counts[st] += 1
                 if image is source:
-                    swapped = st
+                    st = swapped = stats
                 else:
-                    swapped = u(codes[k]), v(codes[m])
+                    st, swapped = stats[:2], stats[2:]
                     image_counts[swapped] += 1
-                table[codes[0]] = st, swapped
+                counts[st] += 1
+                table[code] = st, swapped
             if variant is not None and table:
                 witness = _swap_witness(table, *swaps, symmetric)
                 if witness:
@@ -483,7 +488,7 @@ def _check_swap(groups, specs, image_specs, variant=None, bits=1,
 
 
 def _swap_witness(table, forward, backward, symmetric):
-    """The first upward code of the table, in enumeration order, whose
+    """The first code of the table, in enumeration order, whose
     image under ``forward`` fails a check, with the reason; None if there
     is none.  The maps, ``_shape_swap``'s, send a code to its image's code,
     or to None for an image with an entry too large for a digit, which has
@@ -508,8 +513,8 @@ def _swap_witness(table, forward, backward, symmetric):
 
 
 def _symmetric(shape, bits: int):
-    """The test of whether the filling of an upward code of the shape
-    equals its transpose: its code with each entry moved across the
+    """The test of whether the filling of a code of the shape equals its
+    transpose: its code with each entry moved across the
     diagonal is its own."""
     if not shape.is_symmetric():
         return lambda code: False
@@ -523,8 +528,8 @@ def _shape_groups(shapes, cls, max_n, bits=1):
     to one budget; each shape's groups are read before the next shape's."""
     budget = _Budget()
     for shape in shapes:
-        yield shape, budget.walk(_code_weights(shape, bits), cls,
-                                 range(_max_n(shape, cls, max_n) + 1))
+        yield shape, partial(budget.walk, _weights(shape.cells(), bits), cls,
+                             range(_max_n(shape, cls, max_n) + 1))
 
 
 def verify_t2(max_cells: int = 9, shapes=None) -> Report:
@@ -567,32 +572,35 @@ def verify_t2asym(max_cells: int = 9, max_sum: int = 4) -> Report:
     # sets treat mu and nu interchangeably, so symmetric fillings give
     # palindromic border sequences).  The second does not: its rule sets
     # are reflections of each other rather than self-reflective, so it is
-    # checked by counting over the symmetric fillings directly.
+    # checked by counting over the symmetric fillings directly, and only
+    # once the first holds.
     shapes = _default_shapes(max_cells, symmetric=True)
     bits = max_sum.bit_length()
-    ok1, w1 = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
-                          NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits,
-                          symmetric_only=True)
-    # the second count walks the shapes again
-    ok2, w2 = _check_swap(_shape_groups(symmetric_shapes(max_cells), ZERO_ONE,
-                                        max_sum),
-                          NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
-    return Report("T2asym", ok1 and ok2,
-                  f"{len(shapes)} symmetric shapes", w1 or w2)
+    ok, witness = _check_swap(_shape_groups(shapes, ARBITRARY, max_sum, bits),
+                              NES1_SPECS, NES1_IMAGE_SPECS, "rsk", bits,
+                              symmetric_only=True)
+    if ok:
+        # the second count walks the shapes again
+        ok, witness = _check_swap(
+            _shape_groups(symmetric_shapes(max_cells), ZERO_ONE, max_sum),
+            NES2_SPECS, NES2_IMAGE_SPECS, symmetric_only=True)
+    return Report("T2asym", ok, f"{len(shapes)} symmetric shapes", witness)
 
 
 def _partition_verdict(name, max_n, groups, kind=""):
     """The standard swap of the set partitions of each n up to ``max_n``,
     the rook placements of the staircase, checked with T2's specs on
     ``groups(n, staircase, place)``: ``place(weights)`` walks the rook
-    placements of the weighed staircase on the verdict's one budget."""
+    placements of the weighed staircase on the verdict's one budget, with
+    their statistics when given chain tables."""
     _check_bound(max_n, "max_n", 0)
     budget = _Budget("set partitions")
     for n in range(max_n + 1):
         shape = _sweep_plan(_tableau_word(n)).shape
 
         def place(weights):
-            return budget.walk(weights, PARTIAL_PERMUTATION, range(max(n, 1)))
+            return partial(budget.walk, weights, PARTIAL_PERMUTATION,
+                           range(max(n, 1)))
         ok, witness = _check_swap(groups(n, shape, place), T2_SPECS, T2_SPECS,
                                   "standard")
         if not ok:
@@ -601,32 +609,34 @@ def _partition_verdict(name, max_n, groups, kind=""):
 
 
 def _occupied(n: int, shape) -> dict:
-    """T5's weight of each cell of n's staircase ``shape``: its code-pair
-    weight and, above the pair, bit n + c for its column c and bit r for
+    """T5's weight of each cell of n's staircase ``shape``: its code
+    weight and, above the code, bit n + c for its column c and bit r for
     its row r.  So a placement's code carries the columns and the rows that
-    hold a cross above its code pair.  Column i holds none when i is a
-    block maximum, row n + 1 - j none when j is a block minimum."""
-    at = 2 * shape.n_cells
+    hold a cross above its code.  Column i holds none when i is a block
+    maximum, row n + 1 - j none when j is a block minimum."""
+    at = shape.n_cells
     return {(c, r): w | (1 << n + c | 1 << r) << at
-            for (c, r), w in _code_weights(shape, 1).items()}
+            for (c, r), w in _weights(shape.cells(), 1).items()}
 
 
 def verify_t4(max_n: int = 5) -> Report:
     # T2 on the staircase, keyed by crosses: n minus the number of blocks
     return _partition_verdict("T4", max_n, lambda n, shape, place: [
-        (shape, place(_code_weights(shape, 1)))])
+        (shape, place(_weights(shape.cells(), 1)))])
 
 
 def verify_t5(max_n: int = 5) -> Report:
     # the swap keeps which columns and rows of the staircase hold a cross:
-    # each placement's (key, code pair) is its code's divmod
+    # each placement's key and code are its code's divmod
     def groups(n, shape, place):
-        placements = place(_occupied(n, shape))
-        pairs = sorted((divmod(code, 1 << 2 * shape.n_cells)
-                        for _, codes in placements for code in codes),
-                       key=itemgetter(0))
-        return [(shape, ((key, map(itemgetter(1), group)) for key, group
-                         in groupby(pairs, key=itemgetter(0))))]
+        def keyed(chains):
+            placements = sorted(((*divmod(code, 1 << shape.n_cells), stats)
+                                 for _, items in place(_occupied(n, shape))(
+                                     chains)
+                                 for code, stats in items), key=itemgetter(0))
+            return ((key, map(itemgetter(1, 2), group)) for key, group
+                    in groupby(placements, key=itemgetter(0)))
+        return [(shape, keyed)]
     return _partition_verdict("T5", max_n, groups, ", refined")
 
 
@@ -635,18 +645,25 @@ def verify_t6(max_n: int = 4) -> Report:
     # checked apart.  Unlike the plain case the block minima/maxima are
     # not preserved (the conjugation may turn a singleton into a middle
     # element of a chain: already {{1,3},{2}} <-> {{1,2,3}} at n = 3), so
-    # the tables are checked without the minima/maxima refinement.
+    # the tables are checked without the minima/maxima refinement.  No walk
+    # makes the hesitating fillings: their statistics come from entries.
     def groups(n, shape, place):
         cells = shape.cells()
-        by_shape = {}   # hesitating shape -> (its code weights, code pairs)
-        for _, codes in place(_weights(cells, 1)):
+        by_shape = {}   # hesitating shape -> (its weights, codes)
+        for _, codes in place(_weights(cells, 1))():
             for code in codes:
                 g = _hesitating(n, _code_entries(code, cells, 1))[1]
                 if g.shape not in by_shape:
-                    by_shape[g.shape] = _code_weights(g.shape, 1), []
-                weights, pairs = by_shape[g.shape]
-                pairs.append(_code(g.entries, weights))
-        return ((s, [(n, pairs)]) for s, (_, pairs) in by_shape.items())
+                    by_shape[g.shape] = _weights(g.shape.cells(), 1), []
+                weights, placed = by_shape[g.shape]
+                placed.append(_code(g.entries, weights))
+
+        def keyed(s, codes, chains):
+            cells = s.cells()
+            return [(n, [(code, chains.stats(_code_entries(code, cells, 1)))
+                         for code in codes])]
+        return ((s, partial(keyed, s, codes))
+                for s, (_, codes) in by_shape.items())
     return _partition_verdict("T6", max_n, groups, ", enhanced")
 
 
@@ -677,15 +694,13 @@ def _densest_bounded_ne(shape, s: int):
     all rectangle-bounded ne-chains at length <= s, and how many fillings
     with n_max 1's have a longest such chain of exactly s.
 
-    The walk's code pairs on one budget, n by n from the fullest fillings
+    The walk's statistics on one budget, n by n from the fullest fillings
     down to the first n with one within the bound, at the latest n = 0.
     """
-    shift, low, ((ne, i),) = _pair_reads(shape, NE_SE_SPECS[:1], 1)
-    for n, pairs in _Budget().walk(_code_weights(shape, 1), ZERO_ONE,
-                                   range(shape.n_cells, -1, -1)):
-        # each pair's code of the spec's cell order
-        lengths = map(ne, (pair >> shift * i & low for pair in pairs))
-        within = [length for length in lengths if length <= s]
+    for n, items in _Budget().walk(_weights(shape.cells(), 1), ZERO_ONE,
+                                   range(shape.n_cells, -1, -1),
+                                   _Chains(shape, NE_SE_SPECS[:1])):
+        within = [length for _, (length,) in items if length <= s]
         if within:
             return n, within.count(s)
 

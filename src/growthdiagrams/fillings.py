@@ -17,29 +17,25 @@ compass code.  The first letter gives the vertical relation (N = weakly
 above, n = strictly above, S = weakly below, s = strictly below), the
 second the horizontal one (E = weakly right, e = strictly right).
 :func:`longest_chain` finds the longest chain with one longest-path pass;
-the tests check it against an exhaustive search over all chains.  A
-:class:`ChainTable` reads the same statistic for any filling of one
-shape from two smaller fillings, in any order.
+the tests check it against an exhaustive search over all chains, and
+everything else against it.  The enumerations read the same statistics
+from ``_Chains``, whose patience states take a filling's columns in turn,
+so a walk that goes column by column carries them down; a full table of
+0-1 fillings reads them over the code space (``_code_space``).  No growth
+code is imported here: the statistics are what the labels are checked
+against.
 """
 
 import json
 from collections import defaultdict, deque
 from math import inf
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import or_
 
 from .shapes import shape_from_word
 
 ARBITRARY = "arbitrary"
 ZERO_ONE = "zero-one"
 PARTIAL_PERMUTATION = "partial-permutation"
-
-# The most cells of a shape that keeps a memo: the growth layer's rule
-# caches and sweep plans, and a ChainTable, whose masks take O(cells ** 2)
-# bits.
-MEMO_MAX_CELLS = 64
-
 
 @dataclass(frozen=True)
 class Filling:
@@ -238,159 +234,147 @@ def longest_chain(f: Filling, spec: ChainSpec) -> int:
     return best
 
 
-class ChainTable:
-    """``longest_chain(f, spec)`` of the fillings f of one shape whose
-    entries are below ``2 ** bits``, each read from two fillings of smaller
-    entry sum.
+def _chain_keys(spec: ChainSpec):
+    """The keys P and Q of a cell (c, r) under the spec: b may follow a
+    exactly when both rise.  With u = r for an upward spec and -r for a
+    downward one, P = (c, u), or (c, -u) for a strict run, and Q = (u, c),
+    or (u, -c) for a strict rise."""
+    u = 1 if spec.upward else -1
+    run, rise = -1 if spec.min_run else 1, -1 if spec.min_rise else 1
+    return (lambda cell: (cell[0], run * u * cell[1]),
+            lambda cell: (u * cell[1], rise * cell[0]))
 
-    A filling is read by its code with the weights ``_weights(cells,
-    bits)`` of the spec's cell order ``cells``, so its last cell x is its
-    top digit and its first cell s its lowest.  Every chain runs in that
-    order, and steps compose: a cell that may follow b may follow every
-    cell that b may follow.  So with pred(x) the cells that may precede x,
-    succ(s) those that may follow s, and w the entry for ``entry-sum``
-    chains and 1 otherwise,
 
-        L(f) = max(L(f - x), w(x) + L(f & pred(x))).
+class _Chains:
+    """The statistics of a tuple of specs for the fillings of one shape,
+    entries below ``2 ** bits``, carried column by column.  A longest chain
+    is a longest strictly increasing run of ``_chain_keys``: the cells go
+    in P order, a column at a time, up it or down it, each as its Q rank
+    (an ``entry-sum`` entry m as m consecutive ranks) into a patience
+    state, one int, where rank q clears the lowest bit at or above q and
+    sets bit q, and the bit count is the run's length.  A chain fits the
+    shape exactly when it lies in one maximal rectangle, so a
+    rectangle-bounded spec keeps a state per distinct column height h, of
+    the cells (c, r) with r <= h <= the height of column c.  A state list
+    holds each spec's statistic so far, then the states; nothing is kept
+    between fillings."""
 
-    A chain's box is spanned by its two ends, so a chain from s fits the
-    shape exactly when each of its cells spans a box with s that fits,
-    the cells win(s).  With ``require_rectangle``
+    def __init__(self, shape, specs, bits: int = 1):
+        heights, cells = shape.col_heights, shape.cells()
+        # each cell's (slot, rank, spec, weighted) inserts into the states
+        # that take a column up, and into those that take it down
+        inserts = {cell: ([], []) for cell in cells}
+        slot, copies = len(specs), max((1 << bits) - 1, 1)
+        for i, spec in enumerate(specs):
+            weighted = spec.length_mode == "entry-sum"
+            rank = {cell: q * (copies if weighted else 1) for q, cell in
+                    enumerate(sorted(cells, key=_chain_keys(spec)[1]))}
+            for h in sorted(set(heights)) if spec.require_rectangle else [0]:
+                for c, r in cells:
+                    if not h or r <= h <= heights[c - 1]:
+                        inserts[c, r][spec.upward == bool(spec.min_run)] \
+                            .append((slot, rank[c, r], i, weighted))
+                slot += 1
+        self.count, self.start = len(specs), [0] * slot
+        # columns[c][r]: the inserts of cell (c, r) up, down, and both
+        self.columns = {}
+        for (c, _), (up, down) in inserts.items():
+            self.columns.setdefault(c, [None]).append(
+                (tuple(up), tuple(down), tuple(up + down)))
 
-        R(f) = max(R(f - s), w(s) + L(f & succ(s) & win(s))).
+    def update(self, st: list, column: int, chosen) -> list:
+        """A new state list: ``st`` with the cells (row, entry) ``chosen``
+        of one column, rows ascending, inserted."""
+        st = st.copy()
+        inserts = self.columns[column]
+        for side, order in (((2, chosen),) if len(chosen) == 1 else
+                            ((0, chosen), (1, chosen[::-1]))):
+            for r, v in order:
+                for slot, q, i, weighted in inserts[r][side]:
+                    s = st[slot]
+                    high = s >> q
+                    if weighted and v > 1:
+                        # ranks q to q + v - 1: the v lowest bits at or
+                        # above q go, and bits q to q + v - 1 come
+                        rest = high if high.bit_count() > v else 0
+                        for _ in range(v if rest else 0):
+                            rest &= rest - 1
+                        st[slot] = s = s ^ (high ^ rest ^ (1 << v) - 1) << q
+                        if rest:
+                            continue
+                    elif high:
+                        # the lowest bit at or above q moves down to q
+                        st[slot] = s ^ (high & -high ^ 1) << q
+                        continue
+                    else:
+                        st[slot] = s = s | 1 << q
+                    if s.bit_count() > st[i]:
+                        st[i] = s.bit_count()
+        return st
 
-    ``_read`` takes a filling's code, so that callers reading several
-    tables of one cell order code each filling once.  The table keeps every
-    filling it reads, in any order, and reads a smaller filling it lacks by
-    the same recurrence: a nested read drops a nonzero cell, so at most
-    MEMO_MAX_CELLS reads are nested.  Read in order of entry sum, as the
-    enumeration walk gives them, each memo holds at most the fillings read.
-    ``_code_space`` fills the statistic of every 0-1 filling, by the same
-    recurrences in increasing code order, into one byte per code.  A shape
-    of more than MEMO_MAX_CELLS cells gets no masks (``pred`` is None), and
-    ``longest_chain`` reads its fillings.
-    """
+    def last(self, st: list, column: int, row: int) -> tuple:
+        """The statistics of ``st`` with one more cell, of entry 1: a state
+        grows only if no bit is at or above the rank."""
+        out = st[:self.count]
+        for slot, q, i, _ in self.columns[column][row][2]:
+            s = st[slot]
+            if not s >> q and s.bit_count() == st[i]:
+                out[i] = st[i] + 1
+        return tuple(out)
 
-    def __init__(self, shape, spec: ChainSpec, bits: int):
-        self.spec, self.bits = spec, bits
-        self.weighted = spec.length_mode == "entry-sum"
-        self.shape = shape
-        self.cells = cells = _sorted_cells(shape.cells(), spec.upward)
-        if shape.n_cells > MEMO_MAX_CELLS:
-            self.pred, self._read = None, self._decoded
-            return
-        digit = {cell: ((1 << bits) - 1) * weight
-                 for cell, weight in _weights(cells, bits).items()}
-        # col_upto[c] and row_upto[r]: the digits of the cells in columns
-        # 1..c and in rows 1..r
-        heights = shape.col_heights
-        col_upto = [0] * (len(heights) + 2)
-        row_upto = [0] * (max(heights, default=0) + 2)
-        for (c, r), d in digit.items():
-            col_upto[c] |= d
-            row_upto[r] |= d
-        col_upto = list(accumulate(col_upto, or_))
-        row_upto = list(accumulate(row_upto, or_))
-        every = col_upto[-1]
-        rise, run = spec.min_rise, spec.min_run
+    def stats(self, entries: dict) -> tuple:
+        """The statistics of the filling with these entries, by columns."""
+        st, column, chosen = self.start, 0, ()
+        for (c, r), v in sorted(entries.items()):
+            if c != column and chosen:
+                st, chosen = self.update(st, column, chosen), ()
+            column, chosen = c, chosen + ((r, v),)
+        return tuple((self.update(st, column, chosen) if chosen else st)
+                     [:self.count])
 
-        def step_cells(c, r, forward):
-            """The cells a chain may step to from (c, r): forward to a later
-            cell, or back to an earlier one."""
-            if forward:
-                cols = every ^ col_upto[c + run - 1]
-            else:
-                cols = col_upto[c - run]
-            up, down = every ^ row_upto[r + rise - 1], row_upto[r - rise]
-            return cols & (up if forward == spec.upward else down) & ~digit[c, r]
 
-        self.pred = [step_cells(c, r, False) for c, r in cells]
-        self.free, self.bounded = {0: 0}, None
-        self._read = self._free
-        if spec.require_rectangle:
-            # after[i]: the cells that may follow cell i and span a box
-            # with it that fits the shape, column by column while the
-            # lowest column so far reaches row r
-            self.after = []
-            for c, r in cells:
-                fits, low = 0, heights[c - 1]
-                for col in range(c, len(heights) + 1):
-                    low = min(low, heights[col - 1])
-                    if low < r:
-                        break
-                    fits |= (col_upto[col] ^ col_upto[col - 1]) & row_upto[low]
-                self.after.append(step_cells(c, r, True) & fits)
-            self.bounded = {0: 0}
-            self._read = self._bounded
+def _code_space(shape, spec: ChainSpec) -> bytearray:
+    """``longest_chain(f, spec)`` of every 0-1 filling f, one byte per code
+    of the weights ``_weights(cells, 1)`` of the spec's cell order
+    ``cells``.  With x the code's last cell and s its first, pred(x) the
+    cells that may precede x, succ(s) those that may follow s and win(s)
+    those whose box with s fits the shape (masks of O(cells ** 2) bits),
 
-    def _decoded(self, code: int) -> int:
-        """``longest_chain`` of the filling ``code``, on a shape with no
-        masks."""
-        entries = _code_entries(code, self.cells, self.bits)
-        return longest_chain(_trusted(Filling, shape=self.shape,
-                                      entries=entries), self.spec)
+        L(f) = max(L(f - x), 1 + L(f & pred(x))),
+        R(f) = max(R(f - s), 1 + L(f & succ(s) & win(s))),
 
-    def _free(self, code: int) -> int:
-        """L of the filling ``code``."""
-        known = self.free
-        value = known.get(code)
-        if value is None:
-            last = (code.bit_length() - 1) // self.bits
-            shift = last * self.bits
-            rest, before = code & ((1 << shift) - 1), code & self.pred[last]
-            value = known.get(before)
-            if value is None:
-                value = self._free(before)
-            value += code >> shift if self.weighted else 1
-            other = known.get(rest)
-            if other is None:
-                other = self._free(rest)
-            known[code] = value = value if value > other else other
-        return value
-
-    def _bounded(self, code: int) -> int:
-        """R of the filling ``code``."""
-        known = self.bounded
-        value = known.get(code)
-        if value is None:
-            first = ((code & -code).bit_length() - 1) // self.bits
-            shift = first * self.bits
-            w = (code >> shift) & ((1 << self.bits) - 1)
-            rest, after = code ^ (w << shift), code & self.after[first]
-            value = self.free.get(after)
-            if value is None:
-                value = self._free(after)
-            value += w if self.weighted else 1
-            other = known.get(rest)
-            if other is None:
-                other = self._bounded(rest)
-            known[code] = value = value if value > other else other
-        return value
-
-    def _code_space(self) -> bytearray:
-        """The statistic of every 0-1 filling, one byte per code.  L goes
-        block by block of one top digit, and R, with ``require_rectangle``,
-        slice by slice of one lowest digit, from the highest one down: each
-        code is filled after the smaller codes its recurrence reads."""
-        size = 1 << len(self.pred)
-        free = bytearray(size)
-        for last, before in enumerate(self.pred):
-            # the codes top + rest, rest < top, read L(rest) and
-            # L(rest & before)
-            top = 1 << last
-            free[top:2 * top] = _max_plus_one(
-                free[:top], [free[rest & before] for rest in range(top)])
-        if self.bounded is None:
-            return free
-        bounded = bytearray(size)
-        for first in reversed(range(len(self.after))):
-            # the codes with lowest digit 1 << first, every step-th from it,
-            # read R of the code without it, every step-th from 0
-            step, after = 2 << first, self.after[first]
-            bounded[1 << first::step] = _max_plus_one(
-                bounded[::step], [free[code & after]
-                                  for code in range(1 << first, size, step)])
-        return bounded
+    L block by block of one top digit and R, with ``require_rectangle``,
+    slice by slice of one lowest digit from the highest down, so that each
+    code is filled after the smaller codes it reads.  Both shape kinds have
+    unimodal columns, so the box of (c, r) and (c', r') fits exactly when
+    r is at most the height of column c' and r' at most that of c."""
+    cells, heights = _sorted_cells(shape.cells(), spec.upward), shape.col_heights
+    p_key, q_key = _chain_keys(spec)
+    keys = [(p_key(cell), q_key(cell), cell) for cell in cells]
+    size = 1 << len(cells)
+    free = bytearray(size)
+    for last, (p, q, _) in enumerate(keys):
+        # the codes top + rest, rest < top, read L(rest) and L(rest & pred)
+        top = 1 << last
+        pred = sum(1 << i for i, (p0, q0, _) in enumerate(keys)
+                   if p0 < p and q0 < q)
+        free[top:2 * top] = _max_plus_one(
+            free[:top], [free[rest & pred] for rest in range(top)])
+    if not spec.require_rectangle:
+        return free
+    bounded = bytearray(size)
+    for first in reversed(range(len(cells))):
+        # the codes with lowest digit 1 << first, every step-th from it,
+        # read R of the code without it, every step-th from 0
+        p, q, (c, r) = keys[first]
+        after = sum(1 << i for i, (p1, q1, (c1, r1)) in enumerate(keys)
+                    if p < p1 and q < q1 and r <= heights[c1 - 1]
+                    and r1 <= heights[c - 1])
+        step = 2 << first
+        bounded[1 << first::step] = _max_plus_one(
+            bounded[::step], [free[code & after]
+                              for code in range(1 << first, size, step)])
+    return bounded
 
 
 def _weights(cells, bits: int) -> dict:

@@ -46,9 +46,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
 
-from .fillings import (ARBITRARY, MEMO_MAX_CELLS, Filling, _code,
-                       _code_entries, _trusted, _weights, filling_class,
-                       in_class, int_lists)
+from .fillings import (ARBITRARY, Filling, _code, _code_entries, _trusted,
+                       _weights, filling_class, in_class, int_lists)
 from .insertion import deletion_entries, insertion_border
 from .local_rules import get_variant
 from .partitions import conjugate, make_partition
@@ -73,6 +72,7 @@ EMPTY = ()
 # Larger diagrams rarely repeat a frame and bypass them all: their sweeps
 # call the rules themselves.  The rules in local_rules.VARIANT_TABLE stay
 # uncached.  The swaps keep a memo of whole columns (see _shape_swap).
+MEMO_MAX_CELLS = 64
 MEMO_MAX_ENTRIES = 4096
 _PLANS = {}
 # _COLUMN_KEYS[x][y] is the key (x, y), made once for all small plans.  A

@@ -14,8 +14,8 @@ from growthdiagrams.correspondences import (Matching, SetPartition,
                                             standard_representation)
 from growthdiagrams.enumeration import InstanceTooLarge, all_fillings, all_shapes
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     ChainSpec, Filling, _code,
-                                     _sorted_cells, _weights, chain_spec,
+                                     ChainSpec, Filling, _Chains,
+                                     _sorted_cells, chain_spec,
                                      longest_chain)
 from growthdiagrams import growth
 from growthdiagrams.growth import GrowthTableau, growth_tableau, reconstruct
@@ -289,14 +289,15 @@ def random_set_partition(rng: random.Random, n: int):
 
 
 # ---------------------------------------------------------------------------
-# a chain table's read of a Filling, which the tests check against
+# the chain tables' statistics of a Filling, which the tests check against
 # longest_chain
 
-def filling_reads(table):
-    """The statistic of a filling under ``table``: its code, with the
-    weights of the table's cell order, read by the table."""
-    weights = _weights(table.cells, table.bits)
-    return lambda f: table._read(_code(f.entries, weights))
+def filling_stats(shape, specs, bits=1):
+    """The statistics of a filling of the shape under ``specs``, entries
+    below ``2 ** bits``: its columns inserted in turn into the states of
+    the shape's chain tables (``fillings._Chains``)."""
+    chains = _Chains(shape, specs, bits)
+    return lambda f: chains.stats(f.entries)
 
 
 # ---------------------------------------------------------------------------

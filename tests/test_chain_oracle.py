@@ -1,5 +1,5 @@
 """The longest-path `longest_chain` against an exhaustive chain search,
-and the `ChainTable` against `longest_chain`.
+and the chain tables' patience states against `longest_chain`.
 
 The oracle lists every chain in the cell order, keeps those whose
 bounding box fits, and takes the largest value.  It reads a spec's code,
@@ -11,6 +11,7 @@ own helpers, so a fault in `ChainSpec.step_ok` or in the box test of
 import random
 from collections import Counter
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,12 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, NES1_SPECS, T2_SPECS,
                                         InstanceTooLarge, all_fillings,
                                         all_shapes, count_table,
                                         problem2_evidence)
-from growthdiagrams.fillings import (ARBITRARY, MEMO_MAX_CELLS,
-                                     PARTIAL_PERMUTATION, ZERO_ONE, ChainTable,
+from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
                                      Filling, chain_spec, longest_chain)
-from growthdiagrams.growth import MEMO_MAX_ENTRIES
+from growthdiagrams.growth import MEMO_MAX_CELLS, MEMO_MAX_ENTRIES
 from growthdiagrams.shapes import FerrersShape, StackPolyomino
 
-from oracles import filling_reads, stack_polyominoes
+from oracles import filling_stats, stack_polyominoes
 
 CODES = ("NE", "Ne", "nE", "ne", "SE", "Se", "sE", "se")
 SPECS = tuple(chain_spec(code, mode, rect) for code in CODES
@@ -133,87 +133,108 @@ def test_longest_chain_matches_oracle_property(f):
 
 
 # ---------------------------------------------------------------------------
-# the chain table
+# the chain tables: patience states carried column by column
 
-def counting_fallback(monkeypatch):
-    """The fillings that a ChainTable hands to longest_chain from now on."""
-    handed = []
-
-    def fallback(f, spec):
-        handed.append(f)
-        return longest_chain(f, spec)
-    monkeypatch.setattr(fillings, "longest_chain", fallback)
-    return handed
+# every spec the statistics serve: the 8 codes, in count and entry-sum
+# mode, free and rectangle-bounded (a single chain's entry-multiplicity
+# length is its count)
+STATE_SPECS = tuple(spec for spec in SPECS
+                    if spec.length_mode != "entry-multiplicity")
 
 
-def test_chain_table_matches_longest_chain(monkeypatch):
-    """Every filling of every Ferrers shape and stack polyomino of at most
-    6 cells, in each class and under every spec, read in the order of
-    all_fillings: the table gives longest_chain's value, and reads every
-    filling from its smaller ones."""
-    handed = counting_fallback(monkeypatch)
+def refuse_longest_chain(monkeypatch):
+    """Make the statistics fail if they hand a filling to longest_chain,
+    which stays the oracle."""
+    def refuse(f, spec):
+        raise AssertionError("a statistic went to longest_chain")
+    monkeypatch.setattr(fillings, "longest_chain", refuse)
+
+
+def walked_mismatches(shape, cls, max_n, specs):
+    """The (filling, spec) pairs whose statistic, as the walk carries it
+    and as read from the filling's entries column by column, is not
+    longest_chain's, over the class's fillings of the shape up to
+    ``max_n``."""
+    bits = 2 if cls == ARBITRARY else 1
+    chains = fillings._Chains(shape, specs, bits)
+    cells = shape.cells()
+    weights = fillings._weights(cells, bits)
     mismatches = []
-    for shape in list(all_shapes(6)) + stack_polyominoes(6):
+    for _, walk in enumeration._codes(
+            weights, cls, range(enumeration._max_n(shape, cls, max_n) + 1),
+            chains):
+        for code, stats in chain(*walk):
+            f = Filling(shape, fillings._code_entries(code, cells, bits))
+            want = tuple(longest_chain(f, spec) for spec in specs)
+            mismatches += [(f, spec) for spec, got, read, value in zip(
+                specs, stats, chains.stats(f.entries), want)
+                if got != value or read != value]
+    return mismatches
+
+
+def test_chain_table_matches_longest_chain():
+    """Every filling of every Ferrers shape and stack polyomino of at most
+    7 cells, in each class (arbitrary ones of entry sum at most 3), under
+    every spec: the statistics the walk carries down to it, and those read
+    from its entries, are longest_chain's."""
+    mismatches = []
+    for shape in list(all_shapes(7)) + stack_polyominoes(7):
         for cls, max_n in ((ARBITRARY, 3), (ZERO_ONE, None),
                            (PARTIAL_PERMUTATION, None)):
-            group = [f for _, f in all_fillings(shape, cls, max_n)]
-            for spec in SPECS:
-                read = filling_reads(
-                    ChainTable(shape, spec, 2 if cls == ARBITRARY else 1))
-                mismatches += [(f, spec) for f in group
-                               if read(f) != longest_chain(f, spec)]
+            mismatches += walked_mismatches(shape, cls, max_n, STATE_SPECS)
     assert mismatches == []
-    assert handed == []
 
 
-@settings(max_examples=100, deadline=None)
-@given(_shapes(), st.sampled_from([(ARBITRARY, 2), (ZERO_ONE, 2),
-                                   (PARTIAL_PERMUTATION, 3)]),
-       st.sampled_from(SPECS))
-def test_chain_table_property(shape, cls_n, spec):
-    """Shapes of up to 36 cells: the table gives longest_chain's value on
-    every filling of up to two or three entries."""
-    cls, max_n = cls_n
-    read = filling_reads(ChainTable(shape, spec, max_n.bit_length()))
-    assert all(read(f) == longest_chain(f, spec)
-               for _, f in all_fillings(shape, cls, max_n))
+@st.composite
+def _shapes_of_up_to_40_cells(draw):
+    """A Ferrers shape or a stack polyomino of up to 40 cells."""
+    heights = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    while sum(heights) > 40:
+        heights.pop()
+    if draw(st.booleans()):
+        return FerrersShape(tuple(sorted(heights, reverse=True)))
+    peak = draw(st.integers(0, len(heights)))
+    return StackPolyomino(tuple(sorted(heights[:peak])
+                                + sorted(heights[peak:], reverse=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chain_table_property(data):
+    """Shapes of up to 40 cells: the statistics read from a filling's
+    entries are longest_chain's under every spec, for a filling of up to
+    12 entries of up to 3, and the walk carries longest_chain's statistics
+    to every filling of up to two entries of the drawn class."""
+    shape = data.draw(_shapes_of_up_to_40_cells())
+    cells = data.draw(st.lists(st.sampled_from(shape.cells()), max_size=12,
+                               unique=True))
+    values = data.draw(st.lists(st.integers(1, 3), min_size=len(cells),
+                                max_size=len(cells)))
+    f = Filling(shape, dict(zip(cells, values)))
+    assert filling_stats(shape, STATE_SPECS, 2)(f) == tuple(
+        longest_chain(f, spec) for spec in STATE_SPECS)
+    cls = data.draw(st.sampled_from([ARBITRARY, ZERO_ONE,
+                                     PARTIAL_PERMUTATION]))
+    specs = data.draw(st.lists(st.sampled_from(STATE_SPECS), min_size=1,
+                               max_size=4))
+    assert walked_mismatches(shape, cls, 2, specs) == []
 
 
 def test_chain_table_reads_out_of_order(monkeypatch):
-    """Read from the largest filling down, a table reads the smaller
-    fillings it lacks by its own recurrence: it gives longest_chain's
-    value, hands no filling to longest_chain and keeps every filling read,
-    on (4,4,3,2) more than MEMO_MAX_ENTRIES of them."""
-    handed = counting_fallback(monkeypatch)
+    """Read from the largest filling down, the statistics are
+    longest_chain's, none goes to longest_chain, and the chain tables keep
+    nothing between fillings: their start list and inserts are as they
+    were built, on (4,4,3,2) for more than MEMO_MAX_ENTRIES fillings."""
+    refuse_longest_chain(monkeypatch)
     for shape in (FerrersShape((3, 2, 1)), FerrersShape((4, 4, 3, 2))):
         group = [f for _, f in all_fillings(shape, ZERO_ONE)][::-1]
-        for spec in NE_SE_SPECS:
-            table = ChainTable(shape, spec, 1)
-            assert list(map(filling_reads(table), group)) == [
-                longest_chain(f, spec) for f in group]
-            assert len(table.bounded) == len(group)
+        chains = fillings._Chains(shape, NE_SE_SPECS)
+        start, columns = list(chains.start), dict(chains.columns)
+        assert [chains.stats(f.entries) for f in group] == [
+            tuple(oracle_longest_chain(f, spec) for spec in NE_SE_SPECS)
+            for f in group]
+        assert (chains.start, chains.columns) == (start, columns)
     assert len(group) > MEMO_MAX_ENTRIES
-    assert handed == []
-
-
-def test_chain_table_memos_hold_at_most_the_fillings_read():
-    """Read in the order of all_fillings, each memo of each table holds at
-    most as many fillings as were read, for every class and spec on the
-    Ferrers shapes and stack polyominoes of at most 6 cells."""
-    oversize = []
-    for shape in list(all_shapes(6)) + stack_polyominoes(6):
-        for cls, max_n in ((ARBITRARY, 3), (ZERO_ONE, None),
-                           (PARTIAL_PERMUTATION, None)):
-            group = [f for _, f in all_fillings(shape, cls, max_n)]
-            for spec in SPECS:
-                table = ChainTable(shape, spec, 2 if cls == ARBITRARY else 1)
-                read = filling_reads(table)
-                for f in group:
-                    read(f)
-                oversize += [(shape, cls, spec)
-                             for memo in (table.free, table.bounded or {})
-                             if len(memo) > len(group)]
-    assert oversize == []
 
 
 def enumerated_counts(shape, cls, reads, max_n=None):
@@ -272,54 +293,50 @@ def test_walk_counts_match_longest_chain(monkeypatch):
 
 
 def test_count_table_past_the_table_memo(monkeypatch):
-    """A table's memos have no cap: past MEMO_MAX_ENTRIES fillings every
-    filling is still read from its smaller fillings, and none goes to
-    longest_chain."""
+    """No statistic is memoised, and past MEMO_MAX_ENTRIES fillings every
+    count is still longest_chain's, with no filling handed to it."""
     shape = FerrersShape((4, 4, 3, 2))
     assert 2 ** shape.n_cells > MEMO_MAX_ENTRIES
     expected = counts_by_longest_chain(shape, ZERO_ONE, NE_SE_SPECS)
-    handed = counting_fallback(monkeypatch)
+    refuse_longest_chain(monkeypatch)
     assert count_table(shape, ZERO_ONE, *NE_SE_SPECS).counts == expected
-    assert handed == []
 
 
 def test_count_table_past_the_table_shape_bound(monkeypatch):
-    """A shape of more than MEMO_MAX_CELLS cells gets no table: every
-    filling goes to longest_chain."""
+    """A shape of more than MEMO_MAX_CELLS cells is counted by the same
+    walk and states as a small one: longest_chain's counts, with no
+    filling handed to it."""
     shape = FerrersShape((9,) * 8)
     assert shape.n_cells > MEMO_MAX_CELLS
     specs = (chain_spec("NE"), chain_spec("SE", require_rectangle=True))
     expected = counts_by_longest_chain(shape, ZERO_ONE, specs, 2)
-    handed = counting_fallback(monkeypatch)
-    table = count_table(shape, ZERO_ONE, *specs, 2)
-    assert table.counts == expected
-    assert len(handed) == 2 * sum(map(table.total, table.counts))
+    refuse_longest_chain(monkeypatch)
+    assert count_table(shape, ZERO_ONE, *specs, 2).counts == expected
 
 
-def test_decoded_reads_past_the_shape_bound(monkeypatch):
-    """On shapes of more than MEMO_MAX_CELLS cells a table decodes each
-    code back into its filling for longest_chain: every spec, a Ferrers
-    shape and a stack polyomino, entries of 1 to 3 bits, the empty
+def test_decoded_reads_past_the_shape_bound():
+    """On shapes of more than MEMO_MAX_CELLS cells, the statistics of a
+    code decoded into its entries are longest_chain's: every spec, a
+    Ferrers shape and a stack polyomino, entries of 1 to 3 bits, the empty
     filling, and fillings with the largest entry in the first and in the
     highest cell."""
-    handed = counting_fallback(monkeypatch)
     rng = random.Random(26)
     for shape in (FerrersShape((10, 9, 9, 9, 9, 8, 8, 4)),
                   StackPolyomino((3, 8, 10, 10, 9, 9, 8, 7, 4))):
         assert shape.n_cells > MEMO_MAX_CELLS
         cells = shape.cells()
         for bits in (1, 2, 3):
-            for spec in SPECS:
-                table = ChainTable(shape, spec, bits)
-                read, top = filling_reads(table), (1 << bits) - 1
-                for entries in (
-                        {}, {table.cells[-1]: top},
-                        {table.cells[0]: top, table.cells[-1]: 1},
-                        {cell: rng.randint(1, top)
-                         for cell in rng.sample(cells, 9)}):
-                    f = Filling(shape, entries)
-                    assert read(f) == longest_chain(f, spec)
-                    assert handed[-1] == f
+            weights, top = fillings._weights(cells, bits), (1 << bits) - 1
+            read = filling_stats(shape, STATE_SPECS, bits)
+            for entries in ({}, {cells[-1]: top},
+                            {cells[0]: top, cells[-1]: 1},
+                            {cell: rng.randint(1, top)
+                             for cell in rng.sample(cells, 9)}):
+                f = Filling(shape, fillings._code_entries(
+                    fillings._code(entries, weights), cells, bits))
+                assert f.entries == entries
+                assert read(f) == tuple(longest_chain(f, spec)
+                                        for spec in STATE_SPECS)
 
 
 def test_asymmetric_ne_se_table():
@@ -396,9 +413,10 @@ def _shapes_of_9_to_16_cells(draw):
        st.sampled_from(SPECS))
 def test_code_space_counts_property(shape, spec_x, spec_y):
     """Shapes of 9 to 16 cells: the code-space counts are those of the
-    enumerated fillings, each read by a chain table, in the same order."""
-    reads = [filling_reads(ChainTable(shape, spec, 1))
-             for spec in (spec_x, spec_y)]
+    enumerated fillings, each read by the chain tables, in the same
+    order."""
+    read = filling_stats(shape, (spec_x, spec_y))
+    reads = [lambda f: read(f)[0], lambda f: read(f)[1]]
     assert (ordered(count_table(shape, ZERO_ONE, spec_x, spec_y).counts)
             == ordered(enumerated_counts(shape, ZERO_ONE, reads)))
 
@@ -413,7 +431,22 @@ def test_code_space_budget(monkeypatch):
     assert sum(map(table.total, table.counts)) == 256
     monkeypatch.setenv("GROWTH_BUDGET", "255")
     refuse_enumeration(monkeypatch)
-    monkeypatch.setattr(ChainTable, "_code_space", None)
+    monkeypatch.setattr(enumeration, "_code_space", None)
     with pytest.raises(InstanceTooLarge) as raised:
         count_table(shape, ZERO_ONE, *NE_SE_SPECS)
     assert str(raised.value) == "more than 255 fillings generated"
+
+
+@pytest.mark.parametrize("rows", [(64,), (65,), (13, 13, 13, 13, 13)],
+                         ids=["64", "65", "13x5"])
+def test_full_zero_one_tables_are_refused_at_once(monkeypatch, rows):
+    """A full 0-1 table is counted over the code space at every size, and
+    the code space charges its 2 ** N fillings before it builds anything:
+    past 64 cells it is refused at once, as at 64, with nothing walked and
+    no statistic built."""
+    monkeypatch.delenv("GROWTH_BUDGET", raising=False)
+    refuse_enumeration(monkeypatch)
+    monkeypatch.setattr(enumeration, "_code_space", None)
+    with pytest.raises(InstanceTooLarge) as raised:
+        count_table(FerrersShape(rows), ZERO_ONE, *NE_SE_SPECS)
+    assert str(raised.value) == "more than 10000000 fillings generated"

@@ -32,7 +32,7 @@ from growthdiagrams.enumeration import (NES1_IMAGE_SPECS, NES1_SPECS,
                                         NES2_IMAGE_SPECS, NES2_SPECS,
                                         T2_SPECS, all_fillings, all_shapes)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION,
-                                     ChainTable, Filling, longest_chain,
+                                     Filling, longest_chain,
                                      transpose_filling)
 from growthdiagrams.growth import (MEMO_MAX_CELLS, GrowthTableau,
                                    growth_tableau, reconstruct)
@@ -42,7 +42,7 @@ from growthdiagrams.shapes import FerrersShape, shape_from_word
 
 from oracles import (_max_k, all_matchings, conjugate_by_hesitating,
                      conjugate_by_oscillating, conjugate_by_vacillating,
-                     enhanced_representation, filling_reads,
+                     enhanced_representation, filling_stats,
                      hesitating_to_setpartition,
                      is_hesitating, is_oscillating, is_vacillating,
                      oscillating_to_matching, parse_matching,
@@ -116,13 +116,12 @@ def test_statistics_match_the_k_subset_oracle():
     fillings: nest is the longest NE chain and cross the longest
     rectangle-bounded SE chain of a partial permutation."""
     start = time.perf_counter()
-    tables = {}     # shape -> its (cross, nest) chain-table reads, SE then NE
+    tables = {}     # shape -> its (cross, nest) chain-table read, SE then NE
 
     def read(f):
         if f.shape not in tables:
-            tables[f.shape] = [filling_reads(ChainTable(f.shape, spec, 1))
-                               for spec in reversed(T2_SPECS)]
-        return tuple(table(f) for table in tables[f.shape])
+            tables[f.shape] = filling_stats(f.shape, T2_SPECS[::-1])
+        return tables[f.shape](f)
     for n in range(9):
         for p in all_set_partitions(n):
             standard, enhanced = (standard_representation(p),

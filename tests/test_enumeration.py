@@ -2,7 +2,7 @@
 
 import inspect
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -14,7 +14,7 @@ from growthdiagrams.correspondences import (SetPartition, _hesitating,
                                             setpartition_to_filling)
 from growthdiagrams.enumeration import (NE_SE_SPECS, VERIFIERS,
                                         InstanceTooLarge, Report,
-                                        _code_weights, _codes,
+                                        NES1_IMAGE_SPECS, NES1_SPECS, _codes,
                                         _densest_bounded_ne, _occupied,
                                         all_fillings, all_shapes,
                                         budget_limit, check_greene,
@@ -25,7 +25,7 @@ from growthdiagrams.enumeration import (NE_SE_SPECS, VERIFIERS,
                                         verify_t2sym, verify_t4, verify_t5,
                                         verify_t6, verify_theorem)
 from growthdiagrams.fillings import (ARBITRARY, PARTIAL_PERMUTATION, ZERO_ONE,
-                                     ChainTable, Filling, _code, _code_entries,
+                                     Filling, _Chains, _code, _code_entries,
                                      _weights, chain_spec, greene_totals,
                                      longest_chain)
 from growthdiagrams.growth import _shape_swap
@@ -124,9 +124,11 @@ def test_walk_is_the_dict_generators_exhaustive():
     on the empty shape and every shape of at most 7 cells, for each class
     and every n (arbitrary fillings up to entry sum 4), one past the
     largest included.  ``all_fillings`` decodes them with the same
-    entries in the same order, and the walk's code pairs are the chain
-    tables' codes of those fillings in the upward and the downward cell
-    order."""
+    entries in the same order; the walk's codes are the codes of those
+    fillings, and given chain tables it carries longest_chain's
+    statistics to each of them, under count and entry-sum specs, free and
+    rectangle-bounded, upward and downward."""
+    specs = NES1_SPECS + NES1_IMAGE_SPECS
     for shape in [FerrersShape(()), *all_shapes(7)]:
         rooks = min(shape.n_rows, shape.n_cols)
         for cls, top in ((ZERO_ONE, shape.n_cells),
@@ -137,13 +139,15 @@ def test_walk_is_the_dict_generators_exhaustive():
                     shape, cls, n)] == [list(e.items()) for e in want], (
                     shape, cls, n)
                 bits = max(n, 1).bit_length() if cls == ARBITRARY else 1
-                up, down = (_weights(ChainTable(shape, chain_spec(code),
-                                                bits).cells, bits)
-                            for code in ("NE", "SE"))
-                weights = _code_weights(shape, bits)
-                assert list(_codes(weights, cls, n)) == [
-                    _code(e, up) | _code(e, down) << bits * shape.n_cells
-                    for e in want], (shape, cls, n)
+                weights = _weights(shape.cells(), bits)
+                codes = [_code(e, weights) for e in want]
+                assert [(m, list(chain(*walk))) for m, walk in _codes(
+                    weights, cls, [n])] == [(n, codes)], (shape, cls, n)
+                assert [(m, list(chain(*walk))) for m, walk in _codes(
+                    weights, cls, [n], _Chains(shape, specs, bits))] == [
+                    (n, [(code, tuple(longest_chain(Filling(shape, e), spec)
+                                      for spec in specs))
+                         for code, e in zip(codes, want)])], (shape, cls, n)
 
 
 def test_partial_permutations_of_staircase_9():
@@ -165,14 +169,14 @@ def test_staircase_placements_are_the_set_partitions():
         placements = [f for _, f in all_fillings(shape, "partial-permutation")]
         assert len(placements) == len(partitions) == bell_number(n)
         assert set(placements) == set(partitions)
-        # T5's key sits above the code pair: bit n + i for column i, bit
-        # r for row r
+        # T5's key sits above the code: bit n + i for column i, bit r for
+        # row r
         occupied = _occupied(n, shape)
         for f in placements:
             p = partitions[f]
             minima, maxima = min_max_blocks(p)
             code = sum(occupied[cell] for cell in f.entries)
-            assert code >> 2 * len(occupied) == sum(
+            assert code >> len(occupied) == sum(
                 [1 << n + i for i in range(1, n + 1) if i not in maxima]
                 + [1 << n + 1 - j for j in range(1, n + 1) if j not in minima]
             ), str(p)
@@ -260,7 +264,8 @@ def test_max_n_stops_at_the_largest_n(monkeypatch, cls, top):
     side of partial permutations, whatever larger bound is asked for."""
     walked = []
     monkeypatch.setattr(enumeration, "_codes",
-                        lambda weights, cls, n: walked.append(n) or iter(()))
+                        lambda weights, cls, ns, chains: walked.extend(ns)
+                        or iter(()))
     list(all_fillings(SQUARE, cls, 10))
     assert walked == list(range(top + 1))
 
@@ -367,6 +372,23 @@ def test_given_shapes_may_be_a_generator():
     check used to leave nothing to verify."""
     report = verify_t2(shapes=(FerrersShape(rows) for rows in [(2, 1), (2, 2)]))
     assert (report.passed, report.details) == (True, "2 shapes")
+
+
+def test_t2asym_stops_at_its_first_failure(monkeypatch):
+    """T2asym's first identity failing is its verdict: its second count,
+    which walks the symmetric shapes again, is not run.  With the identity
+    for the swap, up to 40 cells, it fails on an early shape, names all
+    495 symmetric shapes, and builds fewer than 100 shapes in all."""
+    patch_swap(monkeypatch, lambda shape, variant, swap: dict)
+    built = []
+    init = FerrersShape.__post_init__
+    monkeypatch.setattr(FerrersShape, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    report = verify_t2asym(40, 2)
+    assert (report.verdict, report.details) == ("FAIL",
+                                                "495 symmetric shapes")
+    assert report.witness[-1] == "statistics not exchanged"
+    assert 0 < len(built) < 100
 
 
 @pytest.mark.parametrize("verify, details", [

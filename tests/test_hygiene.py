@@ -6,7 +6,9 @@ method and property of a class in ``src/``, as an attribute.  Package
 re-exports; those imports still count as reads.  No two top-level
 definitions in ``src/`` call each other, one meter in ``enumeration.py``
 reads the budget of every enumeration, one count in ``growth.py`` bounds
-the fold's memo, and only ``label_diagram`` makes a growth diagram."""
+the fold's memo, only ``label_diagram`` makes a growth diagram, and the
+chain statistics read neither the oracle ``longest_chain`` nor the growth
+layer's memo bound."""
 
 import ast
 from pathlib import Path
@@ -359,3 +361,17 @@ def test_one_budget():
                for _, name in top_level_definitions(source)}
     assert not defined & {"_metered", "_metered_groups", "_too_large",
                           "_placements"}
+
+
+def test_statistics_read_no_oracle_and_no_memo_bound():
+    """The production statistics are the chain tables' states alone: no
+    top-level statement of fillings.py or enumeration.py reads
+    ``longest_chain`` but its own definition (it stays the public
+    statistic and the tests' oracle), and neither module reads
+    ``MEMO_MAX_CELLS``, the growth layer's memo bound."""
+    package = ROOT / "src" / "growthdiagrams"
+    for stem in ("fillings", "enumeration"):
+        readers = readers_of((package / f"{stem}.py").read_text(),
+                             ("longest_chain", "MEMO_MAX_CELLS"))
+        assert readers["longest_chain"] <= {"longest_chain"}, stem
+        assert readers["MEMO_MAX_CELLS"] == set(), stem

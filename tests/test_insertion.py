@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams.enumeration import all_fillings
-from growthdiagrams.fillings import MEMO_MAX_CELLS, Filling
-from growthdiagrams.growth import (border_tableau, growth_tableau,
-                                   label_diagram, reconstruct)
+from growthdiagrams.fillings import Filling
+from growthdiagrams.growth import (MEMO_MAX_CELLS, border_tableau,
+                                   growth_tableau, label_diagram, reconstruct)
 from growthdiagrams.insertion import deletion_entries, insertion_border
 from growthdiagrams.local_rules import get_variant
 from growthdiagrams.shapes import FerrersShape
